@@ -1,21 +1,21 @@
-"""Benchmark — batched training engine vs the sequential seed path.
+"""Benchmark — context generation and training-epoch throughput.
 
 Times the two stages of Algorithm 2 separately on the ``digg_like``
-synthetic preset, once with the original one-node/one-context-at-a-time
-implementation (``ContextGenerator(batched=False)`` +
-``train_epoch_sequential``) and once with the vectorised engine
-(CSR-batched walks + fused micro-batched SGD).  The measured speedups
-are persisted to ``BENCH_training.json`` at the repository root.
+synthetic preset (CSR-batched walks, then one fused micro-batched SGD
+epoch) and the cost of recording telemetry during an epoch.  The
+measurements are persisted to ``BENCH_training.json`` at the
+repository root.
 
-A second section measures the hogwild engine's scaling: the same
-preset trained at each ``--workers`` count, with per-count epoch
-throughput, speedup over one worker, and scaling efficiency
-(speedup / workers) recorded under ``parallel.workers``.  Scaling
-beyond 1.0x needs real cores, so the *default* worker counts are
-clipped to ``os.cpu_count()`` — measuring 4 workers on a 1-core host
-says nothing about the engine, only about the scheduler.  Counts
-requested explicitly via ``--workers`` are still honoured beyond the
-core count, but their rows carry ``oversubscribed: true`` so readers
+A second section measures hogwild scaling: the same preset trained at
+each ``--workers`` count, with per-count epoch throughput, speedup over
+one worker, and scaling efficiency (speedup / workers) recorded under
+``parallel.workers``.  The one-worker row is the in-process fit (no
+subprocess, no shared memory).  Scaling beyond 1.0x needs real cores,
+so the *default* worker counts are clipped to ``os.cpu_count()`` —
+measuring 4 workers on a 1-core host says nothing about the trainer,
+only about the scheduler.  Counts requested explicitly via
+``--workers`` are still honoured beyond the core count, but their rows
+carry ``oversubscribed: true`` so readers
 (and the regression gate's baselines) can tell contention artifacts
 from real scaling; ``parallel.cpu_count`` records the host.
 
@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import statistics
+import time
 from pathlib import Path
 
 from repro.core.context import ContextConfig, ContextGenerator
@@ -38,7 +39,6 @@ from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.synthetic import SyntheticSocialDataset
 from repro.obs import RunRecorder, recording
 from repro.parallel import HogwildTrainer
-from repro.utils.timer import timed
 
 #: Acceptance working point: the digg_like preset at 2000 users.
 PRESET = dict(num_users=2000, num_items=300)
@@ -80,7 +80,7 @@ def run_throughput(
     dim: int = DIM,
     seed: int = BENCH_SEED,
 ) -> dict:
-    """Measure sequential vs batched context generation and train epoch."""
+    """Measure context generation, one train epoch, and the telemetry tax."""
     data = SyntheticSocialDataset.digg_like(
         num_users=num_users, num_items=num_items, seed=seed
     )
@@ -88,28 +88,17 @@ def run_throughput(
         dim=dim, context=ContextConfig(length=50, alpha=0.1), epochs=1
     )
 
-    sequential_corpus, seq_context_seconds = timed(
-        lambda: ContextGenerator(
-            data.graph, config.context, seed=seed, batched=False
-        ).generate(data.log)
+    started = time.perf_counter()
+    corpus = ContextGenerator(data.graph, config.context, seed=seed).generate(
+        data.log
     )
-    batched_corpus, bat_context_seconds = timed(
-        lambda: ContextGenerator(
-            data.graph, config.context, seed=seed, batched=True
-        ).generate(data.log)
-    )
+    context_seconds = time.perf_counter() - started
 
-    corpus = batched_corpus
-
-    sequential_model = Inf2vecModel(config, seed=seed)
-    sequential_model.fit_contexts(corpus[:1], num_users=data.graph.num_nodes)
-    _, seq_train_seconds = timed(
-        lambda: sequential_model.train_epoch_sequential(corpus)
-    )
-
-    batched_model = Inf2vecModel(config, seed=seed)
-    batched_model.fit_contexts(corpus[:1], num_users=data.graph.num_nodes)
-    _, bat_train_seconds = timed(lambda: batched_model.train_epoch(corpus))
+    model = Inf2vecModel(config, seed=seed)
+    model.fit_contexts(corpus[:1], num_users=data.graph.num_nodes)
+    started = time.perf_counter()
+    model.train_epoch(corpus)
+    train_seconds = time.perf_counter() - started
 
     # Telemetry tax: the same epoch with the registry disabled vs live.
     # Both models are warmed with one untimed epoch first, then the
@@ -132,12 +121,14 @@ def run_throughput(
     disabled_times: list[float] = []
     enabled_times: list[float] = []
     for repeat in range(TELEMETRY_REPEATS):
-        _, seconds = timed(lambda: disabled_model.train_epoch(corpus))
-        disabled_times.append(seconds)
+        started = time.perf_counter()
+        disabled_model.train_epoch(corpus)
+        disabled_times.append(time.perf_counter() - started)
         with recording(run):
-            with run.span("train_epoch", engine="batched", repeat=repeat):
-                _, seconds = timed(lambda: telemetry_model.train_epoch(corpus))
-        enabled_times.append(seconds)
+            with run.span("train_epoch", repeat=repeat):
+                started = time.perf_counter()
+                telemetry_model.train_epoch(corpus)
+                enabled_times.append(time.perf_counter() - started)
     disabled_median = statistics.median(disabled_times)
     enabled_median = statistics.median(enabled_times)
     write_manifest(run)
@@ -148,20 +139,9 @@ def run_throughput(
         "num_items": num_items,
         "dim": dim,
         "seed": seed,
-        "num_contexts": {
-            "sequential": len(sequential_corpus),
-            "batched": len(batched_corpus),
-        },
-        "context_generation": {
-            "sequential_seconds": seq_context_seconds,
-            "batched_seconds": bat_context_seconds,
-            "speedup": seq_context_seconds / bat_context_seconds,
-        },
-        "train_epoch": {
-            "sequential_seconds": seq_train_seconds,
-            "batched_seconds": bat_train_seconds,
-            "speedup": seq_train_seconds / bat_train_seconds,
-        },
+        "num_contexts": {"batched": len(corpus)},
+        "context_generation": {"batched_seconds": context_seconds},
+        "train_epoch": {"batched_seconds": train_seconds},
         "telemetry": {
             "repeats": TELEMETRY_REPEATS,
             "disabled_seconds": disabled_median,
@@ -210,7 +190,7 @@ def run_scaling(
     positives = sum(
         len(context)
         for context in ContextGenerator(
-            data.graph, config.context, seed=seed, batched=True
+            data.graph, config.context, seed=seed
         ).generate(data.log)
     )
 
@@ -233,7 +213,7 @@ def run_scaling(
             "speedup_vs_1": speedup,
             "scaling_efficiency": speedup / workers,
             # More workers than cores measures the scheduler, not the
-            # engine; flagged so readers discount those rows (booleans
+            # trainer; flagged so readers discount those rows (booleans
             # are invisible to the regression gate's numeric flatten).
             "oversubscribed": workers > cpu_count,
         }
@@ -251,12 +231,12 @@ def run_scaling(
 
 
 def write_report(results: dict, path: Path = REPORT_PATH) -> None:
-    """Persist the measured speedups next to the repository root."""
+    """Persist the measurements next to the repository root."""
     path.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def write_manifest(run: RunRecorder, path: Path = MANIFEST_PATH) -> None:
-    """Persist the telemetry run manifest beside the speedup report."""
+    """Persist the telemetry run manifest beside the report."""
     run.write(path)
 
 
@@ -266,13 +246,8 @@ def print_report(results: dict) -> None:
         f"\nTraining throughput — digg_like("
         f"num_users={results['num_users']}), K={results['dim']}"
     )
-    print(f"{'stage':<20}{'sequential':>12}{'batched':>12}{'speedup':>9}")
     for stage in ("context_generation", "train_epoch"):
-        row = results[stage]
-        print(
-            f"{stage:<20}{row['sequential_seconds']:>11.2f}s"
-            f"{row['batched_seconds']:>11.2f}s{row['speedup']:>8.1f}x"
-        )
+        print(f"{stage:<20}{results[stage]['batched_seconds']:>11.2f}s")
     telemetry = results["telemetry"]
     print(
         f"telemetry overhead  {telemetry['disabled_seconds']:>11.2f}s"
@@ -310,11 +285,6 @@ def test_training_throughput(benchmark):
     )
     print_report(results)
     write_report(results)
-    # Regression guard: the batched engine must stay clearly ahead of
-    # the sequential reference on both stages (the committed report
-    # records the actual margins, >= 3x on this preset).
-    assert results["context_generation"]["speedup"] > 1.5, results
-    assert results["train_epoch"]["speedup"] > 1.5, results
     # Observability guard: recording telemetry may not blow up the
     # epoch, and the manifest must capture what the epoch did.
     assert results["telemetry"]["overhead_fraction"] < MAX_DISABLED_OVERHEAD, results

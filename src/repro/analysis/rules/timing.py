@@ -3,8 +3,7 @@
 ``time.time()`` is wall-clock: NTP slews, DST, and manual clock
 adjustments make intervals derived from it wrong, and benchmark deltas
 (BENCH_training.json, fig9) must be monotonic to be comparable.  All
-duration measurement uses ``time.perf_counter()`` (see
-``repro.utils.timer.Timer``).
+duration measurement uses ``time.perf_counter()``.
 
 The two legitimate *unix-timestamp* call sites — span start times in
 ``repro/obs/tracing.py`` and run-manifest creation in

@@ -168,16 +168,15 @@ class TrainingState:
         The bit-state at ``fit()`` entry, before context generation —
         resume replays it so the regenerated corpus is identical.
     worker_topology:
-        ``None`` for single-process checkpoints.  Checkpoints written
-        by the hogwild parallel trainer carry a mapping with
-        ``workers`` (the worker count), ``entry_rng_states`` (each
-        worker's spawn-derived birth state, replayed so workers
-        regenerate their exact shard corpora), and ``rng_states`` (each
-        worker's stream at the end of ``epoch``).  Resume-equivalence
-        is *per worker count*: the parallel trainer refuses a topology
-        whose worker count differs from its own, and the single-process
-        engine refuses parallel checkpoints outright.  The key is
-        optional on load, so pre-topology checkpoints remain readable.
+        Written by every training run: a mapping with ``workers`` (the
+        shard count, 1 for an in-process fit), ``entry_rng_states``
+        (each shard's RNG state at its start — a hogwild worker's
+        spawn-derived birth state, replayed so it regenerates its exact
+        shard corpus), and ``rng_states`` (each shard's stream at the
+        end of ``epoch``).  Resume-equivalence is *per worker count*:
+        resume refuses a topology whose worker count differs from the
+        run's own.  ``None`` (a state captured without one) counts as
+        one worker.
     """
 
     source: np.ndarray

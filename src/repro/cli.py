@@ -27,12 +27,12 @@ After an interruption (SIGKILL, OOM, power loss), re-running the same
 command with ``--resume`` continues from the latest valid checkpoint to
 the same final embeddings an uninterrupted run would have produced.
 
-``--workers N`` switches training to the hogwild shared-memory engine
-(:mod:`repro.parallel`): N processes update one shared parameter block
-lock-free, and ``--stream-chunk E`` additionally streams each worker's
-corpus in E-episode chunks so memory stays bounded as ``--num-users``
-grows.  Checkpoints written with ``--workers`` resume only at the same
-worker count (see DESIGN.md §14 for the determinism contract).
+``--workers N`` trains N hogwild shards (:mod:`repro.parallel`): at
+N > 1, N processes update one shared parameter block lock-free; the
+default, 1, trains in process.  ``--stream-chunk E`` streams each
+shard's corpus in E-episode chunks so memory stays bounded as
+``--num-users`` grows.  Checkpoints resume only at the worker count
+that wrote them (see DESIGN.md §14 for the determinism contract).
 
 The ``serve`` command builds and queries the read-optimized influence
 serving layer (:mod:`repro.serve`)::
@@ -206,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="train with N hogwild worker processes over shared-memory "
-        "parameters (default: single-process engine; N=1 runs the "
-        "parallel engine deterministically)",
+        "parameters (default: 1, in process and bitwise-deterministic)",
     )
     training.add_argument(
         "--stream-chunk",
@@ -215,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="EPISODES",
         help="stream the training corpus in chunks of this many episodes "
-        "per worker instead of materialising it (requires --workers and "
-        "uniform negative sampling)",
+        "per worker instead of materialising it (requires uniform "
+        "negative sampling)",
     )
 
     influence = parser.add_argument_group(
@@ -352,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_training(args: argparse.Namespace) -> int:
     """The ``train`` command: one checkpointed training job."""
-    from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
+    from repro.core.inf2vec import Inf2vecConfig
     from repro.data.serialization import load_dataset
     from repro.data.synthetic import SyntheticSocialDataset
+    from repro.parallel import HogwildTrainer
 
     if args.dataset:
         dataset = load_dataset(args.dataset)
@@ -378,26 +378,15 @@ def _run_training(args: argparse.Namespace) -> int:
                 )
             else:
                 print(f"resuming from checkpoint at epoch {state.epoch}")
-    if args.stream_chunk is not None and args.workers is None:
-        raise SystemExit("--stream-chunk requires --workers")
-    config = Inf2vecConfig(dim=args.dim, epochs=args.epochs)
-    if args.workers is not None:
-        from repro.parallel import HogwildTrainer
-
-        trainer = HogwildTrainer(
-            config,
-            workers=args.workers,
-            seed=args.seed,
-            stream_chunk=args.stream_chunk,
-        )
-        model = trainer.fit(
-            dataset.graph, dataset.log, checkpoint=manager, resume=args.resume
-        )
-    else:
-        model = Inf2vecModel(config, seed=args.seed)
-        model.fit(
-            dataset.graph, dataset.log, checkpoint=manager, resume=args.resume
-        )
+    trainer = HogwildTrainer(
+        Inf2vecConfig(dim=args.dim, epochs=args.epochs),
+        workers=1 if args.workers is None else args.workers,
+        seed=args.seed,
+        stream_chunk=args.stream_chunk,
+    )
+    model = trainer.fit(
+        dataset.graph, dataset.log, checkpoint=manager, resume=args.resume
+    )
     losses = model.loss_history
     if losses:
         workers_note = (

@@ -6,10 +6,7 @@ from repro.core.context import (
     ContextGenerator,
     InfluenceContext,
     batched_random_walk_with_restart,
-    generate_context,
-    generate_episode_contexts,
     generate_episode_contexts_batched,
-    random_walk_with_restart,
 )
 from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
@@ -36,10 +33,7 @@ __all__ = [
     "ContextGenerator",
     "InfluenceContext",
     "batched_random_walk_with_restart",
-    "generate_context",
-    "generate_episode_contexts",
     "generate_episode_contexts_batched",
-    "random_walk_with_restart",
     "InfluenceEmbedding",
     "Inf2vecConfig",
     "Inf2vecModel",

@@ -20,6 +20,10 @@ context* ``C_u^i`` blends two constituents:
 
 The component weight ``alpha`` is the paper's α (default 0.1 tuned on
 the validation set; α = 1.0 yields the Inf2vec-L ablation of Table IV).
+
+Contexts are generated a whole episode at a time: every adopter's walk
+advances in lockstep (:func:`batched_random_walk_with_restart`) and all
+global slices come from one draw (:func:`generate_episode_contexts_batched`).
 """
 
 from __future__ import annotations
@@ -106,44 +110,6 @@ class InfluenceContext:
         return len(self.local) + len(self.global_)
 
 
-def random_walk_with_restart(
-    network: PropagationNetwork,
-    start: int,
-    budget: int,
-    restart_prob: float,
-    rng: RandomState,
-) -> list[int]:
-    """Collect up to ``budget`` visited users by a restarting walk.
-
-    The walk starts at ``start`` and records every node it moves to
-    (``start`` itself is never recorded).  With probability
-    ``restart_prob`` a step jumps back to ``start`` without recording;
-    otherwise it moves to a uniform random successor of the current
-    node.  Dead ends (no successors) force a restart.
-
-    Returns fewer than ``budget`` users only when ``start`` has no
-    successors at all, in which case the list is empty.
-    """
-    if budget <= 0:
-        return []
-    start = int(start)
-    if network.out_degree(start) == 0:
-        return []
-    visited: list[int] = []
-    current = start
-    while len(visited) < budget:
-        successors = network.successors(current)
-        if current != start and rng.random() < restart_prob:
-            current = start
-            continue
-        if successors.shape[0] == 0:
-            current = start
-            continue
-        current = int(successors[rng.integers(successors.shape[0])])
-        visited.append(current)
-    return visited
-
-
 def batched_random_walk_with_restart(
     network: PropagationNetwork,
     starts: np.ndarray,
@@ -154,16 +120,14 @@ def batched_random_walk_with_restart(
 ) -> list[np.ndarray]:
     """Run one restarting walk per start node, all advanced in lockstep.
 
-    Vectorised counterpart of :func:`random_walk_with_restart`: every
-    step advances the whole active frontier with fancy indexing over
-    the network's CSR arrays instead of walking one node at a time.
-    Per-walker semantics are identical — restart with probability
-    ``restart_prob`` when away from the start, dead ends force an
-    unrecorded restart, the start node is never recorded, and walkers
-    whose start has no successors return empty — but the RNG stream is
-    consumed frontier-by-frontier rather than walker-by-walker, so
-    individual walks differ from the sequential ones under the same
-    seed while remaining distributionally equivalent.
+    Each walk collects ``budget`` visited users.  A step away from the
+    start jumps back to it with probability ``restart_prob`` without
+    recording; otherwise the walker moves to a uniform random successor
+    of its node and records it.  Dead ends (no successors) force an
+    unrecorded restart, the start node is never recorded, and a walker
+    whose start has no successors returns empty.  Every step advances
+    the whole active frontier with fancy indexing over the network's
+    CSR arrays, consuming the RNG stream frontier by frontier.
 
     Returns one int64 array of visited users (original IDs, in visit
     order) per entry of ``starts``.
@@ -255,79 +219,23 @@ def _batched_walk_raw(
 _EMPTY_WALK = np.empty(0, dtype=np.int64)
 
 
-def sample_global_context(
-    network: PropagationNetwork,
-    user: int,
-    budget: int,
-    rng: RandomState,
-) -> list[int]:
-    """Uniformly sample ``budget`` co-adopters of the item (with replacement).
-
-    The user themself is excluded; if they are the only adopter the
-    global context is empty.
-    """
-    if budget <= 0:
-        return []
-    candidates = network.nodes[network.nodes != int(user)]
-    if candidates.shape[0] == 0:
-        return []
-    picks = rng.integers(candidates.shape[0], size=budget)
-    return [int(candidates[p]) for p in picks]
-
-
-def generate_context(
-    network: PropagationNetwork,
-    user: int,
-    config: ContextConfig,
-    rng: RandomState,
-) -> InfluenceContext:
-    """Algorithm 1: blend local-walk and global-similarity contexts."""
-    local = random_walk_with_restart(
-        network, user, config.local_budget, config.restart_prob, rng
-    )
-    global_ = sample_global_context(network, user, config.global_budget, rng)
-    return InfluenceContext(
-        user=int(user),
-        item=network.item,
-        local=tuple(local),
-        global_=tuple(global_),
-    )
-
-
-def generate_episode_contexts(
-    network: PropagationNetwork,
-    config: ContextConfig,
-    rng: RandomState,
-) -> list[InfluenceContext]:
-    """One ``(u, C_u^i)`` tuple per adopter of the episode (``P_{D_i}``).
-
-    Contexts that come out completely empty (isolated single-adopter
-    episodes) are dropped — they contribute nothing to the objective.
-    """
-    contexts = []
-    for user in network.nodes:
-        context = generate_context(network, int(user), config, rng)
-        if len(context) > 0:
-            contexts.append(context)
-    return contexts
-
-
 def generate_episode_contexts_batched(
     network: PropagationNetwork,
     config: ContextConfig,
     rng: RandomState,
     metrics: MetricsRegistry | None = None,
 ) -> list[InfluenceContext]:
-    """Vectorised :func:`generate_episode_contexts`.
+    """One ``(u, C_u^i)`` tuple per adopter of the episode (``P_{D_i}``).
 
     All of the episode's local walks advance together through
     :func:`batched_random_walk_with_restart`, and the global
     co-adopter samples for every adopter are drawn in one call.  The
     global draw uses the shifted-index trick — sample positions in
     ``[0, |V_i| - 1)`` and skip past each user's own slot — which is
-    the same uniform-over-others distribution as the sequential
-    sampler.  Contexts that come out completely empty are dropped, as
-    in the sequential path.
+    uniform over the other adopters, with replacement; a sole adopter
+    gets no global slice.  Contexts that come out completely empty
+    (isolated single-adopter episodes) are dropped — they contribute
+    nothing to the objective.
     """
     users = network.nodes
     num_users = int(users.shape[0])
@@ -381,8 +289,9 @@ class ContextGenerator:
     """Generates the full training corpus ``P`` from a graph + action log.
 
     This is the first half of Algorithm 2 (lines 3–8): extract each
-    episode's propagation network, then run Algorithm 1 for every
-    adopter.
+    episode's propagation network (cached per log), then run Algorithm
+    1 for every adopter with batched walks and one global draw per
+    episode.
 
     Parameters
     ----------
@@ -393,13 +302,6 @@ class ContextGenerator:
     seed:
         RNG seed/generator; drawing contexts twice from generators
         constructed with the same seed yields identical corpora.
-    batched:
-        Use the vectorised episode pipeline (batched walks, one global
-        draw per episode, cached propagation networks).  ``False``
-        selects the sequential per-node reference implementation —
-        kept for speedup benchmarking and statistical-equivalence
-        tests.  Both modes are seed-deterministic but consume the RNG
-        in different orders, so their corpora differ draw-by-draw.
     metrics:
         Telemetry sink for walk/context statistics (restart counts,
         walk-length and context-length histograms, episode cache
@@ -415,13 +317,11 @@ class ContextGenerator:
         graph: SocialGraph,
         config: ContextConfig | None = None,
         seed: SeedLike = None,
-        batched: bool = True,
         metrics: MetricsRegistry | None = None,
     ):
         self._graph = graph
         self._config = config if config is not None else ContextConfig()
         self._rng = ensure_rng(seed)
-        self._batched = bool(batched)
         self._metrics = metrics
 
     @property
@@ -439,27 +339,15 @@ class ContextGenerator:
                 f"must be < num_nodes)"
             )
         metrics = self._metrics if self._metrics is not None else active_metrics()
-        if self._batched:
-            networks = cached_propagation_networks(
-                self._graph, log, metrics=metrics
+        networks = cached_propagation_networks(self._graph, log, metrics=metrics)
+        for episode in log:
+            contexts = generate_episode_contexts_batched(
+                networks[episode.item], self._config, self._rng,
+                metrics=metrics,
             )
-            for episode in log:
-                contexts = generate_episode_contexts_batched(
-                    networks[episode.item], self._config, self._rng,
-                    metrics=metrics,
-                )
-                if metrics.enabled:
-                    _observe_episode_contexts(metrics, contexts)
-                yield from contexts
-        else:
-            for episode in log:
-                network = PropagationNetwork.from_episode(self._graph, episode)
-                contexts = generate_episode_contexts(
-                    network, self._config, self._rng
-                )
-                if metrics.enabled:
-                    _observe_episode_contexts(metrics, contexts)
-                yield from contexts
+            if metrics.enabled:
+                _observe_episode_contexts(metrics, contexts)
+            yield from contexts
 
     def generate(self, log: ActionLog) -> list[InfluenceContext]:
         """Materialise the whole corpus ``P`` as a list."""
@@ -472,8 +360,7 @@ class ContextGenerator:
 
         The out-of-core path: each yielded chunk covers
         ``episodes_per_chunk`` episodes and materialises only their
-        contexts (and, in batched mode, only their propagation-network
-        cache), so peak memory is O(chunk) however large the log grows.
+        contexts and their propagation-network cache, so peak memory is O(chunk) however large the log grows.
         Chunking does not change what is generated — episodes are
         processed in log order either way, so the concatenation of all
         chunks equals :meth:`generate` on the same RNG stream.

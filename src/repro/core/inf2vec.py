@@ -25,9 +25,13 @@ tuples, each with all of ``C_u^i`` and its negatives, in one fused
 vectorised step), which is mathematically a micro-batched SGD — the
 standard trick for word2vec-family models in numpy; the variance
 difference is negligible at the paper's context length of 50 and the
-default batch size.  ``engine="sequential"`` selects the original
-one-context-at-a-time loop, kept as the reference implementation for
-benchmarks and equivalence tests.
+default batch size.
+
+Every fit runs through one epoch loop (:meth:`Inf2vecModel._run_epochs`)
+over one or more corpus shards.  In process there is a
+single shard trained on the model's own RNG stream; the hogwild trainer
+(:mod:`repro.parallel`) drives one shard per worker process through
+:func:`hogwild_worker_main` and the same loop.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import copy
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -97,8 +101,8 @@ def loss_converged(previous_loss: float, loss: float, tol: float) -> bool:
     ``tol <= 0`` disables the test, as does a non-finite previous loss
     (the first epoch has nothing to compare against).
 
-    Shared by the in-process epoch loop and the hogwild parent, so both
-    engines stop on identical criteria.
+    Applied by the one epoch loop every fit runs through, in process
+    and across hogwild workers alike.
     """
     if tol <= 0 or not np.isfinite(previous_loss):
         return False
@@ -127,8 +131,6 @@ def annealed_learning_rate(
 
 
 NegativeDistribution = Literal["unigram", "uniform"]
-
-TrainingEngine = Literal["batched", "sequential"]
 
 
 @dataclass(frozen=True)
@@ -176,24 +178,17 @@ class Inf2vecConfig:
         Row-norm cap applied to the embedding rows touched by each
         update — a safety valve against SGD divergence; ``None``
         disables it.
-    engine:
-        ``"batched"`` (default) runs the fused epoch loop: contexts
-        are grouped into micro-batches of ``batch_size`` tuples, all
-        negatives of a batch come from one
-        :meth:`~repro.core.negative.NegativeSampler.sample_matrix`
-        call, and the Eq. 6 updates are applied with ``np.add.at``-style
-        scatter-accumulation.  ``"sequential"`` is the original
-        one-context-at-a-time SGD, kept as the reference
-        implementation for speedup benchmarks and equivalence tests.
     batch_size:
-        Micro-batch size (contexts per fused update) of the batched
-        engine.  ``1`` reproduces the sequential engine's RNG stream
-        and parameter trajectory exactly; larger batches trade SGD
-        staleness (gradients of a batch are evaluated at its entry
-        parameters) for vectorisation, the standard word2vec-in-numpy
-        compromise.  The effective batch is additionally capped at
-        ``num_users / 8`` contexts so tiny universes keep
-        sequential-quality dynamics.
+        Micro-batch size: contexts per fused update.  All negatives of
+        a batch come from one
+        :meth:`~repro.core.negative.NegativeSampler.sample_matrix`
+        call and its Eq. 6 updates are scatter-accumulated in one step.
+        ``1`` is plain one-context-at-a-time SGD, as in the paper;
+        larger batches trade SGD staleness (gradients of a batch are
+        evaluated at its entry parameters) for vectorisation, the
+        standard word2vec-in-numpy compromise.  The effective batch is
+        additionally capped at ``num_users / 8`` contexts so tiny
+        universes keep one-context-at-a-time dynamics.
     telemetry:
         Opt into :mod:`repro.obs` run recording: ``fit()`` creates a
         :class:`~repro.obs.run.RunRecorder` (exposed as
@@ -215,7 +210,6 @@ class Inf2vecConfig:
     convergence_tol: float = 0.0
     lr_decay: bool = True
     max_norm: float | None = 10.0
-    engine: TrainingEngine = "batched"
     batch_size: int = 64
     telemetry: bool = False
 
@@ -225,10 +219,6 @@ class Inf2vecConfig:
         check_positive_int("num_negatives", self.num_negatives)
         check_positive_int("epochs", self.epochs)
         check_positive_int("batch_size", self.batch_size)
-        if self.engine not in ("batched", "sequential"):
-            raise TrainingError(
-                f"engine must be 'batched' or 'sequential', got {self.engine!r}"
-            )
         if self.negative_distribution not in ("unigram", "uniform"):
             raise TrainingError(
                 "negative_distribution must be 'unigram' or 'uniform', "
@@ -240,6 +230,32 @@ class Inf2vecConfig:
             )
         if self.max_norm is not None and self.max_norm <= 0:
             raise TrainingError(f"max_norm must be positive, got {self.max_norm}")
+
+
+class EpochReport(NamedTuple):
+    """One shard's share of a finished epoch, as the epoch loop sees it."""
+
+    worker: int
+    #: Mean per-positive loss over the shard's positives.
+    loss: float
+    positives: int
+    #: Wall-clock seconds the shard spent on the epoch.
+    seconds: float
+    #: The shard's RNG bit-state at the end of the epoch.
+    rng_state: dict
+
+
+def _mean_over_positives(parts: Iterable[tuple[float, int]]) -> tuple[float, int]:
+    """Combine ``(mean loss, positives)`` parts into the overall mean.
+
+    Each mean is weighted by its share of the positives, so a single
+    part comes back bit for bit.  No positives at all is a loss of 0.
+    """
+    parts = list(parts)
+    total = sum(count for _, count in parts)
+    if total == 0:
+        return 0.0, 0
+    return sum(mean * (count / total) for mean, count in parts), total
 
 
 class Inf2vecModel:
@@ -263,10 +279,6 @@ class Inf2vecModel:
         self._seed_text = None if seed is None else str(seed)
         self._run_recorder: RunRecorder | None = None
         self._metrics = NULL_REGISTRY
-
-    @property
-    def _batched(self) -> bool:
-        return self.config.engine == "batched"
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -332,55 +344,55 @@ class Inf2vecModel:
         resume:
             Continue from the manager's latest valid checkpoint instead
             of starting fresh.  The checkpoint's config fingerprint must
-            match this model's config; the resumed run replays the
-            original RNG stream, so its final parameters are
-            bitwise-identical to an uninterrupted run's.  With no
-            usable checkpoint on disk, training starts from scratch.
+            match this model's config and it must have been written by
+            a one-worker run (this method, or ``HogwildTrainer`` at
+            ``workers=1``); the resumed run replays the original RNG
+            stream, so its final parameters are bitwise-identical to an
+            uninterrupted run's.  With no usable checkpoint on disk,
+            training starts from scratch.
         """
-        state = self._resume_state(checkpoint, resume)
-        run = self._resolve_obs(fresh=True)
-        with run.span("fit", engine=self.config.engine):
-            self._record_run_header(
-                run,
-                num_users=graph.num_nodes,
-                num_edges=graph.num_edges,
-                num_episodes=len(log),
-            )
-            if state is not None:
-                # Rewind to the original fit's entry state so context
-                # generation reproduces the exact corpus the
-                # interrupted run trained on.
-                self._rng.bit_generator.state = copy.deepcopy(
-                    state.entry_rng_state
-                )
-            entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
+        self._fit_log(graph, log, checkpoint, resume)
+        return self
+
+    def _fit_log(
+        self,
+        graph: SocialGraph,
+        log: ActionLog,
+        checkpoint: "CheckpointManager | None" = None,
+        resume: bool = False,
+        stream_chunk: int | None = None,
+    ) -> list[float]:
+        """:meth:`fit`, optionally streaming; returns per-epoch seconds.
+
+        With ``stream_chunk`` set the corpus is never materialised: each
+        epoch generates and trains ``stream_chunk`` episodes at a time.
+        """
+
+        def prepare(run: RunRecorder) -> _Shard:
             generator = ContextGenerator(
-                graph,
-                self.config.context,
-                self._rng,
-                batched=self._batched,
-                metrics=run.metrics,
+                graph, self.config.context, self._rng, metrics=run.metrics
             )
-            with run.span("contexts") as span:
-                corpus = generator.generate(log)
-                span.set_attribute("num_contexts", len(corpus))
-            if not corpus and len(log) > 0:
+            shard = _Shard(
+                self, graph.num_nodes, generator, log, stream_chunk=stream_chunk
+            )
+            if not shard.generate(run) and stream_chunk is None and len(log) > 0:
                 logger.warning(
                     "context generation produced an empty corpus "
                     "(no multi-adopter episodes?)"
                 )
-            return self._fit_loop(
-                corpus,
+            return shard
+
+        return self._fit_shard(
+            prepare,
+            graph.num_nodes,
+            checkpoint,
+            resume,
+            dict(
                 num_users=graph.num_nodes,
-                generator=(
-                    generator if self.config.regenerate_contexts else None
-                ),
-                log=log,
-                run=run,
-                checkpoint=checkpoint,
-                entry_rng_state=entry_rng_state,
-                resume_state=state,
-            )
+                num_edges=graph.num_edges,
+                num_episodes=len(log),
+            ),
+        )
 
     def fit_contexts(
         self,
@@ -411,27 +423,84 @@ class Inf2vecModel:
             additionally requires the caller to pass the same
             pre-generated corpus.
         """
-        state = self._resume_state(checkpoint, resume)
+        self._fit_shard(
+            lambda run: _Shard(self, num_users, generator, log, corpus=corpus),
+            num_users,
+            checkpoint,
+            resume,
+            dict(num_users=num_users, num_contexts=len(corpus)),
+        )
+        return self
+
+    def _fit_shard(
+        self,
+        prepare: "Callable[[RunRecorder], _Shard]",
+        num_users: int,
+        checkpoint: "CheckpointManager | None",
+        resume: bool,
+        dataset: dict[str, object],
+    ) -> list[float]:
+        """The in-process fit: one shard on the model's own RNG stream.
+
+        RNG order: ``prepare`` generates the contexts, then the
+        embedding is initialised, then every epoch draws its
+        permutation and negatives.  Returns per-epoch seconds.
+        """
+        num_users = check_positive_int("num_users", num_users)
+        state = self._resume_state(checkpoint, resume, workers=1)
         run = self._resolve_obs(fresh=True)
-        with run.span("fit", engine=self.config.engine):
-            self._record_run_header(
-                run, num_users=num_users, num_contexts=len(corpus)
-            )
+        with run.span("fit"):
+            self._record_run_header(run, **dataset)
             if state is not None:
+                # Rewind to the original fit's entry state so context
+                # generation reproduces the exact corpus the
+                # interrupted run trained on.
                 self._rng.bit_generator.state = copy.deepcopy(
                     state.entry_rng_state
                 )
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-            return self._fit_loop(
-                corpus, num_users=num_users, generator=generator, log=log,
-                run=run, checkpoint=checkpoint,
-                entry_rng_state=entry_rng_state, resume_state=state,
+            shard = prepare(run)
+            start_epoch = self._begin(state, num_users, run)
+            return self._run_epochs(
+                self._in_process(shard, run),
+                [entry_rng_state],
+                self.config.epochs,
+                start_epoch,
+                run,
+                checkpoint,
+                entry_rng_state,
             )
 
+    def _in_process(
+        self, shard: "_Shard", run: RunRecorder
+    ) -> "Callable[[int, float], list[EpochReport]]":
+        """The epoch step of a one-shard fit: the shard, on this thread."""
+
+        def run_epoch(epoch: int, learning_rate: float) -> list[EpochReport]:
+            started = time.perf_counter()
+            with run.span("sgd"):
+                loss, positives = shard.epoch(epoch, learning_rate, run)
+            return [
+                EpochReport(
+                    0,
+                    loss,
+                    positives,
+                    time.perf_counter() - started,
+                    copy.deepcopy(self._rng.bit_generator.state),
+                )
+            ]
+
+        return run_epoch
+
     def _resume_state(
-        self, checkpoint: "CheckpointManager | None", resume: bool
+        self, checkpoint: "CheckpointManager | None", resume: bool, workers: int
     ) -> "TrainingState | None":
-        """Resolve the checkpoint to resume from (``None`` = fresh start)."""
+        """Resolve the checkpoint to resume from (``None`` = fresh start).
+
+        The checkpoint must carry this config's fingerprint and have
+        been written at ``workers`` workers; a state without a worker
+        topology counts as one worker.
+        """
         if not resume:
             return None
         if checkpoint is None:
@@ -450,20 +519,35 @@ class Inf2vecModel:
                 f"match this config's {fingerprint}; resume requires the "
                 "identical hyper-parameter configuration"
             )
-        if state.worker_topology is not None:
+        topology = state.worker_topology or {"workers": 1}
+        if int(topology["workers"]) != workers:
             raise CheckpointError(
-                "checkpoint carries hogwild worker topology; resume it with "
-                "repro.parallel.HogwildTrainer at the same worker count"
+                f"checkpoint topology has {topology['workers']} workers but "
+                f"this run has {workers}; resume-equivalence holds only at "
+                "a fixed worker count"
             )
         logger.info(
-            "resuming from checkpoint at epoch %d (%s)",
+            "resuming from checkpoint at epoch %d (%s, %d workers)",
             state.epoch,
             checkpoint.directory,
+            workers,
         )
         return state
 
-    def _restore_state(self, state: "TrainingState", num_users: int) -> None:
-        """Install a checkpoint's parameters, history, and RNG stream."""
+    def _begin(
+        self, state: "TrainingState | None", num_users: int, run: RunRecorder
+    ) -> int:
+        """Initialise the parameters, or restore them from ``state``.
+
+        A restore installs the checkpoint's parameters, loss history
+        and RNG stream.  Returns the first epoch left to train.
+        """
+        if state is None:
+            self._embedding = InfluenceEmbedding.initialize(
+                num_users, self.config.dim, self._rng
+            )
+            self._loss_history = []
+            return 0
         if state.source.shape != (num_users, self.config.dim):
             raise CheckpointError(
                 f"checkpoint holds a ({state.num_users}, {state.dim}) "
@@ -479,111 +563,102 @@ class Inf2vecModel:
                 f"checkpoint RNG state is incompatible with this model's "
                 f"bit generator: {exc}"
             ) from exc
+        if run.metrics.enabled:
+            run.metrics.counter(
+                "ckpt.resumes", "training runs resumed from a checkpoint"
+            ).inc()
+        return state.epoch + 1
 
-    def _fit_loop(
+    def _run_epochs(
         self,
-        corpus: Sequence[InfluenceContext],
-        num_users: int,
-        generator: ContextGenerator | None,
-        log: ActionLog | None,
+        run_epoch: "Callable[[int, float], list[EpochReport]]",
+        entry_states: list[dict],
+        budget: int,
+        start_epoch: int,
         run: RunRecorder,
-        checkpoint: "CheckpointManager | None" = None,
-        entry_rng_state: dict | None = None,
-        resume_state: "TrainingState | None" = None,
-        epochs: int | None = None,
-    ) -> "Inf2vecModel":
-        """The epoch loop shared by :meth:`fit` and :meth:`fit_contexts`.
+        checkpoint: "CheckpointManager | None",
+        entry_rng_state: dict,
+    ) -> list[float]:
+        """The epoch loop of every fit, in process or across workers.
 
-        ``epochs`` overrides the configured budget for this loop; the
-        learning-rate anneal, terminal forced checkpoint, and loop
-        bound all follow the effective budget.
+        ``run_epoch(epoch, learning_rate)`` trains every shard for one
+        epoch and returns one :class:`EpochReport` per shard;
+        ``entry_states`` holds each shard's RNG state at its start.
+        This loop owns the rest: the learning-rate anneal over
+        ``budget``, the loss over all positives, the convergence test,
+        checkpoints (numbered by the cumulative epoch count, with the
+        worker topology), epoch telemetry and progress logging.
+        Returns each epoch's wall-clock seconds.
         """
-        num_users = check_positive_int("num_users", num_users)
-        budget = epochs if epochs is not None else self.config.epochs
-        if resume_state is not None:
-            self._restore_state(resume_state, num_users)
-            start_epoch = resume_state.epoch + 1
-            if run.metrics.enabled:
-                run.metrics.counter(
-                    "ckpt.resumes", "training runs resumed from a checkpoint"
-                ).inc()
-        else:
-            self._embedding = InfluenceEmbedding.initialize(
-                num_users, self.config.dim, self._rng
-            )
-            self._loss_history = []
-            start_epoch = 0
-        sampler = self._build_sampler(corpus, num_users)
-        corpus = list(corpus)
+        workers = len(entry_states)
         previous_loss = (
-            self._loss_history[-1] if self._loss_history else np.inf
+            self._loss_history[-1]
+            if start_epoch > 0 and self._loss_history
+            else np.inf
         )
+        seconds: list[float] = []
         for epoch in range(start_epoch, budget):
-            # Regenerate the corpus at the top of every epoch after the
-            # first (not after the last, which would waste a generation
-            # pass whose output nobody trains on).
-            if epoch > 0 and self.config.regenerate_contexts and generator is not None:
-                if log is None:
-                    raise TrainingError(
-                        "regenerate_contexts requires the action log"
-                    )
-                with run.span("contexts"):
-                    corpus = list(generator.generate(log))
-                sampler = self._build_sampler(corpus, num_users)
             learning_rate = self._epoch_learning_rate(epoch, budget)
+            started = time.perf_counter()
             with run.span("epoch", epoch=epoch) as epoch_span:
-                started = time.perf_counter()
-                with run.span("sgd"):
-                    loss = self.train_epoch(
-                        corpus, sampler, learning_rate=learning_rate
-                    )
-                self._record_epoch(
-                    run, epoch_span, epoch, loss, learning_rate,
-                    corpus, started,
+                reports = run_epoch(epoch, learning_rate)
+                elapsed = time.perf_counter() - started
+                loss, positives = _mean_over_positives(
+                    (report.loss, report.positives) for report in reports
                 )
+                self._record_epoch(
+                    run, epoch_span, epoch, learning_rate, loss, positives,
+                    reports, elapsed,
+                )
+            seconds.append(elapsed)
             self._loss_history.append(loss)
             converged = self._converged(previous_loss, loss)
             if checkpoint is not None:
-                # Epoch-end hook: force a save at terminal epochs so the
-                # state that fit() returns is always recoverable.
+                # Force a save at terminal epochs so the state the fit
+                # returns is always recoverable.
                 checkpoint.maybe_save(
                     self,
-                    epoch,
+                    len(self._loss_history) - 1,
                     entry_rng_state=entry_rng_state,
                     metrics=run.metrics,
                     force=converged or epoch == budget - 1,
+                    worker_topology={
+                        "workers": workers,
+                        "entry_rng_states": entry_states,
+                        "rng_states": [report.rng_state for report in reports],
+                    },
                 )
             log_epoch_progress(
                 logger,
                 epoch,
                 budget,
                 loss=loss,
-                elapsed=time.perf_counter() - started,
+                elapsed=elapsed,
                 lr=f"{learning_rate:.4g}",
+                workers=workers,
             )
             if converged:
                 logger.info("converged after %d epochs", epoch + 1)
                 break
             previous_loss = loss
-        return self
+        return seconds
 
     def _record_epoch(
         self,
         run: RunRecorder,
         epoch_span,
         epoch: int,
-        loss: float,
         learning_rate: float,
-        corpus: Sequence[InfluenceContext],
-        started: float,
+        loss: float,
+        positives: int,
+        reports: list[EpochReport],
+        elapsed: float,
     ) -> None:
-        """Per-epoch telemetry: loss, learning rate, examples/sec."""
+        """Per-epoch telemetry, global and per shard (enabled runs only)."""
         metrics = run.metrics
         if not metrics.enabled:
             return
-        elapsed = time.perf_counter() - started
-        examples = sum(len(context) for context in corpus)
-        examples_per_sec = examples / elapsed if elapsed > 0 else 0.0
+        examples_per_sec = positives / elapsed if elapsed > 0 else 0.0
         metrics.counter("train.epochs", "completed training epochs").inc()
         metrics.gauge("train.epoch.loss", "mean per-positive loss").set(
             loss, epoch=epoch
@@ -594,8 +669,23 @@ class Inf2vecModel:
         metrics.gauge(
             "train.epoch.examples_per_sec", "positive observations per second"
         ).set(examples_per_sec, epoch=epoch)
+        for report in reports:
+            metrics.counter(
+                "train.worker.examples",
+                "positive observations trained, per worker",
+            ).inc(report.positives, worker=report.worker)
+            metrics.gauge(
+                "train.worker.epoch_seconds",
+                "in-worker wall-clock per epoch",
+            ).set(report.seconds, worker=report.worker, epoch=epoch)
+            metrics.gauge(
+                "train.worker.loss",
+                "mean per-positive loss of the worker's shard",
+            ).set(report.loss, worker=report.worker, epoch=epoch)
         epoch_span.set_attribute("loss", loss)
+        epoch_span.set_attribute("examples", positives)
         epoch_span.set_attribute("examples_per_sec", examples_per_sec)
+        epoch_span.set_attribute("workers", len(reports))
 
     def _epoch_learning_rate(
         self, epoch: int, total_epochs: int | None = None
@@ -625,9 +715,10 @@ class Inf2vecModel:
         only and the existing parameters take ``epochs`` additional SGD
         passes over the new contexts, with the learning rate annealed
         over that effective budget — ``partial_fit(epochs=N)`` follows
-        the same schedule a fresh fit configured with ``epochs=N``
-        would.  Users must already be inside the fitted universe;
-        growing the universe requires a fresh :meth:`fit`.
+        the same schedule, regeneration and convergence test a fresh
+        fit configured with ``epochs=N`` would.  Users must already be
+        inside the fitted universe; growing the universe requires a
+        fresh :meth:`fit`.
 
         Parameters
         ----------
@@ -663,41 +754,23 @@ class Inf2vecModel:
         if budget == 0:
             return self
         run = self._resolve_obs()
-        with run.span("partial_fit", engine=self.config.engine):
+        with run.span("partial_fit"):
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
             generator = ContextGenerator(
-                graph,
-                self.config.context,
-                self._rng,
-                batched=self._batched,
-                metrics=run.metrics,
+                graph, self.config.context, self._rng, metrics=run.metrics
             )
-            with run.span("contexts"):
-                corpus = generator.generate(new_log)
-            if not corpus:
+            shard = _Shard(self, graph.num_nodes, generator, new_log)
+            if not shard.generate(run):
                 return self
-            sampler = self._build_sampler(corpus, self._embedding.num_users)
-            for epoch in range(budget):
-                learning_rate = self._epoch_learning_rate(epoch, budget)
-                with run.span("epoch", epoch=epoch) as epoch_span:
-                    started = time.perf_counter()
-                    with run.span("sgd"):
-                        loss = self.train_epoch(
-                            corpus, sampler, learning_rate=learning_rate
-                        )
-                    self._record_epoch(
-                        run, epoch_span, epoch, loss, learning_rate, corpus,
-                        started,
-                    )
-                self._loss_history.append(loss)
-                if checkpoint is not None:
-                    checkpoint.maybe_save(
-                        self,
-                        len(self._loss_history) - 1,
-                        entry_rng_state=entry_rng_state,
-                        metrics=run.metrics,
-                        force=epoch == budget - 1,
-                    )
+            self._run_epochs(
+                self._in_process(shard, run),
+                [entry_rng_state],
+                budget,
+                0,
+                run,
+                checkpoint,
+                entry_rng_state,
+            )
         return self
 
     def train_epoch(
@@ -711,13 +784,9 @@ class Inf2vecModel:
 
         The loss is the negative of Eq. 4 averaged over positive
         observations — lower is better, and a decreasing sequence
-        across epochs is the convergence signal.
-
-        Dispatches to the fused micro-batched loop or to the
-        sequential reference loop according to ``config.engine`` (see
-        :class:`Inf2vecConfig`); both shuffle the corpus with the same
-        permutation draw, and at ``batch_size=1`` the two trajectories
-        coincide.
+        across epochs is the convergence signal.  The corpus is
+        shuffled with one permutation draw, then trained in fused
+        micro-batches (see :class:`Inf2vecConfig`).
 
         Parameters
         ----------
@@ -727,8 +796,8 @@ class Inf2vecModel:
             Step size for this epoch; defaults to the configured
             (undecayed) rate when called directly.
         batch_size:
-            Micro-batch override for this epoch (batched engine only);
-            defaults to ``config.batch_size``.
+            Micro-batch override for this epoch; defaults to
+            ``config.batch_size``.
         """
         if self._embedding is None:
             raise NotFittedError(
@@ -744,8 +813,6 @@ class Inf2vecModel:
         # One ambient-recorder lookup per epoch; the per-batch hooks
         # below are no-ops against the null registry.
         self._metrics = self._resolve_obs().metrics
-        if not self._batched:
-            return self.train_epoch_sequential(corpus, sampler, learning_rate)
         if batch_size is None:
             batch_size = self.config.batch_size
         batch_size = check_positive_int("batch_size", batch_size)
@@ -754,9 +821,8 @@ class Inf2vecModel:
         # with gradients evaluated at the batch's entry parameters,
         # which multiplies the effective per-row step size and
         # destabilises SGD.  num_users/8 keeps per-row accumulation in
-        # the regime where micro-batched and sequential SGD match.
+        # the regime where micro-batched and per-context SGD match.
         batch_size = min(batch_size, max(1, self._embedding.num_users // 8))
-
         order = self._rng.permutation(len(corpus))
         user_ids = np.fromiter(
             (context.user for context in corpus), dtype=np.int64, count=len(corpus)
@@ -791,111 +857,9 @@ class Inf2vecModel:
             )
         return total_loss / total_positives
 
-    def train_epoch_sequential(
-        self,
-        corpus: Sequence[InfluenceContext],
-        sampler: NegativeSampler | None = None,
-        learning_rate: float | None = None,
-    ) -> float:
-        """One epoch of the original one-context-at-a-time SGD loop.
-
-        This is the seed implementation the batched engine is measured
-        against (``benchmarks/bench_training_throughput.py``) and the
-        reference for the equivalence tests; semantics are identical
-        to :meth:`train_epoch` with ``engine="sequential"``.
-        """
-        if self._embedding is None:
-            raise NotFittedError(
-                "call fit()/fit_contexts() before train_epoch(); the "
-                "parameter store is not initialised"
-            )
-        if sampler is None:
-            sampler = self._build_sampler(corpus, self._embedding.num_users)
-        if not corpus:
-            return 0.0
-        if learning_rate is None:
-            learning_rate = self.config.learning_rate
-        self._metrics = self._resolve_obs().metrics
-        order = self._rng.permutation(len(corpus))
-        total_loss = 0.0
-        total_positives = 0
-        for index in order:
-            context = corpus[index]
-            positives = np.asarray(context.users, dtype=np.int64)
-            if positives.shape[0] == 0:
-                continue
-            loss = self._update_context(
-                context.user, positives, sampler, learning_rate
-            )
-            total_loss += loss
-            total_positives += positives.shape[0]
-        if total_positives == 0:
-            return 0.0
-        return total_loss / total_positives
-
     # ------------------------------------------------------------------
     # SGD update (Eq. 5 / Eq. 6)
     # ------------------------------------------------------------------
-
-    def _update_context(
-        self,
-        user: int,
-        positives: np.ndarray,
-        sampler: NegativeSampler,
-        lr: float,
-    ) -> float:
-        emb = self._embedding
-        assert emb is not None  # guarded by callers
-        num_neg = self.config.num_negatives
-        u = int(user)
-
-        # A negative drawn equal to the center user or to the row's own
-        # positive would receive a gradient contradicting the positive
-        # update; mask-and-resample such collisions.
-        exclude = np.stack(
-            [np.full_like(positives, u), positives], axis=1
-        )
-        negatives = sampler.sample_matrix(
-            positives.shape[0], num_neg, self._rng, exclude=exclude,
-            metrics=self._metrics,
-        )
-        flat_negatives = negatives.ravel()
-
-        s_u = emb.source[u]
-        t_pos = emb.target[positives]  # (p, K)
-        t_neg = emb.target[flat_negatives]  # (p * n, K)
-
-        z_pos = t_pos @ s_u + emb.source_bias[u] + emb.target_bias[positives]
-        z_neg = (
-            t_neg @ s_u + emb.source_bias[u] + emb.target_bias[flat_negatives]
-        )
-
-        g_pos = 1.0 - expit(z_pos)  # d/dz log sigma(z)
-        g_neg = -expit(z_neg)  # d/dz log sigma(-z)
-
-        # Loss before the update: -(log sigma(z_v) + sum log sigma(-z_w)).
-        loss = -(
-            log_expit(z_pos).sum() + log_expit(-z_neg).sum()
-        )
-
-        # Gradient ascent per Eq. 6.  All gradients are evaluated at the
-        # pre-update parameters: t_pos/t_neg are fancy-indexed copies,
-        # and s_u is a view into emb.source so the source row must be
-        # updated only after the target updates that consume it.
-        grad_s_u = g_pos @ t_pos + g_neg @ t_neg
-        # Positives/negatives can repeat inside one context; np.add.at
-        # accumulates duplicate rows instead of overwriting them.
-        np.add.at(emb.target, positives, lr * g_pos[:, None] * s_u[None, :])
-        np.add.at(
-            emb.target, flat_negatives, lr * g_neg[:, None] * s_u[None, :]
-        )
-        emb.source[u] += lr * grad_s_u
-        if self.config.use_biases:
-            emb.source_bias[u] += lr * (g_pos.sum() + g_neg.sum())
-            np.add.at(emb.target_bias, positives, lr * g_pos)
-            np.add.at(emb.target_bias, flat_negatives, lr * g_neg)
-        self._clip_norms(emb, u, positives, flat_negatives)
-        return float(loss)
 
     def _update_batch(
         self,
@@ -912,9 +876,9 @@ class Inf2vecModel:
         batch come from a single ``sample_matrix`` call, every z-score
         is computed with one gather + einsum per parameter family, and
         the scatter-accumulated writes (``np.add.at`` semantics,
-        implemented via :func:`_scatter_add_outer`) handle repeated rows
-        (the same user appearing in several contexts of the batch)
-        exactly like the sequential loop's duplicate handling.
+        implemented via :func:`_scatter_add_outer`) sum the updates of
+        repeated rows (the same user appearing in several contexts of
+        the batch, or a negative drawn twice).
         All gradients are evaluated at the batch's entry parameters —
         micro-batched SGD, the standard word2vec-in-numpy semantics.
         """
@@ -981,34 +945,6 @@ class Inf2vecModel:
         self._clip_norm_rows(emb, users, positives, flat_negatives)
         return float(loss)
 
-    def _clip_norms(
-        self,
-        emb: InfluenceEmbedding,
-        user: int,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-    ) -> None:
-        """Rescale rows touched by the last update that exceed ``max_norm``."""
-        cap = self.config.max_norm
-        if cap is None:
-            return
-        clipped = 0
-        source_norm = float(np.linalg.norm(emb.source[user]))
-        if source_norm > cap:
-            emb.source[user] *= cap / source_norm
-            clipped += 1
-        touched = np.unique(np.concatenate([positives, negatives]))
-        norms = np.linalg.norm(emb.target[touched], axis=1)
-        over = norms > cap
-        if np.any(over):
-            rows = touched[over]
-            emb.target[rows] *= (cap / norms[over])[:, None]
-            clipped += int(rows.shape[0])
-        if clipped and self._metrics.enabled:
-            self._metrics.counter(
-                "train.clip.rows", "embedding rows rescaled by max_norm"
-            ).inc(clipped)
-
     def _clip_norm_rows(
         self,
         emb: InfluenceEmbedding,
@@ -1016,7 +952,7 @@ class Inf2vecModel:
         positives: np.ndarray,
         negatives: np.ndarray,
     ) -> None:
-        """Batch variant of :meth:`_clip_norms` for many source rows."""
+        """Rescale rows touched by the last update that exceed ``max_norm``."""
         cap = self.config.max_norm
         if cap is None:
             return
@@ -1097,6 +1033,95 @@ class Inf2vecModel:
 
 
 # ----------------------------------------------------------------------
+# Shards: one slice of the corpus and its share of every epoch
+# ----------------------------------------------------------------------
+
+
+class _Shard:
+    """One shard of the corpus ``P`` and its share of every epoch.
+
+    The shard owns Algorithm 1 for its episodes.  It materialises its
+    corpus once (again each epoch under ``regenerate_contexts``) or,
+    with ``stream_chunk`` set, generates and trains ``stream_chunk``
+    episodes' contexts at a time so the corpus never exists whole
+    (uniform negatives only — the unigram table needs the full
+    corpus).  Either way an epoch is a run over chunks of contexts, a
+    materialised corpus being the single chunk.  Contexts and SGD draw
+    from the RNG stream of ``model``.  An in-process fit trains one
+    shard; each hogwild worker trains one.
+
+    ``corpus`` seeds a pre-generated corpus (``fit_contexts``);
+    ``generator`` and ``log`` may then be ``None``, which disables
+    regeneration.
+    """
+
+    def __init__(
+        self,
+        model: Inf2vecModel,
+        num_users: int,
+        generator: ContextGenerator | None,
+        log: ActionLog | None,
+        corpus: Sequence[InfluenceContext] = (),
+        stream_chunk: int | None = None,
+    ):
+        self.model = model
+        self.num_users = num_users
+        self.generator = generator
+        self.log = log
+        self.stream_chunk = stream_chunk
+        self._set_corpus(corpus)
+
+    def _set_corpus(self, corpus: Sequence[InfluenceContext]) -> None:
+        self.sampler = self.model._build_sampler(corpus, self.num_users)
+        self.corpus = list(corpus)
+        self.positives = sum(len(context) for context in self.corpus)
+
+    def generate(self, run: RunRecorder = NULL_RUN) -> int:
+        """Materialise the corpus (a no-op when streaming); returns its size."""
+        if self.stream_chunk is None:
+            assert self.generator is not None and self.log is not None
+            with run.span("contexts") as span:
+                self._set_corpus(self.generator.generate(self.log))
+                span.set_attribute("num_contexts", len(self.corpus))
+        return len(self.corpus)
+
+    def _chunks(
+        self, epoch: int, run: RunRecorder
+    ) -> Iterator[tuple[list[InfluenceContext], int]]:
+        """This epoch's ``(contexts, positives)`` chunks, in training order."""
+        if self.stream_chunk is not None:
+            assert self.generator is not None and self.log is not None
+            for chunk in self.generator.iter_context_chunks(
+                self.log, self.stream_chunk
+            ):
+                yield chunk, sum(len(context) for context in chunk)
+            return
+        if (
+            epoch > 0
+            and self.model.config.regenerate_contexts
+            and self.generator is not None
+        ):
+            if self.log is None:
+                raise TrainingError("regenerate_contexts requires the action log")
+            self.generate(run)
+        yield self.corpus, self.positives
+
+    def epoch(
+        self, epoch: int, learning_rate: float, run: RunRecorder = NULL_RUN
+    ) -> tuple[float, int]:
+        """Train one epoch; returns the mean loss and the positives seen."""
+        return _mean_over_positives(
+            (
+                self.model.train_epoch(
+                    chunk, self.sampler, learning_rate=learning_rate
+                ),
+                positives,
+            )
+            for chunk, positives in self._chunks(epoch, run)
+        )
+
+
+# ----------------------------------------------------------------------
 # Hogwild worker entry point
 # ----------------------------------------------------------------------
 
@@ -1106,7 +1131,7 @@ def hogwild_worker_main(
     spec: "SharedEmbeddingSpec",
     config: Inf2vecConfig,
     graph: SocialGraph,
-    shard: ActionLog,
+    shard_log: ActionLog,
     entry_rng_state: dict,
     resume_rng_state: dict | None,
     stream_chunk: int | None,
@@ -1115,23 +1140,20 @@ def hogwild_worker_main(
     """Process entry point for one hogwild training worker.
 
     The worker attaches the shared parameter blocks named by ``spec``
-    and trains its episode ``shard`` against them lock-free — an
-    ordinary :class:`Inf2vecModel` whose embedding arrays are zero-copy
-    shared-memory views, so the existing SGD kernels update the global
-    parameters directly.
+    and trains its episode shard against them lock-free — a
+    :class:`_Shard` of an ordinary :class:`Inf2vecModel` whose
+    embedding arrays are zero-copy shared-memory views, so the SGD
+    kernel updates the global parameters directly.  The parent runs
+    the epoch loop; the worker only runs its shard's epochs.
 
     Determinism contract: the worker's generator starts from
     ``entry_rng_state`` (its spawn-derived birth state, replayed on
     resume so the regenerated corpus matches the interrupted run's),
-    then jumps to ``resume_rng_state`` when resuming.  With
-    ``stream_chunk`` set, the corpus is never materialised: each epoch
-    regenerates and trains ``stream_chunk`` episodes' contexts at a
-    time, bounding memory regardless of shard size (uniform negatives
-    only — the unigram table would need the full corpus).
+    then jumps to ``resume_rng_state`` when resuming.
 
     Protocol over ``conn``: the worker sends ``("ready", id,
     num_contexts)`` once set up, then answers ``("epoch", index, lr)``
-    commands with ``("epoch_done", id, loss_sum, positives, seconds,
+    commands with ``("epoch_done", id, loss, positives, seconds,
     rng_state)`` until ``("stop",)`` arrives or the pipe closes (parent
     death — exit quietly so orphans never linger).  Failures are
     reported as ``("error", id, message)``.
@@ -1141,27 +1163,22 @@ def hogwild_worker_main(
     shared = None
     try:
         shared = SharedEmbedding.attach(spec)
-        streaming = stream_chunk is not None
-        if streaming and config.negative_distribution != "uniform":
-            raise TrainingError(
-                "streaming corpus requires negative_distribution='uniform'"
-            )
         rng = generator_from_state(copy.deepcopy(entry_rng_state))
         # Workers never own a recorder — the parent aggregates; fall
         # back to the zero-overhead null registry in this process.
         model = Inf2vecModel(replace(config, telemetry=False), seed=rng)
         model._embedding = shared.embedding
-        generator = ContextGenerator(
-            graph, config.context, rng, batched=model._batched
+        shard = _Shard(
+            model,
+            graph.num_nodes,
+            ContextGenerator(graph, config.context, rng),
+            shard_log,
+            stream_chunk=stream_chunk,
         )
-        corpus: list[InfluenceContext] = []
-        if not streaming:
-            corpus = generator.generate(shard)
-        sampler = model._build_sampler(corpus, graph.num_nodes)
-        positives = sum(len(context) for context in corpus)
+        num_contexts = shard.generate()
         if resume_rng_state is not None:
             rng.bit_generator.state = copy.deepcopy(resume_rng_state)
-        conn.send(("ready", worker_id, len(corpus)))
+        conn.send(("ready", worker_id, num_contexts))
         parent_pid = os.getppid()
         while True:
             # Poll instead of a blocking recv: under the fork start
@@ -1180,32 +1197,13 @@ def hogwild_worker_main(
                 return
             _, epoch, learning_rate = message
             started = time.perf_counter()
-            if streaming:
-                loss_sum = 0.0
-                count = 0
-                for chunk in generator.iter_context_chunks(shard, stream_chunk):
-                    mean = model.train_epoch(
-                        chunk, sampler, learning_rate=learning_rate
-                    )
-                    chunk_positives = sum(len(context) for context in chunk)
-                    loss_sum += mean * chunk_positives
-                    count += chunk_positives
-            else:
-                if epoch > 0 and config.regenerate_contexts:
-                    corpus = generator.generate(shard)
-                    sampler = model._build_sampler(corpus, graph.num_nodes)
-                    positives = sum(len(context) for context in corpus)
-                mean = model.train_epoch(
-                    corpus, sampler, learning_rate=learning_rate
-                )
-                loss_sum = mean * positives
-                count = positives
+            loss, positives = shard.epoch(epoch, learning_rate)
             conn.send(
                 (
                     "epoch_done",
                     worker_id,
-                    float(loss_sum),
-                    int(count),
+                    float(loss),
+                    int(positives),
                     time.perf_counter() - started,
                     copy.deepcopy(rng.bit_generator.state),
                 )

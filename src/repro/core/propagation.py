@@ -14,11 +14,12 @@ adopters — supplies the global user-similarity samples.
 
 Adjacency is stored in CSR form (offset/indices arrays) over *compact*
 node positions ``0 .. |V_i|-1`` (chronological adopter order), which is
-what lets the batched random walk advance every walker of an episode
+what lets Algorithm 1's random walk advance every walker of an episode
 simultaneously with fancy indexing — see
-:func:`repro.core.context.batched_random_walk_with_restart`.  Scalar
-accessors (:meth:`PropagationNetwork.successors` etc.) keep answering
-in original social-network IDs.
+:func:`repro.core.context.batched_random_walk_with_restart`.  Per-node
+accessors (:meth:`PropagationNetwork.successors` etc.), which the
+temporal-context extension walks with, answer in original
+social-network IDs.
 
 Because the training loop revisits the same episodes every epoch (and
 ``regenerate_contexts`` rebuilds the corpus each epoch), networks are
@@ -83,9 +84,8 @@ class PropagationNetwork:
             compact = edges
 
         # CSR in both directions.  Neighbour lists are sorted by
-        # original ID inside each slice, preserving the ordering the
-        # sequential walk has always seen (and hence its seeded
-        # determinism).
+        # original ID inside each slice, so a seeded walk's successor
+        # choices do not depend on the order the edges arrived in.
         self._out_indptr, self._out_compact, self._out_original = self._build_csr(
             compact[:, 0], compact[:, 1], edges[:, 1], num_nodes
         )

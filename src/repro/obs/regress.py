@@ -131,7 +131,6 @@ DEFAULT_POLICIES: Mapping[str, Sequence[MetricPolicy]] = {
     "BENCH_training.json": (
         MetricPolicy("context_generation.batched_seconds", "lower", 0.75),
         MetricPolicy("train_epoch.batched_seconds", "lower", 0.75),
-        MetricPolicy("*.speedup", "higher", 0.50),
         # Hogwild scaling: gate absolute per-count throughput, not the
         # efficiency ratios — those track the host's core count, which
         # the baseline can't promise.

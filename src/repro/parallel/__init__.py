@@ -1,8 +1,8 @@
 """Multi-process hogwild training over shared-memory parameters.
 
-The single-process engine (:mod:`repro.core.inf2vec`) trains one
-episode shard at a time; this package scales the same objective across
-worker processes.  :mod:`repro.parallel.shared` places the four
+An in-process fit (:mod:`repro.core.inf2vec`) trains one episode
+shard; this package scales the same objective and the same epoch loop
+across worker processes.  :mod:`repro.parallel.shared` places the four
 parameter arrays (S, T, b, b-tilde) in POSIX shared memory and
 re-exposes them as a zero-copy :class:`~repro.core.embeddings.InfluenceEmbedding`;
 :mod:`repro.parallel.hogwild` shards the action log, spawns workers

@@ -1,15 +1,16 @@
 """Multi-process hogwild training for Inf2vec.
 
-:class:`HogwildTrainer` orchestrates the parallel counterpart of
-:meth:`repro.core.inf2vec.Inf2vecModel.fit`: it initialises the four
-parameter arrays once, places them in shared memory
-(:class:`~repro.parallel.shared.SharedEmbedding`), shards the action
-log's episodes across ``workers`` processes, and runs lock-free SGD —
-every worker applies the sparse Eq. 6 updates directly to the shared
-pages, Niu et al.'s hogwild scheme.  The parent drives epochs over a
-per-worker command pipe, aggregates shard losses into the global mean,
-applies the shared convergence test, and checkpoints at epoch barriers
-(when no worker is mid-update) with the worker topology recorded.
+:class:`HogwildTrainer` runs :meth:`repro.core.inf2vec.Inf2vecModel.fit`
+across ``workers`` shards.  At ``workers=1`` that is the in-process fit
+itself: no subprocess, no shared memory, the same RNG stream.  At
+``workers>1`` it initialises the four parameter arrays once, places
+them in shared memory (:class:`~repro.parallel.shared.SharedEmbedding`),
+shards the action log's episodes across worker processes, and runs
+lock-free SGD — every worker applies the sparse Eq. 6 updates directly
+to the shared pages, Niu et al.'s hogwild scheme.  The parent drives
+the model's one epoch loop over a per-worker command pipe, so the
+anneal, loss aggregation, convergence test and checkpoints (at epoch
+barriers, with the worker topology) are those of the in-process fit.
 
 Determinism contract (documented in DESIGN.md §14):
 
@@ -18,13 +19,14 @@ Determinism contract (documented in DESIGN.md §14):
   draw is attributable to the trainer seed — the repo's no-global-rng
   invariant extends across processes.
 * Sharding is deterministic (greedy size-balanced, ties by position).
-* At ``workers=1`` training and resume are bitwise-deterministic, like
-  the single-process engine.  At ``workers>1`` the *schedule* of
-  interleaved shared-memory updates is up to the OS, so runs are only
-  statistically reproducible; resume restores every worker's exact
-  stream but not the interleaving.  Resume therefore requires the same
-  worker count that wrote the checkpoint, and cross-worker-count
-  comparisons hold only within a documented loss tolerance.
+* At ``workers=1`` training and resume are bitwise-deterministic and
+  bitwise-equal to ``Inf2vecModel.fit``.  At ``workers>1`` the
+  *schedule* of interleaved shared-memory updates is up to the OS, so
+  runs are only statistically reproducible; resume restores every
+  worker's exact stream but not the interleaving.  Resume therefore
+  requires the same worker count that wrote the checkpoint, and
+  cross-worker-count comparisons hold only within a documented loss
+  tolerance.
 """
 
 from __future__ import annotations
@@ -36,20 +38,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import (
+    EpochReport,
     Inf2vecConfig,
     Inf2vecModel,
-    annealed_learning_rate,
     hogwild_worker_main,
-    loss_converged,
 )
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
-from repro.errors import CheckpointError, TrainingError
-from repro.obs.run import RunRecorder, config_fingerprint, resolve_run
+from repro.errors import TrainingError
+from repro.obs.run import RunRecorder
 from repro.parallel.shared import SharedEmbedding
-from repro.utils.logging import get_logger, log_epoch_progress
+from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from multiprocessing.connection import Connection
 
     from repro.ckpt.manager import CheckpointManager
-    from repro.ckpt.state import TrainingState
 
 logger = get_logger("parallel.hogwild")
 
@@ -104,24 +103,24 @@ class HogwildTrainer:
     ----------
     config:
         Training hyper-parameters; the same schedule, convergence test,
-        and engine settings as the single-process model.
+        and batch settings as the single-process model.
     workers:
-        Worker process count.  ``1`` runs the full machinery with a
-        single worker — bitwise-deterministic, the resume-equivalence
-        anchor.
+        Worker count.  ``1`` trains in process, exactly as
+        ``Inf2vecModel(config, seed).fit`` does — the
+        resume-equivalence anchor.
     seed:
         Trainer RNG seed.  Initialises the embedding and spawns the
         per-worker generators; must be spawnable (an int seed, or a
-        Generator carrying a seed sequence).
+        Generator carrying a seed sequence) at ``workers>1``.
     stream_chunk:
-        When set, workers stream their corpus: each epoch generates and
+        When set, shards stream their corpus: each epoch generates and
         trains ``stream_chunk`` episodes' contexts at a time instead of
         materialising the shard corpus up front.  Requires
         ``negative_distribution='uniform'``.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap, shares the parent's resource tracker) and
-        ``spawn`` elsewhere.  Worker arguments are picklable either way.
+
+    Worker processes start with ``fork`` where the platform offers it
+    (cheap, shares the parent's resource tracker) and ``spawn``
+    elsewhere; worker arguments are picklable either way.
 
     Examples
     --------
@@ -139,7 +138,6 @@ class HogwildTrainer:
         workers: int = 1,
         seed: SeedLike = None,
         stream_chunk: int | None = None,
-        start_method: str | None = None,
     ):
         self.config = config if config is not None else Inf2vecConfig()
         self.workers = check_positive_int("workers", workers)
@@ -152,15 +150,11 @@ class HogwildTrainer:
                     "needs the full corpus)"
                 )
         self.stream_chunk = stream_chunk
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._start_method = start_method
         self._rng = ensure_rng(seed)
         self._seed_text = None if seed is None else str(seed)
         self._model: Inf2vecModel | None = None
-        #: Parent-side wall-clock seconds per completed epoch (barrier
-        #: to barrier) — the scaling benchmark reads this.
+        #: Wall-clock seconds per completed epoch (barrier to barrier
+        #: at ``workers>1``) — the scaling benchmark reads this.
         self.epoch_seconds: list[float] = []
 
     # ------------------------------------------------------------------
@@ -174,75 +168,81 @@ class HogwildTrainer:
         checkpoint: "CheckpointManager | None" = None,
         resume: bool = False,
     ) -> Inf2vecModel:
-        """Train across ``self.workers`` processes; returns the model.
+        """Train across ``self.workers`` shards; returns the model.
 
         The returned :class:`Inf2vecModel` owns a private copy of the
         final parameters (the shared blocks are freed before
-        returning), its loss history, and the parent RNG stream —
+        returning), its loss history, and the trainer's RNG stream —
         interchangeable with a single-process ``fit`` result.
 
         ``checkpoint``/``resume`` follow the single-process contract,
         with the topology restriction described in the module
-        docstring: resume requires a checkpoint written by this engine
-        at the same worker count.
+        docstring: resume requires a checkpoint written at the same
+        worker count (``Inf2vecModel.fit`` counts as one worker).
         """
+        model = Inf2vecModel(self.config, seed=self._rng)
+        model._seed_text = self._seed_text
+        if self.workers == 1:
+            self.epoch_seconds = model._fit_log(
+                graph, log, checkpoint, resume, stream_chunk=self.stream_chunk
+            )
+        else:
+            self.epoch_seconds = self._fit_workers(
+                model, graph, log, checkpoint, resume
+            )
+        self._model = model
+        return model
+
+    def _fit_workers(
+        self,
+        model: Inf2vecModel,
+        graph: SocialGraph,
+        log: ActionLog,
+        checkpoint: "CheckpointManager | None",
+        resume: bool,
+    ) -> list[float]:
+        """The ``workers>1`` fit: one shard per process on shared pages."""
         config = self.config
         num_users = check_positive_int("num_users", graph.num_nodes)
-        state = self._resume_state(checkpoint, resume)
-        run = resolve_run(config.telemetry, name="hogwild.fit")
-        self.epoch_seconds = []
-
+        state = model._resume_state(checkpoint, resume, self.workers)
+        run = model._resolve_obs(fresh=True)
         entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
+        start_epoch = model._begin(state, num_users, run)
         resume_states: list[dict | None]
         if state is not None:
-            if state.source.shape != (num_users, config.dim):
-                raise CheckpointError(
-                    f"checkpoint holds a {state.source.shape} embedding but "
-                    f"this fit needs ({num_users}, {config.dim})"
-                )
-            embedding = state.to_embedding()
-            loss_history = [float(x) for x in state.loss_history]
-            start_epoch = state.epoch + 1
             topology = state.worker_topology
-            assert topology is not None  # _resume_state guarantees it
-            entry_states = [
-                copy.deepcopy(s) for s in topology["entry_rng_states"]
-            ]
-            resume_states = [copy.deepcopy(s) for s in topology["rng_states"]]
-            self._rng.bit_generator.state = copy.deepcopy(state.rng_state)
+            entry_states = copy.deepcopy(topology["entry_rng_states"])
+            resume_states = copy.deepcopy(topology["rng_states"])
             entry_rng_state = copy.deepcopy(state.entry_rng_state)
         else:
-            embedding = InfluenceEmbedding.initialize(
-                num_users, config.dim, self._rng
-            )
-            loss_history = []
-            start_epoch = 0
-            children = self._spawn_worker_rngs()
             entry_states = [
-                copy.deepcopy(child.bit_generator.state) for child in children
+                copy.deepcopy(child.bit_generator.state)
+                for child in self._spawn_worker_rngs()
             ]
             resume_states = [None] * self.workers
-
-        model = Inf2vecModel(config, seed=self._rng)
-        model._loss_history = loss_history
         if start_epoch >= config.epochs:
             # The checkpoint already covers the full budget; nothing to
             # spawn workers for.
-            model._embedding = embedding
-            self._model = model
-            return model
+            return []
 
-        shared = SharedEmbedding.create(embedding)
+        shared = SharedEmbedding.create(model.embedding)
         model._embedding = shared.embedding
         processes: list[multiprocessing.Process] = []
         conns: list["Connection"] = []
         try:
-            with run.span(
-                "hogwild.fit", engine=config.engine, workers=self.workers
-            ):
-                self._record_run_header(run, graph, log)
+            with run.span("hogwild.fit", workers=self.workers):
+                model._record_run_header(
+                    run,
+                    num_users=num_users,
+                    num_edges=graph.num_edges,
+                    num_episodes=len(log),
+                )
+                run.annotate(workers=self.workers, stream_chunk=self.stream_chunk)
                 shards = shard_episodes(log, self.workers)
-                context = multiprocessing.get_context(self._start_method)
+                try:
+                    context = multiprocessing.get_context("fork")
+                except ValueError:  # a platform without fork
+                    context = multiprocessing.get_context("spawn")
                 for worker_id in range(self.workers):
                     parent_conn, child_conn = context.Pipe()
                     process = context.Process(
@@ -267,69 +267,26 @@ class HogwildTrainer:
                     conns.append(parent_conn)
                 self._await_ready(conns, processes, run)
 
-                previous_loss = loss_history[-1] if loss_history else np.inf
-                for epoch in range(start_epoch, config.epochs):
-                    learning_rate = annealed_learning_rate(
-                        config.learning_rate,
-                        epoch,
-                        config.epochs,
-                        config.lr_decay,
-                    )
-                    started = time.perf_counter()
-                    with run.span("epoch", epoch=epoch) as epoch_span:
-                        for conn in conns:
-                            conn.send(("epoch", epoch, learning_rate))
-                        replies = self._collect_epoch(conns, processes)
-                        elapsed = time.perf_counter() - started
-                        self._record_epoch(
-                            run, epoch_span, epoch, replies, elapsed
-                        )
-                    self.epoch_seconds.append(elapsed)
-                    total_positives = sum(r["positives"] for r in replies)
-                    loss = (
-                        sum(r["loss_sum"] for r in replies) / total_positives
-                        if total_positives
-                        else 0.0
-                    )
-                    loss_history.append(loss)
-                    latest_states = [r["rng_state"] for r in replies]
-                    converged = loss_converged(
-                        previous_loss, loss, config.convergence_tol
-                    )
-                    if checkpoint is not None:
-                        checkpoint.maybe_save(
-                            model,
-                            epoch,
-                            entry_rng_state=entry_rng_state,
-                            metrics=run.metrics,
-                            force=converged or epoch == config.epochs - 1,
-                            worker_topology={
-                                "workers": self.workers,
-                                "entry_rng_states": entry_states,
-                                "rng_states": latest_states,
-                            },
-                        )
-                    log_epoch_progress(
-                        logger,
-                        epoch,
-                        config.epochs,
-                        loss=loss,
-                        elapsed=elapsed,
-                        lr=f"{learning_rate:.4g}",
-                        workers=self.workers,
-                    )
-                    if converged:
-                        logger.info("converged after %d epochs", epoch + 1)
-                        break
-                    previous_loss = loss
+                def run_epoch(epoch: int, learning_rate: float) -> list[EpochReport]:
+                    for conn in conns:
+                        conn.send(("epoch", epoch, learning_rate))
+                    return self._collect_epoch(conns, processes)
+
+                return model._run_epochs(
+                    run_epoch,
+                    entry_states,
+                    config.epochs,
+                    start_epoch,
+                    run,
+                    checkpoint,
+                    entry_rng_state,
+                )
         finally:
             self._shutdown(processes, conns)
             final_embedding = shared.snapshot()
             shared.close()
             shared.unlink()
             model._embedding = final_embedding
-        self._model = model
-        return model
 
     @property
     def model(self) -> Inf2vecModel:
@@ -337,52 +294,6 @@ class HogwildTrainer:
         if self._model is None:
             raise TrainingError("HogwildTrainer has not been fitted yet")
         return self._model
-
-    # ------------------------------------------------------------------
-    # Resume
-    # ------------------------------------------------------------------
-
-    def _resume_state(
-        self, checkpoint: "CheckpointManager | None", resume: bool
-    ) -> "TrainingState | None":
-        """Resolve the checkpoint to resume from (``None`` = fresh start)."""
-        if not resume:
-            return None
-        if checkpoint is None:
-            raise TrainingError("resume=True requires a checkpoint manager")
-        state = checkpoint.latest_state()
-        if state is None:
-            logger.info(
-                "no usable checkpoint under %s; starting fresh",
-                checkpoint.directory,
-            )
-            return None
-        _, fingerprint = config_fingerprint(self.config)
-        if state.config_fingerprint != fingerprint:
-            raise CheckpointError(
-                f"checkpoint fingerprint {state.config_fingerprint} does not "
-                f"match this config's {fingerprint}; resume requires the "
-                "identical hyper-parameter configuration"
-            )
-        topology = state.worker_topology
-        if topology is None:
-            raise CheckpointError(
-                "checkpoint was written by the single-process engine; "
-                "resume it with Inf2vecModel.fit"
-            )
-        if int(topology["workers"]) != self.workers:
-            raise CheckpointError(
-                f"checkpoint topology has {topology['workers']} workers but "
-                f"this trainer runs {self.workers}; hogwild "
-                "resume-equivalence holds only at a fixed worker count"
-            )
-        logger.info(
-            "resuming from checkpoint at epoch %d (%s, %d workers)",
-            state.epoch,
-            checkpoint.directory,
-            self.workers,
-        )
-        return state
 
     def _spawn_worker_rngs(self) -> list[np.random.Generator]:
         try:
@@ -421,9 +332,9 @@ class HogwildTrainer:
 
     def _collect_epoch(
         self, conns: list["Connection"], processes: list[multiprocessing.Process]
-    ) -> list[dict]:
+    ) -> list[EpochReport]:
         """One ``epoch_done`` reply per worker, ordered by worker id."""
-        replies = []
+        reports = []
         for worker_id, conn in enumerate(conns):
             reply = self._recv(conn, processes[worker_id], worker_id)
             if reply[0] != "epoch_done":
@@ -431,17 +342,8 @@ class HogwildTrainer:
                     f"worker {worker_id}: unexpected reply {reply[0]!r} "
                     "during an epoch"
                 )
-            _, _, loss_sum, positives, seconds, rng_state = reply
-            replies.append(
-                {
-                    "worker": worker_id,
-                    "loss_sum": float(loss_sum),
-                    "positives": int(positives),
-                    "seconds": float(seconds),
-                    "rng_state": rng_state,
-                }
-            )
-        return replies
+            reports.append(EpochReport(*reply[1:]))
+        return reports
 
     def _recv(
         self,
@@ -485,80 +387,8 @@ class HogwildTrainer:
         for conn in conns:
             conn.close()
 
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-
-    def _record_run_header(
-        self, run: RunRecorder, graph: SocialGraph, log: ActionLog
-    ) -> None:
-        if not run.enabled:
-            return
-        run.set_config(self.config)
-        run.set_dataset(
-            num_users=graph.num_nodes,
-            num_edges=graph.num_edges,
-            num_episodes=len(log),
-        )
-        annotations: dict[str, object] = {"workers": self.workers}
-        if self.stream_chunk is not None:
-            annotations["stream_chunk"] = self.stream_chunk
-        if self._seed_text is not None:
-            annotations["seed"] = self._seed_text
-        run.annotate(**annotations)
-
-    def _record_epoch(
-        self,
-        run: RunRecorder,
-        epoch_span,
-        epoch: int,
-        replies: list[dict],
-        elapsed: float,
-    ) -> None:
-        """Per-epoch global + per-worker telemetry (enabled runs only)."""
-        metrics = run.metrics
-        if not metrics.enabled:
-            return
-        total_positives = sum(r["positives"] for r in replies)
-        loss = (
-            sum(r["loss_sum"] for r in replies) / total_positives
-            if total_positives
-            else 0.0
-        )
-        metrics.counter("train.epochs", "completed training epochs").inc()
-        metrics.gauge("train.epoch.loss", "mean per-positive loss").set(
-            loss, epoch=epoch
-        )
-        metrics.gauge(
-            "train.epoch.examples_per_sec", "positive observations per second"
-        ).set(total_positives / elapsed if elapsed > 0 else 0.0, epoch=epoch)
-        for reply in replies:
-            worker = reply["worker"]
-            metrics.counter(
-                "train.worker.examples",
-                "positive observations trained, per worker",
-            ).inc(reply["positives"], worker=worker)
-            metrics.gauge(
-                "train.worker.epoch_seconds",
-                "in-worker wall-clock per epoch",
-            ).set(reply["seconds"], worker=worker, epoch=epoch)
-            metrics.gauge(
-                "train.worker.loss",
-                "mean per-positive loss of the worker's shard",
-            ).set(
-                reply["loss_sum"] / reply["positives"]
-                if reply["positives"]
-                else 0.0,
-                worker=worker,
-                epoch=epoch,
-            )
-        epoch_span.set_attribute("loss", loss)
-        epoch_span.set_attribute("examples", total_positives)
-        epoch_span.set_attribute("workers", self.workers)
-
     def __repr__(self) -> str:
         return (
             f"HogwildTrainer(workers={self.workers}, "
-            f"stream_chunk={self.stream_chunk}, "
-            f"start_method={self._start_method!r})"
+            f"stream_chunk={self.stream_chunk})"
         )

@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG plumbing, timers, logging, validation."""
+"""Shared utilities: deterministic RNG plumbing, logging, validation."""
 
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
@@ -15,8 +14,6 @@ __all__ = [
     "RandomState",
     "ensure_rng",
     "spawn_rngs",
-    "Timer",
-    "timed",
     "check_fraction",
     "check_in_range",
     "check_non_negative_int",

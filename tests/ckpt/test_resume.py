@@ -67,7 +67,6 @@ BASE = Inf2vecConfig(dim=8, epochs=6)
 
 VARIANTS = [
     pytest.param(BASE, id="batched"),
-    pytest.param(dataclasses.replace(BASE, engine="sequential"), id="sequential"),
     pytest.param(
         dataclasses.replace(BASE, regenerate_contexts=True),
         id="regenerate-contexts",

@@ -9,11 +9,7 @@ from repro.core.context import (
     InfluenceContext,
     batched_random_walk_with_restart,
     corpus_statistics,
-    generate_context,
-    generate_episode_contexts,
     generate_episode_contexts_batched,
-    random_walk_with_restart,
-    sample_global_context,
 )
 from repro.core.propagation import PropagationNetwork
 from repro.data.actionlog import ActionLog, DiffusionEpisode
@@ -51,39 +47,56 @@ class TestContextConfig:
             ContextConfig(restart_prob=-0.1)
 
 
+def _walk(network, start, budget, restart_prob, rng):
+    """One walker's visits, as a list."""
+    (walk,) = batched_random_walk_with_restart(
+        network, np.array([start]), budget, restart_prob, rng
+    )
+    return walk.tolist()
+
+
+def _contexts_by_user(network, config, rng):
+    return {
+        context.user: context
+        for context in generate_episode_contexts_batched(network, config, rng)
+    }
+
+
 class TestRandomWalk:
+    """Per-walker semantics of the restarting walk."""
+
     def test_budget_respected(self, chain_network):
         rng = ensure_rng(0)
-        visited = random_walk_with_restart(chain_network, 0, 7, 0.5, rng)
+        visited = _walk(chain_network, 0, 7, 0.5, rng)
         assert len(visited) == 7
 
     def test_only_reachable_nodes_visited(self, chain_network):
         rng = ensure_rng(0)
-        visited = random_walk_with_restart(chain_network, 1, 20, 0.5, rng)
+        visited = _walk(chain_network, 1, 20, 0.5, rng)
         assert set(visited) <= {2, 3}
 
     def test_start_never_recorded(self, chain_network):
         rng = ensure_rng(0)
-        visited = random_walk_with_restart(chain_network, 0, 30, 0.5, rng)
+        visited = _walk(chain_network, 0, 30, 0.5, rng)
         assert 0 not in visited
 
     def test_sink_returns_empty(self, chain_network):
         rng = ensure_rng(0)
-        assert random_walk_with_restart(chain_network, 3, 10, 0.5, rng) == []
+        assert _walk(chain_network, 3, 10, 0.5, rng) == []
 
     def test_zero_budget(self, chain_network):
         rng = ensure_rng(0)
-        assert random_walk_with_restart(chain_network, 0, 0, 0.5, rng) == []
+        assert _walk(chain_network, 0, 0, 0.5, rng) == []
 
     def test_high_restart_stays_near_start(self, chain_network):
         rng = ensure_rng(7)
-        visited = random_walk_with_restart(chain_network, 0, 200, 0.95, rng)
+        visited = _walk(chain_network, 0, 200, 0.95, rng)
         # With near-certain restart, node 1 (first hop) dominates.
         assert visited.count(1) > visited.count(3)
 
     def test_no_restart_reaches_deep(self, chain_network):
         rng = ensure_rng(7)
-        visited = random_walk_with_restart(chain_network, 0, 50, 0.0, rng)
+        visited = _walk(chain_network, 0, 50, 0.0, rng)
         assert 3 in visited
 
 
@@ -135,51 +148,57 @@ class TestBatchedRandomWalk:
 
 
 class TestGlobalContext:
+    """The global slice, alone in the budget at alpha = 0."""
+
     def test_samples_exclude_self(self, chain_network):
-        rng = ensure_rng(0)
-        samples = sample_global_context(chain_network, 1, 50, rng)
-        assert len(samples) == 50
-        assert 1 not in samples
-        assert set(samples) <= {0, 2, 3}
+        config = ContextConfig(length=50, alpha=0.0)
+        contexts = _contexts_by_user(chain_network, config, ensure_rng(0))
+        for user, context in contexts.items():
+            assert context.local == ()
+            assert len(context.global_) == 50
+            assert user not in context.global_
+            assert set(context.global_) <= {0, 1, 2, 3} - {user}
 
     def test_single_adopter_empty(self):
         net = PropagationNetwork(0, np.array([4]), np.empty((0, 2), dtype=np.int64))
-        rng = ensure_rng(0)
-        assert sample_global_context(net, 4, 10, rng) == []
+        config = ContextConfig(length=10, alpha=0.0)
+        assert generate_episode_contexts_batched(net, config, ensure_rng(0)) == []
 
     def test_zero_budget(self, chain_network):
-        rng = ensure_rng(0)
-        assert sample_global_context(chain_network, 0, 0, rng) == []
+        config = ContextConfig(length=10, alpha=1.0)
+        contexts = _contexts_by_user(chain_network, config, ensure_rng(0))
+        assert all(context.global_ == () for context in contexts.values())
 
 
 class TestGenerateContext:
     def test_components_sized_by_alpha(self, chain_network):
-        rng = ensure_rng(0)
         config = ContextConfig(length=20, alpha=0.5)
-        context = generate_context(chain_network, 0, config, rng)
+        context = _contexts_by_user(chain_network, config, ensure_rng(0))[0]
         assert len(context.local) == 10
         assert len(context.global_) == 10
         assert context.users == context.local + context.global_
 
     def test_sink_user_still_gets_global(self, chain_network):
-        rng = ensure_rng(0)
         config = ContextConfig(length=10, alpha=0.5)
-        context = generate_context(chain_network, 3, config, rng)
+        context = _contexts_by_user(chain_network, config, ensure_rng(0))[3]
         assert context.local == ()
         assert len(context.global_) == 5
 
     def test_episode_contexts_cover_adopters(self, chain_network):
-        rng = ensure_rng(0)
         config = ContextConfig(length=10, alpha=0.5)
-        contexts = generate_episode_contexts(chain_network, config, rng)
+        contexts = generate_episode_contexts_batched(
+            chain_network, config, ensure_rng(0)
+        )
         assert {c.user for c in contexts} == {0, 1, 2, 3}
         assert all(c.item == 0 for c in contexts)
 
     def test_singleton_episode_produces_nothing(self):
         net = PropagationNetwork(0, np.array([4]), np.empty((0, 2), dtype=np.int64))
-        rng = ensure_rng(0)
-        contexts = generate_episode_contexts(net, ContextConfig(length=10), rng)
-        assert contexts == []
+        for alpha in (0.0, 0.5, 1.0):
+            config = ContextConfig(length=10, alpha=alpha)
+            assert generate_episode_contexts_batched(
+                net, config, ensure_rng(0)
+            ) == []
 
 
 class TestContextGenerator:
@@ -217,30 +236,35 @@ class TestContextGenerator:
         ).generate(log)
         assert {c.user for c in corpus} == {1, 3}
 
-    def test_batched_matches_sequential_structure(self, tiny_graph, tiny_log):
-        # Context sizes are structural (a walk is empty iff the start
-        # has no successors; the global slice is empty iff the user is
-        # the only adopter), so both engines must agree on them even
-        # though the sampled members differ draw by draw.
+    def test_context_sizes_follow_the_network(self, tiny_graph, tiny_log):
+        # Context sizes are structural, so they can be predicted from
+        # each episode's propagation network alone: the local slice is
+        # empty iff the user has no successors, the global slice is
+        # empty iff the user is the sole adopter, and an adopter with
+        # neither gets no context at all.
         config = ContextConfig(length=6, alpha=0.5)
-        seq = ContextGenerator(
-            tiny_graph, config, seed=3, batched=False
-        ).generate(tiny_log)
-        bat = ContextGenerator(
-            tiny_graph, config, seed=3, batched=True
-        ).generate(tiny_log)
-        key = lambda c: (c.item, c.user, len(c.local), len(c.global_))  # noqa: E731
-        assert sorted(map(key, seq)) == sorted(map(key, bat))
+        corpus = ContextGenerator(tiny_graph, config, seed=3).generate(tiny_log)
+        expected = []
+        for episode in tiny_log:
+            network = PropagationNetwork.from_episode(tiny_graph, episode)
+            for user in network.nodes.tolist():
+                local = config.local_budget if network.out_degree(user) else 0
+                global_ = config.global_budget if network.num_nodes > 1 else 0
+                if local or global_:
+                    expected.append((episode.item, user, local, global_))
+        got = [(c.item, c.user, len(c.local), len(c.global_)) for c in corpus]
+        assert sorted(got) == sorted(expected)
+        assert any(local == 0 for _, _, local, _ in expected)
 
     def test_batched_deterministic_under_seed(self, tiny_graph, tiny_log):
+        # The seed alone decides the draws: two generators on one seed
+        # agree, and another seed moves the sampled members.
         config = ContextConfig(length=6, alpha=0.5)
-        a = ContextGenerator(tiny_graph, config, seed=9, batched=True).generate(
-            tiny_log
-        )
-        b = ContextGenerator(tiny_graph, config, seed=9, batched=True).generate(
-            tiny_log
-        )
+        a = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
+        b = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
+        c = ContextGenerator(tiny_graph, config, seed=10).generate(tiny_log)
         assert a == b
+        assert a != c
 
 
 class TestBatchedEpisodeContexts:

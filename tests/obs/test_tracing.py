@@ -74,7 +74,7 @@ class TestErrors:
 class TestExport:
     def _sample_tracer(self):
         tracer = Tracer()
-        with tracer.span("fit", engine="batched"):
+        with tracer.span("fit", num_users=8):
             with tracer.span("epoch", epoch=0):
                 pass
         return tracer

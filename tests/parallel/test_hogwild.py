@@ -2,13 +2,13 @@
 
 The determinism contract under test (DESIGN.md §14):
 
-* ``workers=1`` is bitwise-deterministic — rerunning the trainer, and
-  crashing + resuming it, both land on identical parameters;
+* ``workers=1`` is the in-process fit — bitwise-equal to
+  ``Inf2vecModel.fit``; rerunning it, and crashing + resuming it under
+  either entry point, all land on identical parameters;
 * ``workers>1`` runs train the same objective on the same sharded data
   but race on the shared pages, so only statistical agreement is
   promised — pinned here as a loss tolerance against the 1-worker run;
-* resume refuses checkpoints from a different worker count and from
-  the single-process engine (and vice versa).
+* resume refuses checkpoints from a different worker count.
 """
 
 import dataclasses
@@ -91,6 +91,13 @@ class TestHogwildTraining:
         )
         _assert_identical(second, first)
 
+    def test_single_worker_matches_in_process_fit(self, dataset):
+        trainer = HogwildTrainer(BASE, workers=1, seed=11).fit(
+            dataset.graph, dataset.log
+        )
+        model = Inf2vecModel(BASE, seed=11).fit(dataset.graph, dataset.log)
+        _assert_identical(trainer, model)
+
     def test_two_workers_train_and_agree_within_tolerance(self, dataset):
         one = HogwildTrainer(BASE, workers=1, seed=11).fit(
             dataset.graph, dataset.log
@@ -151,6 +158,20 @@ class TestStreaming:
         assert len(model.loss_history) == BASE.epochs
         assert all(np.isfinite(model.loss_history))
 
+    def test_in_process_streaming_resumes_bitwise(self, dataset, tmp_path):
+        def trainer():
+            return HogwildTrainer(BASE, workers=1, seed=7, stream_chunk=4)
+
+        reference = trainer().fit(dataset.graph, dataset.log)
+        assert all(np.isfinite(reference.loss_history))
+        manager = CheckpointManager(tmp_path, every=1, keep=100)
+        trainer().fit(dataset.graph, dataset.log, checkpoint=manager)
+        TestResume._keep_only(manager, 1)
+        resumed = trainer().fit(
+            dataset.graph, dataset.log, checkpoint=manager, resume=True
+        )
+        _assert_identical(resumed, reference)
+
     def test_streaming_requires_uniform_negatives(self):
         config = dataclasses.replace(BASE, negative_distribution="unigram")
         with pytest.raises(TrainingError):
@@ -164,6 +185,10 @@ class TestResume:
         HogwildTrainer(BASE, workers=workers, seed=seed).fit(
             dataset.graph, dataset.log, checkpoint=manager
         )
+        return self._keep_only(manager, epoch)
+
+    @staticmethod
+    def _keep_only(manager, epoch):
         survivor = manager.path_for_epoch(epoch).name
         for path in manager.checkpoint_paths():
             if path.name != survivor:
@@ -199,27 +224,36 @@ class TestResume:
             HogwildTrainer(BASE, workers=3, seed=13).fit(
                 dataset.graph, dataset.log, checkpoint=manager, resume=True
             )
-
-    def test_single_process_engine_refuses_parallel_checkpoint(
-        self, dataset, tmp_path
-    ):
-        manager = self._interrupt_after_epoch(dataset, 1, 1, tmp_path)
-        with pytest.raises(CheckpointError, match="HogwildTrainer"):
+        with pytest.raises(CheckpointError, match="worker"):
             Inf2vecModel(BASE, seed=13).fit(
                 dataset.graph, dataset.log, checkpoint=manager, resume=True
             )
 
-    def test_parallel_engine_refuses_single_process_checkpoint(
+    def test_hogwild_checkpoint_resumes_under_in_process_fit(
         self, dataset, tmp_path
     ):
+        reference = Inf2vecModel(BASE, seed=13).fit(dataset.graph, dataset.log)
+        manager = self._interrupt_after_epoch(dataset, 1, 1, tmp_path)
+        resumed = Inf2vecModel(BASE, seed=13).fit(
+            dataset.graph, dataset.log, checkpoint=manager, resume=True
+        )
+        _assert_identical(resumed, reference)
+
+    def test_in_process_checkpoint_resumes_under_hogwild_trainer(
+        self, dataset, tmp_path
+    ):
+        reference = HogwildTrainer(BASE, workers=1, seed=13).fit(
+            dataset.graph, dataset.log
+        )
         manager = CheckpointManager(tmp_path, every=1, keep=100)
         Inf2vecModel(BASE, seed=13).fit(
             dataset.graph, dataset.log, checkpoint=manager
         )
-        with pytest.raises(CheckpointError, match="single-process"):
-            HogwildTrainer(BASE, workers=1, seed=13).fit(
-                dataset.graph, dataset.log, checkpoint=manager, resume=True
-            )
+        self._keep_only(manager, 1)
+        resumed = HogwildTrainer(BASE, workers=1, seed=13).fit(
+            dataset.graph, dataset.log, checkpoint=manager, resume=True
+        )
+        _assert_identical(resumed, reference)
 
     def test_resume_after_completed_run_restores_terminal_state(
         self, dataset, tmp_path
