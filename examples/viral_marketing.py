@@ -8,7 +8,7 @@ reaches the most people.  This example closes that loop:
    (boosted base probability so cascades spread visibly),
 2. learn influence parameters two ways — Inf2vec embeddings and the
    ST (Goyal MLE) edge model,
-3. select seeds with each model via CELF greedy (the Inf2vec scores
+3. select seeds with each model via RIS sketches (the Inf2vec scores
    are calibrated into IC probabilities first) plus the fast
    simulation-free embedding heuristic,
 4. judge every seed set by simulating cascades under the *planted*
@@ -23,7 +23,7 @@ from repro import Inf2vecConfig, Inf2vecModel, SyntheticSocialDataset
 from repro.apps.influence_max import (
     embedding_edge_probabilities,
     embedding_seed_selection,
-    greedy_influence_maximization,
+    ris_influence_maximization,
 )
 from repro.baselines import StaticModel
 from repro.core.context import ContextConfig
@@ -54,20 +54,18 @@ def main() -> None:
 
     # --- Select seeds ---------------------------------------------------
     # Calibrate the embedding scores into IC probabilities (anchor the
-    # mean to ST's learned activity level) and run CELF on them.
+    # mean to ST's learned activity level) and run RIS on them.
     inf2vec_probs = embedding_edge_probabilities(
         inf2vec.embedding, data.graph, mean_probability=0.02
     )
-    inf2vec_celf = greedy_influence_maximization(
-        inf2vec_probs, NUM_SEEDS, num_runs=200, seed=SEED
-    )
-    st_celf = greedy_influence_maximization(
-        st.edge_probabilities(), NUM_SEEDS, num_runs=200, seed=SEED
+    inf2vec_ris = ris_influence_maximization(inf2vec_probs, NUM_SEEDS, seed=SEED)
+    st_ris = ris_influence_maximization(
+        st.edge_probabilities(), NUM_SEEDS, seed=SEED
     )
     heuristic = embedding_seed_selection(inf2vec.embedding, NUM_SEEDS)
 
-    print(f"Inf2vec + CELF seeds:   {inf2vec_celf.seeds}")
-    print(f"ST + CELF seeds:        {st_celf.seeds}")
+    print(f"Inf2vec + RIS seeds:     {inf2vec_ris.seeds}")
+    print(f"ST + RIS seeds:          {st_ris.seeds}")
     print(f"Inf2vec heuristic seeds: {heuristic.seeds} (no simulation)")
 
     # --- Judge against the planted ground truth ------------------------
@@ -79,8 +77,8 @@ def main() -> None:
         )
     )
     contenders = [
-        ("Inf2vec+CELF", inf2vec_celf.seeds),
-        ("ST+CELF", st_celf.seeds),
+        ("Inf2vec+RIS", inf2vec_ris.seeds),
+        ("ST+RIS", st_ris.seeds),
         ("Inf2vec-fast", heuristic.seeds),
         ("random", random_seeds),
     ]
@@ -88,7 +86,7 @@ def main() -> None:
         spread = expected_spread(truth, list(seeds), num_runs=JUDGE_RUNS, seed=SEED)
         print(f"{name:14s} true expected spread: {spread:.1f} users")
 
-    oracle = greedy_influence_maximization(truth, NUM_SEEDS, num_runs=100, seed=SEED)
+    oracle = ris_influence_maximization(truth, NUM_SEEDS, seed=SEED)
     oracle_spread = expected_spread(
         truth, list(oracle.seeds), num_runs=JUDGE_RUNS, seed=SEED
     )

@@ -11,10 +11,10 @@ as a compatibility contract (and pins ``repro.ckpt`` /
 * ``__all__`` is a *literal* list/tuple of unique strings, so it is
   statically auditable;
 * every listed name is actually bound at module top level (a stale
-  entry would make ``from repro.x import *`` raise);
-* every public (non-underscore) top-level ``def``/``class`` appears in
-  ``__all__`` — a public definition missing from the declared surface
-  is an undocumented API.
+  entry would make ``from repro.x import *`` raise).
+
+A public definition may stay out of ``__all__``: the ``dead-export``
+project rule keeps the declared surface to what the repo imports.
 
 Modules that do not declare ``__all__`` (and are not package inits)
 are out of scope: their surface is defined by their package's re-export.
@@ -89,9 +89,9 @@ class PinnedApiRule(AstRule):
 
     rule_id = "pinned-api"
     description = (
-        "every package __init__ declares a literal __all__ whose entries "
-        "are bound at top level and which covers every public def/class "
-        "(the API-surface tests pin against it)"
+        "every package __init__ declares a literal __all__ of unique "
+        "entries that are bound at top level (the API-surface tests pin "
+        "against it)"
     )
 
     def check(self, parsed: ParsedFile) -> Iterable[Finding]:
@@ -136,15 +136,3 @@ class PinnedApiRule(AstRule):
                     "__all__ lists names never bound at top level: "
                     f"{', '.join(sorted(missing))}",
                 )
-        for node in tree.body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                if not node.name.startswith("_") and node.name not in exported:
-                    yield self.finding(
-                        parsed,
-                        node,
-                        f"public {type(node).__name__.replace('Def', '').lower()} "
-                        f"'{node.name}' is missing from __all__ (either export "
-                        "it or rename it with a leading underscore)",
-                    )

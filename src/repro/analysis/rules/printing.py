@@ -1,10 +1,8 @@
 """``no-print``: library code never prints.
 
-Framework port of the original ``scripts/check_no_print.py`` lint
-(that script now delegates here).  Library code reports through
-``repro.utils.logging`` or ``repro.obs`` so applications control the
-output channel; ``print`` is reserved for the designated rendering
-surfaces:
+Library code reports through ``repro.utils.logging`` or ``repro.obs``
+so applications control the output channel; ``print`` is reserved for
+the designated rendering surfaces:
 
 * ``cli.py`` — the command-line front end;
 * ``viz/ascii.py`` — the ASCII chart renderer;

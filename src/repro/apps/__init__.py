@@ -1,7 +1,6 @@
 """Applications built on the learned influence embeddings."""
 
 from repro.apps.citation_study import (
-    AuthorPrediction,
     CaseStudyResult,
     pairs_to_contexts,
     run_case_study,
@@ -9,27 +8,22 @@ from repro.apps.citation_study import (
     train_embedding_model,
 )
 from repro.apps.influence_max import (
-    SeedSelection,
     embedding_edge_probabilities,
     embedding_pruned_candidates,
     embedding_seed_selection,
-    greedy_influence_maximization,
     ris_influence_maximization,
     ris_pruned_influence_maximization,
 )
 
 __all__ = [
-    "AuthorPrediction",
     "CaseStudyResult",
     "pairs_to_contexts",
     "run_case_study",
     "train_conventional_model",
     "train_embedding_model",
-    "SeedSelection",
     "embedding_edge_probabilities",
     "embedding_pruned_candidates",
     "embedding_seed_selection",
-    "greedy_influence_maximization",
     "ris_influence_maximization",
     "ris_pruned_influence_maximization",
 ]

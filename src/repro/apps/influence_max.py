@@ -5,16 +5,13 @@ spread — is the application motivating the paper's introduction
 (Kempe et al. [1]).  This module closes that loop on top of the
 library's learned models:
 
-* :func:`greedy_influence_maximization` — the classic greedy algorithm
-  with CELF lazy evaluation (Leskovec et al.), using Monte-Carlo
-  spread estimates over an :class:`EdgeProbabilities` table (works
-  with any IC-based model: DE, ST, EM, Emb-IC, or planted ground
-  truth).
-* :func:`ris_influence_maximization` — sketch-based selection: an
-  adaptively sized pool of reverse-reachable sets
-  (:mod:`repro.sketch`) replaces the per-candidate Monte-Carlo
-  estimates, making seed selection near-linear in the pool size
-  instead of O(k · |V| · runs · cascade).
+* :func:`ris_influence_maximization` — the seed selector: an
+  adaptively sized pool of reverse-reachable sets (:mod:`repro.sketch`)
+  and CELF lazy max-coverage over it, on an :class:`EdgeProbabilities`
+  table from any IC-based model (DE, ST, EM, Emb-IC, or planted ground
+  truth), at selection cost near-linear in the pool size.  Monte-Carlo
+  simulation (:mod:`repro.diffusion.montecarlo`) is the referee that
+  scores the chosen seeds.
 * :func:`ris_pruned_influence_maximization` — the embedding-driven
   variant: the serving layer's :class:`~repro.serve.TopKIndex`
   aggregate-influence ranking prunes the candidate pool first, exact
@@ -27,7 +24,6 @@ library's learned models:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +31,6 @@ import numpy as np
 
 from repro.core.embeddings import InfluenceEmbedding
 from repro.data.graph import SocialGraph
-from repro.diffusion.montecarlo import expected_spread
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import EvaluationError
 from repro.serve.index import TopKIndex
@@ -49,7 +44,7 @@ from repro.sketch.schedule import (
     adaptive_rr_pool,
 )
 from repro.sketch.select import max_coverage_seeds
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int, check_probability
 
 
@@ -75,8 +70,9 @@ class SeedSelection:
     marginal_gains:
         Estimated marginal spread gain of each selection.
     expected_spread:
-        Estimated total spread of the final seed set (MC methods only;
-        ``nan`` for the embedding heuristic).
+        Estimated total spread of the final seed set (the RIS coverage
+        estimate for the sketch selectors; ``nan`` for the embedding
+        heuristic).
     """
 
     seeds: tuple[int, ...]
@@ -92,12 +88,12 @@ def embedding_edge_probabilities(
 ) -> EdgeProbabilities:
     """Calibrated IC probabilities from learned influence scores.
 
-    Lets an embedding drive the full Monte-Carlo / CELF machinery:
-    each social edge gets ``P_uv = sigmoid(x'(u, v) - shift)`` where
-    ``x'`` is the influence score *centred per source* (each source's
-    median score over all users subtracted — raw SGNS scores carry an
-    arbitrary per-source offset, see :func:`embedding_seed_selection`)
-    and the global ``shift`` is binary-searched so the mean edge
+    Lets an embedding drive RIS seed selection and Monte-Carlo spread
+    evaluation: each social edge gets ``P_uv = sigmoid(x'(u, v) - shift)``
+    where ``x'`` is the influence score *centred per source* (each
+    source's median score over all users subtracted — raw SGNS scores
+    carry an arbitrary per-source offset, see
+    :func:`embedding_seed_selection`) and the global ``shift`` is binary-searched so the mean edge
     probability equals ``mean_probability``.  Anchoring the mean to an
     externally chosen (or ST-estimated) activity level preserves the
     learned ordering while giving IC simulation the absolute scale it
@@ -140,80 +136,6 @@ def embedding_edge_probabilities(
     return EdgeProbabilities(graph, np.clip(values, 0.0, 1.0))
 
 
-def greedy_influence_maximization(
-    probabilities: EdgeProbabilities,
-    num_seeds: int,
-    num_runs: int = 200,
-    seed: SeedLike = None,
-    candidates: Sequence[int] | None = None,
-) -> SeedSelection:
-    """CELF-accelerated greedy seed selection under the IC model.
-
-    Parameters
-    ----------
-    probabilities:
-        Edge probabilities (learned or planted).
-    num_seeds:
-        Size ``k`` of the seed set.
-    num_runs:
-        Monte-Carlo simulations per spread estimate.
-    seed:
-        RNG seed for the simulations.
-    candidates:
-        Optional candidate pool (defaults to every node); restricting
-        it to high-out-degree nodes is the standard scalability trick.
-
-    Notes
-    -----
-    CELF exploits submodularity of the spread function: a node's
-    marginal gain can only shrink as the seed set grows, so stale
-    upper bounds are re-evaluated lazily from a max-heap.
-    """
-    graph = probabilities.graph
-    num_seeds = check_positive_int("num_seeds", num_seeds)
-    if num_seeds > graph.num_nodes:
-        raise EvaluationError(
-            f"num_seeds={num_seeds} exceeds the number of nodes {graph.num_nodes}"
-        )
-    rng = ensure_rng(seed)
-    pool = (
-        list(range(graph.num_nodes))
-        if candidates is None
-        else [int(c) for c in candidates]
-    )
-    if len(pool) < num_seeds:
-        raise EvaluationError("candidate pool smaller than num_seeds")
-
-    chosen: list[int] = []
-    gains: list[float] = []
-    current_spread = 0.0
-
-    # Max-heap of (-gain, node, round_evaluated).
-    heap: list[tuple[float, int, int]] = []
-    for node in pool:
-        gain = expected_spread(probabilities, [node], num_runs, rng)
-        heapq.heappush(heap, (-gain, node, 0))
-
-    while len(chosen) < num_seeds and heap:
-        neg_gain, node, evaluated_round = heapq.heappop(heap)
-        if evaluated_round == len(chosen):
-            chosen.append(node)
-            gains.append(-neg_gain)
-            current_spread += -neg_gain
-        else:
-            fresh = (
-                expected_spread(probabilities, chosen + [node], num_runs, rng)
-                - current_spread
-            )
-            heapq.heappush(heap, (-fresh, node, len(chosen)))
-
-    return SeedSelection(
-        seeds=tuple(chosen),
-        marginal_gains=tuple(gains),
-        expected_spread=current_spread,
-    )
-
-
 def ris_influence_maximization(
     probabilities: EdgeProbabilities,
     num_seeds: int,
@@ -226,12 +148,10 @@ def ris_influence_maximization(
 ) -> SeedSelection:
     """Sketch-based (RIS/IMM) seed selection under the IC model.
 
-    Replaces the Monte-Carlo spread estimates of
-    :func:`greedy_influence_maximization` with an adaptively sized pool
-    of reverse-reachable sets (:func:`repro.sketch.adaptive_rr_pool`)
-    followed by CELF-style lazy max-coverage
-    (:func:`repro.sketch.max_coverage_seeds`) — same
-    :class:`SeedSelection` result, near-linear selection cost.
+    Builds an adaptively sized pool of reverse-reachable sets
+    (:func:`repro.sketch.adaptive_rr_pool`) and runs CELF-style lazy
+    max-coverage over it (:func:`repro.sketch.max_coverage_seeds`), at
+    near-linear selection cost.
 
     Parameters
     ----------

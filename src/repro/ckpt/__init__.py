@@ -34,7 +34,7 @@ from repro.ckpt.atomic import (
     ensure_suffix,
 )
 from repro.ckpt.state import CHECKPOINT_VERSION, TrainingState
-from repro.ckpt.manager import CKPT_WRITE_LATENCY_BUCKETS, CheckpointManager
+from repro.ckpt.manager import CheckpointManager
 from repro.errors import CheckpointError
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "TrainingState",
     "CheckpointManager",
-    "CKPT_WRITE_LATENCY_BUCKETS",
     "CheckpointError",
 ]

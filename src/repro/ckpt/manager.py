@@ -29,7 +29,7 @@ from repro.utils.validation import check_positive_int
 
 PathLike = Union[str, Path]
 
-__all__ = ["CheckpointManager", "CKPT_WRITE_LATENCY_BUCKETS"]
+__all__ = ["CheckpointManager"]
 
 logger = get_logger("ckpt.manager")
 

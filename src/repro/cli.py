@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
             "which table/figure to regenerate ('all' runs everything; "
             "'train' runs one checkpointed training job; 'serve' builds "
             "and queries the influence serving layer; 'influence-max' "
-            "selects viral-marketing seeds by MC greedy or RIS sketches)"
+            "selects viral-marketing seeds with RIS sketches)"
         ),
     )
     parser.add_argument(
@@ -223,11 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     influence.add_argument(
         "--method",
-        choices=("mc", "ris", "ris-pruned"),
+        choices=("ris", "ris-pruned"),
         default="ris",
-        help="seed-selection engine: Monte-Carlo CELF greedy, RIS/IMM "
-        "sketches, or RIS over an embedding-pruned candidate pool "
-        "(default: ris)",
+        help="seed-selection engine: RIS/IMM sketches, or RIS over an "
+        "embedding-pruned candidate pool (default: ris)",
     )
     influence.add_argument(
         "--preset",
@@ -243,22 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         metavar="K",
         help="seed-set size to select (default: 10)",
-    )
-    influence.add_argument(
-        "--mc-runs",
-        type=int,
-        default=100,
-        metavar="N",
-        help="Monte-Carlo simulations per spread estimate for --method mc "
-        "(default: 100)",
-    )
-    influence.add_argument(
-        "--mc-candidates",
-        type=int,
-        default=100,
-        metavar="N",
-        help="restrict MC greedy to the N highest-out-degree candidates; "
-        "0 scans every node (default: 100)",
     )
     influence.add_argument(
         "--epsilon",
@@ -456,10 +439,7 @@ def _run_influence_max(args: argparse.Namespace) -> int:
     """The ``influence-max`` command: select and evaluate viral seeds."""
     import time
 
-    import numpy as np
-
     from repro.apps.influence_max import (
-        greedy_influence_maximization,
         ris_influence_maximization,
         ris_pruned_influence_maximization,
     )
@@ -487,24 +467,7 @@ def _run_influence_max(args: argparse.Namespace) -> int:
         sketch_kwargs["max_sketches"] = args.max_sketches
 
     start = time.perf_counter()
-    if args.method == "mc":
-        candidates = None
-        if args.mc_candidates:
-            pool = min(args.mc_candidates, dataset.graph.num_nodes)
-            out_degrees = np.diff(dataset.graph.out_csr()[0])
-            candidates = np.sort(np.argsort(-out_degrees)[:pool])
-            print(
-                f"mc greedy over the {pool} highest-out-degree candidates "
-                f"({args.mc_runs} runs per estimate)"
-            )
-        selection = greedy_influence_maximization(
-            probabilities,
-            args.num_seeds,
-            num_runs=args.mc_runs,
-            seed=args.seed,
-            candidates=candidates,
-        )
-    elif args.method == "ris":
+    if args.method == "ris":
         selection = ris_influence_maximization(
             probabilities, args.num_seeds, seed=args.seed, **sketch_kwargs
         )

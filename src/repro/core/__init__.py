@@ -12,8 +12,6 @@ from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.core.negative import NegativeSampler
 from repro.core.pairs import (
-    InfluencePair,
-    PairFrequencies,
     extract_all_pairs,
     extract_episode_pairs,
     frequency_histogram,
@@ -38,8 +36,6 @@ __all__ = [
     "Inf2vecConfig",
     "Inf2vecModel",
     "NegativeSampler",
-    "InfluencePair",
-    "PairFrequencies",
     "extract_all_pairs",
     "extract_episode_pairs",
     "frequency_histogram",

@@ -6,9 +6,8 @@ from repro.diffusion.ic import (
     simulate_ic,
     simulate_ic_fast,
 )
-from repro.diffusion.lt import LTResult, simulate_lt, uniform_lt_weights
+from repro.diffusion.lt import simulate_lt, uniform_lt_weights
 from repro.diffusion.montecarlo import (
-    PAPER_NUM_RUNS,
     activation_frequencies,
     expected_spread,
     spread_with_standard_error,
@@ -20,10 +19,8 @@ __all__ = [
     "activation_probability",
     "simulate_ic",
     "simulate_ic_fast",
-    "LTResult",
     "simulate_lt",
     "uniform_lt_weights",
-    "PAPER_NUM_RUNS",
     "activation_frequencies",
     "expected_spread",
     "spread_with_standard_error",

@@ -4,7 +4,8 @@ IC-based baselines answer the diffusion-prediction task (Table III) by
 simulating the cascade from the seed set many times — the paper runs
 5,000 simulations — and scoring each user by the fraction of runs in
 which they activate.  The same machinery estimates the expected spread
-``sigma(S)`` needed by greedy influence maximisation.
+``sigma(S)`` of a chosen seed set: it is the referee that scores the
+seeds selected by :mod:`repro.apps.influence_max`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.ic import simulate_ic, simulate_ic_fast
+from repro.diffusion.ic import simulate_ic_fast
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -27,7 +28,6 @@ def _simulate_sizes(
     seeds: Sequence[int],
     num_runs: int,
     seed: SeedLike,
-    fast: bool,
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """The one simulate loop behind all three public estimators.
@@ -37,14 +37,15 @@ def _simulate_sizes(
     and returns the per-run cascade sizes.  When ``counts`` is given,
     each cascade's activated nodes are additionally accumulated into it
     in place — the caller owns the buffer, so repeated estimates can
-    reuse one allocation.
+    reuse one allocation.  Cascades come from the vectorised
+    :func:`repro.diffusion.ic.simulate_ic_fast` (the same distribution
+    as the reference :func:`repro.diffusion.ic.simulate_ic`).
     """
     num_runs = check_positive_int("num_runs", num_runs)
     rng = ensure_rng(seed)
-    simulate = simulate_ic_fast if fast else simulate_ic
     sizes = np.empty(num_runs, dtype=np.float64)
     for i in range(num_runs):
-        result = simulate(probabilities, seeds, rng)
+        result = simulate_ic_fast(probabilities, seeds, rng)
         sizes[i] = result.size
         if counts is not None:
             counts[result.activated] += 1
@@ -56,17 +57,15 @@ def activation_frequencies(
     seeds: Sequence[int],
     num_runs: int = PAPER_NUM_RUNS,
     seed: SeedLike = None,
-    fast: bool = True,
 ) -> np.ndarray:
     """Per-user activation probability estimated over ``num_runs`` cascades.
 
     Returns an array of shape ``(num_nodes,)`` whose entry ``v`` is the
     fraction of simulations in which ``v`` activated.  Seed users score
-    1.0 by construction.  ``fast`` selects the vectorised simulator
-    (identical distribution; see :func:`repro.diffusion.ic.simulate_ic_fast`).
+    1.0 by construction.
     """
     counts = np.zeros(probabilities.graph.num_nodes, dtype=np.int64)
-    sizes = _simulate_sizes(probabilities, seeds, num_runs, seed, fast, counts)
+    sizes = _simulate_sizes(probabilities, seeds, num_runs, seed, counts)
     return counts / sizes.shape[0]
 
 
@@ -75,12 +74,9 @@ def expected_spread(
     seeds: Sequence[int],
     num_runs: int = PAPER_NUM_RUNS,
     seed: SeedLike = None,
-    fast: bool = True,
 ) -> float:
     """Monte-Carlo estimate of the expected cascade size ``sigma(seeds)``."""
-    return float(
-        _simulate_sizes(probabilities, seeds, num_runs, seed, fast).mean()
-    )
+    return float(_simulate_sizes(probabilities, seeds, num_runs, seed).mean())
 
 
 def spread_with_standard_error(
@@ -88,10 +84,9 @@ def spread_with_standard_error(
     seeds: Sequence[int],
     num_runs: int = PAPER_NUM_RUNS,
     seed: SeedLike = None,
-    fast: bool = True,
 ) -> tuple[float, float]:
     """Expected spread plus the standard error of the MC estimate."""
-    sizes = _simulate_sizes(probabilities, seeds, num_runs, seed, fast)
+    sizes = _simulate_sizes(probabilities, seeds, num_runs, seed)
     mean = float(sizes.mean())
     if sizes.shape[0] == 1:
         return mean, 0.0

@@ -1,24 +1,12 @@
 """Evaluation harness: metrics, task protocols, dataset statistics."""
 
 from repro.eval.activation import (
-    ActivationCandidate,
     episode_candidates,
     evaluate_activation,
     iter_test_candidates,
 )
-from repro.eval.diffusion import (
-    PAPER_SEED_FRACTION,
-    DiffusionQuery,
-    evaluate_diffusion,
-    make_query,
-)
-from repro.eval.curves import (
-    PrecisionRecallCurve,
-    RocCurve,
-    curve_to_text,
-    precision_recall_curve,
-    roc_curve,
-)
+from repro.eval.diffusion import evaluate_diffusion, make_query
+from repro.eval.curves import curve_to_text, precision_recall_curve, roc_curve
 from repro.eval.metrics import (
     DEFAULT_PRECISION_CUTOFFS,
     EvaluationResult,
@@ -34,7 +22,7 @@ from repro.eval.protocol import (
     paired_significance,
     repeat_evaluation,
 )
-from repro.eval.tuning import TuningResult, TuningTrial, grid_search
+from repro.eval.tuning import grid_search
 from repro.eval.stats import (
     PowerLawFit,
     active_friend_cdf,
@@ -45,17 +33,12 @@ from repro.eval.stats import (
 )
 
 __all__ = [
-    "PrecisionRecallCurve",
-    "RocCurve",
     "curve_to_text",
     "precision_recall_curve",
     "roc_curve",
-    "ActivationCandidate",
     "episode_candidates",
     "evaluate_activation",
     "iter_test_candidates",
-    "PAPER_SEED_FRACTION",
-    "DiffusionQuery",
     "evaluate_diffusion",
     "make_query",
     "DEFAULT_PRECISION_CUTOFFS",
@@ -69,8 +52,6 @@ __all__ = [
     "format_table",
     "paired_significance",
     "repeat_evaluation",
-    "TuningResult",
-    "TuningTrial",
     "grid_search",
     "PowerLawFit",
     "active_friend_cdf",

@@ -25,9 +25,6 @@ and a ``main()`` that prints the paper-style table; the corresponding
 
 from repro.experiments.common import (
     DATASET_PROFILES,
-    MEDIUM,
-    SCALES,
-    SMALL,
     ExperimentScale,
     get_scale,
     make_dataset,
@@ -36,9 +33,6 @@ from repro.experiments.common import (
 
 __all__ = [
     "DATASET_PROFILES",
-    "MEDIUM",
-    "SCALES",
-    "SMALL",
     "ExperimentScale",
     "get_scale",
     "make_dataset",

@@ -10,7 +10,7 @@ Plus the supporting k-means substrate in
 :mod:`repro.extensions.clustering`.
 """
 
-from repro.extensions.clustering import KMeansResult, kmeans
+from repro.extensions.clustering import kmeans
 from repro.extensions.temporal_context import (
     TemporalContextConfig,
     TemporalContextGenerator,
@@ -20,7 +20,6 @@ from repro.extensions.temporal_context import (
 from repro.extensions.topic_inf2vec import TopicConfig, TopicInf2vec, adopter_profiles
 
 __all__ = [
-    "KMeansResult",
     "kmeans",
     "TemporalContextConfig",
     "TemporalContextGenerator",

@@ -6,9 +6,8 @@ All opt-in and zero-overhead when off:
   histograms/streaming-quantile summaries behind a thread-safe
   :class:`MetricsRegistry` (the shared :data:`NULL_REGISTRY` is the
   disabled default);
-* :mod:`repro.obs.quantiles` — the bounded-memory estimators
-  (:class:`P2Quantile`, :class:`ReservoirSampler`) feeding
-  :class:`Summary`;
+* :mod:`repro.obs.quantiles` — the bounded-memory
+  :class:`ReservoirSampler` feeding :class:`Summary`;
 * :mod:`repro.obs.tracing` — nestable ``span()`` context managers
   producing an exportable span tree (:data:`NULL_TRACER` when off),
   plus :class:`HeadSampler` for seeded head-based span sampling;
@@ -36,17 +35,8 @@ from repro.obs.export import (
     on_process_exit,
     render_prometheus,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    Summary,
-    TelemetryError,
-)
-from repro.obs.quantiles import P2Quantile, ReservoirSampler
+from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, TelemetryError
+from repro.obs.quantiles import ReservoirSampler
 from repro.obs.run import (
     NULL_RUN,
     RunRecorder,
@@ -56,22 +46,14 @@ from repro.obs.run import (
     recording,
     resolve_run,
 )
-from repro.obs.tracing import NULL_TRACER, HeadSampler, NullTracer, Span, Tracer
+from repro.obs.tracing import NULL_TRACER, HeadSampler, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Summary",
     "MetricsRegistry",
-    "NullRegistry",
     "NULL_REGISTRY",
     "TelemetryError",
-    "P2Quantile",
     "ReservoirSampler",
-    "Span",
     "Tracer",
-    "NullTracer",
     "NULL_TRACER",
     "HeadSampler",
     "PeriodicExporter",

@@ -100,7 +100,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("bench.workload.latency", "summary", ("workload",), "per-operation benchmark latency quantiles (seconds)"),
     MetricSpec("serve.query.latency", "summary", ("direction", "path"), "live per-query latency quantiles (seconds)"),
     # -- spans ---------------------------------------------------------
-    MetricSpec("bench.mc_greedy", "span", ("preset",), "benchmark: Monte-Carlo greedy selection"),
     MetricSpec("bench.ris", "span", ("preset",), "benchmark: RIS selection"),
     MetricSpec("bench.ris_pruned", "span", ("preset",), "benchmark: embedding-pruned RIS selection"),
     MetricSpec("bench.train_embedding", "span", ("preset",), "benchmark: embedding training for pruning"),
@@ -143,7 +142,6 @@ GATED_BENCH_LEAVES: dict[str, tuple[str, ...]] = {
     "BENCH_influence_max.json": (
         "presets.*.methods.*.selection_seconds",
         "presets.*.methods.*.spread",
-        "presets.*.speedup_ris_vs_mc",
     ),
 }
 

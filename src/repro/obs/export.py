@@ -41,8 +41,6 @@ from repro.utils.logging import get_logger
 
 __all__ = [
     "EXPOSITION_FILENAME",
-    "MANIFEST_FILENAME",
-    "TRACE_FILENAME",
     "PeriodicExporter",
     "on_process_exit",
     "prometheus_name",

@@ -24,7 +24,7 @@ Design contract (see DESIGN.md, "Observability"):
   counts values in ``(buckets[i-1], buckets[i]]`` and the final
   overflow bin counts values above the last edge.
 * **Streaming summaries.**  A ``Summary`` keeps bounded-memory live
-  quantiles per label set (reservoir or P² backend, see
+  quantiles per label set (a seeded reservoir, see
   :mod:`repro.obs.quantiles`) so a long-running server answers
   "what is p99 right now?" without retaining every sample.
 """
@@ -40,25 +40,18 @@ import numpy as np
 from repro.errors import TelemetryError
 from repro.obs.quantiles import (
     DEFAULT_RESERVOIR_CAPACITY,
-    P2Quantile,
     ReservoirSampler,
     check_quantile,
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Summary",
     "MetricsRegistry",
-    "NullRegistry",
     "NULL_REGISTRY",
     "TelemetryError",
     "WALK_LENGTH_BUCKETS",
     "CONTEXT_LENGTH_BUCKETS",
     "ROUND_BUCKETS",
     "SPREAD_BUCKETS",
-    "DEFAULT_SUMMARY_QUANTILES",
 ]
 
 
@@ -286,52 +279,13 @@ class Histogram(_Instrument):
         return samples
 
 
-#: Summary estimator backends (see :mod:`repro.obs.quantiles`).
-_SUMMARY_BACKENDS = ("reservoir", "p2")
-
-
-class _P2SummaryState:
-    """One P² marker set per target quantile, plus exact moments."""
-
-    __slots__ = ("estimators", "count", "total", "minimum", "maximum")
-
-    def __init__(self, quantiles: Sequence[float]):
-        self.estimators = {q: P2Quantile(q) for q in quantiles}
-        self.count = 0
-        self.total = 0.0
-        self.minimum = np.inf
-        self.maximum = -np.inf
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        for estimator in self.estimators.values():
-            estimator.observe(value)
-
-    def quantile(self, q: float) -> float | None:
-        estimator = self.estimators.get(q)
-        if estimator is None:
-            raise TelemetryError(
-                f"quantile {q} is not tracked by this p2 summary "
-                f"(tracked: {sorted(self.estimators)})"
-            )
-        return estimator.value()
-
-    @property
-    def exact(self) -> bool:
-        return self.count < 5
-
-
 class Summary(_Instrument):
     """Streaming quantiles + exact count/sum/min/max per label set.
 
-    The default backend is a seeded fixed-capacity reservoir
+    Each label set keeps a seeded fixed-capacity reservoir
     (:class:`~repro.obs.quantiles.ReservoirSampler`): any quantile can
     be asked for, and answers are *exact* until the stream outgrows the
-    reservoir.  ``backend="p2"`` switches to constant-memory P²
-    estimation of the declared target quantiles only.  Reservoir seeds
+    reservoir.  Reservoir seeds
     are derived deterministically from the instrument name and label
     set, so summaries obey the no-global-rng invariant and reproduce
     across processes.
@@ -346,7 +300,6 @@ class Summary(_Instrument):
         lock: threading.Lock,
         quantiles: Sequence[float] = DEFAULT_SUMMARY_QUANTILES,
         capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-        backend: str = "reservoir",
     ):
         super().__init__(name, description, lock)
         targets = tuple(sorted(check_quantile(q) for q in quantiles))
@@ -356,41 +309,25 @@ class Summary(_Instrument):
             raise TelemetryError(
                 f"summary {name!r} has duplicate target quantiles: {quantiles}"
             )
-        if backend not in _SUMMARY_BACKENDS:
-            raise TelemetryError(
-                f"summary {name!r} backend must be one of "
-                f"{_SUMMARY_BACKENDS}, got {backend!r}"
-            )
         self._quantiles = targets
         self._capacity = int(capacity)
-        self._backend = backend
-        self._states: dict[
-            tuple[tuple[str, str], ...], ReservoirSampler | _P2SummaryState
-        ] = {}
+        self._states: dict[tuple[tuple[str, str], ...], ReservoirSampler] = {}
 
     @property
     def quantile_targets(self) -> tuple[float, ...]:
         """The declared target quantiles (sorted)."""
         return self._quantiles
 
-    @property
-    def backend(self) -> str:
-        """The estimator backend (``"reservoir"`` or ``"p2"``)."""
-        return self._backend
-
-    def _state(self, key: tuple[tuple[str, str], ...]):
+    def _state(self, key: tuple[tuple[str, str], ...]) -> ReservoirSampler:
         state = self._states.get(key)
         if state is None:
-            if self._backend == "p2":
-                state = _P2SummaryState(self._quantiles)
-            else:
-                # Deterministic per-series seed: no global RNG, and the
-                # same (instrument, labels) pair reservoir-samples the
-                # same way in every process.
-                seed = zlib.crc32(
-                    f"{self.name}|{_labels_text(key)}".encode("utf-8")
-                )
-                state = ReservoirSampler(capacity=self._capacity, seed=seed)
+            # Deterministic per-series seed: no global RNG, and the
+            # same (instrument, labels) pair reservoir-samples the
+            # same way in every process.
+            seed = zlib.crc32(
+                f"{self.name}|{_labels_text(key)}".encode("utf-8")
+            )
+            state = ReservoirSampler(capacity=self._capacity, seed=seed)
             self._states[key] = state
         return state
 
@@ -420,9 +357,8 @@ class Summary(_Instrument):
     def quantile(self, q: float, **labels: object) -> float | None:
         """Live estimate of the ``q``-quantile for the label set.
 
-        With the reservoir backend any ``q`` in ``[0, 1]`` is
-        answerable; the p2 backend only answers its declared targets.
-        ``None`` before any observation.
+        Any ``q`` in ``[0, 1]`` is answerable, not only the declared
+        targets.  ``None`` before any observation.
         """
         with self._lock:
             state = self._states.get(_label_key(labels))
@@ -443,7 +379,6 @@ class Summary(_Instrument):
                 "max": state.maximum,
                 "mean": state.total / state.count if state.count else 0.0,
                 "exact": state.exact,
-                "backend": self._backend,
                 "quantiles": quantile_values,
             }
         return samples
@@ -521,7 +456,6 @@ class MetricsRegistry:
         quantiles: Sequence[float] = DEFAULT_SUMMARY_QUANTILES,
         description: str = "",
         capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-        backend: str = "reservoir",
     ) -> Summary:
         """Get or create the named streaming-quantile summary."""
         instrument = self._get_or_create(
@@ -532,7 +466,6 @@ class MetricsRegistry:
                 self._lock,
                 quantiles=quantiles,
                 capacity=capacity,
-                backend=backend,
             ),
         )
         if not isinstance(instrument, Summary):
@@ -637,7 +570,6 @@ class NullRegistry(MetricsRegistry):
         quantiles: Sequence[float] = DEFAULT_SUMMARY_QUANTILES,
         description: str = "",
         capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-        backend: str = "reservoir",
     ) -> Summary:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 

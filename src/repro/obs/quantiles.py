@@ -3,14 +3,10 @@
 Serving a query stream at rate means latency quantiles must be
 available *while the process runs*, without retaining every sample —
 the post-hoc ``sorted(latencies)`` approach of the benchmark drivers
-does not survive into a long-lived ``repro serve`` process.  Two
-bounded-memory estimators live here, both feeding the ``Summary``
+does not survive into a long-lived ``repro serve`` process.  The one
+bounded-memory estimator lives here and feeds the ``Summary``
 instrument in :mod:`repro.obs.metrics`:
 
-* :class:`P2Quantile` — the Jain & Chlamtac P² algorithm: five markers
-  per tracked quantile, O(1) memory and update cost, fully
-  deterministic (no RNG at all).  Exact until five observations have
-  arrived, a parabolic-interpolation estimate afterwards.
 * :class:`ReservoirSampler` — a fixed-capacity uniform reservoir
   (Vitter's algorithm R) driven by an explicitly seeded
   ``numpy.random.Generator`` per the repository's ``no-global-rng``
@@ -18,10 +14,8 @@ instrument in :mod:`repro.obs.metrics`:
   reservoir, an unbiased sample estimate beyond it; count/sum/min/max
   are always exact.
 
-The reservoir is the default ``Summary`` backend because benchmark
-acceptance compares live quantiles against exact post-hoc ones — below
-capacity the two are identical by construction.  P² is the choice when
-per-label memory must stay constant regardless of traffic.
+Benchmark acceptance compares live quantiles against exact post-hoc
+ones, and below capacity the two are identical by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from repro.errors import TelemetryError
 
 __all__ = [
     "DEFAULT_RESERVOIR_CAPACITY",
-    "P2Quantile",
     "ReservoirSampler",
     "check_quantile",
 ]
@@ -50,112 +43,6 @@ def check_quantile(q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise TelemetryError(f"quantile must be in [0, 1], got {q}")
     return q
-
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² algorithm.
-
-    Jain & Chlamtac (1985): five markers whose heights track the
-    minimum, the target quantile, the midpoints, and the maximum.
-    Marker heights move by parabolic (fallback linear) interpolation as
-    observations arrive, so the estimate needs no stored samples and no
-    randomness.  Until five observations exist the exact order
-    statistic is returned.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float):
-        self.q = check_quantile(q)
-        self._heights: list[float] = []
-        self._positions = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        self._desired = np.array(
-            [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        )
-        self._increments = np.array([0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0])
-
-    @property
-    def count(self) -> int:
-        """Number of observations seen so far."""
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the estimate."""
-        value = float(value)
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        heights = self._heights
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        self._positions[cell + 1 :] += 1.0
-        self._desired += self._increments
-        for i in (1, 2, 3):
-            self._adjust(i)
-
-    def _adjust(self, i: int) -> None:
-        """Move marker ``i`` one step toward its desired position."""
-        heights = self._heights
-        positions = self._positions
-        delta = self._desired[i] - positions[i]
-        if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-            delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-        ):
-            step = 1.0 if delta >= 1.0 else -1.0
-            candidate = self._parabolic(i, step)
-            if heights[i - 1] < candidate < heights[i + 1]:
-                heights[i] = candidate
-            else:
-                heights[i] = self._linear(i, step)
-            positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float | None:
-        """The current quantile estimate (``None`` before any data)."""
-        if not self._heights:
-            return None
-        if len(self._heights) < 5:
-            # Exact order statistic over the few samples seen so far.
-            rank = self.q * (len(self._heights) - 1)
-            lower = int(np.floor(rank))
-            upper = int(np.ceil(rank))
-            weight = rank - lower
-            return (
-                self._heights[lower] * (1.0 - weight)
-                + self._heights[upper] * weight
-            )
-        return self._heights[2]
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, count={self.count})"
 
 
 class ReservoirSampler:

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.ckpt.atomic import atomic_write_text
 
-__all__ = ["HeadSampler", "Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["HeadSampler", "Tracer", "NULL_TRACER"]
 
 
 class Span:

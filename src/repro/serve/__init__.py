@@ -29,7 +29,7 @@ Quickstart::
     print(result.indices, result.scores)
 """
 
-from repro.serve.index import INDEX_DIRECTIONS, INDEX_FORMAT_VERSION, TopKIndex
+from repro.serve.index import INDEX_DIRECTIONS, TopKIndex
 from repro.serve.scoring import (
     DEFAULT_BLOCK_SIZE,
     EmbeddingLike,
@@ -53,7 +53,6 @@ __all__ = [
     "EmbeddingLike",
     "EmbeddingStore",
     "INDEX_DIRECTIONS",
-    "INDEX_FORMAT_VERSION",
     "InfluenceService",
     "SERVE_LATENCY_BUCKETS",
     "STORE_FORMAT_VERSION",

@@ -28,7 +28,7 @@ from repro.errors import ServingError
 from repro.serve.topk import TopKEngine, TopKResult
 from repro.utils.validation import check_positive_int
 
-__all__ = ["TopKIndex", "INDEX_FORMAT_VERSION", "INDEX_DIRECTIONS"]
+__all__ = ["TopKIndex", "INDEX_DIRECTIONS"]
 
 PathLike = Union[str, Path]
 

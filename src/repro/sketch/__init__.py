@@ -1,7 +1,7 @@
 """repro.sketch — sketch-based (RIS/IMM) influence maximisation.
 
-Replaces Monte-Carlo greedy seed selection with reverse-reachable
-sampling over the CSR propagation network:
+Seed selection by reverse-reachable sampling over the CSR propagation
+network:
 
 * :mod:`repro.sketch.rrsets` — :class:`RRGenerator` samples RR sets in
   vectorised lockstep batches over the transposed CSR adjacency;
@@ -16,9 +16,8 @@ sampling over the CSR propagation network:
 
 The application-facing entry points
 (:func:`repro.apps.influence_max.ris_influence_maximization` and its
-embedding-pruned variant) wrap these into the same
-:class:`~repro.apps.influence_max.SeedSelection` result the
-Monte-Carlo path returns.
+embedding-pruned variant) wrap these into a
+:class:`~repro.apps.influence_max.SeedSelection` result.
 """
 
 from repro.sketch.rrsets import (
@@ -26,18 +25,12 @@ from repro.sketch.rrsets import (
     RRSketchPool,
     reverse_edge_probabilities,
 )
-from repro.sketch.schedule import (
-    SketchSchedule,
-    adaptive_rr_pool,
-    log_binomial,
-)
-from repro.sketch.select import MaxCoverageResult, max_coverage_seeds
+from repro.sketch.schedule import adaptive_rr_pool, log_binomial
+from repro.sketch.select import max_coverage_seeds
 
 __all__ = [
-    "MaxCoverageResult",
     "RRGenerator",
     "RRSketchPool",
-    "SketchSchedule",
     "adaptive_rr_pool",
     "log_binomial",
     "max_coverage_seeds",

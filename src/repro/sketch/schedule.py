@@ -40,7 +40,7 @@ from repro.sketch.select import max_coverage_seeds
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SketchSchedule", "adaptive_rr_pool", "log_binomial"]
+__all__ = ["adaptive_rr_pool", "log_binomial"]
 
 #: Default approximation slack ``eps`` of the final guarantee.
 DEFAULT_EPSILON = 0.2

@@ -24,7 +24,7 @@ from repro.obs.run import active_metrics, active_run
 from repro.sketch.rrsets import RRSketchPool
 from repro.utils.validation import check_positive_int
 
-__all__ = ["MaxCoverageResult", "max_coverage_seeds"]
+__all__ = ["max_coverage_seeds"]
 
 
 @dataclass(frozen=True)

@@ -246,20 +246,6 @@ class TestPinnedApi:
         assert len(findings) == 1
         assert "never bound" in findings[0].message
 
-    def test_public_def_missing_from_all_is_flagged(self):
-        source = """
-        __all__ = ["listed"]
-
-        def listed():
-            pass
-
-        def unlisted():
-            pass
-        """
-        findings = check(PinnedApiRule(), source)
-        assert len(findings) == 1
-        assert "'unlisted'" in findings[0].message
-
     def test_dynamic_all_is_flagged(self):
         findings = check(PinnedApiRule(), "__all__ = sorted(globals())\n")
         assert len(findings) == 1

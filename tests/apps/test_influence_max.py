@@ -9,7 +9,6 @@ from repro.apps.influence_max import (
     embedding_edge_probabilities,
     embedding_pruned_candidates,
     embedding_seed_selection,
-    greedy_influence_maximization,
     ris_influence_maximization,
     ris_pruned_influence_maximization,
 )
@@ -29,42 +28,6 @@ def star_probs() -> EdgeProbabilities:
     return EdgeProbabilities.from_dict(
         graph, {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0, (0, 4): 1.0, (5, 4): 1.0}
     )
-
-
-class TestGreedy:
-    def test_picks_hub_first(self, star_probs):
-        result = greedy_influence_maximization(star_probs, 1, num_runs=20, seed=0)
-        assert result.seeds == (0,)
-        assert result.expected_spread == pytest.approx(5.0)
-
-    def test_second_seed_adds_marginal_value(self, star_probs):
-        result = greedy_influence_maximization(star_probs, 2, num_runs=20, seed=0)
-        assert result.seeds[0] == 0
-        # 5 is the only node adding coverage beyond the hub's reach...
-        # actually 5 adds itself (4 already covered): gain 1, same as
-        # any uncovered singleton; the chosen one must add spread 1.
-        assert result.marginal_gains[1] == pytest.approx(1.0)
-
-    def test_gains_non_increasing(self, star_probs):
-        result = greedy_influence_maximization(star_probs, 3, num_runs=20, seed=0)
-        gains = list(result.marginal_gains)
-        assert gains == sorted(gains, reverse=True)
-
-    def test_candidate_pool_respected(self, star_probs):
-        result = greedy_influence_maximization(
-            star_probs, 1, num_runs=20, seed=0, candidates=[1, 2]
-        )
-        assert result.seeds[0] in (1, 2)
-
-    def test_invalid_inputs(self, star_probs):
-        with pytest.raises(EvaluationError):
-            greedy_influence_maximization(star_probs, 99, num_runs=5)
-        with pytest.raises(EvaluationError):
-            greedy_influence_maximization(
-                star_probs, 2, num_runs=5, candidates=[0]
-            )
-        with pytest.raises(ValueError):
-            greedy_influence_maximization(star_probs, 0, num_runs=5)
 
 
 class TestEmbeddingSelection:
@@ -118,61 +81,6 @@ class TestEmbeddingSelection:
             embedding_seed_selection(emb, 4)
         with pytest.raises(EvaluationError):
             embedding_seed_selection(emb, 1, coverage_penalty=-1.0)
-
-
-class TestGreedyMatchesBruteForce:
-    """CELF lazy greedy must equal exhaustive greedy on a planted graph.
-
-    Every edge is certain (p = 1.0), so the Monte-Carlo spread estimate
-    is exact regardless of seed or run count and the comparison is free
-    of simulation noise.
-    """
-
-    @pytest.fixture
-    def layered_probs(self) -> EdgeProbabilities:
-        edges = [
-            (0, 1), (0, 2), (0, 3), (0, 4),  # big hub
-            (5, 6), (5, 7), (6, 8),          # chain-y hub
-            (9, 10),                          # small pair
-        ]
-        graph = SocialGraph(12, edges)
-        return EdgeProbabilities.from_dict(graph, {e: 1.0 for e in edges})
-
-    @staticmethod
-    def _exact_spread(probabilities, seeds):
-        graph = probabilities.graph
-        indptr, indices = graph.out_csr()
-        reached = set(int(s) for s in seeds)
-        frontier = list(reached)
-        while frontier:
-            node = frontier.pop()
-            for nxt in indices[indptr[node] : indptr[node + 1]]:
-                if int(nxt) not in reached:
-                    reached.add(int(nxt))
-                    frontier.append(int(nxt))
-        return len(reached)
-
-    def test_celf_equals_exhaustive_greedy(self, layered_probs):
-        num_seeds = 4
-        chosen, gains = [], []
-        current = 0
-        for _ in range(num_seeds):
-            best_node, best_gain = None, -1
-            for node in range(layered_probs.graph.num_nodes):
-                if node in chosen:
-                    continue
-                gain = self._exact_spread(layered_probs, chosen + [node]) - current
-                if gain > best_gain:
-                    best_node, best_gain = node, gain
-            chosen.append(best_node)
-            gains.append(best_gain)
-            current += best_gain
-        result = greedy_influence_maximization(
-            layered_probs, num_seeds, num_runs=10, seed=0
-        )
-        assert result.seeds == tuple(chosen)
-        assert result.marginal_gains == pytest.approx(tuple(gains))
-        assert result.expected_spread == pytest.approx(current)
 
 
 class TestRIS:

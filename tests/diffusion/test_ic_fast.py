@@ -59,23 +59,24 @@ class TestStatisticalEquivalence:
         """Slow and fast simulators must estimate the same distribution."""
         graph = generate_power_law_graph(GraphConfig(num_users=60), seed=3)
         probs = EdgeProbabilities.constant(graph, 0.15)
-        slow = activation_frequencies(probs, [0, 1], num_runs=3000, seed=0, fast=False)
-        fast = activation_frequencies(probs, [0, 1], num_runs=3000, seed=1, fast=True)
-        np.testing.assert_allclose(slow, fast, atol=0.05)
+        rng = np.random.default_rng(0)
+        counts = np.zeros(graph.num_nodes)
+        for _ in range(3000):
+            counts[simulate_ic(probs, [0, 1], rng).activated] += 1
+        fast = activation_frequencies(probs, [0, 1], num_runs=3000, seed=1)
+        np.testing.assert_allclose(counts / 3000, fast, atol=0.05)
 
     def test_per_node_single_chance_semantics(self):
         graph = SocialGraph(2, [(0, 1)])
         probs = EdgeProbabilities.constant(graph, 0.5)
-        freqs = activation_frequencies(probs, [0], num_runs=4000, seed=0, fast=True)
+        freqs = activation_frequencies(probs, [0], num_runs=4000, seed=0)
         assert freqs[1] == pytest.approx(0.5, abs=0.03)
 
     def test_multi_exposure_semantics(self):
         """Two independent 0.5 attempts give 0.75 activation probability."""
         graph = SocialGraph(3, [(0, 2), (1, 2)])
         probs = EdgeProbabilities.constant(graph, 0.5)
-        freqs = activation_frequencies(
-            probs, [0, 1], num_runs=4000, seed=0, fast=True
-        )
+        freqs = activation_frequencies(probs, [0, 1], num_runs=4000, seed=0)
         assert freqs[2] == pytest.approx(0.75, abs=0.03)
 
 

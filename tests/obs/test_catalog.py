@@ -23,9 +23,15 @@ from repro.obs.catalog import (
     find_spec,
     validate_catalog,
 )
-from repro.obs.regress import DEFAULT_POLICIES, REPORT_FILES, flatten_numeric
+from repro.obs.regress import (
+    DEFAULT_BASELINE_DIR,
+    DEFAULT_POLICIES,
+    REPORT_FILES,
+    flatten_numeric,
+)
 
-BASELINE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+#: The gate's default baseline directory, resolved from the repo root.
+BASELINE_DIR = Path(__file__).resolve().parents[2] / DEFAULT_BASELINE_DIR
 
 
 def _gate_hits(leaf: str, pattern: str) -> bool:

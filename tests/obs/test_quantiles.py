@@ -1,10 +1,10 @@
-"""Streaming quantile estimators: P² accuracy and reservoir exactness."""
+"""Streaming quantile estimation: reservoir exactness and sampling."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
-from repro.obs import P2Quantile, ReservoirSampler
+from repro.obs import ReservoirSampler
 from repro.obs.quantiles import check_quantile
 
 
@@ -18,42 +18,6 @@ class TestCheckQuantile:
     def test_rejects_outside_unit_interval(self, q):
         with pytest.raises(TelemetryError, match="quantile"):
             check_quantile(q)
-
-
-class TestP2Quantile:
-    def test_empty_reads_none(self):
-        assert P2Quantile(0.5).value() is None
-
-    def test_exact_below_five_observations(self):
-        est = P2Quantile(0.5)
-        for value in (3.0, 1.0, 2.0):
-            est.observe(value)
-        assert est.count == 3
-        assert est.value() == pytest.approx(2.0)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=500)
-        first, second = P2Quantile(0.9), P2Quantile(0.9)
-        for value in data:
-            first.observe(value)
-            second.observe(value)
-        assert first.value() == second.value()
-
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99])
-    def test_tracks_lognormal_within_tolerance(self, q):
-        rng = np.random.default_rng(13)
-        data = rng.lognormal(mean=-7.0, sigma=0.8, size=5000)
-        est = P2Quantile(q)
-        for value in data:
-            est.observe(value)
-        exact = float(np.quantile(data, q))
-        assert est.value() == pytest.approx(exact, rel=0.05)
-        assert est.count == len(data)
-
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(TelemetryError):
-            P2Quantile(1.5)
 
 
 class TestReservoirSampler:

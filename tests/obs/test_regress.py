@@ -98,10 +98,9 @@ def report_dirs(tmp_path):
     influence_max = {
         "presets": {
             "digg_like": {
-                "speedup_ris_vs_mc": 30.0,
                 "methods": {
                     "ris": {"selection_seconds": 0.4, "spread": 22.0},
-                    "mc_greedy": {"selection_seconds": 12.0, "spread": 21.0},
+                    "ris_pruned": {"selection_seconds": 0.1, "spread": 21.0},
                 },
             }
         }

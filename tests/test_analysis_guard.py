@@ -7,11 +7,9 @@ the hygiene rules — see DESIGN.md "Coding invariants".  Since the
 checker grew a second pass, it also runs every project rule (hogwild
 write discipline, serving determinism, the telemetry catalog
 contract, dead exports) over the whole-project graph.  It absorbs the
-old ``tests/test_no_print.py`` (the ``no-print`` rule) and also keeps
-the ``scripts/check_no_print.py`` compat shim honest.
+old ``tests/test_no_print.py`` (the ``no-print`` rule).
 """
 
-import sys
 import time
 from pathlib import Path
 
@@ -57,22 +55,6 @@ def test_full_suite_is_fast_enough_for_every_test_run():
     _run_suite()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"analysis took {elapsed:.2f}s (budget: 10s)"
-
-
-def test_check_no_print_shim_still_works():
-    """The documented ``scripts/check_no_print.py`` command still runs."""
-    scripts_dir = REPO_ROOT / "scripts"
-    sys.path.insert(0, str(scripts_dir))
-    try:
-        import check_no_print
-
-        violations = check_no_print.find_violations()
-    finally:
-        sys.path.remove(str(scripts_dir))
-    assert violations == [], (
-        "bare print() calls outside the rendering surfaces "
-        f"(use repro.utils.logging or repro.obs): {violations}"
-    )
 
 
 def test_baseline_file_is_checked_in_and_loadable():

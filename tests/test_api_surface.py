@@ -82,7 +82,6 @@ def test_ckpt_public_api_is_pinned():
         "CHECKPOINT_VERSION",
         "TrainingState",
         "CheckpointManager",
-        "CKPT_WRITE_LATENCY_BUCKETS",
         "CheckpointError",
     }
 
@@ -144,7 +143,6 @@ def test_serve_public_api_is_pinned():
         "EmbeddingLike",
         "EmbeddingStore",
         "INDEX_DIRECTIONS",
-        "INDEX_FORMAT_VERSION",
         "InfluenceService",
         "SERVE_LATENCY_BUCKETS",
         "STORE_FORMAT_VERSION",

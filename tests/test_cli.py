@@ -208,15 +208,6 @@ class TestInfluenceMaxCommand:
         assert "ris selected 3 seeds" in out
         assert "MC-evaluated spread" in out
 
-    def test_mc_end_to_end(self, capsys):
-        assert main(
-            self.TINY
-            + ["--method", "mc", "--mc-runs", "10", "--mc-candidates", "15"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "mc greedy over the 15 highest-out-degree candidates" in out
-        assert "mc selected 3 seeds" in out
-
     def test_ris_pruned_end_to_end(self, capsys):
         assert main(
             self.TINY
