@@ -22,6 +22,7 @@ node→sketch index that max-coverage selection consumes.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
@@ -141,18 +142,19 @@ class RRSketchPool:
         return np.bincount(self.nodes, minlength=self.num_nodes)
 
     def _inverted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node→sketches CSR, built lazily and cached."""
+        """The node→sketches CSR, built lazily and cached.
+
+        The sketch→nodes CSR transposed by one counting sort, linear in
+        the pool size; each node's sketch ids come out ascending.
+        """
         if self._node_indptr is None:
-            sketch_ids = np.repeat(
-                np.arange(self.num_sketches, dtype=np.int64), self.sizes()
-            )
-            order = np.argsort(self.nodes, kind="stable")
-            self._node_sketches = sketch_ids[order]
-            counts = np.bincount(self.nodes, minlength=self.num_nodes)
-            node_indptr = np.empty(self.num_nodes + 1, dtype=np.int64)
-            node_indptr[0] = 0
-            np.cumsum(counts, out=node_indptr[1:])
-            self._node_indptr = node_indptr
+            ones = np.ones(self.nodes.shape[0], dtype=np.int8)
+            membership = sparse.csr_matrix(
+                (ones, self.nodes, self.indptr),
+                shape=(self.num_sketches, self.num_nodes),
+            ).tocsc()
+            self._node_indptr = membership.indptr.astype(np.int64)
+            self._node_sketches = membership.indices.astype(np.int64)
         return self._node_indptr, self._node_sketches
 
     def sketches_containing(self, node: int) -> np.ndarray:
@@ -308,24 +310,29 @@ class RRGenerator:
         while frontier_nodes.size:
             starts = self._in_indptr[frontier_nodes]
             degrees = self._in_indptr[frontier_nodes + 1] - starts
-            total = int(degrees.sum())
+            ends = np.cumsum(degrees)
+            total = int(ends[-1])
             if total == 0:
                 break
-            # Flat indices of every frontier in-edge across the batch.
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(degrees) - degrees, degrees
-            )
-            flat = np.repeat(starts, degrees) + within
-            edge_sketches = np.repeat(frontier_sketches, degrees)
-            live = self.rng.random(total) < self._in_values[flat]
-            if not live.any():
+            # Flat index of every frontier in-edge across the batch:
+            # edge j of frontier entry f sits at starts[f] + j.
+            flat = np.arange(total, dtype=np.int64)
+            flat += np.repeat(starts - (ends - degrees), degrees)
+            coins = self.rng.random(total)
+            live = np.flatnonzero(coins < self._in_values[flat])
+            if not live.size:
                 break
-            hit_sketches = edge_sketches[live]
+            # Only the live edges look up their frontier entry's sketch.
+            owners = np.searchsorted(ends, live, side="right")
+            hit_sketches = frontier_sketches[owners]
             hit_sources = self._in_indices[flat[live]]
             fresh = ~visited[hit_sketches, hit_sources]
             if not fresh.any():
                 break
-            packed = np.unique(hit_sketches[fresh] * n + hit_sources[fresh])
+            # Sorted, deduplicated (sketch, node) ids of the new frontier.
+            packed = hit_sketches[fresh] * n + hit_sources[fresh]
+            packed.sort()
+            packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
             new_sketches = packed // n
             new_nodes = packed % n
             visited[new_sketches, new_nodes] = True

@@ -36,7 +36,7 @@ from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
 from repro.obs.run import active_run
 from repro.sketch.rrsets import DEFAULT_BATCH_SIZE, RRGenerator, RRSketchPool
-from repro.sketch.select import max_coverage_seeds
+from repro.sketch.select import _candidate_nodes, max_coverage_seeds
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
 
@@ -133,9 +133,9 @@ def adaptive_rr_pool(
     seed:
         Seed or Generator driving root sampling and coin flips.
     candidates:
-        Optional candidate restriction, threaded through the phase-1
-        greedy runs so the certified bound matches the pool the final
-        selection will use.
+        Optional candidate restriction, checked before any sampling
+        and threaded through the phase-1 greedy runs so the certified
+        bound matches the pool the final selection will use.
     batch_size:
         Lockstep reverse-cascade batch size.
     max_sketches:
@@ -155,6 +155,8 @@ def adaptive_rr_pool(
         raise SketchError(f"epsilon must lie in (0, 1), got {epsilon}")
     if ell <= 0:
         raise SketchError(f"ell must be positive, got {ell}")
+    # Reject a bad candidate pool before any sampling is paid for.
+    _candidate_nodes(candidates, n, num_seeds)
 
     generator = RRGenerator(probabilities, seed=seed, batch_size=batch_size)
     pool = RRSketchPool.empty(n)

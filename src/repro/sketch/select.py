@@ -50,6 +50,33 @@ class MaxCoverageResult:
     coverage_fraction: float
 
 
+def _candidate_nodes(
+    candidates: Sequence[int] | None, num_nodes: int, num_seeds: int
+) -> np.ndarray:
+    """The sorted distinct candidate ids, checked against the universe.
+
+    Raises :class:`SketchError` when a candidate lies outside
+    ``[0, num_nodes)`` or fewer than ``num_seeds`` distinct ones remain.
+    """
+    if candidates is None:
+        pool_nodes = np.arange(num_nodes, dtype=np.int64)
+    else:
+        pool_nodes = np.unique(np.asarray(candidates, dtype=np.int64))
+        if pool_nodes.size and (
+            pool_nodes.min() < 0 or pool_nodes.max() >= num_nodes
+        ):
+            raise SketchError(
+                f"candidates must lie in [0, {num_nodes}), found range "
+                f"[{pool_nodes.min()}, {pool_nodes.max()}]"
+            )
+    if pool_nodes.shape[0] < num_seeds:
+        raise SketchError(
+            f"candidate pool of {pool_nodes.shape[0]} nodes is smaller "
+            f"than num_seeds={num_seeds}"
+        )
+    return pool_nodes
+
+
 def max_coverage_seeds(
     pool: RRSketchPool,
     num_seeds: int,
@@ -74,22 +101,7 @@ def max_coverage_seeds(
     node id regardless of pool construction order.
     """
     num_seeds = check_positive_int("num_seeds", num_seeds)
-    if candidates is None:
-        pool_nodes = np.arange(pool.num_nodes, dtype=np.int64)
-    else:
-        pool_nodes = np.unique(np.asarray(candidates, dtype=np.int64))
-        if pool_nodes.size and (
-            pool_nodes.min() < 0 or pool_nodes.max() >= pool.num_nodes
-        ):
-            raise SketchError(
-                f"candidates must lie in [0, {pool.num_nodes}), found range "
-                f"[{pool_nodes.min()}, {pool_nodes.max()}]"
-            )
-    if pool_nodes.shape[0] < num_seeds:
-        raise SketchError(
-            f"candidate pool of {pool_nodes.shape[0]} nodes is smaller "
-            f"than num_seeds={num_seeds}"
-        )
+    pool_nodes = _candidate_nodes(candidates, pool.num_nodes, num_seeds)
 
     with active_run().span(
         "sketch.select", num_seeds=num_seeds, num_sketches=pool.num_sketches

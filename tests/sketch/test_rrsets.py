@@ -12,6 +12,7 @@ from repro.sketch.rrsets import (
     RRSketchPool,
     reverse_edge_probabilities,
 )
+from tests.diffusion.test_montecarlo import TestExactOracle as ExactIC
 
 
 @pytest.fixture
@@ -116,6 +117,85 @@ class TestRRGenerator:
             RRGenerator(chain_probs, seed=0).generate(0)
 
 
+class TestExactInclusionOracle:
+    """RR-set membership against exact IC by live-edge enumeration.
+
+    ``u`` lands in an RR set rooted at ``v`` exactly when ``u`` reaches
+    ``v`` in the random live-edge graph, so enumerating all 4,096 worlds
+    of the 12-edge oracle graph gives every ``P(u in RR(v))`` exactly.
+    Conditioned on its root, each empirical inclusion frequency must
+    land within 4 of its own standard errors.
+    """
+
+    EDGES = ExactIC.EDGES
+    NUM_NODES = ExactIC.NUM_NODES
+
+    @pytest.fixture
+    def probs(self) -> EdgeProbabilities:
+        graph = SocialGraph(self.NUM_NODES, list(self.EDGES))
+        return EdgeProbabilities.from_dict(graph, self.EDGES)
+
+    @classmethod
+    def _exact_inclusion(cls) -> np.ndarray:
+        """``inclusion[v, u] = P(u in RR(v))``."""
+        edges = list(cls.EDGES.items())
+        inclusion = np.zeros((cls.NUM_NODES, cls.NUM_NODES))
+        for mask in range(2 ** len(edges)):
+            weight = 1.0
+            sources: dict[int, list[int]] = {}
+            for bit, ((u, v), p) in enumerate(edges):
+                if mask >> bit & 1:
+                    weight *= p
+                    sources.setdefault(v, []).append(u)
+                else:
+                    weight *= 1.0 - p
+            for root in range(cls.NUM_NODES):
+                reached = {root}
+                frontier = [root]
+                while frontier:
+                    for u in sources.get(frontier.pop(), []):
+                        if u not in reached:
+                            reached.add(u)
+                            frontier.append(u)
+                inclusion[root, list(reached)] += weight
+        return inclusion
+
+    def test_enumeration_is_consistent(self):
+        inclusion = self._exact_inclusion()
+        np.testing.assert_allclose(np.diag(inclusion), 1.0)
+        assert np.all((inclusion >= 0.0) & (inclusion <= 1.0 + 1e-12))
+
+    def test_root_is_first_member(self, probs):
+        """One batch draws every root up front, before any coin."""
+        count = 2_000
+        pool = RRSketchPool(
+            self.NUM_NODES,
+            *RRGenerator(probs, seed=21, batch_size=count).generate(count),
+        )
+        roots = np.random.default_rng(21).integers(
+            0, self.NUM_NODES, size=count, dtype=np.int64
+        )
+        first = [int(pool.sketch(i)[0]) for i in range(count)]
+        assert first == roots.tolist()
+
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    def test_inclusion_matches_enumeration(self, probs, batch_size):
+        exact = self._exact_inclusion()
+        count = 40_000
+        pool = RRSketchPool(
+            self.NUM_NODES,
+            *RRGenerator(probs, seed=22, batch_size=batch_size).generate(count),
+        )
+        roots = pool.nodes[pool.indptr[:-1]]
+        hits = np.zeros((self.NUM_NODES, self.NUM_NODES))
+        np.add.at(hits, (np.repeat(roots, pool.sizes()), pool.nodes), 1.0)
+        per_root = np.bincount(roots, minlength=self.NUM_NODES)
+        assert np.all(per_root > 0)
+        freqs = hits / per_root[:, None]
+        standard_error = np.sqrt(exact * (1.0 - exact) / per_root[:, None])
+        assert np.all(np.abs(freqs - exact) <= 4.0 * standard_error + 1e-12)
+
+
 class TestRRSketchPool:
     def _pool(self) -> RRSketchPool:
         # Sketches: {0, 1}, {1}, {2, 0}, {} over 3 nodes.
@@ -132,9 +212,42 @@ class TestRRSketchPool:
 
     def test_inverted_index_round_trip(self):
         pool = self._pool()
-        assert sorted(pool.sketches_containing(0).tolist()) == [0, 2]
-        assert sorted(pool.sketches_containing(1).tolist()) == [0, 1]
+        assert pool.sketches_containing(0).tolist() == [0, 2]
+        assert pool.sketches_containing(1).tolist() == [0, 1]
         assert pool.sketches_containing(2).tolist() == [2]
+
+    @staticmethod
+    def _random_pool(seed: int) -> RRSketchPool:
+        """Random distinct-member sketches, a few of them forced empty."""
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(1, 40))
+        sketches = [
+            rng.choice(num_nodes, size=int(rng.integers(0, num_nodes + 1)),
+                       replace=False)
+            for _ in range(int(rng.integers(1, 60)))
+        ]
+        for i in rng.integers(0, len(sketches), size=3):
+            sketches[i] = np.empty(0, dtype=np.int64)
+        indptr = np.concatenate([[0], np.cumsum([len(m) for m in sketches])])
+        return RRSketchPool(num_nodes, indptr, np.concatenate(sketches))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inverted_index_matches_scan(self, seed):
+        pool = self._random_pool(seed)
+        assert np.any(pool.sizes() == 0)
+        for u in range(pool.num_nodes):
+            containing = pool.sketches_containing(u)
+            assert containing.dtype == np.int64
+            assert containing.tolist() == [
+                i for i in range(pool.num_sketches) if u in pool.sketch(i)
+            ]
+
+    def test_inverted_index_of_zero_sketch_pool(self):
+        pool = RRSketchPool.empty(4)
+        for u in range(pool.num_nodes):
+            containing = pool.sketches_containing(u)
+            assert containing.dtype == np.int64
+            assert containing.shape == (0,)
 
     def test_spread_estimate_counts_distinct_sketches(self):
         pool = self._pool()

@@ -9,6 +9,7 @@ from repro.data.graph import SocialGraph
 from repro.data.synthetic import SyntheticSocialDataset
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
+from repro.obs.run import RunRecorder, recording
 from repro.sketch.schedule import adaptive_rr_pool, log_binomial
 
 
@@ -83,3 +84,26 @@ class TestAdaptiveRRPool:
             adaptive_rr_pool(planted_probs, 2, ell=-1.0)
         with pytest.raises(ValueError):
             adaptive_rr_pool(planted_probs, 0)
+
+    @staticmethod
+    def _rr_sets_sampled(run: RunRecorder) -> float:
+        counter = run.metrics.snapshot().get("sketch.rr_sets", {})
+        return sum(counter.get("samples", {}).values())
+
+    @pytest.mark.parametrize(
+        "candidates,match",
+        [([0, 1, 2, 500], "must lie in"), ([-1, 3, 4], "must lie in"),
+         ([4, 4, 4], "smaller than num_seeds")],
+    )
+    def test_bad_candidates_rejected_before_sampling(
+        self, planted_probs, candidates, match
+    ):
+        run = RunRecorder(name="test.sketch")
+        with recording(run):
+            with pytest.raises(SketchError, match=match):
+                adaptive_rr_pool(planted_probs, 3, seed=1, candidates=candidates)
+        assert self._rr_sets_sampled(run) == 0
+        # The same recorder does see the sets a valid pool samples.
+        with recording(run):
+            adaptive_rr_pool(planted_probs, 3, seed=1, candidates=[0, 1, 2, 50])
+        assert self._rr_sets_sampled(run) > 0
