@@ -1,43 +1,30 @@
 """repro.analysis — AST-based invariant checker for this repository.
 
-PRs 1–3 introduced contracts that used to exist only as prose: bitwise
--identical checkpoint/resume requires every RNG draw to flow through
-an explicitly seeded ``numpy`` Generator, persistence must go through
-``repro.ckpt.atomic.atomic_output``, durations come from
-``perf_counter``, and library code never prints.  This package makes
-those contracts machine-enforced: a plugin-based static-analysis
-framework (per-file ``ast`` walk with a shared parse cache,
-:class:`Finding` records, ``# lint: disable=<rule>`` suppression
-comments, and a checked-in baseline for grandfathered findings) plus
-the rule suite encoding each invariant — see
-:data:`repro.analysis.rules.ALL_RULES` and DESIGN.md
-"Coding invariants".
-
-Since the subsystems grew cross-file contracts (hogwild write
-discipline, serving determinism, the telemetry catalog), the checker
-runs a second pass: :mod:`repro.analysis.project` builds a
-whole-project symbol table and import graph from the same cached
-parses, and :data:`repro.analysis.rules.ALL_PROJECT_RULES` checks
-resolved symbols across module boundaries.
+Bitwise-identical checkpoint/resume requires every RNG draw to flow
+through an explicitly seeded ``numpy`` Generator, persistence must go
+through ``repro.ckpt.atomic.atomic_output``, hogwild workers must
+write the shared parameter buffers in place, and every metric name
+must be declared in the telemetry catalog.  This package makes those
+contracts machine-enforced in one pass:
+:func:`~repro.analysis.project.build_project_graph` parses every file
+once into a whole-project symbol table and import graph, and
+:func:`~repro.analysis.project.run_rules` applies every rule in
+:data:`repro.analysis.rules.ALL_RULES` to it, dropping findings under
+a ``# lint: disable=<rule>`` comment.  A per-file rule checks one
+module at a time; a cross-file rule sees resolved symbols across
+module boundaries.  See DESIGN.md §11 "Coding invariants".
 
 Run it locally::
 
     PYTHONPATH=src python -m repro.analysis            # scan src/repro
     python -m repro.analysis --list-rules              # what is enforced
-    python -m repro.analysis --format json src/repro   # machine-readable
+    python -m repro.analysis --rules dead-export src/repro
 
 The pytest guard (``tests/test_analysis_guard.py``) runs the full
-suite over ``src/`` on every test run, and CI runs it as a separate
-job, so a violation fails the build with a ``file:line`` finding.
+suite over ``src/`` on every test run, so a violation fails the build
+with a ``file:line`` finding.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_FILENAME,
-    baseline_key,
-    discover_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.cli import main
 from repro.analysis.core import (
     PARSE_ERROR_RULE,
@@ -45,55 +32,37 @@ from repro.analysis.core import (
     Finding,
     ParsedFile,
     Rule,
-    analyze_source,
     iter_python_files,
     parse_source,
-    run_analysis,
 )
 from repro.analysis.project import (
+    REFERENCE_ROOTS,
     ModuleInfo,
-    ProjectAstRule,
     ProjectGraph,
-    ProjectRule,
     analyze_project,
     build_project_graph,
     build_project_graph_from_sources,
-    run_project_rules,
+    run_rules,
 )
-from repro.analysis.rules import (
-    ALL_PROJECT_RULES,
-    ALL_RULES,
-    default_project_rules,
-    default_rules,
-    get_rule,
-)
+from repro.analysis.rules import ALL_RULES, default_rules, get_rule
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "ALL_RULES",
     "AstRule",
-    "BASELINE_FILENAME",
     "Finding",
     "ModuleInfo",
     "PARSE_ERROR_RULE",
     "ParsedFile",
-    "ProjectAstRule",
     "ProjectGraph",
-    "ProjectRule",
+    "REFERENCE_ROOTS",
     "Rule",
     "analyze_project",
-    "analyze_source",
-    "baseline_key",
     "build_project_graph",
     "build_project_graph_from_sources",
-    "default_project_rules",
     "default_rules",
-    "discover_baseline",
     "get_rule",
     "iter_python_files",
-    "load_baseline",
     "main",
     "parse_source",
-    "run_analysis",
-    "save_baseline",
+    "run_rules",
 ]

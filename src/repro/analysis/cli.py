@@ -2,28 +2,13 @@
 
 Exit codes: **0** — clean tree; **1** — findings (each printed as
 ``path:line: rule-id: message``); **2** — usage error (unknown rule,
-bad root, unreadable baseline).
+bad root).
 
-Both passes run by default: the per-file rules walk each file
-independently, then the project rules run over the whole-project
-graph (symbol table + import graph, see
-:mod:`repro.analysis.project`) built from the same cached parses.
-Reference trees (``tests``, ``benchmarks``, ``examples``,
-``scripts`` next to the scanned root, or ``--reference-root``)
-contribute usage edges to the graph but are never checked.
-
-``--graph`` dumps the project graph as JSON instead of running rules.
-``--changed-only`` restricts the per-file pass to files changed
-against ``--base-ref`` (``git diff --name-only`` plus untracked) and
-skips the project pass — cross-file rules need the whole graph, so
-pre-commit runs stay sub-second at the cost of deferring project
-rules to CI and the pytest guard.
-
-By default the tree's checked-in baseline
-(:data:`repro.analysis.baseline.BASELINE_FILENAME`, discovered by
-walking up from the scanned root) filters grandfathered findings;
-``--no-baseline`` shows everything, ``--write-baseline`` regenerates
-the file from the current findings.
+Each root is parsed once into a project graph (see
+:mod:`repro.analysis.project`) and every selected rule runs over it.
+The :data:`~repro.analysis.project.REFERENCE_ROOTS` trees in the
+working directory contribute usage edges to the graph but are never
+checked.
 
 This module is one of the sanctioned ``print()`` rendering surfaces
 (see the ``no-print`` rule): findings go to stdout, the summary to
@@ -33,40 +18,16 @@ stderr, so piped output stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    BASELINE_FILENAME,
-    baseline_key,
-    discover_baseline,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.core import Finding, Rule, run_analysis
-from repro.analysis.project import (
-    ProjectRule,
-    build_project_graph,
-    is_project_rule,
-    run_project_rules,
-)
-from repro.analysis.rules import (
-    ALL_PROJECT_RULES,
-    ALL_RULES,
-    default_project_rules,
-    default_rules,
-    get_rule,
-)
-from repro.errors import ReproError
+from repro.analysis.core import Rule
+from repro.analysis.project import REFERENCE_ROOTS, build_project_graph, run_rules
+from repro.analysis.rules import ALL_RULES, default_rules, get_rule
 
-_JSON_SCHEMA_VERSION = 2
-
-#: Sibling directories that feed usage edges into the project graph.
-DEFAULT_REFERENCE_ROOTS = ("tests", "benchmarks", "examples", "scripts")
+#: The tree scanned when no root is given, relative to the cwd.
+DEFAULT_ROOT = Path("src") / "repro"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         "roots",
         nargs="*",
         type=Path,
-        help="directories to scan (default: src/repro under the cwd)",
+        help=f"directories to scan (default: {DEFAULT_ROOT} under the cwd)",
     )
     parser.add_argument(
         "--rules",
@@ -95,156 +56,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list rule ids with descriptions and exit",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="dump the project graph as JSON instead of running rules",
-    )
-    parser.add_argument(
-        "--reference-root",
-        action="append",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory whose imports count as usage in the project "
-            "graph but is never checked (repeatable; default: tests, "
-            "benchmarks, examples, scripts next to the first root)"
-        ),
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "check only files changed against --base-ref (per-file "
-            "rules only; the project pass is skipped)"
-        ),
-    )
-    parser.add_argument(
-        "--base-ref",
-        default="HEAD",
-        metavar="REF",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: nearest {BASELINE_FILENAME} above the root)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
     return parser
 
 
-def _select_rules(
-    spec: str | None, parser: argparse.ArgumentParser
-) -> tuple[list[Rule], list[ProjectRule]]:
-    """``(per-file rules, project rules)`` for a ``--rules`` spec."""
+def _select_rules(spec: str | None, parser: argparse.ArgumentParser) -> list[Rule]:
+    """The rules a ``--rules`` spec names (all of them when unset)."""
     if spec is None:
-        return default_rules(), default_project_rules()
-    file_rules: list[Rule] = []
-    project_rules: list[ProjectRule] = []
+        return default_rules()
+    rules: list[Rule] = []
     for rule_id in spec.split(","):
         try:
-            rule = get_rule(rule_id.strip())
+            rules.append(get_rule(rule_id.strip()))
         except KeyError as exc:
             parser.error(str(exc.args[0]))
-        if is_project_rule(rule):
-            project_rules.append(rule)
-        else:
-            file_rules.append(rule)
-    return file_rules, project_rules
-
-
-def _default_roots() -> list[Path]:
-    candidate = Path("src") / "repro"
-    if candidate.is_dir():
-        return [candidate]
-    return []
-
-
-def _reference_roots(args: argparse.Namespace) -> list[Path]:
-    if args.reference_root is not None:
-        return [root for root in args.reference_root if root.is_dir()]
-    return [
-        Path(name) for name in DEFAULT_REFERENCE_ROOTS if Path(name).is_dir()
-    ]
-
-
-def _changed_files(base_ref: str) -> frozenset[str] | None:
-    """Resolved paths of files changed vs ``base_ref`` plus untracked.
-
-    Returns ``None`` when git is unavailable or the ref does not
-    resolve (the caller turns that into a usage error).
-    """
-    changed: set[str] = set()
-    for command in (
-        ["git", "diff", "--name-only", base_ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        changed.update(
-            str(Path(line).resolve())
-            for line in result.stdout.splitlines()
-            if line.strip()
-        )
-    return frozenset(changed)
-
-
-def _render_text(
-    findings: list[tuple[Path, Finding]], suppressed_by_baseline: int
-) -> None:
-    for root, finding in findings:
-        print(finding.render(prefix=root.as_posix()))
-    summary = f"{len(findings)} finding(s)"
-    if suppressed_by_baseline:
-        summary += f" ({suppressed_by_baseline} baselined)"
-    print(summary, file=sys.stderr)
-
-
-def _render_json(
-    findings: list[tuple[Path, Finding]],
-    roots: list[Path],
-    rules: list[Rule],
-    project_rules: list[ProjectRule],
-    suppressed_by_baseline: int,
-    elapsed: float,
-) -> None:
-    payload = {
-        "version": _JSON_SCHEMA_VERSION,
-        "roots": [root.as_posix() for root in roots],
-        "rules": [rule.rule_id for rule in rules],
-        "project_rules": [rule.rule_id for rule in project_rules],
-        "count": len(findings),
-        "baselined": suppressed_by_baseline,
-        "elapsed_s": round(elapsed, 3),
-        "findings": [
-            {"root": root.as_posix(), **finding.to_dict()}
-            for root, finding in findings
-        ],
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    return rules
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -253,84 +78,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule_class in (*ALL_RULES, *ALL_PROJECT_RULES):
+        for rule_class in ALL_RULES:
             print(f"{rule_class.rule_id}: {rule_class.description}")
         return 0
 
-    file_rules, project_rules = _select_rules(args.rules, parser)
-    roots = list(args.roots) or _default_roots()
+    rules = _select_rules(args.rules, parser)
+    roots = list(args.roots) or ([DEFAULT_ROOT] if DEFAULT_ROOT.is_dir() else [])
     if not roots:
-        parser.error("no roots given and ./src/repro does not exist")
+        parser.error(f"no roots given and ./{DEFAULT_ROOT} does not exist")
     for root in roots:
         if not root.is_dir():
             parser.error(f"root {root} is not a directory")
-    reference_roots = _reference_roots(args)
+    reference_roots = [Path(name) for name in REFERENCE_ROOTS]
 
-    if args.graph:
-        graphs = {
-            root.as_posix(): build_project_graph(
-                root, reference_roots=reference_roots
-            ).to_dict()
-            for root in roots
-        }
-        print(json.dumps(graphs, indent=2, sort_keys=True))
-        return 0
-
-    only: frozenset[str] | None = None
-    if args.changed_only:
-        only = _changed_files(args.base_ref)
-        if only is None:
-            parser.error(
-                f"--changed-only requires git and a resolvable ref "
-                f"(got {args.base_ref!r})"
-            )
-        project_rules = []
-
-    baseline: frozenset[str] = frozenset()
-    baseline_path = args.baseline
-    if not args.no_baseline:
-        if baseline_path is None:
-            baseline_path = discover_baseline(roots[0])
-        if baseline_path is not None and not args.write_baseline:
-            try:
-                baseline = load_baseline(baseline_path)
-            except ReproError as exc:
-                parser.error(str(exc))
-
-    start = time.perf_counter()
-    collected: list[tuple[Path, Finding]] = []
-    raw_count = 0
+    count = 0
     for root in roots:
-        raw = run_analysis(root, file_rules, only=only)
-        if project_rules:
-            graph = build_project_graph(root, reference_roots=reference_roots)
-            raw = sorted([*raw, *run_project_rules(graph, project_rules)])
-        raw_count += len(raw)
-        collected.extend(
-            (root, finding)
-            for finding in raw
-            if baseline_key(finding) not in baseline
-        )
-    elapsed = time.perf_counter() - start
-    suppressed_by_baseline = raw_count - len(collected)
-
-    if args.write_baseline:
-        target = baseline_path or (Path.cwd() / BASELINE_FILENAME)
-        save_baseline(target, (finding for _, finding in collected))
-        print(
-            f"wrote {len(collected)} entr(y/ies) to {target}", file=sys.stderr
-        )
-        return 0
-
-    if args.format == "json":
-        _render_json(
-            collected,
-            roots,
-            file_rules,
-            project_rules,
-            suppressed_by_baseline,
-            elapsed,
-        )
-    else:
-        _render_text(collected, suppressed_by_baseline)
-    return 1 if collected else 0
+        graph = build_project_graph(root, reference_roots=reference_roots)
+        for finding in run_rules(graph, rules):
+            print(finding.render(prefix=root.as_posix()))
+            count += 1
+    print(f"{count} finding(s)", file=sys.stderr)
+    return 1 if count else 0

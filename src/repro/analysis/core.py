@@ -1,25 +1,20 @@
-"""Framework core: findings, parsed files, suppressions, the runner.
+"""Framework core: findings, parsed files, suppressions, the rule protocol.
 
 The pieces every rule builds on:
 
 * :class:`Finding` — one violation, addressed by root-relative path,
   line, rule id, and message;
 * :class:`ParsedFile` — a source file with its ``ast`` tree and the
-  line-indexed ``# lint: disable=<rule>`` suppressions, parsed **once**
-  and shared by every rule (the parse cache also persists across
-  :func:`run_analysis` calls in the same process, keyed by
-  ``(mtime_ns, size)`` so even a rewrite inside one mtime tick on a
-  coarse-granularity filesystem is detected when the length changes,
-  and the pytest guard and a subsequent CLI run never re-parse a file
-  that has not changed);
-* :class:`Rule` / :class:`AstRule` — the plugin protocol and the
-  convenience base class rules derive from;
-* :func:`run_analysis` / :func:`analyze_source` — run a rule suite
-  over a directory tree or over an in-memory snippet (the fixture
-  tests parse strings, never repo files).
+  line-indexed ``# lint: disable=<rule>`` suppressions, parsed once
+  per run and shared by every rule;
+* :class:`Rule` / :class:`AstRule` — the one plugin protocol
+  (``check_project(graph)``) and the base class every rule derives
+  from.  A per-file rule overrides :meth:`AstRule.check`, which the
+  base applies to each checked module of the graph; a cross-file rule
+  overrides :meth:`AstRule.check_project` itself.
 
-A file that fails to parse is itself reported as a finding under the
-reserved rule id ``parse-error`` rather than aborting the run.
+The runner lives in :mod:`repro.analysis.project`, next to the graph
+it runs over.
 
 Suppression comments apply to the whole *statement* containing the
 comment's line: a disable anywhere on a multi-line call covers every
@@ -41,7 +36,10 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, Union, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Union
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.project import ProjectGraph
 
 PathLike = Union[str, Path]
 
@@ -68,23 +66,12 @@ class Finding:
         location = f"{prefix}/{self.path}" if prefix else self.path
         return f"{location}:{self.line}: {self.rule_id}: {self.message}"
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready mapping (the CLI's ``--format json`` schema)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule_id,
-            "message": self.message,
-        }
-
 
 @dataclass
 class ParsedFile:
-    """A source file parsed once and shared by every rule."""
+    """A source file parsed once per run and shared by every rule."""
 
-    path: Path  #: Path as handed to the runner (absolute or relative).
     relative: str  #: POSIX path relative to the scanned root.
-    text: str
     tree: ast.Module
     suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
 
@@ -96,36 +83,40 @@ class ParsedFile:
         return rules is _ALL_RULES or "*" in rules or rule_id in rules
 
 
-@runtime_checkable
 class Rule(Protocol):
     """The plugin protocol: a rule id, a description, and a check.
 
-    Rules are stateless across files; :meth:`check` receives one
-    :class:`ParsedFile` at a time and yields findings.  Suppression
-    comments and the baseline are applied by the runner, never by the
-    rule itself.
+    :meth:`check_project` receives the whole
+    :class:`~repro.analysis.project.ProjectGraph` and yields findings.
+    Suppression comments are applied by the runner, never by the rule
+    itself.
     """
 
     rule_id: str
     description: str
 
-    def check(self, parsed: ParsedFile) -> Iterable[Finding]:
-        """Yield every violation of this rule in ``parsed``."""
+    def check_project(self, graph: "ProjectGraph") -> Iterable[Finding]:
+        """Yield every violation of this rule across the project."""
         ...
 
 
 class AstRule:
-    """Convenience base class: shared ``finding`` constructor.
+    """Base class of every rule: a shared ``finding`` constructor.
 
-    Subclasses set ``rule_id`` / ``description`` class attributes and
-    implement :meth:`check`.
+    Subclasses set ``rule_id`` / ``description`` class attributes.  A
+    per-file rule implements :meth:`check`, which the default
+    :meth:`check_project` applies to every checked module (reference
+    trees are never checked); a cross-file rule overrides
+    :meth:`check_project`.
     """
 
     rule_id = "abstract"
     description = "abstract base rule"
 
-    def finding(self, parsed: ParsedFile, node: ast.AST, message: str) -> Finding:
-        """Build a :class:`Finding` located at ``node``."""
+    def finding(
+        self, parsed: ParsedFile, node: ast.AST | None, message: str
+    ) -> Finding:
+        """Build a :class:`Finding` in ``parsed`` located at ``node``."""
         return Finding(
             path=parsed.relative,
             line=getattr(node, "lineno", 1),
@@ -134,8 +125,13 @@ class AstRule:
         )
 
     def check(self, parsed: ParsedFile) -> Iterable[Finding]:
-        """Subclasses must override."""
+        """Per-file rules override this."""
         raise NotImplementedError
+
+    def check_project(self, graph: "ProjectGraph") -> Iterable[Finding]:
+        """Apply :meth:`check` to every checked module of ``graph``."""
+        for info in graph.checked_modules():
+            yield from self.check(info.parsed)
 
 
 def _scan_suppressions(text: str) -> dict[int, frozenset[str]]:
@@ -202,39 +198,16 @@ def _expand_suppressions_to_statements(
     return expanded
 
 
-def parse_source(
-    text: str, relative: str = "<memory>.py", path: PathLike | None = None
-) -> ParsedFile:
+def parse_source(text: str, relative: str = "<memory>.py") -> ParsedFile:
     """Parse ``text`` into a :class:`ParsedFile` (raises ``SyntaxError``)."""
     tree = ast.parse(text, filename=relative)
     return ParsedFile(
-        path=Path(path) if path is not None else Path(relative),
         relative=relative,
-        text=text,
         tree=tree,
         suppressions=_expand_suppressions_to_statements(
             tree, _scan_suppressions(text)
         ),
     )
-
-
-#: Process-wide parse cache: resolved path -> (mtime_ns, size, ParsedFile).
-_PARSE_CACHE: dict[str, tuple[int, int, ParsedFile]] = {}
-
-
-def _parse_path(path: Path, relative: str) -> ParsedFile:
-    """Parse ``path`` through the mtime-validated process-wide cache."""
-    key = str(path.resolve())
-    stat = path.stat()
-    cached = _PARSE_CACHE.get(key)
-    if cached is not None:
-        mtime_ns, size, parsed = cached
-        if mtime_ns == stat.st_mtime_ns and size == stat.st_size:
-            if parsed.relative == relative:
-                return parsed
-    parsed = parse_source(path.read_text(encoding="utf-8"), relative, path=path)
-    _PARSE_CACHE[key] = (stat.st_mtime_ns, stat.st_size, parsed)
-    return parsed
 
 
 def iter_python_files(root: PathLike) -> Iterator[Path]:
@@ -244,84 +217,3 @@ def iter_python_files(root: PathLike) -> Iterator[Path]:
         if any(part.startswith(".") for part in path.relative_to(root).parts):
             continue
         yield path
-
-
-def _apply_rules(
-    parsed: ParsedFile, rules: Sequence[Rule]
-) -> Iterator[Finding]:
-    for rule in rules:
-        for finding in rule.check(parsed):
-            if not parsed.is_suppressed(finding.rule_id, finding.line):
-                yield finding
-
-
-def analyze_source(
-    text: str, rules: Sequence[Rule], relative: str = "<memory>.py"
-) -> list[Finding]:
-    """Run ``rules`` over an in-memory snippet (the fixture-test entry).
-
-    Suppression comments are honoured; a syntax error comes back as a
-    single ``parse-error`` finding instead of raising.
-    """
-    try:
-        parsed = parse_source(text, relative)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=relative,
-                line=exc.lineno or 1,
-                rule_id=PARSE_ERROR_RULE,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    return sorted(_apply_rules(parsed, rules))
-
-
-def run_analysis(
-    root: PathLike,
-    rules: Sequence[Rule],
-    baseline: frozenset[str] | None = None,
-    only: frozenset[str] | None = None,
-) -> list[Finding]:
-    """Run ``rules`` over every Python file under ``root``.
-
-    Parameters
-    ----------
-    root:
-        Directory to scan (typically ``src/repro``).
-    rules:
-        Rule instances to apply; each file is parsed once and shared.
-    baseline:
-        Optional set of :func:`repro.analysis.baseline.baseline_key`
-        strings; matching findings are filtered out (grandfathered).
-    only:
-        Optional set of resolved absolute path strings; when given,
-        files outside the set are skipped entirely (the CLI's
-        ``--changed-only`` restriction).
-
-    Returns the surviving findings sorted by path, line, rule.
-    """
-    root = Path(root)
-    findings: list[Finding] = []
-    for path in iter_python_files(root):
-        if only is not None and str(path.resolve()) not in only:
-            continue
-        relative = path.relative_to(root).as_posix()
-        try:
-            parsed = _parse_path(path, relative)
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    path=relative,
-                    line=exc.lineno or 1,
-                    rule_id=PARSE_ERROR_RULE,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            continue
-        findings.extend(_apply_rules(parsed, rules))
-    if baseline:
-        from repro.analysis.baseline import baseline_key
-
-        findings = [f for f in findings if baseline_key(f) not in baseline]
-    return sorted(findings)

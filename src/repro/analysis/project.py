@@ -1,14 +1,12 @@
-"""Pass 2 of the analysis engine: the whole-project graph.
+"""The whole-project graph, and the one runner every rule goes through.
 
-The per-file rules (:class:`repro.analysis.core.Rule`) see one
-:class:`~repro.analysis.core.ParsedFile` at a time, which is exactly
-wrong for the invariants this repository grew after PR 4: hogwild
+Most of this repository's invariants live between files: hogwild
 write discipline spans ``parallel/`` and the worker entry point in
 ``core/inf2vec.py``, the telemetry contract spans every instrument
-site plus ``obs/catalog.py`` plus the regress-gate policies, and a
-dead ``__all__`` export is *defined* by what every other module (and
-the test tree) does not import.  This module builds the shared
-project-wide view those rules need:
+site plus ``obs/catalog.py``, and a dead ``__all__`` export is
+*defined* by what every other module (and the test tree) does not
+import.  This module parses every file once and builds the view all
+rules share:
 
 * :class:`ModuleInfo` — one module: its dotted name, parsed AST,
   ``__all__`` exports, top-level definitions, every import edge (also
@@ -17,19 +15,14 @@ project-wide view those rules need:
 * :class:`ProjectGraph` — the symbol table over all modules, with
   re-export origin resolution (``repro.core`` re-exporting
   ``Inf2vecModel`` from ``repro.core.inf2vec`` aliases the same
-  symbol) and usage queries; *reference* trees (tests, benchmarks,
-  examples, scripts) contribute usage edges but are never checked;
-* :class:`ProjectRule` — the pass-2 plugin protocol:
-  ``check_project(graph)`` instead of ``check(parsed)``;
+  symbol) and usage queries; *reference* trees (:data:`REFERENCE_ROOTS`)
+  contribute usage edges but are never checked, and files that do not
+  parse become ``parse-error`` findings;
 * :func:`build_project_graph` / :func:`build_project_graph_from_sources`
-  — construct the graph from a directory tree (through the shared
-  mtime/size-keyed parse cache) or from in-memory fixture sources;
-* :func:`run_project_rules` — apply project rules with the same
-  suppression-comment semantics as the per-file runner.
-
-Graph construction is pass 1 (symbol table + import graph over the
-already-cached :class:`ParsedFile`\\ s); the rules are pass 2 and see
-resolved symbols instead of string matches.
+  — construct the graph from a directory tree or from in-memory
+  fixture sources;
+* :func:`run_rules` — apply rules to a graph, honouring
+  ``# lint: disable=<rule>`` comments.
 """
 
 from __future__ import annotations
@@ -37,28 +30,24 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    Iterator,
-    Mapping,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.analysis.core import (
+    PARSE_ERROR_RULE,
     Finding,
     ParsedFile,
     PathLike,
     Rule,
-    _parse_path,
     iter_python_files,
     parse_source,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.rules.common import ImportMap
+
+#: Repository trees whose imports count as usage in the graph but
+#: which are never checked, named relative to the repository root.
+REFERENCE_ROOTS = ("tests", "benchmarks", "examples")
 
 
 @dataclass(frozen=True)
@@ -179,9 +168,9 @@ def _collect_attribute_uses(
 ) -> frozenset[tuple[str, str]]:
     """Resolve ``alias.attr`` chains whose alias names a project module.
 
-    For a chain like ``repro.analysis.baseline.baseline_key`` the
-    *deepest* prefix that is a known module wins, recording
-    ``("repro.analysis.baseline", "baseline_key")``.
+    For a chain like ``repro.core.inf2vec.Inf2vecModel`` the *deepest*
+    prefix that is a known module wins, recording
+    ``("repro.core.inf2vec", "Inf2vecModel")``.
     """
     aliases: dict[str, str] = {}
     for edge in edges:
@@ -235,12 +224,13 @@ def _top_level_def_names(tree: ast.Module) -> frozenset[str]:
 
 
 class ProjectGraph:
-    """The whole-project symbol table and import graph (pass 1 output).
+    """The whole-project symbol table and import graph.
 
     ``modules`` maps dotted names to *checked* modules (rules may emit
     findings there); ``references`` holds reference-only trees — their
     imports and attribute accesses count as usage, but they are never
-    the subject of a finding.
+    the subject of a finding.  ``parse_errors`` holds one
+    ``parse-error`` finding per checked file the parser rejected.
     """
 
     def __init__(
@@ -248,11 +238,12 @@ class ProjectGraph:
         modules: dict[str, ModuleInfo],
         references: dict[str, ModuleInfo],
         package: str | None = None,
+        parse_errors: Sequence[Finding] = (),
     ):
         self.modules = modules
         self.references = references
         self.package = package
-        self._module_names = frozenset(modules)
+        self.parse_errors = tuple(parse_errors)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -352,82 +343,6 @@ class ProjectGraph:
                 used.add(self.export_origin(module, attr))
         return frozenset(used)
 
-    # ------------------------------------------------------------------
-    # Rendering
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready dump of the graph (the CLI's ``--graph`` output)."""
-
-        def render(info: ModuleInfo) -> dict[str, object]:
-            return {
-                "path": info.parsed.relative,
-                "package": info.is_package,
-                "exports": list(info.exports) if info.exports is not None else None,
-                "defs": sorted(info.top_level_defs),
-                "imports": [
-                    {
-                        "module": edge.module,
-                        "name": edge.name,
-                        "bound": edge.bound,
-                        "line": edge.lineno,
-                    }
-                    for edge in info.imports
-                ],
-            }
-
-        return {
-            "package": self.package,
-            "modules": {
-                name: render(info) for name, info in sorted(self.modules.items())
-            },
-            "references": sorted(self.references),
-        }
-
-
-@runtime_checkable
-class ProjectRule(Protocol):
-    """The pass-2 plugin protocol: one cross-file invariant check.
-
-    Like :class:`~repro.analysis.core.Rule` but over the whole
-    :class:`ProjectGraph`; suppression comments and the baseline are
-    still applied by the runner.
-    """
-
-    rule_id: str
-    description: str
-
-    def check_project(self, graph: ProjectGraph) -> Iterable[Finding]:
-        """Yield every violation of this rule across the project."""
-        ...
-
-
-class ProjectAstRule:
-    """Convenience base for project rules: shared ``finding`` constructor."""
-
-    rule_id = "abstract-project"
-    description = "abstract project rule"
-
-    def finding(
-        self, info: ModuleInfo, node: ast.AST | None, message: str
-    ) -> Finding:
-        """Build a :class:`Finding` in ``info`` located at ``node``."""
-        return Finding(
-            path=info.parsed.relative,
-            line=getattr(node, "lineno", 1) if node is not None else 1,
-            rule_id=self.rule_id,
-            message=message,
-        )
-
-    def check_project(self, graph: ProjectGraph) -> Iterable[Finding]:
-        """Subclasses must override."""
-        raise NotImplementedError
-
-
-def is_project_rule(rule: object) -> bool:
-    """Whether ``rule`` implements the pass-2 protocol."""
-    return callable(getattr(rule, "check_project", None))
-
 
 def _build_module(
     parsed: ParsedFile,
@@ -436,7 +351,7 @@ def _build_module(
     module_names: frozenset[str] | None = None,
 ) -> ModuleInfo:
     # Imported lazily: rules.common lives under the rules package, whose
-    # __init__ imports the project rules, which import this module.
+    # __init__ imports the cross-file rules, which import this module.
     from repro.analysis.rules.common import ImportMap
 
     is_package = parsed.relative.endswith("__init__.py")
@@ -465,27 +380,41 @@ def _finalize_attribute_uses(
         )
 
 
+def _parse(text: str, relative: str) -> ParsedFile | Finding:
+    """The parsed file, or a ``parse-error`` finding if it does not parse."""
+    try:
+        return parse_source(text, relative)
+    except SyntaxError as exc:
+        return Finding(
+            path=relative,
+            line=exc.lineno or 1,
+            rule_id=PARSE_ERROR_RULE,
+            message=f"file does not parse: {exc.msg}",
+        )
+
+
 def build_project_graph(
     root: PathLike,
     reference_roots: Sequence[PathLike] = (),
 ) -> ProjectGraph:
-    """Build the graph for every parseable Python file under ``root``.
+    """Parse every Python file under ``root`` once and build the graph.
 
     When ``root`` itself is a package (contains ``__init__.py``) its
     directory name becomes the top-level package prefix, so scanning
     ``src/repro`` yields module names ``repro``, ``repro.core...``.
-    Files under ``reference_roots`` join the graph as reference-only
-    modules.  Unparseable files are skipped here — the per-file pass
-    already reports them as ``parse-error`` findings.
+    Files under ``reference_roots`` (missing ones are skipped) join
+    the graph as reference-only modules; one that does not parse is
+    left out, since nothing is checked there.
     """
     root = Path(root)
     package = root.name if (root / "__init__.py").is_file() else None
     modules: dict[str, ModuleInfo] = {}
+    parse_errors: list[Finding] = []
     for path in iter_python_files(root):
         relative = path.relative_to(root).as_posix()
-        try:
-            parsed = _parse_path(path, relative)
-        except SyntaxError:
+        parsed = _parse(path.read_text(encoding="utf-8"), relative)
+        if isinstance(parsed, Finding):
+            parse_errors.append(parsed)
             continue
         name = _module_name_for(relative, package)
         modules[name] = _build_module(parsed, name, checked=True)
@@ -497,13 +426,11 @@ def build_project_graph(
         for path in iter_python_files(reference_root):
             relative = path.relative_to(reference_root).as_posix()
             pseudo = f"{reference_root.name}/{relative}"
-            try:
-                parsed = _parse_path(path, pseudo)
-            except SyntaxError:
-                continue
-            references[pseudo] = _build_module(parsed, pseudo, checked=False)
+            parsed = _parse(path.read_text(encoding="utf-8"), pseudo)
+            if isinstance(parsed, ParsedFile):
+                references[pseudo] = _build_module(parsed, pseudo, checked=False)
     _finalize_attribute_uses(modules, references)
-    return ProjectGraph(modules, references, package=package)
+    return ProjectGraph(modules, references, package, parse_errors)
 
 
 def build_project_graph_from_sources(
@@ -514,32 +441,35 @@ def build_project_graph_from_sources(
 
     Paths use POSIX separators and determine module names exactly like
     :func:`build_project_graph` with no package prefix — ``"pkg/a.py"``
-    becomes module ``pkg.a``.  Syntax errors raise (fixtures should be
-    valid).
+    becomes module ``pkg.a``.  Parse failures are handled as there.
     """
     modules: dict[str, ModuleInfo] = {}
+    parse_errors: list[Finding] = []
     for relative, text in sources.items():
-        parsed = parse_source(text, relative)
+        parsed = _parse(text, relative)
+        if isinstance(parsed, Finding):
+            parse_errors.append(parsed)
+            continue
         name = _module_name_for(relative, package=None)
         modules[name] = _build_module(parsed, name, checked=True)
     references: dict[str, ModuleInfo] = {}
     for relative, text in (reference_sources or {}).items():
-        parsed = parse_source(text, relative)
-        references[relative] = _build_module(parsed, relative, checked=False)
+        parsed = _parse(text, relative)
+        if isinstance(parsed, ParsedFile):
+            references[relative] = _build_module(parsed, relative, checked=False)
     _finalize_attribute_uses(modules, references)
-    return ProjectGraph(modules, references, package=None)
+    return ProjectGraph(modules, references, None, parse_errors)
 
 
-def run_project_rules(
-    graph: ProjectGraph, rules: Sequence[ProjectRule]
-) -> list[Finding]:
-    """Apply project rules to ``graph`` with suppression filtering.
+def run_rules(graph: ProjectGraph, rules: Sequence[Rule]) -> list[Finding]:
+    """Apply ``rules`` to ``graph``: the one runner.
 
-    Returns the surviving findings sorted by path, line, rule — the
-    same contract as :func:`repro.analysis.core.run_analysis`.
+    Findings on a statement carrying a matching ``# lint: disable``
+    comment are dropped; the graph's ``parse-error`` findings are
+    always reported.  Returns the findings sorted by path, line, rule.
     """
     by_path = {info.parsed.relative: info.parsed for info in graph.all_modules()}
-    findings: list[Finding] = []
+    findings = list(graph.parse_errors)
     for rule in rules:
         for finding in rule.check_project(graph):
             parsed = by_path.get(finding.path)
@@ -553,9 +483,9 @@ def run_project_rules(
 
 def analyze_project(
     sources: Mapping[str, str],
-    rules: Sequence[ProjectRule],
+    rules: Sequence[Rule],
     reference_sources: Mapping[str, str] | None = None,
 ) -> list[Finding]:
-    """Run project ``rules`` over in-memory fixture ``sources``."""
+    """Run ``rules`` over in-memory fixture ``sources``."""
     graph = build_project_graph_from_sources(sources, reference_sources)
-    return run_project_rules(graph, rules)
+    return run_rules(graph, rules)

@@ -1,22 +1,17 @@
 """The rule registry: every shipped invariant check, by id.
 
 Each rule encodes one of this repository's machine-enforced contracts
-(see DESIGN.md "Coding invariants").  :data:`ALL_RULES` is the
-canonical per-file ordering; :data:`ALL_PROJECT_RULES` lists the
-cross-file rules that run over the :class:`~repro.analysis.project.
-ProjectGraph` in pass 2.  The CLI and the pytest guard both run the
-union.
+(see DESIGN.md §11 "Coding invariants").  :data:`ALL_RULES` is the
+canonical run order: the per-file rules first, then the cross-file
+ones.  The CLI and the pytest guard both run all of them over one
+:class:`~repro.analysis.project.ProjectGraph`.
 """
 
 from __future__ import annotations
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.api import PinnedApiRule
-from repro.analysis.rules.determinism import (
-    EinsumOptimizeRule,
-    ExplicitDtypeRule,
-    SetIterationOrderRule,
-)
+from repro.analysis.rules.determinism import ExplicitDtypeRule, SetIterationOrderRule
 from repro.analysis.rules.exports import DeadExportRule
 from repro.analysis.rules.hogwild import HogwildSafetyRule
 from repro.analysis.rules.hygiene import NoBareExceptRule, NoMutableDefaultArgsRule
@@ -27,11 +22,9 @@ from repro.analysis.rules.telemetry import TelemetryContractRule
 from repro.analysis.rules.timing import NoWallclockTimingRule
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "ALL_RULES",
     "AtomicWriteOnlyRule",
     "DeadExportRule",
-    "EinsumOptimizeRule",
     "ExplicitDtypeRule",
     "HogwildSafetyRule",
     "NoBareExceptRule",
@@ -42,12 +35,11 @@ __all__ = [
     "PinnedApiRule",
     "SetIterationOrderRule",
     "TelemetryContractRule",
-    "default_project_rules",
     "default_rules",
     "get_rule",
 ]
 
-#: Every shipped per-file rule class, in canonical run order.
+#: Every shipped rule class, in canonical run order.
 ALL_RULES: tuple[type, ...] = (
     NoGlobalRngRule,
     NoPrintRule,
@@ -56,12 +48,7 @@ ALL_RULES: tuple[type, ...] = (
     PinnedApiRule,
     NoBareExceptRule,
     NoMutableDefaultArgsRule,
-)
-
-#: Every shipped project (cross-file) rule class, in canonical order.
-ALL_PROJECT_RULES: tuple[type, ...] = (
     HogwildSafetyRule,
-    EinsumOptimizeRule,
     ExplicitDtypeRule,
     SetIterationOrderRule,
     TelemetryContractRule,
@@ -70,24 +57,17 @@ ALL_PROJECT_RULES: tuple[type, ...] = (
 
 
 def default_rules() -> list[Rule]:
-    """Fresh instances of every shipped per-file rule, in canonical order."""
+    """Fresh instances of every shipped rule, in canonical order."""
     return [rule_class() for rule_class in ALL_RULES]
 
 
-def default_project_rules() -> list:
-    """Fresh instances of every shipped project rule, in canonical order."""
-    return [rule_class() for rule_class in ALL_PROJECT_RULES]
-
-
 def get_rule(rule_id: str) -> Rule:
-    """Instantiate the rule (per-file or project) registered under ``rule_id``.
+    """Instantiate the rule registered under ``rule_id``.
 
     Raises ``KeyError`` listing the known ids when the id is unknown.
     """
-    for rule_class in (*ALL_RULES, *ALL_PROJECT_RULES):
+    for rule_class in ALL_RULES:
         if rule_class.rule_id == rule_id:
             return rule_class()
-    known = ", ".join(
-        rule_class.rule_id for rule_class in (*ALL_RULES, *ALL_PROJECT_RULES)
-    )
+    known = ", ".join(rule_class.rule_id for rule_class in ALL_RULES)
     raise KeyError(f"unknown rule {rule_id!r}; known rules: {known}")

@@ -1,15 +1,11 @@
-"""Project rules: bitwise determinism of serving, sketching, training.
+"""Cross-file rules: bitwise determinism of serving, sketching, training.
 
 Resume-equivalence (DESIGN.md §10) and the serving contract (§12)
 both promise *bitwise* reproducibility: a resumed run and a fresh run
 produce identical embeddings, and a blocked top-k scan equals the
-brute-force scan bit for bit.  Three conventions carry that promise,
-and all three are project-wide, not per-file:
+brute-force scan bit for bit.  Two conventions carry that promise,
+and both are scoped by package, not by file:
 
-* ``np.einsum(..., optimize=False)`` in ``serve``/``sketch`` modules —
-  with ``optimize`` unset, einsum may reassociate the contraction
-  through BLAS depending on operand shapes, changing float rounding
-  between block sizes (``einsum-optimize``);
 * array constructors in hot-path modules (``serve``, ``sketch``,
   ``parallel``) must pass an explicit ``dtype`` — platform-dependent
   default widths (Windows ``np.arange`` -> int32) silently change
@@ -20,7 +16,9 @@ and all three are project-wide, not per-file:
   wrap in ``sorted(...)`` instead (``set-iteration-order``).
 
 Scope is resolved by module name segments on the project graph, so the
-rules follow the packages however the tree is rooted.
+rules follow the packages however the tree is rooted.  (Bitwise-stable
+``np.einsum`` contraction in the blocked scan is asserted directly by
+``tests/serve/test_topk.py``, across block sizes.)
 """
 
 from __future__ import annotations
@@ -28,12 +26,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.core import Finding
-from repro.analysis.project import ModuleInfo, ProjectAstRule, ProjectGraph
+from repro.analysis.core import AstRule, Finding
+from repro.analysis.project import ModuleInfo, ProjectGraph
 from repro.analysis.rules.common import resolve_call_target
-
-#: Module-name segments marking the deterministic serving/sketch path.
-EINSUM_SCOPE = frozenset({"serve", "sketch"})
 
 #: Segments marking hot-path modules where dtypes must be explicit.
 DTYPE_SCOPE = frozenset({"serve", "sketch", "parallel"})
@@ -65,43 +60,7 @@ def _scoped(graph: ProjectGraph, segments: frozenset[str]) -> Iterator[ModuleInf
             yield info
 
 
-class EinsumOptimizeRule(ProjectAstRule):
-    """``np.einsum`` in serve/sketch must pass ``optimize=False``."""
-
-    rule_id = "einsum-optimize"
-    description = (
-        "np.einsum in serve/sketch modules must pass optimize=False "
-        "for bitwise-stable contraction order"
-    )
-
-    def check_project(self, graph: ProjectGraph) -> Iterable[Finding]:
-        for info in _scoped(graph, EINSUM_SCOPE):
-            for node in ast.walk(info.parsed.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                target = resolve_call_target(node, info.import_map)
-                if target != "numpy.einsum":
-                    continue
-                optimize = next(
-                    (kw for kw in node.keywords if kw.arg == "optimize"),
-                    None,
-                )
-                if optimize is None:
-                    yield self.finding(
-                        info, node, "np.einsum without optimize=False"
-                    )
-                elif not (
-                    isinstance(optimize.value, ast.Constant)
-                    and optimize.value.value is False
-                ):
-                    yield self.finding(
-                        info,
-                        node,
-                        "np.einsum must pass the literal optimize=False",
-                    )
-
-
-class ExplicitDtypeRule(ProjectAstRule):
+class ExplicitDtypeRule(AstRule):
     """Array constructors in hot-path modules need an explicit dtype."""
 
     rule_id = "explicit-dtype"
@@ -122,14 +81,14 @@ class ExplicitDtypeRule(ProjectAstRule):
                     continue
                 constructor = target.rsplit(".", 1)[1]
                 yield self.finding(
-                    info,
+                    info.parsed,
                     node,
                     f"np.{constructor} without an explicit dtype; default "
                     f"widths are platform-dependent",
                 )
 
 
-class SetIterationOrderRule(ProjectAstRule):
+class SetIterationOrderRule(AstRule):
     """No set-iteration-order dependence feeding deterministic results."""
 
     rule_id = "set-iteration-order"
@@ -159,7 +118,7 @@ class SetIterationOrderRule(ProjectAstRule):
             node.iter
         ):
             yield self.finding(
-                info,
+                info.parsed,
                 node,
                 "iterating a set directly depends on hash order; "
                 "iterate sorted(...) instead",
@@ -173,7 +132,7 @@ class SetIterationOrderRule(ProjectAstRule):
                 and self._is_set_expr(node.args[0])
             ):
                 yield self.finding(
-                    info,
+                    info.parsed,
                     node,
                     f"{func.id}(set(...)) materialises hash order; use "
                     f"sorted(...) instead",
@@ -182,7 +141,7 @@ class SetIterationOrderRule(ProjectAstRule):
             for comp in node.generators:
                 if self._is_set_expr(comp.iter):
                     yield self.finding(
-                        info,
+                        info.parsed,
                         node,
                         "comprehension over a set depends on hash order; "
                         "iterate sorted(...) instead",

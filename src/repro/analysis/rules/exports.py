@@ -1,6 +1,6 @@
-"""Project rule: dead ``__all__`` exports.
+"""Cross-file rule: dead ``__all__`` exports.
 
-The ``pinned-api`` per-file rule forces every package init to pin its
+The per-file ``pinned-api`` rule forces every package init to pin its
 public surface in a literal ``__all__`` — but it cannot see whether
 anything *consumes* that surface.  An export nobody imports is API the
 project promises to keep stable for no one: it rots silently, dodges
@@ -13,8 +13,8 @@ consumers even though they are never checked themselves.
 
 The rule resolves every ``__all__`` entry and every import through
 re-export chains to its *origin* (defining module, name) and reports
-entries whose origin no other module, test, benchmark, example, or
-script imports.  A ``from``-import inside a checked module is only
+entries whose origin no other module, test, benchmark, or example
+imports.  A ``from``-import inside a checked module is only
 genuine usage when the importer does not itself re-export the bound
 name (listing it in its own ``__all__`` is plumbing, not consumption);
 attribute access through a module alias counts; entries binding
@@ -26,8 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.core import Finding
-from repro.analysis.project import ModuleInfo, ProjectAstRule, ProjectGraph
+from repro.analysis.core import AstRule, Finding
+from repro.analysis.project import ModuleInfo, ProjectGraph
 
 
 def _export_lines(tree: ast.Module) -> dict[str, int]:
@@ -47,13 +47,13 @@ def _export_lines(tree: ast.Module) -> dict[str, int]:
     return {}
 
 
-class DeadExportRule(ProjectAstRule):
+class DeadExportRule(AstRule):
     """``__all__`` symbols no other module and no test imports."""
 
     rule_id = "dead-export"
     description = (
         "every __all__ export must be imported by some other module, "
-        "test, benchmark, example, or script"
+        "test, benchmark, or example"
     )
 
     def check_project(self, graph: ProjectGraph) -> Iterable[Finding]:

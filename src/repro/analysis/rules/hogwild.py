@@ -1,4 +1,4 @@
-"""Project rule: hogwild shared-memory write discipline.
+"""Cross-file rule: hogwild shared-memory write discipline.
 
 Lock-free parallel SGD (DESIGN.md §14) is only correct because every
 worker mutates the ``SharedEmbedding`` parameter buffers strictly
@@ -11,8 +11,8 @@ taking a lock in the worker hot path would reintroduce the serial
 bottleneck hogwild exists to remove.  No per-file walk can see this:
 the worker entry point lives in ``core/inf2vec.py`` (behind a lazy
 cycle-guard import) while the buffers and coordinator live in
-``parallel/`` — so this is a :class:`ProjectRule` over the import
-graph.
+``parallel/`` — so this rule overrides ``check_project`` and works
+over the import graph.
 
 Scope: every checked module that imports the ``SharedEmbedding``
 class, *except* the module defining it (the definition site must
@@ -34,8 +34,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.core import Finding
-from repro.analysis.project import ModuleInfo, ProjectAstRule, ProjectGraph
+from repro.analysis.core import AstRule, Finding
+from repro.analysis.project import ModuleInfo, ProjectGraph
 
 #: The SharedEmbedding parameter buffers (mirrors
 #: ``repro.parallel.shared.PARAMETER_FIELDS``; duplicated literally so
@@ -75,7 +75,7 @@ def _direct_statements(scope: ast.AST) -> Iterator[ast.stmt]:
                 )
 
 
-class HogwildSafetyRule(ProjectAstRule):
+class HogwildSafetyRule(AstRule):
     """Shared-buffer writes only through sanctioned in-place idioms."""
 
     rule_id = "hogwild-safety"
@@ -110,7 +110,7 @@ class HogwildSafetyRule(ProjectAstRule):
                     and target.attr in PARAMETER_FIELDS
                 ):
                     yield self.finding(
-                        info,
+                        info.parsed,
                         stmt,
                         f"plain assignment rebinds shared buffer "
                         f"'.{target.attr}'; use an in-place write "
@@ -121,7 +121,7 @@ class HogwildSafetyRule(ProjectAstRule):
                     and target.id in shared_aliases
                 ):
                     yield self.finding(
-                        info,
+                        info.parsed,
                         stmt,
                         f"'{target.id}' was bound from a shared parameter "
                         f"buffer and is rebound here, detaching it from "
@@ -147,18 +147,18 @@ class HogwildSafetyRule(ProjectAstRule):
                     or resolved.startswith("multiprocessing.")
                 ):
                     yield self.finding(
-                        info, node, "lock constructed in a hogwild module"
+                        info.parsed, node, "lock constructed in a hogwild module"
                     )
             elif isinstance(func, ast.Attribute):
                 if func.attr in _LOCK_NAMES and isinstance(func.value, ast.Name):
                     base = info.import_map.resolve(func.value.id) or func.value.id
                     if base in ("threading", "multiprocessing"):
                         yield self.finding(
-                            info, node, "lock constructed in a hogwild module"
+                            info.parsed, node, "lock constructed in a hogwild module"
                         )
                 elif func.attr == "acquire":
                     yield self.finding(
-                        info,
+                        info.parsed,
                         node,
                         "'.acquire()' called in a hogwild module; the "
                         "worker hot path must stay lock-free",

@@ -1,27 +1,23 @@
-"""Project rule: the telemetry contract against ``repro.obs.catalog``.
+"""Cross-file rule: instrument sites against ``repro.obs.catalog``.
 
-A metric name lives in three places — the instrument site, the
-exposition, and the regress-gate fnmatch patterns budgeting
-``benchmarks/baselines/``.  Drift between them fails silently: a
-typo'd counter still counts, it just stops matching its gate.  This
-rule pins both ends to the catalog:
+A metric name lives in the instrument site and in the exposition it
+flows into.  A typo'd counter still counts; it just reports under a
+name nothing declared.  This rule pins every site to the catalog:
+each ``metrics.counter/gauge/histogram/summary(...)`` and
+``run.span(...)`` site in checked modules must use a name declared in
+``METRIC_CATALOG`` with the *same instrument kind*, and only labels
+from the declared label set (f-string names become ``*`` families and
+must match a declared family).  No runtime check can stand in for
+this one: benchmark harnesses open spans the catalog does not declare.
+(That every regress-gate pattern still matches a baseline leaf is
+asserted by ``tests/obs/test_catalog.py``.)
 
-* every ``metrics.counter/gauge/histogram/summary(...)`` and
-  ``run.span(...)`` site in checked modules must use a name declared
-  in ``METRIC_CATALOG`` with the *same instrument kind*, and only
-  labels from the declared label set (f-string names become ``*``
-  families and must match a declared family);
-* every ``MetricPolicy`` pattern in the module defining
-  ``DEFAULT_POLICIES`` must fnmatch at least one leaf declared in
-  ``GATED_BENCH_LEAVES`` for its report file — a pattern matching
-  nothing is a dead gate.
-
-Everything is extracted *statically* (the catalog and the policies are
-pure literals by contract), so the analyzer never imports the code
-under analysis.  The ``obs`` implementation layer itself (registry,
-tracer, exporter pass-throughs taking ``name`` as a variable) is out
-of scope, as are non-literal names and non-telemetry receivers that
-merely share a method name (``np.histogram``).
+The catalog is read *statically* (it is a pure literal by contract),
+so the analyzer never imports the code under analysis.  The ``obs``
+implementation layer itself (registry, tracer, exporter pass-throughs
+taking ``name`` as a variable) is out of scope, as are non-literal
+names and non-telemetry receivers that merely share a method name
+(``np.histogram``).
 """
 
 from __future__ import annotations
@@ -31,14 +27,12 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterable, Iterator
 
-from repro.analysis.core import Finding
-from repro.analysis.project import ModuleInfo, ProjectAstRule, ProjectGraph
+from repro.analysis.core import AstRule, Finding
+from repro.analysis.project import ModuleInfo, ProjectGraph
 from repro.analysis.rules.common import dotted_name
 
-#: Anchor symbols locating the catalog and the regress policies.
+#: Anchor symbol locating the catalog.
 CATALOG_SYMBOL = "METRIC_CATALOG"
-LEAVES_SYMBOL = "GATED_BENCH_LEAVES"
-POLICIES_SYMBOL = "DEFAULT_POLICIES"
 
 _INSTRUMENT_METHODS = frozenset({"counter", "gauge", "histogram", "summary"})
 _MUTATOR_METHODS = frozenset({"inc", "set", "observe", "observe_many", "quantile"})
@@ -119,92 +113,13 @@ def _extract_catalog(tree: ast.Module) -> tuple[_DeclaredSpec, ...] | None:
     return None
 
 
-def _extract_string_dict(
-    tree: ast.Module, symbol: str
-) -> dict[str, tuple[str, ...]] | None:
-    """Read ``symbol = {"file": ("leaf", ...), ...}`` as literals."""
-    for node in tree.body:
-        targets = (
-            node.targets
-            if isinstance(node, ast.Assign)
-            else [node.target]
-            if isinstance(node, ast.AnnAssign)
-            else []
-        )
-        if not any(isinstance(t, ast.Name) and t.id == symbol for t in targets):
-            continue
-        if not isinstance(node.value, ast.Dict):
-            return None
-        table: dict[str, tuple[str, ...]] = {}
-        for key_node, value_node in zip(node.value.keys, node.value.values):
-            key = _literal_str(key_node) if key_node is not None else None
-            if key is None or not isinstance(value_node, (ast.Tuple, ast.List)):
-                continue
-            table[key] = tuple(
-                leaf
-                for leaf in (_literal_str(elt) for elt in value_node.elts)
-                if leaf is not None
-            )
-        return table
-    return None
-
-
-def _extract_policies(
-    tree: ast.Module,
-) -> dict[str, tuple[tuple[str, ast.Call], ...]] | None:
-    """Read ``DEFAULT_POLICIES = {"file": (MetricPolicy("pat", ...), ...)}``.
-
-    Returns pattern strings paired with their call nodes (for finding
-    locations).
-    """
-    for node in tree.body:
-        targets = (
-            node.targets
-            if isinstance(node, ast.Assign)
-            else [node.target]
-            if isinstance(node, ast.AnnAssign)
-            else []
-        )
-        if not any(
-            isinstance(t, ast.Name) and t.id == POLICIES_SYMBOL for t in targets
-        ):
-            continue
-        if not isinstance(node.value, ast.Dict):
-            return None
-        table: dict[str, tuple[tuple[str, ast.Call], ...]] = {}
-        for key_node, value_node in zip(node.value.keys, node.value.values):
-            key = _literal_str(key_node) if key_node is not None else None
-            if key is None or not isinstance(value_node, (ast.Tuple, ast.List)):
-                continue
-            patterns: list[tuple[str, ast.Call]] = []
-            for element in value_node.elts:
-                if not isinstance(element, ast.Call):
-                    continue
-                args = list(element.args)
-                keywords = {
-                    kw.arg: kw.value for kw in element.keywords if kw.arg
-                }
-                pattern_node = args[0] if args else keywords.get("pattern")
-                pattern = (
-                    _literal_str(pattern_node)
-                    if pattern_node is not None
-                    else None
-                )
-                if pattern is not None:
-                    patterns.append((pattern, element))
-            table[key] = tuple(patterns)
-        return table
-    return None
-
-
-class TelemetryContractRule(ProjectAstRule):
-    """Instrument sites and gate patterns must resolve in the catalog."""
+class TelemetryContractRule(AstRule):
+    """Instrument sites must resolve in the catalog."""
 
     rule_id = "telemetry-contract"
     description = (
         "every metric/span name must be declared in the telemetry "
-        "catalog with matching kind and labels, and every regress-gate "
-        "pattern must match a declared bench leaf"
+        "catalog with matching kind and labels"
     )
 
     def check_project(self, graph: ProjectGraph) -> Iterable[Finding]:
@@ -220,11 +135,6 @@ class TelemetryContractRule(ProjectAstRule):
             if "obs" in info.name.split("."):
                 continue
             yield from self._check_sites(info, specs)
-        yield from self._check_gates(graph, catalog_module)
-
-    # ------------------------------------------------------------------
-    # Instrument sites
-    # ------------------------------------------------------------------
 
     def _declared(
         self, specs: tuple[_DeclaredSpec, ...], name: str, kind: str
@@ -267,7 +177,7 @@ class TelemetryContractRule(ProjectAstRule):
         for call, name, kind, labels in self._collect_sites(info):
             if specs is None:
                 yield self.finding(
-                    info,
+                    info.parsed,
                     call,
                     f"telemetry name '{name}' used but no literal "
                     f"{CATALOG_SYMBOL} module exists in the project",
@@ -285,14 +195,14 @@ class TelemetryContractRule(ProjectAstRule):
                 )
                 if wrong_kind is not None:
                     yield self.finding(
-                        info,
+                        info.parsed,
                         call,
                         f"'{name}' is declared as a {wrong_kind.kind} in "
                         f"the catalog but used as a {kind}",
                     )
                 else:
                     yield self.finding(
-                        info,
+                        info.parsed,
                         call,
                         f"{kind} name '{name}' is not declared in "
                         f"{CATALOG_SYMBOL}",
@@ -302,7 +212,7 @@ class TelemetryContractRule(ProjectAstRule):
             if undeclared:
                 listed = ", ".join(sorted(undeclared))
                 yield self.finding(
-                    info,
+                    info.parsed,
                     call,
                     f"label(s) {listed} on '{name}' are not in the "
                     f"declared label set",
@@ -363,44 +273,3 @@ class TelemetryContractRule(ProjectAstRule):
         if name is None:
             return None
         return (name, method)
-
-    # ------------------------------------------------------------------
-    # Regress-gate patterns
-    # ------------------------------------------------------------------
-
-    def _check_gates(
-        self, graph: ProjectGraph, catalog_module: ModuleInfo | None
-    ) -> Iterator[Finding]:
-        policies_module = graph.find_defining_module(POLICIES_SYMBOL)
-        if policies_module is None:
-            return
-        policies = _extract_policies(policies_module.parsed.tree)
-        if not policies:
-            return
-        leaves = (
-            _extract_string_dict(catalog_module.parsed.tree, LEAVES_SYMBOL)
-            if catalog_module is not None
-            else None
-        ) or {}
-        for report, patterns in policies.items():
-            declared = leaves.get(report)
-            for pattern, call in patterns:
-                if declared is None:
-                    yield self.finding(
-                        policies_module,
-                        call,
-                        f"regress policies gate '{report}' but "
-                        f"{LEAVES_SYMBOL} declares no leaves for it",
-                    )
-                    continue
-                if not any(
-                    fnmatchcase(leaf, pattern) or fnmatchcase(pattern, leaf)
-                    for leaf in declared
-                ):
-                    yield self.finding(
-                        policies_module,
-                        call,
-                        f"gate pattern '{pattern}' for {report} matches "
-                        f"no leaf declared in {LEAVES_SYMBOL} (dead gate "
-                        f"or typo)",
-                    )

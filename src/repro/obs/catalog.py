@@ -1,26 +1,20 @@
 """The telemetry catalog: every metric and span name, declared once.
 
-The observability pipeline has three places a name can live: the
-instrument site (``metrics.counter("serve.queries", ...)``), the
-Prometheus exposition / JSONL trace it flows into, and the fnmatch
-patterns the regress gate (:mod:`repro.obs.regress`) budgets against
-``benchmarks/baselines/``.  A typo in any one of them fails *silently*
-— the counter simply never matches the gate, or the gate guards a leaf
-no benchmark writes.  This module is the single source of truth the
-``telemetry-contract`` project rule checks both ends against:
+A metric name lives at its instrument site
+(``metrics.counter("serve.queries", ...)``) and in the Prometheus
+exposition / JSONL trace it flows into.  A typo at the site fails
+*silently* — the counter simply reports under a name nobody declared.
+This module is the single source of truth the ``telemetry-contract``
+rule checks every site against:
 
 * :data:`METRIC_CATALOG` — every instrument and span name used in
   ``src/`` or ``benchmarks/``, with its kind and allowed label set.
   Names containing ``*`` are families covering f-string sites whose
   interpolated segment is open-ended (``diffusion.{model}.rounds``).
-* :data:`GATED_BENCH_LEAVES` — per report file, the flattened numeric
-  leaves of the checked-in baselines that regress policies are allowed
-  to reference; every ``MetricPolicy`` pattern must match at least one.
 
-Both tables are **pure literals** so the static-analysis rule can read
-them without importing the module; the declarations are also validated
-at import time (:func:`validate_catalog`) and round-tripped against
-the real baselines by ``tests/obs/test_catalog.py``.
+The catalog is a **pure literal** so the static-analysis rule can read
+it without importing the module; the declarations are also validated
+at import time (:func:`validate_catalog`).
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from fnmatch import fnmatchcase
 from typing import Sequence
 
 __all__ = [
-    "GATED_BENCH_LEAVES",
     "METRIC_CATALOG",
     "MetricSpec",
     "catalog_names",
@@ -121,30 +114,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("sketch.select", "span", ("num_seeds", "num_sketches"), "CELF max-coverage seed selection"),
     MetricSpec("train_epoch", "span", ("repeat",), "benchmark: one timed training epoch"),
 )
-
-#: Flattened numeric leaves of the checked-in ``benchmarks/baselines/``
-#: reports that regress policies may gate.  Names containing ``*`` are
-#: families (one per workload / preset / worker count).  Every
-#: ``MetricPolicy`` pattern in :data:`repro.obs.regress.DEFAULT_POLICIES`
-#: must fnmatch at least one entry here, and every entry must resolve
-#: against the checked-in baseline file (tests/obs/test_catalog.py).
-GATED_BENCH_LEAVES: dict[str, tuple[str, ...]] = {
-    "BENCH_serving.json": (
-        "workloads.*.p50_ms",
-        "workloads.*.p99_ms",
-        "workloads.*.qps",
-    ),
-    "BENCH_training.json": (
-        "context_generation.batched_seconds",
-        "train_epoch.batched_seconds",
-        "parallel.workers.*.examples_per_sec",
-    ),
-    "BENCH_influence_max.json": (
-        "presets.*.methods.*.selection_seconds",
-        "presets.*.methods.*.spread",
-    ),
-}
-
 
 def catalog_names(kind: str | None = None) -> tuple[str, ...]:
     """Declared names (optionally restricted to one instrument kind)."""

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.ckpt.atomic import atomic_output, atomic_write_text
 from repro.errors import ServingError
+from repro.serve.store import load_shard
 from repro.serve.topk import TopKEngine, TopKResult
 from repro.utils.validation import check_positive_int
 
@@ -198,7 +199,7 @@ class TopKIndex:
                 raise ServingError(
                     f"missing index shard {part!r} for direction {direction!r}"
                 )
-            arrays[part] = np.load(directory / filename, mmap_mode="r")
+            arrays[part] = load_shard(directory / filename)
         index = cls(direction, arrays["ids"], arrays["scores"])
         if index.num_users != int(manifest.get("num_users", -1)) or index.k != int(
             manifest.get("k", -1)

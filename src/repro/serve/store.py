@@ -54,6 +54,18 @@ STORE_MANIFEST_FILENAME = "store.json"
 _SHARDS = ("source", "target", "source_bias", "target_bias")
 
 
+def load_shard(path: Path) -> np.ndarray:
+    """Memory-map one ``.npy`` shard read-only.
+
+    A truncated, zeroed or emptied file raises :class:`ServingError`
+    naming the shard instead of numpy's ``ValueError``/``EOFError``.
+    """
+    try:
+        return np.load(path, mmap_mode="r")
+    except (ValueError, OSError, EOFError) as exc:
+        raise ServingError(f"unreadable shard {path}: {exc}") from exc
+
+
 class EmbeddingStore:
     """Read-only, memory-mapped view of a persisted embedding.
 
@@ -146,7 +158,7 @@ class EmbeddingStore:
             path = directory / filename
             if not path.is_file():
                 raise ServingError(f"missing store shard {path}")
-            arrays[name] = np.load(path, mmap_mode="r")
+            arrays[name] = load_shard(path)
         cls._validate_shapes(manifest, arrays)
         return cls(directory, **arrays)
 

@@ -1,11 +1,8 @@
-"""CLI contract: exit codes, text/JSON output schema, baseline flags."""
-
-import json
-import subprocess
+"""CLI contract: exit codes, text output, rule selection."""
 
 import pytest
 
-from repro.analysis import ALL_PROJECT_RULES, ALL_RULES, load_baseline
+from repro.analysis import ALL_RULES
 from repro.analysis.cli import main
 
 CLEAN = "x = 1\n"
@@ -14,7 +11,7 @@ VIOLATION = "import numpy as np\nx = np.random.rand()\n"
 
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
-    """A scannable package dir; cwd pinned so no repo baseline leaks in."""
+    """A scannable package dir; cwd pinned so no repo tree leaks in."""
     monkeypatch.chdir(tmp_path)
     pkg = tmp_path / "pkg"
     pkg.mkdir()
@@ -28,11 +25,11 @@ def run_cli(*argv):
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tree):
         (tree / "ok.py").write_text(CLEAN)
-        assert run_cli(str(tree), "--no-baseline") == 0
+        assert run_cli(str(tree)) == 0
 
     def test_findings_exit_nonzero(self, tree):
         (tree / "bad.py").write_text(VIOLATION)
-        assert run_cli(str(tree), "--no-baseline") == 1
+        assert run_cli(str(tree)) == 1
 
     def test_usage_error_exits_two(self, tree):
         with pytest.raises(SystemExit) as excinfo:
@@ -48,7 +45,7 @@ class TestExitCodes:
 class TestTextOutput:
     def test_findings_printed_with_file_line_rule(self, tree, capsys):
         (tree / "bad.py").write_text(VIOLATION)
-        run_cli(str(tree), "--no-baseline")
+        run_cli(str(tree))
         out = capsys.readouterr()
         assert f"{tree.as_posix()}/bad.py:2: no-global-rng:" in out.out
         assert "1 finding(s)" in out.err
@@ -56,135 +53,25 @@ class TestTextOutput:
     def test_list_rules_shows_every_id(self, capsys):
         assert run_cli("--list-rules") == 0
         out = capsys.readouterr().out
-        for rule_class in (*ALL_RULES, *ALL_PROJECT_RULES):
+        for rule_class in ALL_RULES:
             assert rule_class.rule_id in out
-
-
-class TestJsonOutput:
-    def test_schema(self, tree, capsys):
-        (tree / "bad.py").write_text(VIOLATION)
-        code = run_cli(str(tree), "--no-baseline", "--format", "json")
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
-        assert payload["roots"] == [tree.as_posix()]
-        assert payload["rules"] == [r.rule_id for r in ALL_RULES]
-        assert payload["project_rules"] == [
-            r.rule_id for r in ALL_PROJECT_RULES
-        ]
-        assert payload["count"] == 1
-        assert payload["baselined"] == 0
-        assert isinstance(payload["elapsed_s"], float)
-        (finding,) = payload["findings"]
-        assert finding == {
-            "root": tree.as_posix(),
-            "path": "bad.py",
-            "line": 2,
-            "rule": "no-global-rng",
-            "message": finding["message"],
-        }
-        assert "global NumPy RNG" in finding["message"]
-
-    def test_clean_tree_schema(self, tree, capsys):
-        (tree / "ok.py").write_text(CLEAN)
-        assert run_cli(str(tree), "--no-baseline", "--format", "json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 0
-        assert payload["findings"] == []
 
 
 class TestRuleSelection:
     def test_rules_flag_restricts_the_suite(self, tree, capsys):
         (tree / "bad.py").write_text(VIOLATION + "print('x')\n")
-        assert run_cli(str(tree), "--no-baseline", "--rules", "no-print") == 1
+        assert run_cli(str(tree), "--rules", "no-print") == 1
         payload_lines = capsys.readouterr().out.splitlines()
         assert len(payload_lines) == 1
         assert "no-print" in payload_lines[0]
 
     def test_project_rule_id_selects_the_project_pass(self, tree, capsys):
-        # dead-export is a project rule: it needs the import graph, and
-        # selecting it alone must not run any per-file rule.
+        # dead-export is a cross-file rule: it needs the import graph,
+        # and selecting it alone must not run any per-file rule.
         (tree / "impl.py").write_text(
             VIOLATION + "__all__ = ['unused']\ndef unused():\n    return 1\n"
         )
-        assert (
-            run_cli(str(tree), "--no-baseline", "--rules", "dead-export") == 1
-        )
+        assert run_cli(str(tree), "--rules", "dead-export") == 1
         out_lines = capsys.readouterr().out.splitlines()
         assert len(out_lines) == 1
         assert "dead-export" in out_lines[0] and "'unused'" in out_lines[0]
-
-
-class TestGraphDump:
-    def test_graph_flag_dumps_modules_and_exits_zero(self, tree, capsys):
-        (tree / "__init__.py").write_text("from pkg.mod import f\n")
-        (tree / "mod.py").write_text("def f():\n    return 1\n")
-        assert run_cli(str(tree), "--graph") == 0
-        payload = json.loads(capsys.readouterr().out)
-        modules = payload[tree.as_posix()]["modules"]
-        assert set(modules) == {"pkg", "pkg.mod"}
-        (edge,) = modules["pkg"]["imports"]
-        assert (edge["module"], edge["name"]) == ("pkg.mod", "f")
-
-
-class TestChangedOnly:
-    @pytest.fixture
-    def repo(self, tree):
-        def git(*argv):
-            subprocess.run(
-                ["git", *argv],
-                cwd=tree.parent,
-                check=True,
-                capture_output=True,
-            )
-
-        git("init", "-q")
-        git("config", "user.email", "t@example.com")
-        git("config", "user.name", "t")
-        (tree / "old.py").write_text(VIOLATION)
-        git("add", ".")
-        git("commit", "-qm", "seed")
-        return git
-
-    def test_only_changed_files_are_checked(self, tree, repo, capsys):
-        # old.py violates but is unchanged; the new file is clean.
-        (tree / "new.py").write_text(CLEAN)
-        assert run_cli(str(tree), "--no-baseline", "--changed-only") == 0
-        capsys.readouterr()
-
-        # A dirty violating file is reported again.
-        (tree / "new.py").write_text(VIOLATION)
-        assert run_cli(str(tree), "--no-baseline", "--changed-only") == 1
-        assert "new.py" in capsys.readouterr().out
-
-    def test_bad_base_ref_is_a_usage_error(self, tree, repo):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(str(tree), "--changed-only", "--base-ref", "no-such-ref")
-        assert excinfo.value.code == 2
-
-
-class TestBaselineFlags:
-    def test_write_baseline_then_clean_run(self, tree, capsys):
-        (tree / "bad.py").write_text(VIOLATION)
-        baseline = tree.parent / "baseline.json"
-        assert (
-            run_cli(str(tree), "--baseline", str(baseline), "--write-baseline")
-            == 0
-        )
-        assert len(load_baseline(baseline)) == 1
-        capsys.readouterr()
-
-        # Grandfathered finding no longer fails the run...
-        assert run_cli(str(tree), "--baseline", str(baseline)) == 0
-        assert "(1 baselined)" in capsys.readouterr().err
-
-        # ...but --no-baseline still shows it.
-        assert run_cli(str(tree), "--no-baseline") == 1
-
-    def test_auto_discovery_walks_up(self, tree, capsys):
-        (tree / "bad.py").write_text(VIOLATION)
-        baseline = tree.parent / ".analysis-baseline.json"
-        run_cli(str(tree), "--baseline", str(baseline), "--write-baseline")
-        capsys.readouterr()
-        # No --baseline flag: the file is discovered above the root.
-        assert run_cli(str(tree)) == 0

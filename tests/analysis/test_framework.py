@@ -1,27 +1,30 @@
-"""Framework behaviour: suppressions, baseline round trip, parse cache."""
+"""Framework behaviour: suppressions, file iteration, parse errors."""
 
 import textwrap
-
-import pytest
 
 from repro.analysis import (
     PARSE_ERROR_RULE,
     Finding,
-    analyze_source,
-    baseline_key,
+    analyze_project,
+    build_project_graph,
     default_rules,
-    discover_baseline,
     get_rule,
     iter_python_files,
-    load_baseline,
     parse_source,
-    run_analysis,
-    save_baseline,
+    run_rules,
 )
-from repro.analysis.core import _PARSE_CACHE
-from repro.errors import ReproError
 
 VIOLATION = "import numpy as np\nx = np.random.rand()\n"
+
+
+def analyze(source, rules):
+    """Findings of ``rules`` over one in-memory module."""
+    return analyze_project({"<memory>.py": source}, rules)
+
+
+def run_tree(root):
+    """Findings of every rule over the files under ``root``."""
+    return run_rules(build_project_graph(root), default_rules())
 
 
 # ---------------------------------------------------------------------------
@@ -35,26 +38,26 @@ class TestSuppressions:
             "import numpy as np\n"
             "x = np.random.rand()  # lint: disable=no-global-rng\n"
         )
-        assert analyze_source(source, default_rules()) == []
+        assert analyze(source, default_rules()) == []
 
     def test_suppression_of_other_rule_does_not_silence(self):
         source = (
             "import numpy as np\n"
             "x = np.random.rand()  # lint: disable=no-print\n"
         )
-        findings = analyze_source(source, default_rules())
+        findings = analyze(source, default_rules())
         assert [f.rule_id for f in findings] == ["no-global-rng"]
 
     def test_bare_disable_silences_all_rules(self):
         source = "print(open('x', 'w'))  # lint: disable\n"
-        assert analyze_source(source, default_rules()) == []
+        assert analyze(source, default_rules()) == []
 
     def test_comma_separated_rule_list(self):
         source = (
             "print(open('x', 'w'))  "
             "# lint: disable=no-print, atomic-write-only\n"
         )
-        assert analyze_source(source, default_rules()) == []
+        assert analyze(source, default_rules()) == []
 
     def test_suppression_only_covers_its_line(self):
         source = (
@@ -62,7 +65,7 @@ class TestSuppressions:
             "y = np.random.rand()  # lint: disable=no-global-rng\n"
             "z = np.random.rand()\n"
         )
-        findings = analyze_source(source, default_rules())
+        findings = analyze(source, default_rules())
         assert [f.line for f in findings] == [3]
 
     def test_suppression_covers_the_whole_statement(self):
@@ -77,7 +80,7 @@ class TestSuppressions:
             "    )\n"
             ")\n"
         )
-        assert analyze_source(source, default_rules()) == []
+        assert analyze(source, default_rules()) == []
 
     def test_comment_on_inner_line_covers_the_statement_too(self):
         source = (
@@ -86,7 +89,7 @@ class TestSuppressions:
             "    np.random.rand(3),  # lint: disable=no-global-rng\n"
             ")\n"
         )
-        assert analyze_source(source, default_rules()) == []
+        assert analyze(source, default_rules()) == []
 
     def test_statement_scope_does_not_leak_to_siblings(self):
         source = (
@@ -94,7 +97,7 @@ class TestSuppressions:
             "x = np.random.rand()  # lint: disable=no-global-rng\n"
             "y = np.random.rand()\n"
         )
-        findings = analyze_source(source, default_rules())
+        findings = analyze(source, default_rules())
         assert [f.line for f in findings] == [3]
 
     def test_disable_comment_inside_string_is_inert(self):
@@ -105,129 +108,16 @@ class TestSuppressions:
         )
         parsed = parse_source(source)
         assert parsed.suppressions == {}
-        findings = analyze_source(source, default_rules())
+        findings = analyze(source, default_rules())
         assert [f.rule_id for f in findings] == ["no-global-rng"]
 
 
 # ---------------------------------------------------------------------------
-# Baseline round trip
+# File iteration
 # ---------------------------------------------------------------------------
 
 
-class TestBaseline:
-    def test_round_trip_filters_grandfathered_findings(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "old.py").write_text(VIOLATION)
-        rules = [get_rule("no-global-rng")]
-
-        findings = run_analysis(pkg, rules)
-        assert len(findings) == 1
-
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, findings)
-        baseline = load_baseline(baseline_file)
-        assert baseline == {baseline_key(findings[0])}
-
-        assert run_analysis(pkg, rules, baseline=baseline) == []
-
-    def test_baseline_survives_line_drift(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "old.py").write_text(VIOLATION)
-        rules = [get_rule("no-global-rng")]
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, run_analysis(pkg, rules))
-
-        # Code added above the grandfathered site moves its line.
-        (pkg / "old.py").write_text("import os\n\n" + VIOLATION)
-        baseline = load_baseline(baseline_file)
-        assert run_analysis(pkg, rules, baseline=baseline) == []
-
-    def test_new_violation_is_not_masked_by_baseline(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "old.py").write_text(VIOLATION)
-        rules = [get_rule("no-global-rng")]
-        baseline_file = tmp_path / "baseline.json"
-        save_baseline(baseline_file, run_analysis(pkg, rules))
-
-        (pkg / "old.py").write_text(VIOLATION + "y = np.random.choice([1])\n")
-        baseline = load_baseline(baseline_file)
-        survivors = run_analysis(pkg, rules, baseline=baseline)
-        assert len(survivors) == 1
-        assert "choice" in survivors[0].message
-
-    def test_corrupt_baseline_raises_repro_error(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        with pytest.raises(ReproError, match="unreadable baseline"):
-            load_baseline(bad)
-
-    def test_wrong_version_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ReproError, match="version"):
-            load_baseline(bad)
-
-    def test_discover_walks_up_from_root(self, tmp_path):
-        (tmp_path / ".analysis-baseline.json").write_text(
-            '{"version": 1, "entries": []}'
-        )
-        nested = tmp_path / "src" / "pkg"
-        nested.mkdir(parents=True)
-        assert discover_baseline(nested) == tmp_path / ".analysis-baseline.json"
-
-
-# ---------------------------------------------------------------------------
-# Parse cache and file iteration
-# ---------------------------------------------------------------------------
-
-
-class TestParseCacheAndIteration:
-    def test_cache_hit_on_unchanged_file(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        run_analysis(tmp_path, default_rules())
-        key = str(target.resolve())
-        assert key in _PARSE_CACHE
-        first = _PARSE_CACHE[key][2]
-        run_analysis(tmp_path, default_rules())
-        assert _PARSE_CACHE[key][2] is first
-
-    def test_cache_invalidated_on_change(self, tmp_path):
-        import os
-
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        run_analysis(tmp_path, default_rules())
-        key = str(target.resolve())
-        first = _PARSE_CACHE[key][2]
-        target.write_text("x = 2  # changed\n")
-        os.utime(target, ns=(1, 1))  # force a distinct mtime
-        run_analysis(tmp_path, default_rules())
-        assert _PARSE_CACHE[key][2] is not first
-
-    def test_rewrite_within_one_mtime_tick_is_detected(self, tmp_path):
-        # Coarse filesystem timestamps can leave mtime unchanged across
-        # a rewrite; the (mtime_ns, size) key must still invalidate as
-        # long as the size differs.
-        import os
-
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        run_analysis(tmp_path, default_rules())
-        key = str(target.resolve())
-        first = _PARSE_CACHE[key][2]
-        stat = target.stat()
-
-        target.write_text("x = 1234\n")  # different size...
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same tick
-        assert target.stat().st_mtime_ns == stat.st_mtime_ns
-        run_analysis(tmp_path, default_rules())
-        assert _PARSE_CACHE[key][2] is not first
-        assert _PARSE_CACHE[key][2].text == "x = 1234\n"
-
+class TestFileIteration:
     def test_hidden_directories_are_skipped(self, tmp_path):
         (tmp_path / ".hidden").mkdir()
         (tmp_path / ".hidden" / "skipme.py").write_text(VIOLATION)
@@ -238,7 +128,7 @@ class TestParseCacheAndIteration:
     def test_findings_are_sorted_by_path_line_rule(self, tmp_path):
         (tmp_path / "b.py").write_text(VIOLATION)
         (tmp_path / "a.py").write_text("print('x')\nprint('y')\n")
-        findings = run_analysis(tmp_path, default_rules())
+        findings = run_tree(tmp_path)
         keys = [(f.path, f.line) for f in findings]
         assert keys == sorted(keys)
 
@@ -250,14 +140,14 @@ class TestParseCacheAndIteration:
 
 class TestParseErrors:
     def test_syntax_error_becomes_parse_error_finding(self):
-        findings = analyze_source("def broken(:\n", default_rules())
+        findings = analyze("def broken(:\n", default_rules())
         assert [f.rule_id for f in findings] == [PARSE_ERROR_RULE]
         assert "does not parse" in findings[0].message
 
     def test_unparsable_file_does_not_abort_the_run(self, tmp_path):
         (tmp_path / "bad.py").write_text("def broken(:\n")
         (tmp_path / "good.py").write_text(VIOLATION)
-        findings = run_analysis(tmp_path, default_rules())
+        findings = run_tree(tmp_path)
         assert {f.rule_id for f in findings} == {PARSE_ERROR_RULE, "no-global-rng"}
 
 
@@ -266,19 +156,13 @@ class TestParseErrors:
 # ---------------------------------------------------------------------------
 
 
-def test_finding_render_and_dict():
+def test_finding_render():
     finding = Finding(path="data/x.py", line=7, rule_id="r", message="m")
     assert finding.render() == "data/x.py:7: r: m"
     assert finding.render(prefix="src/repro") == "src/repro/data/x.py:7: r: m"
-    assert finding.to_dict() == {
-        "path": "data/x.py",
-        "line": 7,
-        "rule": "r",
-        "message": "m",
-    }
 
 
-def test_analyze_source_matches_textwrap_fixture_style():
+def test_fixture_entry_matches_textwrap_fixture_style():
     source = textwrap.dedent(
         """
         import time
@@ -287,5 +171,5 @@ def test_analyze_source_matches_textwrap_fixture_style():
             return time.time()
         """
     )
-    findings = analyze_source(source, [get_rule("no-wallclock-timing")])
+    findings = analyze(source, [get_rule("no-wallclock-timing")])
     assert [f.line for f in findings] == [5]

@@ -1,4 +1,4 @@
-"""Pass-1 engine tests: graph construction, origins, usage, runner."""
+"""Engine tests: graph construction, origins, usage, runner."""
 
 from __future__ import annotations
 
@@ -7,17 +7,17 @@ import ast
 import pytest
 
 from repro.analysis import (
+    AstRule,
     Finding,
     ProjectGraph,
     analyze_project,
     build_project_graph,
     build_project_graph_from_sources,
-    run_project_rules,
+    run_rules,
 )
-from repro.analysis.project import ProjectAstRule, is_project_rule
 
 
-class NamedRule(ProjectAstRule):
+class NamedRule(AstRule):
     """Flags every module whose name contains 'bad' (test scaffolding)."""
 
     rule_id = "named"
@@ -26,7 +26,9 @@ class NamedRule(ProjectAstRule):
     def check_project(self, graph):
         for info in graph.checked_modules():
             if "bad" in info.name:
-                yield self.finding(info, info.parsed.tree.body[0], "flagged")
+                yield self.finding(
+                    info.parsed, info.parsed.tree.body[0], "flagged"
+                )
 
 
 class TestModuleNaming:
@@ -160,20 +162,6 @@ class TestRunner:
         )
         assert [f.path for f in findings] == ["bad_one.py"]
 
-    def test_rule_filter_via_protocol(self):
-        assert is_project_rule(NamedRule())
-        assert not is_project_rule(object())
-
-    def test_to_dict_shape(self):
-        graph = build_project_graph_from_sources(
-            {"a.py": "__all__ = ['x']\nx = 1\n"},
-            reference_sources={"t.py": "import a\n"},
-        )
-        payload = graph.to_dict()
-        assert payload["modules"]["a"]["exports"] == ["x"]
-        assert payload["references"] == ["t.py"]
-        assert payload["modules"]["a"]["path"] == "a.py"
-
     def test_real_tree_builds_and_resolves(self, repo_src):
         graph = build_project_graph(repo_src)
         assert isinstance(graph, ProjectGraph)
@@ -197,7 +185,7 @@ def repo_src():
 class TestProjectFindingContract:
     def test_finding_fields(self):
         graph = build_project_graph_from_sources({"bad.py": "x = 1\n"})
-        findings = run_project_rules(graph, [NamedRule()])
+        findings = run_rules(graph, [NamedRule()])
         assert findings == [
             Finding(path="bad.py", line=1, rule_id="named", message="flagged")
         ]
@@ -205,15 +193,15 @@ class TestProjectFindingContract:
     def test_project_rule_base_requires_override(self):
         graph = build_project_graph_from_sources({"a.py": "x = 1\n"})
         with pytest.raises(NotImplementedError):
-            list(ProjectAstRule().check_project(graph))
+            list(AstRule().check_project(graph))
 
     def test_finding_defaults_to_line_one_without_node(self):
         graph = build_project_graph_from_sources({"a.py": "x = 1\n"})
         info = graph.module("a")
-        rule = ProjectAstRule()
+        rule = AstRule()
         rule.rule_id = "t"
-        finding = rule.finding(info, None, "msg")
+        finding = rule.finding(info.parsed, None, "msg")
         assert (finding.line, finding.path) == (1, "a.py")
-        located = rule.finding(info, info.parsed.tree.body[0], "msg")
+        located = rule.finding(info.parsed, info.parsed.tree.body[0], "msg")
         assert isinstance(info.parsed.tree.body[0], ast.stmt)
         assert located.line == 1

@@ -1,11 +1,10 @@
-"""Fixture mini-projects for every project rule: positive + negative."""
+"""Fixture mini-projects for every cross-file rule: positive + negative."""
 
 from __future__ import annotations
 
 from repro.analysis import analyze_project
 from repro.analysis.rules import (
     DeadExportRule,
-    EinsumOptimizeRule,
     ExplicitDtypeRule,
     HogwildSafetyRule,
     SetIterationOrderRule,
@@ -111,39 +110,6 @@ class TestHogwildSafety:
         assert findings == []
 
 
-class TestEinsumOptimize:
-    def run(self, body, module="serve/engine.py"):
-        return analyze_project(
-            {module: "import numpy as np\n" + body}, [EinsumOptimizeRule()]
-        )
-
-    def test_missing_optimize_flagged(self):
-        findings = self.run("def f(a, b):\n    return np.einsum('ij,kj->ik', a, b)\n")
-        assert _ids(findings) == ["einsum-optimize"]
-
-    def test_non_false_optimize_flagged(self):
-        findings = self.run(
-            "def f(a, b):\n"
-            "    return np.einsum('ij,kj->ik', a, b, optimize=True)\n"
-        )
-        assert _ids(findings) == ["einsum-optimize"]
-        assert "literal optimize=False" in findings[0].message
-
-    def test_optimize_false_clean(self):
-        findings = self.run(
-            "def f(a, b):\n"
-            "    return np.einsum('ij,kj->ik', a, b, optimize=False)\n"
-        )
-        assert findings == []
-
-    def test_outside_scope_ignored(self):
-        findings = self.run(
-            "def f(a, b):\n    return np.einsum('ij,kj->ik', a, b)\n",
-            module="training/kernels.py",
-        )
-        assert findings == []
-
-
 class TestExplicitDtype:
     def run(self, body, module="sketch/pool.py"):
         return analyze_project(
@@ -211,17 +177,12 @@ CATALOG = (
     "    MetricSpec('train.loss', 'gauge', ('epoch',), ''),\n"
     "    MetricSpec('diffusion.*.rounds', 'histogram', (), ''),\n"
     ")\n"
-    "GATED_BENCH_LEAVES = {\n"
-    "    'B.json': ('workloads.*.p50', 'fixed.leaf'),\n"
-    "}\n"
 )
 
 
 class TestTelemetryContract:
-    def run(self, user_source, catalog=CATALOG, policies=None):
+    def run(self, user_source, catalog=CATALOG):
         sources = {"catalog.py": catalog, "app.py": user_source}
-        if policies is not None:
-            sources["regress.py"] = policies
         return analyze_project(sources, [TelemetryContractRule()])
 
     def test_declared_site_with_declared_labels_clean(self):
@@ -285,41 +246,6 @@ class TestTelemetryContract:
         )
         assert _ids(findings) == ["telemetry-contract"]
         assert "no literal METRIC_CATALOG" in findings[0].message
-
-    def test_live_gate_pattern_clean(self):
-        findings = self.run(
-            "x = 1\n",
-            policies=(
-                "DEFAULT_POLICIES = {\n"
-                "    'B.json': (MetricPolicy('workloads.*.p50', 'lower', 0.75),),\n"
-                "}\n"
-            ),
-        )
-        assert findings == []
-
-    def test_dead_gate_pattern_flagged(self):
-        findings = self.run(
-            "x = 1\n",
-            policies=(
-                "DEFAULT_POLICIES = {\n"
-                "    'B.json': (MetricPolicy('wrkloads.*.p50', 'lower', 0.75),),\n"
-                "}\n"
-            ),
-        )
-        assert _ids(findings) == ["telemetry-contract"]
-        assert "dead gate" in findings[0].message
-
-    def test_unknown_report_file_flagged(self):
-        findings = self.run(
-            "x = 1\n",
-            policies=(
-                "DEFAULT_POLICIES = {\n"
-                "    'OTHER.json': (MetricPolicy('a.*', 'lower', 0.5),),\n"
-                "}\n"
-            ),
-        )
-        assert _ids(findings) == ["telemetry-contract"]
-        assert "declares no leaves" in findings[0].message
 
 
 class TestDeadExport:

@@ -1,6 +1,6 @@
 """Per-rule fixtures: every rule has passing and failing snippets.
 
-All fixtures are parsed from strings via ``analyze_source`` — never
+All fixtures are parsed from strings via ``analyze_project`` — never
 from repo files — so each case documents exactly the construct it
 exercises.
 """
@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import ALL_RULES, analyze_source, get_rule
+from repro.analysis import ALL_RULES, analyze_project, get_rule
 from repro.analysis.rules import (
     AtomicWriteOnlyRule,
     NoBareExceptRule,
@@ -23,7 +23,7 @@ from repro.analysis.rules import (
 
 def check(rule, source, relative="mod.py"):
     """Findings from one rule over a dedented snippet."""
-    return analyze_source(textwrap.dedent(source), [rule], relative=relative)
+    return analyze_project({relative: textwrap.dedent(source)}, [rule])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_every_rule_has_id_description_and_check():
     for rule_class in ALL_RULES:
         assert rule_class.rule_id != "abstract"
         assert rule_class.description
-        assert callable(rule_class().check)
+        assert callable(rule_class().check_project)
 
 
 def test_rule_ids_are_unique():

@@ -11,7 +11,20 @@ from repro.serve import (
     STORE_FORMAT_VERSION,
     STORE_MANIFEST_FILENAME,
     EmbeddingStore,
+    TopKEngine,
+    TopKIndex,
 )
+
+#: Ways a persisted ``.npy`` shard gets damaged on disk.
+DAMAGES = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "zeroed": lambda raw: bytes(len(raw)),
+    "emptied": lambda raw: b"",
+}
+
+
+def _damage(path, how):
+    path.write_bytes(DAMAGES[how](path.read_bytes()))
 
 
 @pytest.fixture
@@ -100,3 +113,25 @@ class TestValidation:
         EmbeddingStore.save(embedding, tmp_path)
         leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
+
+
+class TestDamagedShards:
+    """A damaged shard raises ServingError naming it, never numpy's error."""
+
+    @pytest.mark.parametrize("how", sorted(DAMAGES))
+    @pytest.mark.parametrize(
+        "shard", ["source", "target", "source_bias", "target_bias"]
+    )
+    def test_damaged_store_shard(self, embedding, tmp_path, shard, how):
+        EmbeddingStore.save(embedding, tmp_path)
+        _damage(tmp_path / f"{shard}.npy", how)
+        with pytest.raises(ServingError, match=f"{shard}.npy"):
+            EmbeddingStore.open(tmp_path)
+
+    @pytest.mark.parametrize("how", sorted(DAMAGES))
+    @pytest.mark.parametrize("part", ["ids", "scores"])
+    def test_damaged_index_part(self, embedding, tmp_path, part, how):
+        TopKIndex.build(TopKEngine(embedding), k=5).save(tmp_path)
+        _damage(tmp_path / f"topk_influenced_{part}.npy", how)
+        with pytest.raises(ServingError, match=f"topk_influenced_{part}.npy"):
+            TopKIndex.open(tmp_path)

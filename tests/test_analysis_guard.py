@@ -2,66 +2,47 @@
 
 This is the test that makes the contracts machine-enforced on every
 test run: no global RNG state, no bare prints, atomic-only
-persistence, monotonic timing, accurate ``__all__`` declarations, and
-the hygiene rules — see DESIGN.md "Coding invariants".  Since the
-checker grew a second pass, it also runs every project rule (hogwild
-write discipline, serving determinism, the telemetry catalog
-contract, dead exports) over the whole-project graph.  It absorbs the
-old ``tests/test_no_print.py`` (the ``no-print`` rule).
+persistence, monotonic timing, accurate ``__all__`` declarations, the
+hygiene rules, hogwild write discipline, serving determinism, the
+telemetry catalog contract and dead exports — see DESIGN.md §11
+"Coding invariants".  The suite runs once per session, cold, and both
+tests read that one run.
 """
 
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
-    baseline_key,
+    REFERENCE_ROOTS,
     build_project_graph,
-    default_project_rules,
     default_rules,
-    load_baseline,
-    run_analysis,
-    run_project_rules,
+    run_rules,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / ".analysis-baseline.json"
-
-#: Usage-only trees the project pass resolves imports against.
-REFERENCE_ROOTS = tuple(
-    REPO_ROOT / name
-    for name in ("tests", "benchmarks", "examples", "scripts")
-    if (REPO_ROOT / name).is_dir()
-)
 
 
-def _run_suite():
-    baseline = load_baseline(BASELINE) if BASELINE.is_file() else frozenset()
-    findings = list(run_analysis(SRC_ROOT, default_rules()))
-    graph = build_project_graph(SRC_ROOT, reference_roots=REFERENCE_ROOTS)
-    findings.extend(run_project_rules(graph, default_project_rules()))
-    return [f for f in findings if baseline_key(f) not in baseline]
+@pytest.fixture(scope="module")
+def suite_run():
+    """``(findings, seconds)`` of one full run over ``src/repro``."""
+    start = time.perf_counter()
+    graph = build_project_graph(
+        SRC_ROOT, reference_roots=[REPO_ROOT / name for name in REFERENCE_ROOTS]
+    )
+    findings = run_rules(graph, default_rules())
+    return findings, time.perf_counter() - start
 
 
-def test_source_tree_satisfies_all_invariants():
-    findings = _run_suite()
+def test_source_tree_satisfies_all_invariants(suite_run):
+    findings, _ = suite_run
     rendered = "\n".join(f.render(prefix="src/repro") for f in findings)
     assert not findings, f"invariant violations in src/:\n{rendered}"
 
 
-def test_full_suite_is_fast_enough_for_every_test_run():
-    """The acceptance bound: both passes finish well inside 10 s."""
-    start = time.perf_counter()
-    _run_suite()
-    elapsed = time.perf_counter() - start
+def test_full_suite_is_fast_enough_for_every_test_run(suite_run):
+    """The acceptance bound: a cold run finishes well inside 10 s."""
+    _, elapsed = suite_run
     assert elapsed < 10.0, f"analysis took {elapsed:.2f}s (budget: 10s)"
-
-
-def test_baseline_file_is_checked_in_and_loadable():
-    """The repo ships a loadable (currently empty) baseline."""
-    assert BASELINE.is_file(), f"missing checked-in baseline {BASELINE}"
-    entries = load_baseline(BASELINE)
-    assert entries == frozenset(), (
-        "the baseline should stay empty now the tree is clean; new "
-        f"grandfathered entries need justification: {sorted(entries)}"
-    )

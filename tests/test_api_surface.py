@@ -91,33 +91,24 @@ def test_analysis_public_api_is_pinned():
     import repro.analysis
 
     assert set(repro.analysis.__all__) == {
-        "ALL_PROJECT_RULES",
         "ALL_RULES",
         "AstRule",
-        "BASELINE_FILENAME",
         "Finding",
         "ModuleInfo",
         "PARSE_ERROR_RULE",
         "ParsedFile",
-        "ProjectAstRule",
         "ProjectGraph",
-        "ProjectRule",
+        "REFERENCE_ROOTS",
         "Rule",
         "analyze_project",
-        "analyze_source",
-        "baseline_key",
         "build_project_graph",
         "build_project_graph_from_sources",
-        "default_project_rules",
         "default_rules",
-        "discover_baseline",
         "get_rule",
         "iter_python_files",
-        "load_baseline",
         "main",
         "parse_source",
-        "run_analysis",
-        "save_baseline",
+        "run_rules",
     }
 
 
