@@ -187,12 +187,9 @@ def run_scaling(
         epochs=SCALING_EPOCHS,
         convergence_tol=0.0,
     )
-    positives = sum(
-        len(context)
-        for context in ContextGenerator(
-            data.graph, config.context, seed=seed
-        ).generate(data.log)
-    )
+    positives = ContextGenerator(
+        data.graph, config.context, seed=seed
+    ).generate(data.log).members.shape[0]
 
     cpu_count = os.cpu_count() or 1
     columns: dict[str, dict] = {}

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.context import InfluenceContext
+from repro.core.context import ContextCorpus
 from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.citation import CitationDataset, CitationPair
@@ -43,16 +43,13 @@ from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
 
-def pairs_to_contexts(pairs: Sequence[CitationPair]) -> list[InfluenceContext]:
+def pairs_to_contexts(pairs: Sequence[CitationPair]) -> ContextCorpus:
     """One single-member context per influence-pair observation.
 
     This is the "only exploit first-order social influence pairs"
     setting of the case study: no random walks, no global samples.
     """
-    return [
-        InfluenceContext(user=p.source, item=p.time, local=(p.target,), global_=())
-        for p in pairs
-    ]
+    return ContextCorpus.from_contexts((p.source, (p.target,), ()) for p in pairs)
 
 
 def train_embedding_model(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import EmbeddingModel
-from repro.core.context import ContextConfig, InfluenceContext
+from repro.core.context import ContextConfig, ContextCorpus
 from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.actionlog import ActionLog
@@ -69,22 +69,17 @@ def biased_walk(
     return walk
 
 
-def walk_contexts(walk: list[int], window: int) -> list[InfluenceContext]:
+def walk_contexts(walk: list[int], window: int) -> ContextCorpus:
     """Sliding-window skip-gram contexts from one walk."""
-    contexts: list[InfluenceContext] = []
+    contexts = []
     for index, center in enumerate(walk):
-        lo = max(0, index - window)
-        hi = min(len(walk), index + window + 1)
-        neighbors = tuple(
-            walk[k] for k in range(lo, hi) if k != index
+        neighbors = (
+            walk[max(0, index - window) : index]
+            + walk[index + 1 : index + window + 1]
         )
         if neighbors:
-            contexts.append(
-                InfluenceContext(
-                    user=center, item=-1, local=neighbors, global_=()
-                )
-            )
-    return contexts
+            contexts.append((center, neighbors, ()))
+    return ContextCorpus.from_contexts(contexts)
 
 
 class Node2vecModel(EmbeddingModel):
@@ -149,9 +144,9 @@ class Node2vecModel(EmbeddingModel):
     def fit(self, graph: SocialGraph, log: ActionLog) -> "Node2vecModel":
         """Walk, window, and train SGNS; the action log is unused."""
         walks = self.generate_walks(graph)
-        contexts: list[InfluenceContext] = []
-        for walk in walks:
-            contexts.extend(walk_contexts(walk, self.window))
+        contexts = ContextCorpus.concatenate(
+            [walk_contexts(walk, self.window) for walk in walks]
+        )
         logger.debug(
             "node2vec: %d walks -> %d contexts", len(walks), len(contexts)
         )

@@ -29,10 +29,10 @@ the same final embeddings an uninterrupted run would have produced.
 
 ``--workers N`` trains N hogwild shards (:mod:`repro.parallel`): at
 N > 1, N processes update one shared parameter block lock-free; the
-default, 1, trains in process.  ``--stream-chunk E`` streams each
-shard's corpus in E-episode chunks so memory stays bounded as
-``--num-users`` grows.  Checkpoints resume only at the worker count
-that wrote them (see DESIGN.md §14 for the determinism contract).
+default, 1, trains in process.  Each shard materialises its context
+corpus once, as flat int32 arrays.  Checkpoints resume only at the
+worker count that wrote them (see DESIGN.md §14 for the determinism
+contract).
 
 The ``serve`` command builds and queries the read-optimized influence
 serving layer (:mod:`repro.serve`)::
@@ -208,15 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="train with N hogwild worker processes over shared-memory "
         "parameters (default: 1, in process and bitwise-deterministic)",
     )
-    training.add_argument(
-        "--stream-chunk",
-        type=int,
-        default=None,
-        metavar="EPISODES",
-        help="stream the training corpus in chunks of this many episodes "
-        "per worker instead of materialising it (requires uniform "
-        "negative sampling)",
-    )
 
     influence = parser.add_argument_group(
         "influence-maximisation options (influence-max command only)"
@@ -365,7 +356,6 @@ def _run_training(args: argparse.Namespace) -> int:
         Inf2vecConfig(dim=args.dim, epochs=args.epochs),
         workers=1 if args.workers is None else args.workers,
         seed=args.seed,
-        stream_chunk=args.stream_chunk,
     )
     model = trainer.fit(
         dataset.graph, dataset.log, checkpoint=manager, resume=args.resume
@@ -395,6 +385,11 @@ def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
     if not args.store_dir:
         parser.error("serve requires --store-dir")
+    options = dict(
+        block_size=args.block_size or DEFAULT_BLOCK_SIZE,
+        trace_sample_rate=args.trace_sample,
+        trace_seed=args.seed,
+    )
     if args.embedding:
         store = EmbeddingStore.save(
             InfluenceEmbedding.load(args.embedding), args.store_dir
@@ -403,12 +398,11 @@ def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             f"store built at {args.store_dir}: "
             f"{store.num_users} users, dim {store.dim}"
         )
-    service = InfluenceService.open(
-        args.store_dir,
-        block_size=args.block_size or DEFAULT_BLOCK_SIZE,
-        trace_sample_rate=args.trace_sample,
-        trace_seed=args.seed,
-    )
+        # Indices persisted beside an earlier store describe that store;
+        # serve this one by scan until --precompute-k rebuilds them.
+        service = InfluenceService(store, **options)
+    else:
+        service = InfluenceService.open(args.store_dir, **options)
     if args.precompute_k:
         service.precompute(args.precompute_k, directions=(args.direction,))
         print(

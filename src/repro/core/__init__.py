@@ -3,8 +3,8 @@
 from repro.core.aggregation import AGGREGATORS, get_aggregator
 from repro.core.context import (
     ContextConfig,
+    ContextCorpus,
     ContextGenerator,
-    InfluenceContext,
     batched_random_walk_with_restart,
     generate_episode_contexts_batched,
 )
@@ -28,8 +28,8 @@ __all__ = [
     "AGGREGATORS",
     "get_aggregator",
     "ContextConfig",
+    "ContextCorpus",
     "ContextGenerator",
-    "InfluenceContext",
     "batched_random_walk_with_restart",
     "generate_episode_contexts_batched",
     "InfluenceEmbedding",

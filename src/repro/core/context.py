@@ -24,12 +24,14 @@ the validation set; α = 1.0 yields the Inf2vec-L ablation of Table IV).
 Contexts are generated a whole episode at a time: every adopter's walk
 advances in lockstep (:func:`batched_random_walk_with_restart`) and all
 global slices come from one draw (:func:`generate_episode_contexts_batched`).
+The corpus is one :class:`ContextCorpus` of flat arrays from generation
+to the SGD kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,28 +88,80 @@ class ContextConfig:
         return self.length - self.local_budget
 
 
-@dataclass(frozen=True)
-class InfluenceContext:
-    """One ``(u, C_u^i)`` tuple produced by Algorithm 1.
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs of ``sizes``: ``[0, cumsum(sizes)]``."""
+    indptr = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
 
-    ``local`` and ``global_`` keep the two constituents separate so the
-    trainer and the ablation analyses can distinguish them; ``users``
-    concatenates them in generation order, which is the paper's
-    ``C_u^i = C_1 + C_2``.
+
+@dataclass(frozen=True, eq=False)
+class ContextCorpus:
+    """The corpus ``P`` of Algorithm 2 as flat arrays, one row per context.
+
+    Context ``i`` is the tuple ``(centres[i], C_u^i)``, whose members are
+    ``members[indptr[i]:indptr[i + 1]]``: first the ``local_len[i]``
+    users of the local random-walk slice, then the global co-adopter
+    samples — the paper's ``C_u^i = C_1 + C_2`` in generation order.
+    Members are int32, 4 bytes each; the per-context arrays add 16
+    bytes a context (``indptr`` is int64 so offsets never overflow).
+    Training permutes context rows and gathers their members
+    (:meth:`__getitem__`); no per-context Python object ever exists.
     """
 
-    user: int
-    item: int
-    local: tuple[int, ...]
-    global_: tuple[int, ...]
+    centres: np.ndarray
+    indptr: np.ndarray
+    members: np.ndarray
+    local_len: np.ndarray
 
-    @property
-    def users(self) -> tuple[int, ...]:
-        """The full context ``C_1 + C_2``."""
-        return self.local + self.global_
+    @classmethod
+    def from_contexts(
+        cls, contexts: Iterable[tuple[int, Sequence[int], Sequence[int]]]
+    ) -> "ContextCorpus":
+        """Build a corpus from ``(centre, local, global)`` triples."""
+        rows = [
+            (centre, (*local, *global_), len(local))
+            for centre, local, global_ in contexts
+        ]
+        return cls(
+            np.array([centre for centre, _, _ in rows], dtype=np.int32),
+            _offsets(np.array([len(users) for _, users, _ in rows], dtype=np.int64)),
+            np.array([v for _, users, _ in rows for v in users], dtype=np.int32),
+            np.array([local_len for _, _, local_len in rows], dtype=np.int32),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["ContextCorpus"]) -> "ContextCorpus":
+        """The corpora of ``parts`` back to back, in order."""
+        if not parts:
+            return cls.from_contexts(())
+        return cls(
+            np.concatenate([part.centres for part in parts]),
+            _offsets(np.concatenate([part.sizes for part in parts])),
+            np.concatenate([part.members for part in parts]),
+            np.concatenate([part.local_len for part in parts]),
+        )
 
     def __len__(self) -> int:
-        return len(self.local) + len(self.global_)
+        return int(self.centres.shape[0])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Members per context, ``|C_u^i|``."""
+        return np.diff(self.indptr)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> "ContextCorpus":
+        """The contexts at ``rows`` (a slice or index array), in that order."""
+        if isinstance(rows, slice):
+            rows = np.arange(len(self))[rows]
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = _offsets(sizes)
+        # Member k of gathered context j sits at starts[j] + k.
+        index = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
+        return ContextCorpus(
+            self.centres[rows], indptr, self.members[index], self.local_len[rows]
+        )
 
 
 def batched_random_walk_with_restart(
@@ -224,65 +278,60 @@ def generate_episode_contexts_batched(
     config: ContextConfig,
     rng: RandomState,
     metrics: MetricsRegistry | None = None,
-) -> list[InfluenceContext]:
-    """One ``(u, C_u^i)`` tuple per adopter of the episode (``P_{D_i}``).
+) -> ContextCorpus:
+    """One ``(u, C_u^i)`` context per adopter of the episode (``P_{D_i}``).
 
     All of the episode's local walks advance together through
-    :func:`batched_random_walk_with_restart`, and the global
-    co-adopter samples for every adopter are drawn in one call.  The
-    global draw uses the shifted-index trick — sample positions in
-    ``[0, |V_i| - 1)`` and skip past each user's own slot — which is
-    uniform over the other adopters, with replacement; a sole adopter
-    gets no global slice.  Contexts that come out completely empty
-    (isolated single-adopter episodes) are dropped — they contribute
-    nothing to the objective.
+    :func:`_batched_walk_raw`, and the global co-adopter samples for
+    every adopter are drawn in one call.  The global draw uses the
+    shifted-index trick — sample positions in ``[0, |V_i| - 1)`` and
+    skip past each user's own slot — which is uniform over the other
+    adopters, with replacement; a sole adopter gets no global slice.
+    Contexts that come out completely empty (isolated single-adopter
+    episodes) are dropped — they contribute nothing to the objective.
+    Contexts follow the order of ``network.nodes``.
     """
     users = network.nodes
     num_users = int(users.shape[0])
-    if num_users == 0:
-        return []
     # The compact position of ``nodes[k]`` is ``k`` by construction, so
     # the whole adopter set seeds the walk as a plain arange.
-    local_budget = config.local_budget
-    if local_budget > 0:
+    if config.local_budget > 0 and num_users:
         visited, filled = _batched_walk_raw(
             network,
             np.arange(num_users, dtype=np.int64),
-            local_budget,
+            config.local_budget,
             config.restart_prob,
             rng,
             metrics=metrics,
         )
-        # One matrix-wide gather + tolist instead of a tolist per walk.
-        # Most walks fill the whole budget, so tuple whole rows in one
-        # C-level pass and only truncate the short ones after the fact.
-        local_tuples = list(map(tuple, users[visited].tolist()))
-        short = np.nonzero(filled < local_budget)[0]
-        if short.shape[0]:
-            fills = filled.tolist()
-            for position in short.tolist():
-                local_tuples[position] = local_tuples[position][
-                    : fills[position]
-                ]
     else:
-        local_tuples = [()] * num_users
-    global_budget = config.global_budget
-    if global_budget > 0 and num_users > 1:
+        visited = np.zeros((num_users, 0), dtype=np.int64)
+        filled = np.zeros(num_users, dtype=np.int64)
+    global_budget = config.global_budget if num_users > 1 else 0
+    if global_budget > 0:
         draws = rng.integers(num_users - 1, size=(num_users, global_budget))
         draws += draws >= np.arange(num_users)[:, None]
-        global_tuples = list(map(tuple, users[draws].tolist()))
     else:
-        global_tuples = [()] * num_users
-    item = network.item
-    contexts = []
-    for user, local, global_ in zip(users.tolist(), local_tuples, global_tuples):
-        if local or global_:
-            contexts.append(
-                InfluenceContext(
-                    user=user, item=item, local=local, global_=global_
-                )
-            )
-    return contexts
+        draws = np.zeros((num_users, 0), dtype=np.int64)
+    # One row of compact positions per adopter: the walk's first
+    # ``filled`` columns, then every global draw; row-major masking
+    # lays the kept members out context by context.
+    block = np.concatenate([visited, draws], axis=1)
+    valid = np.concatenate(
+        [
+            np.arange(visited.shape[1]) < filled[:, None],
+            np.ones(draws.shape, dtype=bool),
+        ],
+        axis=1,
+    )
+    sizes = filled + draws.shape[1]
+    keep = sizes > 0
+    return ContextCorpus(
+        users[keep].astype(np.int32),
+        _offsets(sizes[keep]),
+        users[block[valid]].astype(np.int32),
+        filled[keep].astype(np.int32),
+    )
 
 
 class ContextGenerator:
@@ -329,8 +378,8 @@ class ContextGenerator:
         """The Algorithm 1 hyper-parameters in use."""
         return self._config
 
-    def iter_contexts(self, log: ActionLog) -> Iterator[InfluenceContext]:
-        """Stream contexts episode by episode (lines 3–8 of Algorithm 2)."""
+    def generate(self, log: ActionLog) -> ContextCorpus:
+        """Materialise the corpus ``P``, episode by episode in log order."""
         active = log.active_users()
         if active.shape[0] and int(active[-1]) >= self._graph.num_nodes:
             raise TrainingError(
@@ -340,79 +389,35 @@ class ContextGenerator:
             )
         metrics = self._metrics if self._metrics is not None else active_metrics()
         networks = cached_propagation_networks(self._graph, log, metrics=metrics)
+        parts = []
         for episode in log:
-            contexts = generate_episode_contexts_batched(
+            part = generate_episode_contexts_batched(
                 networks[episode.item], self._config, self._rng,
                 metrics=metrics,
             )
             if metrics.enabled:
-                _observe_episode_contexts(metrics, contexts)
-            yield from contexts
-
-    def generate(self, log: ActionLog) -> list[InfluenceContext]:
-        """Materialise the whole corpus ``P`` as a list."""
-        return list(self.iter_contexts(log))
-
-    def iter_context_chunks(
-        self, log: ActionLog, episodes_per_chunk: int
-    ) -> Iterator[list[InfluenceContext]]:
-        """Generate the corpus in bounded chunks of episodes.
-
-        The out-of-core path: each yielded chunk covers
-        ``episodes_per_chunk`` episodes and materialises only their
-        contexts and their propagation-network cache, so peak memory is O(chunk) however large the log grows.
-        Chunking does not change what is generated — episodes are
-        processed in log order either way, so the concatenation of all
-        chunks equals :meth:`generate` on the same RNG stream.
-        """
-        episodes_per_chunk = check_positive_int(
-            "episodes_per_chunk", episodes_per_chunk
-        )
-        episodes = log.episodes
-        for start in range(0, len(episodes), episodes_per_chunk):
-            chunk_log = ActionLog(
-                episodes[start : start + episodes_per_chunk],
-                num_users=log.num_users,
-            )
-            yield self.generate(chunk_log)
+                _observe_episode_contexts(metrics, part)
+            parts.append(part)
+        return ContextCorpus.concatenate(parts)
 
 
 def _observe_episode_contexts(
-    metrics: MetricsRegistry, contexts: Sequence[InfluenceContext]
+    metrics: MetricsRegistry, contexts: ContextCorpus
 ) -> None:
     """Record one episode's context statistics (enabled registries only)."""
     metrics.counter("contexts.episodes", "episodes processed").inc()
     metrics.counter("contexts.tuples", "(u, C_u^i) tuples generated").inc(
         len(contexts)
     )
-    if not contexts:
+    if not len(contexts):
         return
     metrics.histogram(
         "contexts.walk_length",
         WALK_LENGTH_BUCKETS,
         "local random-walk context sizes",
-    ).observe_many([len(context.local) for context in contexts])
+    ).observe_many(contexts.local_len)
     metrics.histogram(
         "contexts.length",
         CONTEXT_LENGTH_BUCKETS,
         "full context sizes (local + global)",
-    ).observe_many([len(context) for context in contexts])
-
-
-def corpus_statistics(contexts: Sequence[InfluenceContext]) -> dict[str, float]:
-    """Summary statistics of a generated corpus (for logging/tests)."""
-    if not contexts:
-        return {
-            "num_tuples": 0,
-            "total_context_users": 0,
-            "mean_context_size": 0.0,
-            "local_fraction": 0.0,
-        }
-    total = sum(len(c) for c in contexts)
-    local = sum(len(c.local) for c in contexts)
-    return {
-        "num_tuples": len(contexts),
-        "total_context_users": total,
-        "mean_context_size": total / len(contexts),
-        "local_fraction": local / total if total else 0.0,
-    }
+    ).observe_many(contexts.sizes)

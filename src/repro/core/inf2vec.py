@@ -40,13 +40,13 @@ import copy
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from repro.core.context import ContextConfig, ContextGenerator, InfluenceContext
+from repro.core.context import ContextConfig, ContextCorpus, ContextGenerator
 from repro.core.embeddings import InfluenceEmbedding
 from repro.core.negative import NegativeSampler
 from repro.data.actionlog import ActionLog
@@ -163,10 +163,6 @@ class Inf2vecConfig:
         alternative, kept as an ablation knob.
     use_biases:
         Learn ``b_u`` / ``b̃_v``?  Disabling them is the bias ablation.
-    regenerate_contexts:
-        If true, rerun Algorithm 1 every epoch instead of reusing the
-        corpus generated once up front (the paper generates once;
-        regeneration is a variance-reduction extension).
     convergence_tol:
         Relative improvement of mean epoch loss under which training
         stops early; ``0`` disables early stopping.
@@ -206,7 +202,6 @@ class Inf2vecConfig:
     epochs: int = 10
     negative_distribution: NegativeDistribution = "uniform"
     use_biases: bool = True
-    regenerate_contexts: bool = False
     convergence_tol: float = 0.0
     lr_decay: bool = True
     max_norm: float | None = 10.0
@@ -360,27 +355,17 @@ class Inf2vecModel:
         log: ActionLog,
         checkpoint: "CheckpointManager | None" = None,
         resume: bool = False,
-        stream_chunk: int | None = None,
     ) -> list[float]:
-        """:meth:`fit`, optionally streaming; returns per-epoch seconds.
+        """:meth:`fit`; returns per-epoch seconds."""
 
-        With ``stream_chunk`` set the corpus is never materialised: each
-        epoch generates and trains ``stream_chunk`` episodes at a time.
-        """
-
-        def prepare(run: RunRecorder) -> _Shard:
-            generator = ContextGenerator(
-                graph, self.config.context, self._rng, metrics=run.metrics
-            )
-            shard = _Shard(
-                self, graph.num_nodes, generator, log, stream_chunk=stream_chunk
-            )
-            if not shard.generate(run) and stream_chunk is None and len(log) > 0:
+        def prepare(run: RunRecorder) -> ContextCorpus:
+            corpus = self._generate_contexts(graph, log, run)
+            if not len(corpus) and len(log) > 0:
                 logger.warning(
                     "context generation produced an empty corpus "
                     "(no multi-adopter episodes?)"
                 )
-            return shard
+            return corpus
 
         return self._fit_shard(
             prepare,
@@ -396,10 +381,8 @@ class Inf2vecModel:
 
     def fit_contexts(
         self,
-        corpus: Sequence[InfluenceContext],
+        corpus: ContextCorpus,
         num_users: int,
-        generator: ContextGenerator | None = None,
-        log: ActionLog | None = None,
         checkpoint: "CheckpointManager | None" = None,
         resume: bool = False,
     ) -> "Inf2vecModel":
@@ -412,19 +395,16 @@ class Inf2vecModel:
         Parameters
         ----------
         corpus:
-            The ``(u, C_u^i)`` tuples.
+            The ``(u, C_u^i)`` contexts.
         num_users:
             Size of the user universe (``|V|``).
-        generator, log:
-            Only needed when ``config.regenerate_contexts`` is set; the
-            corpus is regenerated from them each epoch.
         checkpoint, resume:
             Same contract as :meth:`fit`.  Bitwise-identical resume
             additionally requires the caller to pass the same
             pre-generated corpus.
         """
         self._fit_shard(
-            lambda run: _Shard(self, num_users, generator, log, corpus=corpus),
+            lambda run: corpus,
             num_users,
             checkpoint,
             resume,
@@ -434,7 +414,7 @@ class Inf2vecModel:
 
     def _fit_shard(
         self,
-        prepare: "Callable[[RunRecorder], _Shard]",
+        prepare: "Callable[[RunRecorder], ContextCorpus]",
         num_users: int,
         checkpoint: "CheckpointManager | None",
         resume: bool,
@@ -459,10 +439,10 @@ class Inf2vecModel:
                     state.entry_rng_state
                 )
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-            shard = prepare(run)
+            corpus = prepare(run)
             start_epoch = self._begin(state, num_users, run)
             return self._run_epochs(
-                self._in_process(shard, run),
+                self._in_process(corpus, run),
                 [entry_rng_state],
                 self.config.epochs,
                 start_epoch,
@@ -472,14 +452,16 @@ class Inf2vecModel:
             )
 
     def _in_process(
-        self, shard: "_Shard", run: RunRecorder
+        self, corpus: ContextCorpus, run: RunRecorder
     ) -> "Callable[[int, float], list[EpochReport]]":
-        """The epoch step of a one-shard fit: the shard, on this thread."""
+        """The epoch step of a one-shard fit: ``corpus``, on this thread."""
+        sampler = self._build_sampler(corpus, self.embedding.num_users)
+        positives = int(corpus.members.shape[0])
 
         def run_epoch(epoch: int, learning_rate: float) -> list[EpochReport]:
             started = time.perf_counter()
             with run.span("sgd"):
-                loss, positives = shard.epoch(epoch, learning_rate, run)
+                loss = self.train_epoch(corpus, sampler, learning_rate)
             return [
                 EpochReport(
                     0,
@@ -715,7 +697,7 @@ class Inf2vecModel:
         only and the existing parameters take ``epochs`` additional SGD
         passes over the new contexts, with the learning rate annealed
         over that effective budget — ``partial_fit(epochs=N)`` follows
-        the same schedule, regeneration and convergence test a fresh
+        the same schedule and convergence test a fresh
         fit configured with ``epochs=N`` would.  Users must already be
         inside the fitted universe; growing the universe requires a
         fresh :meth:`fit`.
@@ -756,14 +738,11 @@ class Inf2vecModel:
         run = self._resolve_obs()
         with run.span("partial_fit"):
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-            generator = ContextGenerator(
-                graph, self.config.context, self._rng, metrics=run.metrics
-            )
-            shard = _Shard(self, graph.num_nodes, generator, new_log)
-            if not shard.generate(run):
+            corpus = self._generate_contexts(graph, new_log, run)
+            if not len(corpus):
                 return self
             self._run_epochs(
-                self._in_process(shard, run),
+                self._in_process(corpus, run),
                 [entry_rng_state],
                 budget,
                 0,
@@ -775,7 +754,7 @@ class Inf2vecModel:
 
     def train_epoch(
         self,
-        corpus: Sequence[InfluenceContext],
+        corpus: ContextCorpus,
         sampler: NegativeSampler | None = None,
         learning_rate: float | None = None,
         batch_size: int | None = None,
@@ -785,13 +764,14 @@ class Inf2vecModel:
         The loss is the negative of Eq. 4 averaged over positive
         observations — lower is better, and a decreasing sequence
         across epochs is the convergence signal.  The corpus is
-        shuffled with one permutation draw, then trained in fused
-        micro-batches (see :class:`Inf2vecConfig`).
+        shuffled with one permutation draw of its context rows, then
+        trained in fused micro-batches (see :class:`Inf2vecConfig`),
+        each gathered from the flat member array.
 
         Parameters
         ----------
         corpus, sampler:
-            The training tuples and negative sampler.
+            The training contexts and negative sampler.
         learning_rate:
             Step size for this epoch; defaults to the configured
             (undecayed) rate when called directly.
@@ -806,7 +786,7 @@ class Inf2vecModel:
             )
         if sampler is None:
             sampler = self._build_sampler(corpus, self._embedding.num_users)
-        if not corpus:
+        if not len(corpus):
             return 0.0
         if learning_rate is None:
             learning_rate = self.config.learning_rate
@@ -824,36 +804,19 @@ class Inf2vecModel:
         # the regime where micro-batched and per-context SGD match.
         batch_size = min(batch_size, max(1, self._embedding.num_users // 8))
         order = self._rng.permutation(len(corpus))
-        user_ids = np.fromiter(
-            (context.user for context in corpus), dtype=np.int64, count=len(corpus)
-        )
-        positive_arrays = [
-            np.asarray(context.users, dtype=np.int64) for context in corpus
-        ]
-        sizes = np.fromiter(
-            (array.shape[0] for array in positive_arrays),
-            dtype=np.int64,
-            count=len(corpus),
-        )
-        # Flatten the permuted epoch once; each micro-batch is then a
-        # pair of views into these arrays instead of a fresh concat.
-        ordered_sizes = sizes[order]
-        offsets = np.concatenate(([0], np.cumsum(ordered_sizes)))
-        total_positives = int(offsets[-1])
+        total_positives = int(corpus.members.shape[0])
         if total_positives == 0:
             return 0.0
-        flat_positives = np.concatenate(
-            [positive_arrays[int(i)] for i in order]
-        )
-        flat_users = np.repeat(user_ids[order], ordered_sizes)
         total_loss = 0.0
         for start in range(0, order.shape[0], batch_size):
-            lo = int(offsets[start])
-            hi = int(offsets[min(start + batch_size, order.shape[0])])
-            if hi == lo:
+            batch = corpus[order[start : start + batch_size]]
+            if not batch.members.shape[0]:
                 continue
             total_loss += self._update_batch(
-                flat_users[lo:hi], flat_positives[lo:hi], sampler, learning_rate
+                np.repeat(batch.centres, batch.sizes),
+                batch.members,
+                sampler,
+                learning_rate,
             )
         return total_loss / total_positives
 
@@ -988,15 +951,24 @@ class Inf2vecModel:
     # ------------------------------------------------------------------
 
     def _build_sampler(
-        self, corpus: Sequence[InfluenceContext], num_users: int
+        self, corpus: ContextCorpus, num_users: int
     ) -> NegativeSampler:
         if self.config.negative_distribution == "uniform":
             return NegativeSampler.uniform(num_users)
-        frequencies = np.zeros(num_users, dtype=np.float64)
-        for context in corpus:
-            for v in context.users:
-                frequencies[v] += 1.0
-        return NegativeSampler.from_frequencies(frequencies)
+        return NegativeSampler.from_frequencies(
+            np.bincount(corpus.members, minlength=num_users).astype(np.float64)
+        )
+
+    def _generate_contexts(
+        self, graph: SocialGraph, log: ActionLog, run: RunRecorder = NULL_RUN
+    ) -> ContextCorpus:
+        """Run Algorithm 1 over ``log`` on this model's RNG stream, once."""
+        with run.span("contexts") as span:
+            corpus = ContextGenerator(
+                graph, self.config.context, self._rng, metrics=run.metrics
+            ).generate(log)
+            span.set_attribute("num_contexts", len(corpus))
+        return corpus
 
     def _converged(self, previous_loss: float, loss: float) -> bool:
         return loss_converged(previous_loss, loss, self.config.convergence_tol)
@@ -1033,95 +1005,6 @@ class Inf2vecModel:
 
 
 # ----------------------------------------------------------------------
-# Shards: one slice of the corpus and its share of every epoch
-# ----------------------------------------------------------------------
-
-
-class _Shard:
-    """One shard of the corpus ``P`` and its share of every epoch.
-
-    The shard owns Algorithm 1 for its episodes.  It materialises its
-    corpus once (again each epoch under ``regenerate_contexts``) or,
-    with ``stream_chunk`` set, generates and trains ``stream_chunk``
-    episodes' contexts at a time so the corpus never exists whole
-    (uniform negatives only — the unigram table needs the full
-    corpus).  Either way an epoch is a run over chunks of contexts, a
-    materialised corpus being the single chunk.  Contexts and SGD draw
-    from the RNG stream of ``model``.  An in-process fit trains one
-    shard; each hogwild worker trains one.
-
-    ``corpus`` seeds a pre-generated corpus (``fit_contexts``);
-    ``generator`` and ``log`` may then be ``None``, which disables
-    regeneration.
-    """
-
-    def __init__(
-        self,
-        model: Inf2vecModel,
-        num_users: int,
-        generator: ContextGenerator | None,
-        log: ActionLog | None,
-        corpus: Sequence[InfluenceContext] = (),
-        stream_chunk: int | None = None,
-    ):
-        self.model = model
-        self.num_users = num_users
-        self.generator = generator
-        self.log = log
-        self.stream_chunk = stream_chunk
-        self._set_corpus(corpus)
-
-    def _set_corpus(self, corpus: Sequence[InfluenceContext]) -> None:
-        self.sampler = self.model._build_sampler(corpus, self.num_users)
-        self.corpus = list(corpus)
-        self.positives = sum(len(context) for context in self.corpus)
-
-    def generate(self, run: RunRecorder = NULL_RUN) -> int:
-        """Materialise the corpus (a no-op when streaming); returns its size."""
-        if self.stream_chunk is None:
-            assert self.generator is not None and self.log is not None
-            with run.span("contexts") as span:
-                self._set_corpus(self.generator.generate(self.log))
-                span.set_attribute("num_contexts", len(self.corpus))
-        return len(self.corpus)
-
-    def _chunks(
-        self, epoch: int, run: RunRecorder
-    ) -> Iterator[tuple[list[InfluenceContext], int]]:
-        """This epoch's ``(contexts, positives)`` chunks, in training order."""
-        if self.stream_chunk is not None:
-            assert self.generator is not None and self.log is not None
-            for chunk in self.generator.iter_context_chunks(
-                self.log, self.stream_chunk
-            ):
-                yield chunk, sum(len(context) for context in chunk)
-            return
-        if (
-            epoch > 0
-            and self.model.config.regenerate_contexts
-            and self.generator is not None
-        ):
-            if self.log is None:
-                raise TrainingError("regenerate_contexts requires the action log")
-            self.generate(run)
-        yield self.corpus, self.positives
-
-    def epoch(
-        self, epoch: int, learning_rate: float, run: RunRecorder = NULL_RUN
-    ) -> tuple[float, int]:
-        """Train one epoch; returns the mean loss and the positives seen."""
-        return _mean_over_positives(
-            (
-                self.model.train_epoch(
-                    chunk, self.sampler, learning_rate=learning_rate
-                ),
-                positives,
-            )
-            for chunk, positives in self._chunks(epoch, run)
-        )
-
-
-# ----------------------------------------------------------------------
 # Hogwild worker entry point
 # ----------------------------------------------------------------------
 
@@ -1134,15 +1017,13 @@ def hogwild_worker_main(
     shard_log: ActionLog,
     entry_rng_state: dict,
     resume_rng_state: dict | None,
-    stream_chunk: int | None,
     conn: "Connection",
 ) -> None:
     """Process entry point for one hogwild training worker.
 
     The worker attaches the shared parameter blocks named by ``spec``
-    and trains its episode shard against them lock-free — a
-    :class:`_Shard` of an ordinary :class:`Inf2vecModel` whose
-    embedding arrays are zero-copy shared-memory views, so the SGD
+    and trains its episode shard against them lock-free — the corpus
+    of an ordinary :class:`Inf2vecModel` whose embedding arrays are zero-copy shared-memory views, so the SGD
     kernel updates the global parameters directly.  The parent runs
     the epoch loop; the worker only runs its shard's epochs.
 
@@ -1168,17 +1049,11 @@ def hogwild_worker_main(
         # back to the zero-overhead null registry in this process.
         model = Inf2vecModel(replace(config, telemetry=False), seed=rng)
         model._embedding = shared.embedding
-        shard = _Shard(
-            model,
-            graph.num_nodes,
-            ContextGenerator(graph, config.context, rng),
-            shard_log,
-            stream_chunk=stream_chunk,
-        )
-        num_contexts = shard.generate()
+        corpus = model._generate_contexts(graph, shard_log)
+        sampler = model._build_sampler(corpus, graph.num_nodes)
         if resume_rng_state is not None:
             rng.bit_generator.state = copy.deepcopy(resume_rng_state)
-        conn.send(("ready", worker_id, num_contexts))
+        conn.send(("ready", worker_id, len(corpus)))
         parent_pid = os.getppid()
         while True:
             # Poll instead of a blocking recv: under the fork start
@@ -1195,15 +1070,15 @@ def hogwild_worker_main(
                 return
             if message[0] == "stop":
                 return
-            _, epoch, learning_rate = message
+            _, _, learning_rate = message
             started = time.perf_counter()
-            loss, positives = shard.epoch(epoch, learning_rate)
+            loss = model.train_epoch(corpus, sampler, learning_rate)
             conn.send(
                 (
                     "epoch_done",
                     worker_id,
                     float(loss),
-                    int(positives),
+                    int(corpus.members.shape[0]),
                     time.perf_counter() - started,
                     copy.deepcopy(rng.bit_generator.state),
                 )

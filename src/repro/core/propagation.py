@@ -21,8 +21,8 @@ accessors (:meth:`PropagationNetwork.successors` etc.), which the
 temporal-context extension walks with, answer in original
 social-network IDs.
 
-Because the training loop revisits the same episodes every epoch (and
-``regenerate_contexts`` rebuilds the corpus each epoch), networks are
+Because every fit over one log (parameter sweeps, repeated runs of an
+experiment, incremental passes) extracts the same networks, they are
 memoised per action log — :func:`cached_propagation_networks` keys the
 cache on action-log identity and drops entries automatically when the
 log is garbage collected.
@@ -291,8 +291,8 @@ def cached_propagation_networks(
 ) -> Mapping[int, PropagationNetwork]:
     """Propagation networks of ``log``, memoised on log identity.
 
-    Repeated calls with the same ``(graph, log)`` objects (multi-epoch
-    training, ``regenerate_contexts``, incremental passes) reuse the
+    Repeated calls with the same ``(graph, log)`` objects (several fits
+    over one log, incremental passes) reuse the
     extracted networks instead of re-running pair extraction.  A
     different graph object for a cached log rebuilds the entry; logs
     that cannot be weak-referenced are computed without caching.

@@ -86,7 +86,7 @@ def _time_inf2vec_iteration(
     with run.span("fig9.contexts", dim=dim) as context_span:
         corpus = generator.generate(data.log)
     # Initialise parameters without timing the setup.
-    model.fit_contexts(corpus[:1] if corpus else [], num_users=data.graph.num_nodes)
+    model.fit_contexts(corpus[:1], num_users=data.graph.num_nodes)
     with run.span("fig9.iteration", dim=dim) as train_span:
         model.train_epoch(corpus)
     return context_span.duration, train_span.duration

@@ -21,11 +21,9 @@ unchanged:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
-from repro.core.context import ContextConfig, InfluenceContext
+from repro.core.context import ContextConfig, ContextCorpus
 from repro.core.propagation import PropagationNetwork
 from repro.data.actionlog import ActionLog, DiffusionEpisode
 from repro.data.graph import SocialGraph
@@ -122,9 +120,9 @@ def temporal_global_sample(
 class TemporalContextGenerator:
     """Drop-in replacement for :class:`repro.core.context.ContextGenerator`.
 
-    Produces :class:`InfluenceContext` tuples whose local and global
-    constituents are sampled with exponential recency weighting; feed
-    the output straight into
+    Produces a :class:`~repro.core.context.ContextCorpus` whose local
+    and global constituents are sampled with exponential recency
+    weighting; feed the output straight into
     :meth:`repro.core.inf2vec.Inf2vecModel.fit_contexts`.
     """
 
@@ -143,8 +141,8 @@ class TemporalContextGenerator:
         """The time-aware Algorithm 1 parameters in use."""
         return self._config
 
-    def iter_contexts(self, log: ActionLog) -> Iterator[InfluenceContext]:
-        """Stream time-aware contexts episode by episode."""
+    def generate(self, log: ActionLog) -> ContextCorpus:
+        """Materialise the time-aware corpus, episode by episode."""
         if log.num_users > self._graph.num_nodes:
             raise TrainingError(
                 f"action log has {log.num_users} users but the graph only "
@@ -152,6 +150,7 @@ class TemporalContextGenerator:
             )
         base = self._config.base
         decay = self._config.decay
+        contexts = []
         for episode in log:
             network = PropagationNetwork.from_episode(self._graph, episode)
             for user in network.nodes:
@@ -169,13 +168,5 @@ class TemporalContextGenerator:
                     network, episode, user, base.global_budget, decay, self._rng
                 )
                 if local or global_:
-                    yield InfluenceContext(
-                        user=user,
-                        item=episode.item,
-                        local=tuple(local),
-                        global_=tuple(global_),
-                    )
-
-    def generate(self, log: ActionLog) -> list[InfluenceContext]:
-        """Materialise the whole time-aware corpus."""
-        return list(self.iter_contexts(log))
+                    contexts.append((user, local, global_))
+        return ContextCorpus.from_contexts(contexts)

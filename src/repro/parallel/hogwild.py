@@ -112,11 +112,6 @@ class HogwildTrainer:
         Trainer RNG seed.  Initialises the embedding and spawns the
         per-worker generators; must be spawnable (an int seed, or a
         Generator carrying a seed sequence) at ``workers>1``.
-    stream_chunk:
-        When set, shards stream their corpus: each epoch generates and
-        trains ``stream_chunk`` episodes' contexts at a time instead of
-        materialising the shard corpus up front.  Requires
-        ``negative_distribution='uniform'``.
 
     Worker processes start with ``fork`` where the platform offers it
     (cheap, shares the parent's resource tracker) and ``spawn``
@@ -137,19 +132,9 @@ class HogwildTrainer:
         config: Inf2vecConfig | None = None,
         workers: int = 1,
         seed: SeedLike = None,
-        stream_chunk: int | None = None,
     ):
         self.config = config if config is not None else Inf2vecConfig()
         self.workers = check_positive_int("workers", workers)
-        if stream_chunk is not None:
-            stream_chunk = check_positive_int("stream_chunk", stream_chunk)
-            if self.config.negative_distribution != "uniform":
-                raise TrainingError(
-                    "streaming corpus requires "
-                    "negative_distribution='uniform' (the unigram table "
-                    "needs the full corpus)"
-                )
-        self.stream_chunk = stream_chunk
         self._rng = ensure_rng(seed)
         self._seed_text = None if seed is None else str(seed)
         self._model: Inf2vecModel | None = None
@@ -183,9 +168,7 @@ class HogwildTrainer:
         model = Inf2vecModel(self.config, seed=self._rng)
         model._seed_text = self._seed_text
         if self.workers == 1:
-            self.epoch_seconds = model._fit_log(
-                graph, log, checkpoint, resume, stream_chunk=self.stream_chunk
-            )
+            self.epoch_seconds = model._fit_log(graph, log, checkpoint, resume)
         else:
             self.epoch_seconds = self._fit_workers(
                 model, graph, log, checkpoint, resume
@@ -237,7 +220,7 @@ class HogwildTrainer:
                     num_edges=graph.num_edges,
                     num_episodes=len(log),
                 )
-                run.annotate(workers=self.workers, stream_chunk=self.stream_chunk)
+                run.annotate(workers=self.workers)
                 shards = shard_episodes(log, self.workers)
                 try:
                     context = multiprocessing.get_context("fork")
@@ -255,7 +238,6 @@ class HogwildTrainer:
                             shards[worker_id],
                             entry_states[worker_id],
                             resume_states[worker_id],
-                            self.stream_chunk,
                             child_conn,
                         ),
                         daemon=True,
@@ -327,7 +309,7 @@ class HogwildTrainer:
             if metrics.enabled:
                 metrics.gauge(
                     "train.worker.contexts",
-                    "contexts materialised per worker shard (0 = streaming)",
+                    "contexts materialised per worker shard",
                 ).set(reply[2], worker=worker_id)
 
     def _collect_epoch(
@@ -388,7 +370,4 @@ class HogwildTrainer:
             conn.close()
 
     def __repr__(self) -> str:
-        return (
-            f"HogwildTrainer(workers={self.workers}, "
-            f"stream_chunk={self.stream_chunk})"
-        )
+        return f"HogwildTrainer(workers={self.workers})"

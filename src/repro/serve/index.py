@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.ckpt.atomic import atomic_output, atomic_write_text
 from repro.errors import ServingError
-from repro.serve.store import load_shard
+from repro.serve.store import load_shard, store_fingerprint
 from repro.serve.topk import TopKEngine, TopKResult
 from repro.utils.validation import check_positive_int
 
@@ -150,7 +150,11 @@ class TopKIndex:
     # ------------------------------------------------------------------
 
     def save(self, directory: PathLike) -> Path:
-        """Persist the index into a store directory, manifest last."""
+        """Persist the index into a store directory, manifest last.
+
+        The manifest records the fingerprint of the store in
+        ``directory``, the store the index was computed from.
+        """
         directory = Path(directory)
         with atomic_output(directory / _shard_name(self.direction, "ids")) as tmp:
             np.save(tmp, np.ascontiguousarray(self.indices, dtype=np.int64))
@@ -163,6 +167,7 @@ class TopKIndex:
             "direction": self.direction,
             "num_users": self.num_users,
             "k": self.k,
+            "store_fingerprint": store_fingerprint(directory),
             "shards": {
                 "ids": _shard_name(self.direction, "ids"),
                 "scores": _shard_name(self.direction, "scores"),
@@ -175,7 +180,12 @@ class TopKIndex:
 
     @classmethod
     def open(cls, directory: PathLike, direction: str = "influenced") -> "TopKIndex":
-        """Open a persisted index with memory-mapped shards."""
+        """Open a persisted index with memory-mapped shards.
+
+        An index whose recorded store fingerprint differs from the
+        store now in ``directory`` (the store was re-saved after the
+        index was built) raises :class:`ServingError`.
+        """
         directory = Path(directory)
         manifest_path = directory / _manifest_name(_check_direction(direction))
         if not manifest_path.is_file():
@@ -190,6 +200,11 @@ class TopKIndex:
             raise ServingError(
                 f"unsupported index format_version "
                 f"{manifest.get('format_version')!r}"
+            )
+        if manifest.get("store_fingerprint") != store_fingerprint(directory):
+            raise ServingError(
+                f"stale {direction!r} index in {directory}: it was built for "
+                "another store; rebuild it with precompute"
             )
         shards = manifest.get("shards", {})
         arrays = {}

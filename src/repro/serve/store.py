@@ -14,18 +14,23 @@ every worker process on the host serves from the *same* physical pages.
 Layout of a store directory::
 
     store/
-      store.json           # manifest: version, shapes, dtype, shard names
+      store.json           # manifest: version, shapes, dtype, shard names,
+                           #   content fingerprint
       source.npy           # S      (num_users, dim)
       target.npy           # T      (num_users, dim)
       source_bias.npy      # b      (num_users,)
       target_bias.npy      # b̃      (num_users,)
 
 Top-k indices persisted by :class:`repro.serve.index.TopKIndex` live in
-the same directory, next to the shards they were computed from.
+the same directory, next to the shards they were computed from.  Each
+records the store's fingerprint (a sha256 of the shard contents,
+computed once at save time), so an index left over from an earlier
+store in the same directory is refused instead of served.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Union
@@ -64,6 +69,24 @@ def load_shard(path: Path) -> np.ndarray:
         return np.load(path, mmap_mode="r")
     except (ValueError, OSError, EOFError) as exc:
         raise ServingError(f"unreadable shard {path}: {exc}") from exc
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ServingError(f"corrupt store manifest {path}: {exc}") from exc
+
+
+def store_fingerprint(directory: PathLike) -> str | None:
+    """The content fingerprint recorded by the store in ``directory``.
+
+    ``None`` when the directory holds no store manifest (or one written
+    before fingerprints existed).  Reads the manifest only; the shards
+    are never re-hashed.
+    """
+    path = Path(directory) / STORE_MANIFEST_FILENAME
+    return _read_manifest(path).get("fingerprint") if path.is_file() else None
 
 
 class EmbeddingStore:
@@ -119,11 +142,16 @@ class EmbeddingStore:
             "dtype": "float64",
             "shards": {},
         }
+        digest = hashlib.sha256()
         for name in _SHARDS:
             filename = f"{name}.npy"
+            array = np.ascontiguousarray(arrays[name], dtype=np.float64)
             with atomic_output(directory / filename) as tmp:
-                np.save(tmp, np.ascontiguousarray(arrays[name], dtype=np.float64))
+                np.save(tmp, array)
+            digest.update(repr(array.shape).encode())
+            digest.update(array)
             manifest["shards"][name] = filename  # type: ignore[index]
+        manifest["fingerprint"] = digest.hexdigest()
         atomic_write_text(
             directory / STORE_MANIFEST_FILENAME,
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -139,10 +167,7 @@ class EmbeddingStore:
             raise ServingError(
                 f"not an embedding store: missing {manifest_path}"
             )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ServingError(f"corrupt store manifest {manifest_path}: {exc}")
+        manifest = _read_manifest(manifest_path)
         version = manifest.get("format_version")
         if version != STORE_FORMAT_VERSION:
             raise ServingError(

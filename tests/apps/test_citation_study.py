@@ -9,6 +9,7 @@ from repro.apps.citation_study import (
     train_embedding_model,
 )
 from repro.data.citation import CitationConfig, CitationDataset, CitationPair
+from tests.oracles import context_rows
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +22,7 @@ class TestHelpers:
     def test_pairs_to_contexts(self):
         pairs = [CitationPair(0, 1, 3), CitationPair(2, 3, 4)]
         contexts = pairs_to_contexts(pairs)
-        assert contexts[0].user == 0
-        assert contexts[0].local == (1,)
-        assert contexts[0].global_ == ()
-        assert contexts[1].item == 4
+        assert context_rows(contexts) == [(0, (1,), ()), (2, (3,), ())]
 
     def test_conventional_model_mle(self):
         pairs = [

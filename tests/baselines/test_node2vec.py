@@ -8,6 +8,7 @@ from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import NotFittedError
 from repro.utils.rng import ensure_rng
+from tests.oracles import context_rows
 
 
 @pytest.fixture
@@ -54,17 +55,17 @@ class TestBiasedWalk:
 class TestWalkContexts:
     def test_window(self):
         contexts = walk_contexts([1, 2, 3, 4], window=1)
-        by_user = {c.user: c.local for c in contexts}
+        by_user = {user: local for user, local, _ in context_rows(contexts)}
         assert by_user[1] == (2,)
         assert by_user[2] == (1, 3)
         assert by_user[4] == (3,)
 
     def test_no_global_component(self):
         contexts = walk_contexts([1, 2], window=2)
-        assert all(c.global_ == () for c in contexts)
+        assert all(global_ == () for _, _, global_ in context_rows(contexts))
 
     def test_single_node_walk_empty(self):
-        assert walk_contexts([7], window=2) == []
+        assert len(walk_contexts([7], window=2)) == 0
 
 
 class TestNode2vecModel:

@@ -68,10 +68,6 @@ BASE = Inf2vecConfig(dim=8, epochs=6)
 VARIANTS = [
     pytest.param(BASE, id="batched"),
     pytest.param(
-        dataclasses.replace(BASE, regenerate_contexts=True),
-        id="regenerate-contexts",
-    ),
-    pytest.param(
         dataclasses.replace(BASE, negative_distribution="unigram"),
         id="unigram-negatives",
     ),

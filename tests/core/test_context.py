@@ -6,16 +6,16 @@ import pytest
 from repro.core.context import (
     ContextConfig,
     ContextGenerator,
-    InfluenceContext,
     batched_random_walk_with_restart,
-    corpus_statistics,
     generate_episode_contexts_batched,
 )
+from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
+from repro.core.negative import NegativeSampler
 from repro.core.propagation import PropagationNetwork
 from repro.data.actionlog import ActionLog, DiffusionEpisode
-from repro.data.graph import SocialGraph
 from repro.errors import TrainingError
 from repro.utils.rng import ensure_rng
+from tests.oracles import context_rows
 
 
 @pytest.fixture
@@ -56,9 +56,12 @@ def _walk(network, start, budget, restart_prob, rng):
 
 
 def _contexts_by_user(network, config, rng):
+    """``{user: (local, global)}`` of one episode's contexts."""
     return {
-        context.user: context
-        for context in generate_episode_contexts_batched(network, config, rng)
+        user: (local, global_)
+        for user, local, global_ in context_rows(
+            generate_episode_contexts_batched(network, config, rng)
+        )
     }
 
 
@@ -153,52 +156,50 @@ class TestGlobalContext:
     def test_samples_exclude_self(self, chain_network):
         config = ContextConfig(length=50, alpha=0.0)
         contexts = _contexts_by_user(chain_network, config, ensure_rng(0))
-        for user, context in contexts.items():
-            assert context.local == ()
-            assert len(context.global_) == 50
-            assert user not in context.global_
-            assert set(context.global_) <= {0, 1, 2, 3} - {user}
+        for user, (local, global_) in contexts.items():
+            assert local == ()
+            assert len(global_) == 50
+            assert user not in global_
+            assert set(global_) <= {0, 1, 2, 3} - {user}
 
     def test_single_adopter_empty(self):
         net = PropagationNetwork(0, np.array([4]), np.empty((0, 2), dtype=np.int64))
         config = ContextConfig(length=10, alpha=0.0)
-        assert generate_episode_contexts_batched(net, config, ensure_rng(0)) == []
+        assert len(generate_episode_contexts_batched(net, config, ensure_rng(0))) == 0
 
     def test_zero_budget(self, chain_network):
         config = ContextConfig(length=10, alpha=1.0)
         contexts = _contexts_by_user(chain_network, config, ensure_rng(0))
-        assert all(context.global_ == () for context in contexts.values())
+        assert all(global_ == () for _, global_ in contexts.values())
 
 
 class TestGenerateContext:
     def test_components_sized_by_alpha(self, chain_network):
         config = ContextConfig(length=20, alpha=0.5)
-        context = _contexts_by_user(chain_network, config, ensure_rng(0))[0]
-        assert len(context.local) == 10
-        assert len(context.global_) == 10
-        assert context.users == context.local + context.global_
+        local, global_ = _contexts_by_user(chain_network, config, ensure_rng(0))[0]
+        assert len(local) == 10
+        assert len(global_) == 10
 
     def test_sink_user_still_gets_global(self, chain_network):
         config = ContextConfig(length=10, alpha=0.5)
-        context = _contexts_by_user(chain_network, config, ensure_rng(0))[3]
-        assert context.local == ()
-        assert len(context.global_) == 5
+        local, global_ = _contexts_by_user(chain_network, config, ensure_rng(0))[3]
+        assert local == ()
+        assert len(global_) == 5
 
     def test_episode_contexts_cover_adopters(self, chain_network):
         config = ContextConfig(length=10, alpha=0.5)
         contexts = generate_episode_contexts_batched(
             chain_network, config, ensure_rng(0)
         )
-        assert {c.user for c in contexts} == {0, 1, 2, 3}
-        assert all(c.item == 0 for c in contexts)
+        assert contexts.centres.tolist() == [0, 1, 2, 3]
 
     def test_singleton_episode_produces_nothing(self):
         net = PropagationNetwork(0, np.array([4]), np.empty((0, 2), dtype=np.int64))
         for alpha in (0.0, 0.5, 1.0):
             config = ContextConfig(length=10, alpha=alpha)
-            assert generate_episode_contexts_batched(
+            assert len(generate_episode_contexts_batched(
                 net, config, ensure_rng(0)
-            ) == []
+            )) == 0
 
 
 class TestContextGenerator:
@@ -207,14 +208,17 @@ class TestContextGenerator:
             tiny_graph, ContextConfig(length=6, alpha=0.5), seed=0
         )
         corpus = generator.generate(tiny_log)
-        assert len(corpus) > 0
-        assert {c.item for c in corpus} == {0, 1}
+        # Contexts follow the log episode by episode: with a global
+        # budget, every adopter of each episode is a centre, in order.
+        assert corpus.centres.tolist() == [
+            int(user) for episode in tiny_log for user in episode.users
+        ]
 
     def test_deterministic_under_seed(self, tiny_graph, tiny_log):
         config = ContextConfig(length=6, alpha=0.5)
         a = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
         b = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
-        assert a == b
+        assert context_rows(a) == context_rows(b)
 
     def test_rejects_oversized_log(self, tiny_graph):
         log = ActionLog(
@@ -234,7 +238,7 @@ class TestContextGenerator:
         corpus = ContextGenerator(
             tiny_graph, ContextConfig(length=4, alpha=0.5), seed=0
         ).generate(log)
-        assert {c.user for c in corpus} == {1, 3}
+        assert set(corpus.centres.tolist()) == {1, 3}
 
     def test_context_sizes_follow_the_network(self, tiny_graph, tiny_log):
         # Context sizes are structural, so they can be predicted from
@@ -251,10 +255,43 @@ class TestContextGenerator:
                 local = config.local_budget if network.out_degree(user) else 0
                 global_ = config.global_budget if network.num_nodes > 1 else 0
                 if local or global_:
-                    expected.append((episode.item, user, local, global_))
-        got = [(c.item, c.user, len(c.local), len(c.global_)) for c in corpus]
-        assert sorted(got) == sorted(expected)
-        assert any(local == 0 for _, _, local, _ in expected)
+                    expected.append((user, local, global_))
+        rows = context_rows(corpus)
+        got = [(user, len(local), len(global_)) for user, local, global_ in rows]
+        assert got == expected
+        assert any(local == 0 for _, local, _ in expected)
+
+        # The flat (user, member) stream train_epoch feeds the SGD
+        # kernel is, for the epoch's permutation, a per-context loop.
+        model = Inf2vecModel(Inf2vecConfig(dim=2, batch_size=3), seed=0)
+        model.fit_contexts(corpus[:0], num_users=40)
+        replay = np.random.default_rng(0)
+        replay.bit_generator.state = model.rng.bit_generator.state
+        order = replay.permutation(len(corpus)).tolist()
+        fed = []
+        model._update_batch = lambda users, members, sampler, lr: (
+            fed.append((users.tolist(), members.tolist())) or 0.0
+        )
+        model.train_epoch(corpus)
+        batches = [order[i : i + 3] for i in range(0, len(order), 3)]
+        assert fed == [
+            (
+                [rows[i][0] for i in batch for _ in rows[i][1] + rows[i][2]],
+                [v for i in batch for v in rows[i][1] + rows[i][2]],
+            )
+            for batch in batches
+        ]
+
+        # Unigram frequencies are a dense count of context members.
+        counts = [0.0] * tiny_graph.num_nodes
+        for _, local, global_ in rows:
+            for v in local + global_:
+                counts[v] += 1.0
+        unigram = Inf2vecModel(Inf2vecConfig(negative_distribution="unigram"))
+        np.testing.assert_array_equal(
+            unigram._build_sampler(corpus, tiny_graph.num_nodes).probabilities(),
+            NegativeSampler.from_frequencies(np.array(counts)).probabilities(),
+        )
 
     def test_batched_deterministic_under_seed(self, tiny_graph, tiny_log):
         # The seed alone decides the draws: two generators on one seed
@@ -263,8 +300,8 @@ class TestContextGenerator:
         a = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
         b = ContextGenerator(tiny_graph, config, seed=9).generate(tiny_log)
         c = ContextGenerator(tiny_graph, config, seed=10).generate(tiny_log)
-        assert a == b
-        assert a != c
+        assert context_rows(a) == context_rows(b)
+        assert context_rows(a) != context_rows(c)
 
 
 class TestBatchedEpisodeContexts:
@@ -273,11 +310,12 @@ class TestBatchedEpisodeContexts:
         contexts = generate_episode_contexts_batched(
             chain_network, config, ensure_rng(0)
         )
-        assert {c.user for c in contexts} == {0, 1, 2, 3}
-        for context in contexts:
+        rows = context_rows(contexts)
+        assert {user for user, _, _ in rows} == {0, 1, 2, 3}
+        for user, _, global_ in rows:
             # Global samples never include the center user.
-            assert context.user not in context.global_
-            assert len(context.global_) == 5
+            assert user not in global_
+            assert len(global_) == 5
 
     def test_singleton_episode_produces_nothing(self):
         net = PropagationNetwork(
@@ -286,22 +324,5 @@ class TestBatchedEpisodeContexts:
         contexts = generate_episode_contexts_batched(
             net, ContextConfig(length=10), ensure_rng(0)
         )
-        assert contexts == []
+        assert len(contexts) == 0
 
-
-class TestCorpusStatistics:
-    def test_empty(self):
-        stats = corpus_statistics([])
-        assert stats["num_tuples"] == 0
-        assert stats["mean_context_size"] == 0.0
-
-    def test_counts(self):
-        contexts = [
-            InfluenceContext(user=0, item=0, local=(1, 2), global_=(3,)),
-            InfluenceContext(user=1, item=0, local=(), global_=(0,)),
-        ]
-        stats = corpus_statistics(contexts)
-        assert stats["num_tuples"] == 2
-        assert stats["total_context_users"] == 4
-        assert stats["mean_context_size"] == 2.0
-        assert stats["local_fraction"] == 0.5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.context import ContextConfig, InfluenceContext
+from repro.core.context import ContextConfig, ContextCorpus
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.core.negative import NegativeSampler
 from repro.errors import NotFittedError, TrainingError
@@ -78,8 +78,7 @@ class TestGradients:
         )
         model = Inf2vecModel(config, seed=0)
         model.fit_contexts(
-            [InfluenceContext(user=0, item=0, local=(1,), global_=())],
-            num_users=num_users,
+            ContextCorpus.from_contexts([(0, (1,), ())]), num_users=num_users
         )
         emb = model.embedding
         # Give the parameters non-trivial values.
@@ -145,7 +144,7 @@ class TestGradients:
     def test_biases_frozen_when_disabled(self):
         config = Inf2vecConfig(dim=2, use_biases=False, epochs=2)
         model = Inf2vecModel(config, seed=0)
-        corpus = [InfluenceContext(user=0, item=0, local=(1, 2), global_=(3,))]
+        corpus = ContextCorpus.from_contexts([(0, (1, 2), (3,))])
         model.fit_contexts(corpus, num_users=4)
         assert np.all(model.embedding.source_bias == 0)
         assert np.all(model.embedding.target_bias == 0)
@@ -161,10 +160,8 @@ class TestTraining:
             friends = tuple(
                 int((user + off) % 10) for off in (1, 2)
             )
-            contexts.append(
-                InfluenceContext(user=user, item=0, local=friends, global_=())
-            )
-        return contexts
+            contexts.append((user, friends, ()))
+        return ContextCorpus.from_contexts(contexts)
 
     def test_loss_decreases(self, corpus):
         config = Inf2vecConfig(dim=8, epochs=10, learning_rate=0.05)
@@ -188,7 +185,9 @@ class TestTraining:
 
     def test_empty_corpus_trains_to_init(self):
         config = Inf2vecConfig(dim=4, epochs=2)
-        model = Inf2vecModel(config, seed=0).fit_contexts([], num_users=5)
+        model = Inf2vecModel(config, seed=0).fit_contexts(
+            ContextCorpus.from_contexts([]), num_users=5
+        )
         assert model.is_fitted
         assert model.loss_history == [0.0, 0.0]
 
@@ -229,12 +228,8 @@ class TestEngines:
             members = tuple(
                 int((user + off) % 12) for off in (1, 2, 5)
             )
-            contexts.append(
-                InfluenceContext(
-                    user=user, item=0, local=members[:1], global_=members[1:]
-                )
-            )
-        return contexts
+            contexts.append((user, members[:1], members[1:]))
+        return ContextCorpus.from_contexts(contexts)
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):
@@ -252,7 +247,7 @@ class TestLifecycle:
         with pytest.raises(NotFittedError):
             _ = model.embedding
         with pytest.raises(NotFittedError):
-            model.train_epoch([])
+            model.train_epoch(ContextCorpus.from_contexts([]))
 
     def test_fit_end_to_end(self, small_dataset, small_splits):
         train, _tune, _test = small_splits
@@ -262,17 +257,6 @@ class TestLifecycle:
         model = Inf2vecModel(config, seed=0).fit(small_dataset.graph, train)
         assert model.is_fitted
         assert model.embedding.num_users == small_dataset.graph.num_nodes
-
-    def test_regenerate_contexts_mode(self, small_dataset, small_splits):
-        train, _tune, _test = small_splits
-        config = Inf2vecConfig(
-            dim=4,
-            epochs=3,
-            regenerate_contexts=True,
-            context=ContextConfig(length=6, alpha=0.5),
-        )
-        model = Inf2vecModel(config, seed=0).fit(small_dataset.graph, train)
-        assert len(model.loss_history) == 3
 
     def test_repr(self):
         model = Inf2vecModel(Inf2vecConfig(dim=4))
@@ -327,15 +311,10 @@ class TestConvergenceCriterion:
     def test_diverging_training_runs_the_full_budget(self):
         """A run whose loss climbs must not stop early as 'converged'."""
         rng = ensure_rng(5)
-        contexts = [
-            InfluenceContext(
-                user=int(rng.integers(10)),
-                item=0,
-                local=(int(rng.integers(10)),),
-                global_=(),
-            )
+        contexts = ContextCorpus.from_contexts(
+            (int(rng.integers(10)), (int(rng.integers(10)),), ())
             for _ in range(40)
-        ]
+        )
         config = Inf2vecConfig(
             dim=4,
             epochs=6,

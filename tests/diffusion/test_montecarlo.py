@@ -14,6 +14,12 @@ from repro.diffusion.montecarlo import (
 )
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.sketch.rrsets import RRGenerator, RRSketchPool
+from tests.oracles import (
+    IC_NUM_NODES,
+    ic_probabilities,
+    live_edge_worlds,
+    reached,
+)
 
 
 @pytest.fixture
@@ -83,45 +89,26 @@ class TestExactOracle:
     Each estimate must land within 4 of its own standard errors.
     """
 
-    #: Cycles and converging paths, so multi-exposure matters.
-    EDGES = {
-        (0, 1): 0.6, (0, 2): 0.3, (1, 3): 0.5, (2, 3): 0.7,
-        (3, 4): 0.4, (4, 1): 0.2, (4, 5): 0.9, (5, 6): 0.35,
-        (6, 3): 0.25, (2, 6): 0.15, (6, 7): 0.8, (7, 0): 0.1,
-    }
-    NUM_NODES = 8
+    NUM_NODES = IC_NUM_NODES
     SEED_SETS = ([0], [2, 5], [7])
 
     @pytest.fixture
     def probs(self) -> EdgeProbabilities:
-        graph = SocialGraph(self.NUM_NODES, list(self.EDGES))
-        return EdgeProbabilities.from_dict(graph, self.EDGES)
+        return ic_probabilities()
 
-    @classmethod
-    def _enumerate(cls, seeds):
+    @staticmethod
+    def _enumerate(seeds):
         """Exact ``(sigma, Var[size], per-node activation probability)``."""
-        edges = list(cls.EDGES.items())
         mean = mean_square = 0.0
-        activation = np.zeros(cls.NUM_NODES)
-        for mask in range(2 ** len(edges)):
-            weight = 1.0
+        activation = np.zeros(IC_NUM_NODES)
+        for weight, live_edges in live_edge_worlds():
             live: dict[int, list[int]] = {}
-            for bit, ((u, v), p) in enumerate(edges):
-                if mask >> bit & 1:
-                    weight *= p
-                    live.setdefault(u, []).append(v)
-                else:
-                    weight *= 1.0 - p
-            reached = set(seeds)
-            frontier = list(seeds)
-            while frontier:
-                for v in live.get(frontier.pop(), []):
-                    if v not in reached:
-                        reached.add(v)
-                        frontier.append(v)
-            mean += weight * len(reached)
-            mean_square += weight * len(reached) ** 2
-            activation[list(reached)] += weight
+            for u, v in live_edges:
+                live.setdefault(u, []).append(v)
+            active = reached(live, seeds)
+            mean += weight * len(active)
+            mean_square += weight * len(active) ** 2
+            activation[list(active)] += weight
         return mean, mean_square - mean**2, activation
 
     def test_enumeration_is_a_distribution(self):

@@ -1,0 +1,76 @@
+"""Small, obviously correct oracles shared by several test modules.
+
+* The exact IC oracle: a 12-edge graph small enough that all 4,096
+  live-edge worlds can be enumerated, which gives spreads, activation
+  probabilities and RR-set inclusion probabilities exactly.
+* A per-context Python view of a :class:`~repro.core.context.ContextCorpus`,
+  the loop its flat arrays replace.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+from repro.core.context import ContextCorpus
+from repro.data.graph import SocialGraph
+from repro.diffusion.probabilities import EdgeProbabilities
+
+#: Cycles and converging paths, so multi-exposure matters.
+IC_EDGES = {
+    (0, 1): 0.6, (0, 2): 0.3, (1, 3): 0.5, (2, 3): 0.7,
+    (3, 4): 0.4, (4, 1): 0.2, (4, 5): 0.9, (5, 6): 0.35,
+    (6, 3): 0.25, (2, 6): 0.15, (6, 7): 0.8, (7, 0): 0.1,
+}
+IC_NUM_NODES = 8
+
+
+def ic_probabilities() -> EdgeProbabilities:
+    """The oracle graph with its edge probabilities."""
+    graph = SocialGraph(IC_NUM_NODES, list(IC_EDGES))
+    return EdgeProbabilities.from_dict(graph, IC_EDGES)
+
+
+def live_edge_worlds() -> Iterator[tuple[float, list[tuple[int, int]]]]:
+    """Every live-edge world of the oracle graph: ``(weight, live edges)``.
+
+    Under IC each edge is live independently with its probability, so
+    a world's weight is the product of ``p`` over its live edges and
+    ``1 - p`` over the rest; the weights of all worlds sum to 1.
+    """
+    edges = list(IC_EDGES.items())
+    for mask in range(2 ** len(edges)):
+        weight = 1.0
+        live = []
+        for bit, (edge, p) in enumerate(edges):
+            if mask >> bit & 1:
+                weight *= p
+                live.append(edge)
+            else:
+                weight *= 1.0 - p
+        yield weight, live
+
+
+def reached(adjacency: dict[int, list[int]], starts: Iterable[int]) -> set[int]:
+    """Nodes reachable from ``starts`` (included) along ``adjacency``."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for v in adjacency.get(frontier.pop(), []):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+def context_rows(corpus: ContextCorpus) -> list[tuple[int, tuple, tuple]]:
+    """``(centre, local, global)`` per context, read one context at a time."""
+    members = corpus.members.tolist()
+    indptr = corpus.indptr.tolist()
+    rows = []
+    for i, (centre, local_len) in enumerate(
+        zip(corpus.centres.tolist(), corpus.local_len.tolist())
+    ):
+        lo, split, hi = indptr[i], indptr[i] + local_len, indptr[i + 1]
+        rows.append((centre, tuple(members[lo:split]), tuple(members[split:hi])))
+    return rows
+

@@ -1,4 +1,4 @@
-"""Hogwild trainer tests: sharding, determinism, resume, streaming.
+"""Hogwild trainer tests: sharding, determinism, resume.
 
 The determinism contract under test (DESIGN.md §14):
 
@@ -11,8 +11,6 @@ The determinism contract under test (DESIGN.md §14):
   and as a bound on how far the returned parameters move;
 * resume refuses checkpoints from a different worker count.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -184,50 +182,6 @@ class TestHogwildTraining:
         trainer.fit(dataset.graph, dataset.log)
         assert len(trainer.epoch_seconds) == len(trainer.model.loss_history)
         assert all(s > 0 for s in trainer.epoch_seconds)
-
-
-class TestStreaming:
-    def test_chunked_generation_equals_materialised(self, dataset):
-        config = Inf2vecConfig(dim=8, epochs=1)
-        full = ContextGenerator(
-            dataset.graph, config.context, seed=9
-        ).generate(dataset.log)
-        chunked = [
-            context
-            for chunk in ContextGenerator(
-                dataset.graph, config.context, seed=9
-            ).iter_context_chunks(dataset.log, 3)
-            for context in chunk
-        ]
-        assert len(chunked) == len(full)
-        for a, b in zip(chunked, full):
-            assert a.user == b.user
-            np.testing.assert_array_equal(a.users, b.users)
-
-    def test_streaming_training_runs(self, dataset):
-        trainer = HogwildTrainer(BASE, workers=2, seed=7, stream_chunk=4)
-        model = trainer.fit(dataset.graph, dataset.log)
-        assert len(model.loss_history) == BASE.epochs
-        assert all(np.isfinite(model.loss_history))
-
-    def test_in_process_streaming_resumes_bitwise(self, dataset, tmp_path):
-        def trainer():
-            return HogwildTrainer(BASE, workers=1, seed=7, stream_chunk=4)
-
-        reference = trainer().fit(dataset.graph, dataset.log)
-        assert all(np.isfinite(reference.loss_history))
-        manager = CheckpointManager(tmp_path, every=1, keep=100)
-        trainer().fit(dataset.graph, dataset.log, checkpoint=manager)
-        TestResume._keep_only(manager, 1)
-        resumed = trainer().fit(
-            dataset.graph, dataset.log, checkpoint=manager, resume=True
-        )
-        _assert_identical(resumed, reference)
-
-    def test_streaming_requires_uniform_negatives(self):
-        config = dataclasses.replace(BASE, negative_distribution="unigram")
-        with pytest.raises(TrainingError):
-            HogwildTrainer(config, workers=2, seed=7, stream_chunk=4)
 
 
 class TestResume:

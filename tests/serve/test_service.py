@@ -68,6 +68,25 @@ class TestTopKIndex:
         with pytest.raises(ServingError, match="format_version"):
             TopKIndex.open(store_dir)
 
+    def test_index_of_a_resaved_store_is_refused(self, tmp_path):
+        # A store re-saved into its directory must not keep serving the
+        # top-k index precomputed from the previous embedding.
+        first = InfluenceEmbedding.initialize(50, 4, seed=1)
+        second = InfluenceEmbedding.initialize(50, 4, seed=2)
+        EmbeddingStore.save(first, tmp_path)
+        InfluenceService.open(tmp_path).precompute(5)
+        EmbeddingStore.save(second, tmp_path)
+        with pytest.raises(ServingError, match="stale"):
+            InfluenceService.open(tmp_path)
+        # Rebuilding the index against the new store serves it again.
+        TopKIndex.build(TopKEngine(second), k=5).save(tmp_path)
+        service = InfluenceService.open(tmp_path)
+        assert "influenced" in service.indices
+        np.testing.assert_array_equal(
+            service.top_influenced(0, 5).indices,
+            TopKEngine(second).top_influenced(0, 5).indices,
+        )
+
     def test_query_depth_validation(self, embedding):
         index = TopKIndex.build(TopKEngine(embedding), k=5)
         with pytest.raises(ServingError, match="depth"):

@@ -12,7 +12,12 @@ from repro.sketch.rrsets import (
     RRSketchPool,
     reverse_edge_probabilities,
 )
-from tests.diffusion.test_montecarlo import TestExactOracle as ExactIC
+from tests.oracles import (
+    IC_NUM_NODES,
+    ic_probabilities,
+    live_edge_worlds,
+    reached,
+)
 
 
 @pytest.fixture
@@ -127,37 +132,22 @@ class TestExactInclusionOracle:
     land within 4 of its own standard errors.
     """
 
-    EDGES = ExactIC.EDGES
-    NUM_NODES = ExactIC.NUM_NODES
+    NUM_NODES = IC_NUM_NODES
 
     @pytest.fixture
     def probs(self) -> EdgeProbabilities:
-        graph = SocialGraph(self.NUM_NODES, list(self.EDGES))
-        return EdgeProbabilities.from_dict(graph, self.EDGES)
+        return ic_probabilities()
 
-    @classmethod
-    def _exact_inclusion(cls) -> np.ndarray:
+    @staticmethod
+    def _exact_inclusion() -> np.ndarray:
         """``inclusion[v, u] = P(u in RR(v))``."""
-        edges = list(cls.EDGES.items())
-        inclusion = np.zeros((cls.NUM_NODES, cls.NUM_NODES))
-        for mask in range(2 ** len(edges)):
-            weight = 1.0
+        inclusion = np.zeros((IC_NUM_NODES, IC_NUM_NODES))
+        for weight, live_edges in live_edge_worlds():
             sources: dict[int, list[int]] = {}
-            for bit, ((u, v), p) in enumerate(edges):
-                if mask >> bit & 1:
-                    weight *= p
-                    sources.setdefault(v, []).append(u)
-                else:
-                    weight *= 1.0 - p
-            for root in range(cls.NUM_NODES):
-                reached = {root}
-                frontier = [root]
-                while frontier:
-                    for u in sources.get(frontier.pop(), []):
-                        if u not in reached:
-                            reached.add(u)
-                            frontier.append(u)
-                inclusion[root, list(reached)] += weight
+            for u, v in live_edges:
+                sources.setdefault(v, []).append(u)
+            for root in range(IC_NUM_NODES):
+                inclusion[root, list(reached(sources, [root]))] += weight
         return inclusion
 
     def test_enumeration_is_consistent(self):
