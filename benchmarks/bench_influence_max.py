@@ -2,23 +2,16 @@
 
 Selects ``k = 10`` viral-marketing seeds on the planted ground-truth
 probabilities of both synthetic presets (``digg_like`` and
-``flickr_like`` at 2000 users) with two engines:
+``flickr_like`` at 2000 users) with ``ris`` —
+:func:`repro.apps.ris_influence_maximization`: an adaptively sized
+reverse-reachable sketch pool (IMM schedule) plus max-coverage
+selection over all nodes.
 
-* ``ris`` — :func:`repro.apps.ris_influence_maximization`: an
-  adaptively sized reverse-reachable sketch pool (IMM schedule) plus
-  max-coverage selection, over *all* nodes;
-* ``ris_pruned`` — RIS over an embedding-pruned candidate pool from
-  the serving layer's aggregate-influence ranking (the embedding is
-  trained once here and its cost reported separately, matching the
-  deployment premise that the serving store already exists).
-
-Every method's final seed set is re-evaluated with a *common* seeded
-Monte-Carlo estimator (spread ± standard error), so the quality
-comparison is apples-to-apples and independent of each method's
-internal estimates — the RIS coverage estimate of its own selection is
-upward-biased by the selection step.  Per-method prefix spreads
-(``k = 1..10`` of the selection order) give the spread-vs-wall-clock
-curve; selection wall time and MC-evaluated spread land in
+The final seed set is re-evaluated with a seeded Monte-Carlo
+estimator (spread ± standard error), independent of the internal
+estimate — the RIS coverage estimate of its own selection is
+upward-biased by the selection step.  Prefix spreads (``k = 1..10`` of
+the selection order) give the spread-vs-wall-clock curve; selection wall time and MC-evaluated spread land in
 ``BENCH_influence_max.json`` for the :mod:`repro.obs.regress` gate.
 Sketch telemetry (RR-set counters, schedule spans) is persisted to
 ``BENCH_influence_max_manifest.json``.
@@ -35,24 +28,20 @@ import json
 import time
 from pathlib import Path
 
-from repro.apps.influence_max import (
-    ris_influence_maximization,
-    ris_pruned_influence_maximization,
-)
-from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
+from repro.apps.influence_max import ris_influence_maximization
 from repro.data.synthetic import SyntheticSocialDataset
 from repro.diffusion.montecarlo import expected_spread, spread_with_standard_error
 from repro.obs import RunRecorder, recording
 
 #: Acceptance working point: both presets at 2000 users.
 PRESET = dict(num_users=2000, num_seeds=10, eval_runs=1000, curve_runs=300,
-              train_epochs=5, dim=16, epsilon=0.2)
+              epsilon=0.2)
 #: CI working point: same code paths, seconds instead of minutes.  The
 #: looser epsilon keeps the sketch pool proportionate to the tiny graph
 #: — at 300 users the IMM schedule's fixed lambda' term dominates and a
 #: 0.2-epsilon pool would dwarf the graph.
 SMOKE_PRESET = dict(num_users=300, num_seeds=5, eval_runs=200, curve_runs=100,
-                    train_epochs=2, dim=8, epsilon=0.3)
+                    epsilon=0.3)
 BENCH_SEED = 20180416  # ICDE 2018 week, arbitrary but memorable
 
 DATASETS = ("digg_like", "flickr_like")
@@ -89,12 +78,10 @@ def run_influence_max(
     num_seeds: int = PRESET["num_seeds"],
     eval_runs: int = PRESET["eval_runs"],
     curve_runs: int = PRESET["curve_runs"],
-    train_epochs: int = PRESET["train_epochs"],
-    dim: int = PRESET["dim"],
     epsilon: float = PRESET["epsilon"],
     seed: int = BENCH_SEED,
 ) -> dict:
-    """Time and evaluate both selection engines on both presets."""
+    """Time and evaluate RIS selection on both presets."""
     run = RunRecorder(name="bench.influence_max")
     run.set_config(
         {
@@ -140,33 +127,6 @@ def run_influence_max(
                 ),
             }
 
-            with run.span("bench.train_embedding", preset=name):
-                began = time.perf_counter()
-                model = Inf2vecModel(
-                    Inf2vecConfig(dim=dim, epochs=train_epochs), seed=seed
-                )
-                model.fit(dataset.graph, dataset.log)
-                train_seconds = time.perf_counter() - began
-            with run.span("bench.ris_pruned", preset=name):
-                began = time.perf_counter()
-                pruned_sel = ris_pruned_influence_maximization(
-                    probabilities,
-                    model.embedding,
-                    num_seeds,
-                    epsilon=epsilon,
-                    seed=seed,
-                )
-                pruned_seconds = time.perf_counter() - began
-            methods["ris_pruned"] = {
-                "selection_seconds": pruned_seconds,
-                "train_seconds": train_seconds,
-                "internal_estimate": pruned_sel.expected_spread,
-                "seeds": [int(s) for s in pruned_sel.seeds],
-                **_evaluate(
-                    probabilities, pruned_sel.seeds, eval_runs, curve_runs, eval_seed
-                ),
-            }
-
             presets[name] = {
                 "num_users": graph.num_nodes,
                 "num_edges": graph.num_edges,
@@ -179,8 +139,6 @@ def run_influence_max(
         "seed": seed,
         "eval_runs": eval_runs,
         "curve_runs": curve_runs,
-        "train_epochs": train_epochs,
-        "dim": dim,
         "epsilon": epsilon,
         "presets": presets,
         "telemetry": {"manifest": MANIFEST_PATH.name},

@@ -13,12 +13,10 @@ Reports p50/p99 latency and sustained QPS per workload into
 (query counters, latency histograms, precompute spans) is routed
 through :mod:`repro.obs` and persisted to
 ``BENCH_serving_manifest.json`` alongside it.  Every per-operation
-latency is also fed into a live ``bench.workload.latency`` streaming
-summary, whose quantiles are reported as ``live_p50_ms``/``live_p99_ms``
-per workload and cross-checked against the exact post-hoc percentiles
-(they must agree within :data:`LIVE_QUANTILE_TOLERANCE`); the final
-registry state is rendered to Prometheus text format at
-``BENCH_serving_exposition.prom``.
+latency is also fed into the ``bench.workload.seconds`` histogram, and
+the final registry state is rendered to Prometheus text format at
+``BENCH_serving_exposition.prom``, where ``histogram_quantile`` over
+the ``_bucket`` series gives live percentiles.
 
 Run standalone with ``python benchmarks/bench_serving.py`` (add
 ``--smoke`` for the fast CI working point) or under pytest-benchmark
@@ -55,11 +53,6 @@ REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 MANIFEST_PATH = REPORT_PATH.with_name("BENCH_serving_manifest.json")
 EXPOSITION_PATH = REPORT_PATH.with_name("BENCH_serving_exposition.prom")
 
-#: Live streaming quantiles vs exact post-hoc percentiles: the default
-#: reservoir is exact below capacity, so per-workload counts here leave
-#: only float noise — 10% is the acceptance bound, not the expectation.
-LIVE_QUANTILE_TOLERANCE = 0.10
-
 
 def _percentile(latencies: list[float], q: float) -> float:
     """Linear-interpolated percentile of per-operation latencies."""
@@ -77,30 +70,13 @@ def _summarize(latencies: list[float], wall: float, queries_per_op: int) -> dict
     }
 
 
-def _record_workload(workload: str, latencies: list[float]) -> dict:
-    """Stream the measured latencies into the live instruments.
-
-    Feeds the exact per-operation latencies into the
-    ``bench.workload.latency`` summary and ``bench.workload.seconds``
-    histogram (labelled by workload), then reads the *live* p50/p99
-    back out of the summary — the values the exposition snapshot will
-    carry, to be cross-checked against the post-hoc percentiles.
-    """
-    metrics = active_metrics()
-    summary = metrics.summary(
-        "bench.workload.latency",
-        description="per-operation benchmark latency quantiles (seconds)",
-    )
-    summary.observe_many(latencies, workload=workload)
-    metrics.histogram(
+def _record_workload(workload: str, latencies: list[float]) -> None:
+    """Feed the per-operation latencies into ``bench.workload.seconds``."""
+    active_metrics().histogram(
         "bench.workload.seconds",
         SERVE_LATENCY_BUCKETS,
         "per-operation benchmark latency",
     ).observe_many(latencies, workload=workload)
-    return {
-        "live_p50_ms": summary.quantile(0.5, workload=workload) * 1e3,
-        "live_p99_ms": summary.quantile(0.99, workload=workload) * 1e3,
-    }
 
 
 def _time_loop(op, operands) -> tuple[list[float], float]:
@@ -184,9 +160,7 @@ def run_serving(
                 workloads[workload] = _summarize(
                     latencies, wall, queries_per_op=queries_per_op
                 )
-                workloads[workload].update(
-                    _record_workload(workload, latencies)
-                )
+                _record_workload(workload, latencies)
 
             measure("single_scan", _time_loop(single, users), 1)
             measure("batched_scan", _time_loop(batched, batches), BATCH_SIZE)
@@ -269,26 +243,12 @@ def test_serving_latency(benchmark):
     ), results
     manifest = json.loads(MANIFEST_PATH.read_text())
     assert "serve.queries" in manifest["metrics"], manifest["metrics"].keys()
-    assert "bench.workload.latency" in manifest["metrics"]
+    assert "bench.workload.seconds" in manifest["metrics"]
     assert any(
         s["name"] == "serve.precompute.influenced" for s in manifest["spans"]
     )
-    # Acceptance: the live streaming quantiles in the exposition agree
-    # with the exact post-hoc percentiles for every workload.
-    for name, row in results["workloads"].items():
-        for live_key, exact_key in (
-            ("live_p50_ms", "p50_ms"),
-            ("live_p99_ms", "p99_ms"),
-        ):
-            live, exact = row[live_key], row[exact_key]
-            assert abs(live - exact) <= LIVE_QUANTILE_TOLERANCE * exact, (
-                name,
-                live_key,
-                live,
-                exact,
-            )
     assert EXPOSITION_PATH.is_file()
-    assert "bench_workload_latency" in EXPOSITION_PATH.read_text()
+    assert "bench_workload_seconds" in EXPOSITION_PATH.read_text()
 
 
 def main() -> int:

@@ -3,7 +3,7 @@
 A metric name lives in the instrument site and in the exposition it
 flows into.  A typo'd counter still counts; it just reports under a
 name nothing declared.  This rule pins every site to the catalog:
-each ``metrics.counter/gauge/histogram/summary(...)`` and
+each ``metrics.counter/gauge/histogram(...)`` and
 ``run.span(...)`` site in checked modules must use a name declared in
 ``METRIC_CATALOG`` with the *same instrument kind*, and only labels
 from the declared label set (f-string names become ``*`` families and
@@ -34,8 +34,8 @@ from repro.analysis.rules.common import dotted_name
 #: Anchor symbol locating the catalog.
 CATALOG_SYMBOL = "METRIC_CATALOG"
 
-_INSTRUMENT_METHODS = frozenset({"counter", "gauge", "histogram", "summary"})
-_MUTATOR_METHODS = frozenset({"inc", "set", "observe", "observe_many", "quantile"})
+_INSTRUMENT_METHODS = frozenset({"counter", "gauge", "histogram"})
+_MUTATOR_METHODS = frozenset({"inc", "set", "observe", "observe_many"})
 _NON_LABEL_KWARGS = frozenset({"description"})
 
 

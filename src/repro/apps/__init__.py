@@ -9,10 +9,8 @@ from repro.apps.citation_study import (
 )
 from repro.apps.influence_max import (
     embedding_edge_probabilities,
-    embedding_pruned_candidates,
     embedding_seed_selection,
     ris_influence_maximization,
-    ris_pruned_influence_maximization,
 )
 
 __all__ = [
@@ -22,8 +20,6 @@ __all__ = [
     "train_conventional_model",
     "train_embedding_model",
     "embedding_edge_probabilities",
-    "embedding_pruned_candidates",
     "embedding_seed_selection",
     "ris_influence_maximization",
-    "ris_pruned_influence_maximization",
 ]

@@ -11,11 +11,8 @@ library's learned models:
   table from any IC-based model (DE, ST, EM, Emb-IC, or planted ground
   truth), at selection cost near-linear in the pool size.  Monte-Carlo
   simulation (:mod:`repro.diffusion.montecarlo`) is the referee that
-  scores the chosen seeds.
-* :func:`ris_pruned_influence_maximization` — the embedding-driven
-  variant: the serving layer's :class:`~repro.serve.TopKIndex`
-  aggregate-influence ranking prunes the candidate pool first, exact
-  sketch coverage verifies within it.
+  scores the chosen seeds.  An embedding drives it through
+  :func:`embedding_edge_probabilities`.
 * :func:`embedding_seed_selection` — a representation shortcut: rank
   users by their aggregate outgoing influence score
   ``mean_v x(u, v)`` plus marginal-coverage re-ranking, avoiding
@@ -25,7 +22,6 @@ library's learned models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +29,7 @@ from repro.core.embeddings import InfluenceEmbedding
 from repro.data.graph import SocialGraph
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import EvaluationError
-from repro.serve.index import TopKIndex
 from repro.serve.scoring import DEFAULT_BLOCK_SIZE, iter_source_rows
-from repro.serve.topk import TopKEngine
 from repro.sketch.rrsets import DEFAULT_BATCH_SIZE
 from repro.sketch.schedule import (
     DEFAULT_ELL,
@@ -71,8 +65,7 @@ class SeedSelection:
         Estimated marginal spread gain of each selection.
     expected_spread:
         Estimated total spread of the final seed set (the RIS coverage
-        estimate for the sketch selectors; ``nan`` for the embedding
-        heuristic).
+        estimate for RIS; ``nan`` for the embedding heuristic).
     """
 
     seeds: tuple[int, ...]
@@ -142,7 +135,6 @@ def ris_influence_maximization(
     epsilon: float = DEFAULT_EPSILON,
     ell: float = DEFAULT_ELL,
     seed: SeedLike = None,
-    candidates: Sequence[int] | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_sketches: int = DEFAULT_MAX_SKETCHES,
 ) -> SeedSelection:
@@ -167,8 +159,6 @@ def ris_influence_maximization(
         RNG seed/Generator for root sampling and reverse-cascade coins
         (seeded Generators only; the same seed reproduces the same
         seed set bit-for-bit).
-    candidates:
-        Optional candidate pool (defaults to every node).
     batch_size:
         Roots per lockstep reverse-cascade batch.
     max_sketches:
@@ -189,110 +179,21 @@ def ris_influence_maximization(
         raise EvaluationError(
             f"num_seeds={num_seeds} exceeds the number of nodes {graph.num_nodes}"
         )
-    if candidates is not None and len(set(int(c) for c in candidates)) < num_seeds:
-        raise EvaluationError("candidate pool smaller than num_seeds")
     pool, _schedule = adaptive_rr_pool(
         probabilities,
         num_seeds,
         epsilon=epsilon,
         ell=ell,
         seed=seed,
-        candidates=candidates,
         batch_size=batch_size,
         max_sketches=max_sketches,
     )
-    result = max_coverage_seeds(pool, num_seeds, candidates)
+    result = max_coverage_seeds(pool, num_seeds)
     scale = pool.spread_scale()
     return SeedSelection(
         seeds=result.seeds,
         marginal_gains=tuple(scale * count for count in result.marginal_counts),
         expected_spread=graph.num_nodes * result.coverage_fraction,
-    )
-
-
-def embedding_pruned_candidates(
-    embedding: InfluenceEmbedding,
-    num_candidates: int,
-    probe_k: int = 10,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> np.ndarray:
-    """Top candidate users by serving-layer aggregate influence.
-
-    Builds a :class:`~repro.serve.TopKIndex` over the embedding (the
-    same blocked engine the serving layer queries) and ranks each user
-    by the mass of their ``probe_k`` strongest outgoing scores with the
-    per-source bias removed — ``sum_top_k x(u, ·) - probe_k · b_u`` —
-    since the raw SGNS score carries a per-source offset that would
-    reward untrained users (see :func:`embedding_seed_selection`).
-    Returns the ``num_candidates`` highest-ranked user ids.
-    """
-    num_candidates = check_positive_int("num_candidates", num_candidates)
-    if num_candidates > embedding.num_users:
-        raise EvaluationError(
-            f"num_candidates={num_candidates} exceeds "
-            f"num_users={embedding.num_users}"
-        )
-    probe_k = min(check_positive_int("probe_k", probe_k), embedding.num_users)
-    engine = TopKEngine(embedding, block_size=block_size)
-    index = TopKIndex.build(engine, probe_k, direction="influenced")
-    mass = index.scores.sum(axis=1) - index.k * np.asarray(
-        embedding.source_bias, dtype=np.float64
-    )
-    # Deterministic order: by descending mass, user id breaking ties.
-    ranking = np.lexsort((np.arange(mass.shape[0]), -mass))
-    return np.sort(ranking[:num_candidates])
-
-
-def ris_pruned_influence_maximization(
-    probabilities: EdgeProbabilities,
-    embedding: InfluenceEmbedding,
-    num_seeds: int,
-    num_candidates: int | None = None,
-    probe_k: int = 10,
-    epsilon: float = DEFAULT_EPSILON,
-    ell: float = DEFAULT_ELL,
-    seed: SeedLike = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_sketches: int = DEFAULT_MAX_SKETCHES,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> SeedSelection:
-    """RIS selection over an embedding-pruned candidate pool.
-
-    The serving layer's aggregate-influence ranking
-    (:func:`embedding_pruned_candidates`) keeps only the most promising
-    ``num_candidates`` users (default ``max(64, 16 · num_seeds)``,
-    clipped to the universe); exact sketch coverage then verifies and
-    orders seeds *within* that pool.  Shrinking the candidate pool
-    shrinks both the max-coverage heap and the phase-1 greedy runs of
-    the sampling schedule, at the price of the pruning heuristic's
-    recall — the benchmark records the spread cost empirically.
-    """
-    graph = probabilities.graph
-    num_seeds = check_positive_int("num_seeds", num_seeds)
-    if embedding.num_users != graph.num_nodes:
-        raise EvaluationError(
-            f"embedding covers {embedding.num_users} users but the graph "
-            f"has {graph.num_nodes} nodes"
-        )
-    if num_candidates is None:
-        num_candidates = min(graph.num_nodes, max(64, 16 * num_seeds))
-    if num_candidates < num_seeds:
-        raise EvaluationError(
-            f"num_candidates={num_candidates} is smaller than "
-            f"num_seeds={num_seeds}"
-        )
-    candidates = embedding_pruned_candidates(
-        embedding, num_candidates, probe_k=probe_k, block_size=block_size
-    )
-    return ris_influence_maximization(
-        probabilities,
-        num_seeds,
-        epsilon=epsilon,
-        ell=ell,
-        seed=seed,
-        candidates=candidates,
-        batch_size=batch_size,
-        max_sketches=max_sketches,
     )
 
 

@@ -213,13 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "influence-maximisation options (influence-max command only)"
     )
     influence.add_argument(
-        "--method",
-        choices=("ris", "ris-pruned"),
-        default="ris",
-        help="seed-selection engine: RIS/IMM sketches, or RIS over an "
-        "embedding-pruned candidate pool (default: ris)",
-    )
-    influence.add_argument(
         "--preset",
         choices=("digg", "flickr"),
         default="digg",
@@ -239,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="EPS",
-        help="IMM approximation slack for the RIS methods "
+        help="IMM approximation slack for RIS "
         "(default: library default)",
     )
     influence.add_argument(
@@ -248,14 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="hard cap on the RIS sketch pool (default: library default)",
-    )
-    influence.add_argument(
-        "--num-candidates",
-        type=int,
-        default=None,
-        metavar="N",
-        help="embedding-pruned candidate pool size for --method ris-pruned "
-        "(default: max(64, 16·K))",
     )
     influence.add_argument(
         "--eval-runs",
@@ -433,10 +418,7 @@ def _run_influence_max(args: argparse.Namespace) -> int:
     """The ``influence-max`` command: select and evaluate viral seeds."""
     import time
 
-    from repro.apps.influence_max import (
-        ris_influence_maximization,
-        ris_pruned_influence_maximization,
-    )
+    from repro.apps.influence_max import ris_influence_maximization
     from repro.data.synthetic import SyntheticSocialDataset
     from repro.diffusion.montecarlo import spread_with_standard_error
 
@@ -461,32 +443,13 @@ def _run_influence_max(args: argparse.Namespace) -> int:
         sketch_kwargs["max_sketches"] = args.max_sketches
 
     start = time.perf_counter()
-    if args.method == "ris":
-        selection = ris_influence_maximization(
-            probabilities, args.num_seeds, seed=args.seed, **sketch_kwargs
-        )
-    else:
-        from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
-
-        config = Inf2vecConfig(dim=args.dim, epochs=args.epochs)
-        model = Inf2vecModel(config, seed=args.seed)
-        model.fit(dataset.graph, dataset.log)
-        print(
-            f"trained pruning embedding dim={args.dim} "
-            f"over {args.epochs} epochs"
-        )
-        selection = ris_pruned_influence_maximization(
-            probabilities,
-            model.embedding,
-            args.num_seeds,
-            num_candidates=args.num_candidates,
-            seed=args.seed,
-            **sketch_kwargs,
-        )
+    selection = ris_influence_maximization(
+        probabilities, args.num_seeds, seed=args.seed, **sketch_kwargs
+    )
     elapsed = time.perf_counter() - start
 
     print(
-        f"{args.method} selected {len(selection.seeds)} seeds "
+        f"ris selected {len(selection.seeds)} seeds "
         f"in {elapsed:.3f}s (internal estimate "
         f"{selection.expected_spread:.2f})"
     )

@@ -73,7 +73,7 @@ class SketchError(ReproError):
 
     Examples include a reverse-reachable pool whose flattened layout is
     inconsistent (indptr/node arrays disagree), a max-coverage request
-    for more seeds than the candidate pool holds, or an adaptive
+    for more seeds than the pool's universe holds, or an adaptive
     sampling schedule asked to run on an empty graph.
     """
 
@@ -93,6 +93,5 @@ class TelemetryError(ReproError):
 
     Examples include registering one instrument name under two
     different types, re-declaring a histogram with different bucket
-    edges or a summary with different target quantiles, and requesting
-    a quantile outside ``[0, 1]``.
+    edges, and decrementing a counter.
     """

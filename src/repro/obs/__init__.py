@@ -3,11 +3,9 @@
 All opt-in and zero-overhead when off:
 
 * :mod:`repro.obs.metrics` — labelled counters/gauges/fixed-bucket
-  histograms/streaming-quantile summaries behind a thread-safe
-  :class:`MetricsRegistry` (the shared :data:`NULL_REGISTRY` is the
-  disabled default);
-* :mod:`repro.obs.quantiles` — the bounded-memory
-  :class:`ReservoirSampler` feeding :class:`Summary`;
+  histograms behind a thread-safe :class:`MetricsRegistry` (the shared
+  :data:`NULL_REGISTRY` is the disabled default); latency percentiles
+  are read from histogram buckets;
 * :mod:`repro.obs.tracing` — nestable ``span()`` context managers
   producing an exportable span tree (:data:`NULL_TRACER` when off),
   plus :class:`HeadSampler` for seeded head-based span sampling;
@@ -36,7 +34,6 @@ from repro.obs.export import (
     render_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, TelemetryError
-from repro.obs.quantiles import ReservoirSampler
 from repro.obs.run import (
     NULL_RUN,
     RunRecorder,
@@ -52,7 +49,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "TelemetryError",
-    "ReservoirSampler",
     "Tracer",
     "NULL_TRACER",
     "HeadSampler",

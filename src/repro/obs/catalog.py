@@ -37,7 +37,7 @@ class MetricSpec:
     """One declared telemetry name: kind, allowed labels, description."""
 
     name: str  #: Literal name or ``fnmatch`` family (``diffusion.*.rounds``).
-    kind: str  #: ``counter`` | ``gauge`` | ``histogram`` | ``summary`` | ``span``.
+    kind: str  #: ``counter`` | ``gauge`` | ``histogram`` | ``span``.
     labels: tuple[str, ...] = ()  #: Allowed label / span-attribute keys.
     description: str = ""
 
@@ -77,7 +77,7 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("train.epoch.examples_per_sec", "gauge", ("epoch",), "positive observations per second"),
     MetricSpec("train.epoch.learning_rate", "gauge", ("epoch",), "annealed SGD step"),
     MetricSpec("train.epoch.loss", "gauge", ("epoch",), "mean per-positive loss"),
-    MetricSpec("train.worker.contexts", "gauge", ("worker",), "contexts materialised per worker shard (0 = streaming)"),
+    MetricSpec("train.worker.contexts", "gauge", ("worker",), "contexts materialised per worker shard"),
     MetricSpec("train.worker.epoch_seconds", "gauge", ("worker", "epoch"), "in-worker wall-clock per epoch"),
     MetricSpec("train.worker.loss", "gauge", ("worker", "epoch"), "mean per-positive loss of the worker's shard"),
     # -- histograms ----------------------------------------------------
@@ -89,13 +89,8 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("diffusion.*.spread", "histogram", (), "activated-set sizes, per model"),
     MetricSpec("serve.query.seconds", "histogram", ("direction", "path"), "per-query latency"),
     MetricSpec("sketch.rr_size", "histogram", (), "RR-set sizes"),
-    # -- summaries -----------------------------------------------------
-    MetricSpec("bench.workload.latency", "summary", ("workload",), "per-operation benchmark latency quantiles (seconds)"),
-    MetricSpec("serve.query.latency", "summary", ("direction", "path"), "live per-query latency quantiles (seconds)"),
     # -- spans ---------------------------------------------------------
     MetricSpec("bench.ris", "span", ("preset",), "benchmark: RIS selection"),
-    MetricSpec("bench.ris_pruned", "span", ("preset",), "benchmark: embedding-pruned RIS selection"),
-    MetricSpec("bench.train_embedding", "span", ("preset",), "benchmark: embedding training for pruning"),
     MetricSpec("contexts", "span", ("num_contexts",), "context-corpus generation"),
     MetricSpec("epoch", "span", ("epoch", "loss", "examples", "examples_per_sec", "workers"), "one training epoch"),
     MetricSpec("experiment.*", "span", ("scale",), "one named experiment run (CLI)"),

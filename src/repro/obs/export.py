@@ -7,8 +7,8 @@ telemetry entirely.  This module is the live half:
 * :func:`render_prometheus` turns a
   :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` into the
   Prometheus text exposition format (version 0.0.4) — counters,
-  gauges, cumulative-bucket histograms, and quantile summaries — so
-  any scrape-based pipeline (or plain ``watch cat``) can read it;
+  gauges and cumulative-bucket histograms — so any scrape-based
+  pipeline (or plain ``watch cat``) can read it;
 * :class:`PeriodicExporter` is a background daemon thread that
   atomically rewrites an exposition snapshot (plus the run manifest
   and span trace) every ``every`` seconds via
@@ -137,23 +137,6 @@ def _render_histogram(lines, name, samples) -> None:
         lines.append(f"{name}_count{base} {int(sample['count'])}")
 
 
-def _render_summary(lines, name, samples) -> None:
-    for key, sample in sorted(samples.items()):
-        pairs = _parse_labels(key)
-        for q, value in sorted(
-            sample["quantiles"].items(), key=lambda item: float(item[0])
-        ):
-            if value is None:
-                continue
-            q_labels = _format_labels(
-                pairs + [("quantile", _format_value(float(q)))]
-            )
-            lines.append(f"{name}{q_labels} {_format_value(value)}")
-        base = _format_labels(pairs)
-        lines.append(f"{name}_sum{base} {_format_value(sample['sum'])}")
-        lines.append(f"{name}_count{base} {int(sample['count'])}")
-
-
 def render_prometheus(snapshot: Mapping[str, Mapping[str, object]]) -> str:
     """Render a registry snapshot as Prometheus text exposition format.
 
@@ -161,7 +144,6 @@ def render_prometheus(snapshot: Mapping[str, Mapping[str, object]]) -> str:
     :meth:`repro.obs.metrics.MetricsRegistry.snapshot`.  Instruments
     render in sorted name order with ``# HELP`` / ``# TYPE`` headers;
     histograms emit cumulative ``_bucket{le=...}`` series plus
-    ``_sum``/``_count``, summaries emit ``{quantile=...}`` series plus
     ``_sum``/``_count``.
     """
     lines: list[str] = []
@@ -174,14 +156,11 @@ def render_prometheus(snapshot: Mapping[str, Mapping[str, object]]) -> str:
             "counter": "counter",
             "gauge": "gauge",
             "histogram": "histogram",
-            "summary": "summary",
         }.get(kind, "untyped")
         lines.append(f"# HELP {name} {description}")
         lines.append(f"# TYPE {name} {prom_type}")
         if kind == "histogram":
             _render_histogram(lines, name, samples)
-        elif kind == "summary":
-            _render_summary(lines, name, samples)
         else:
             _render_scalar(lines, name, samples)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms, summaries.
+"""Process-local metrics registry: counters, gauges, histograms.
 
 The registry is the numeric half of the :mod:`repro.obs` telemetry
 layer (spans being the other half, see :mod:`repro.obs.tracing`).
@@ -22,27 +22,21 @@ Design contract (see DESIGN.md, "Observability"):
 * **Fixed-bucket histograms.**  Buckets are declared at creation time
   and observations are binned with ``searchsorted`` — bucket ``i``
   counts values in ``(buckets[i-1], buckets[i]]`` and the final
-  overflow bin counts values above the last edge.
-* **Streaming summaries.**  A ``Summary`` keeps bounded-memory live
-  quantiles per label set (a seeded reservoir, see
-  :mod:`repro.obs.quantiles`) so a long-running server answers
-  "what is p99 right now?" without retaining every sample.
+  overflow bin counts values above the last edge.  Latency is
+  recorded into histograms too: their memory is bounded, per-worker
+  bucket counts merge by addition, and the exposition format renders
+  them natively, so live percentiles come from ``histogram_quantile``
+  over the ``_bucket`` series rather than from a second instrument.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import TelemetryError
-from repro.obs.quantiles import (
-    DEFAULT_RESERVOIR_CAPACITY,
-    ReservoirSampler,
-    check_quantile,
-)
 
 __all__ = [
     "MetricsRegistry",
@@ -67,9 +61,6 @@ ROUND_BUCKETS = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
 
 #: Cascade-size edges for IC/LT activated-set histograms.
 SPREAD_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0)
-
-#: Default target quantiles rendered by ``Summary`` snapshots.
-DEFAULT_SUMMARY_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
 def _label_key(labels: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
@@ -236,36 +227,6 @@ class Histogram(_Instrument):
             state = self._states.get(_label_key(labels))
             return state.count if state is not None else 0
 
-    def quantile(self, q: float, **labels: object) -> float | None:
-        """Bucket-interpolated ``q``-quantile for the label set.
-
-        Works like Prometheus' ``histogram_quantile``: the quantile is
-        located in the first bucket whose cumulative count covers it
-        and linearly interpolated between that bucket's edges (the
-        first bucket interpolates from 0, observations in the overflow
-        bin report the last finite edge).  Resolution is therefore the
-        bucket width; use a :class:`Summary` when tighter estimates
-        are needed.  ``None`` before any observation.
-        """
-        q = check_quantile(q)
-        with self._lock:
-            state = self._states.get(_label_key(labels))
-            if state is None or state.count == 0:
-                return None
-            counts = state.counts.copy()
-        cumulative = np.cumsum(counts)
-        target = q * cumulative[-1]
-        bucket = int(np.searchsorted(cumulative, target, side="left"))
-        if bucket >= self._buckets.size:
-            return float(self._buckets[-1])
-        upper = float(self._buckets[bucket])
-        lower = float(self._buckets[bucket - 1]) if bucket else min(0.0, upper)
-        below = float(cumulative[bucket - 1]) if bucket else 0.0
-        inside = float(counts[bucket])
-        if inside == 0.0:
-            return upper
-        return lower + (upper - lower) * (target - below) / inside
-
     def _sample_dicts(self) -> dict[str, object]:
         samples: dict[str, object] = {}
         for key, state in self._states.items():
@@ -275,111 +236,6 @@ class Histogram(_Instrument):
                 "count": state.count,
                 "sum": state.total,
                 "mean": state.total / state.count if state.count else 0.0,
-            }
-        return samples
-
-
-class Summary(_Instrument):
-    """Streaming quantiles + exact count/sum/min/max per label set.
-
-    Each label set keeps a seeded fixed-capacity reservoir
-    (:class:`~repro.obs.quantiles.ReservoirSampler`): any quantile can
-    be asked for, and answers are *exact* until the stream outgrows the
-    reservoir.  Reservoir seeds
-    are derived deterministically from the instrument name and label
-    set, so summaries obey the no-global-rng invariant and reproduce
-    across processes.
-    """
-
-    kind = "summary"
-
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        lock: threading.Lock,
-        quantiles: Sequence[float] = DEFAULT_SUMMARY_QUANTILES,
-        capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-    ):
-        super().__init__(name, description, lock)
-        targets = tuple(sorted(check_quantile(q) for q in quantiles))
-        if not targets:
-            raise TelemetryError(f"summary {name!r} needs >= 1 target quantile")
-        if len(set(targets)) != len(targets):
-            raise TelemetryError(
-                f"summary {name!r} has duplicate target quantiles: {quantiles}"
-            )
-        self._quantiles = targets
-        self._capacity = int(capacity)
-        self._states: dict[tuple[tuple[str, str], ...], ReservoirSampler] = {}
-
-    @property
-    def quantile_targets(self) -> tuple[float, ...]:
-        """The declared target quantiles (sorted)."""
-        return self._quantiles
-
-    def _state(self, key: tuple[tuple[str, str], ...]) -> ReservoirSampler:
-        state = self._states.get(key)
-        if state is None:
-            # Deterministic per-series seed: no global RNG, and the
-            # same (instrument, labels) pair reservoir-samples the
-            # same way in every process.
-            seed = zlib.crc32(
-                f"{self.name}|{_labels_text(key)}".encode("utf-8")
-            )
-            state = ReservoirSampler(capacity=self._capacity, seed=seed)
-            self._states[key] = state
-        return state
-
-    def observe(self, value: float, **labels: object) -> None:
-        """Record one observation."""
-        key = _label_key(labels)
-        with self._lock:
-            self._state(key).observe(float(value))
-
-    def observe_many(self, values: Iterable[float], **labels: object) -> None:
-        """Record a batch of observations."""
-        batch = [float(v) for v in values]
-        if not batch:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            state = self._state(key)
-            for value in batch:
-                state.observe(value)
-
-    def count(self, **labels: object) -> int:
-        """Number of observations for the label set."""
-        with self._lock:
-            state = self._states.get(_label_key(labels))
-            return state.count if state is not None else 0
-
-    def quantile(self, q: float, **labels: object) -> float | None:
-        """Live estimate of the ``q``-quantile for the label set.
-
-        Any ``q`` in ``[0, 1]`` is answerable, not only the declared
-        targets.  ``None`` before any observation.
-        """
-        with self._lock:
-            state = self._states.get(_label_key(labels))
-            if state is None:
-                return None
-            return state.quantile(check_quantile(q))
-
-    def _sample_dicts(self) -> dict[str, object]:
-        samples: dict[str, object] = {}
-        for key, state in self._states.items():
-            quantile_values = {
-                repr(q): state.quantile(q) for q in self._quantiles
-            }
-            samples[_labels_text(key)] = {
-                "count": state.count,
-                "sum": state.total,
-                "min": state.minimum,
-                "max": state.maximum,
-                "mean": state.total / state.count if state.count else 0.0,
-                "exact": state.exact,
-                "quantiles": quantile_values,
             }
         return samples
 
@@ -450,37 +306,6 @@ class MetricsRegistry:
             )
         return instrument
 
-    def summary(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_SUMMARY_QUANTILES,
-        description: str = "",
-        capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-    ) -> Summary:
-        """Get or create the named streaming-quantile summary."""
-        instrument = self._get_or_create(
-            name,
-            lambda: Summary(
-                name,
-                description,
-                self._lock,
-                quantiles=quantiles,
-                capacity=capacity,
-            ),
-        )
-        if not isinstance(instrument, Summary):
-            raise TelemetryError(
-                f"{name!r} is a {instrument.kind}, not a summary"
-            )
-        if instrument.quantile_targets != tuple(
-            sorted(check_quantile(q) for q in quantiles)
-        ):
-            raise TelemetryError(
-                f"summary {name!r} already registered with quantiles "
-                f"{instrument.quantile_targets}, got {tuple(quantiles)}"
-            )
-        return instrument
-
     def names(self) -> list[str]:
         """Registered instrument names, sorted."""
         with self._lock:
@@ -530,9 +355,6 @@ class _NullInstrument:
     def count(self, **labels: object) -> int:
         return 0
 
-    def quantile(self, q: float, **labels: object) -> None:
-        return None
-
     def to_dict(self) -> dict[str, object]:
         return {}
 
@@ -562,15 +384,6 @@ class NullRegistry(MetricsRegistry):
     def histogram(
         self, name: str, buckets: Sequence[float], description: str = ""
     ) -> Histogram:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def summary(
-        self,
-        name: str,
-        quantiles: Sequence[float] = DEFAULT_SUMMARY_QUANTILES,
-        description: str = "",
-        capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-    ) -> Summary:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def snapshot(self) -> dict[str, dict[str, object]]:

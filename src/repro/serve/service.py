@@ -10,10 +10,9 @@ routing is purely a latency decision.
 
 Telemetry follows the repo's null-default contract: inside a
 ``with recording(run):`` scope every query increments
-``serve.queries`` (labelled by direction and path), observes its
-latency into both the ``serve.query.seconds`` histogram and the
-``serve.query.latency`` streaming-quantile summary (live p50/p95/p99
-without retaining samples), and failed queries increment the
+``serve.queries`` (labelled by direction and path) and observes its
+latency into the ``serve.query.seconds`` histogram (live percentiles
+come from its buckets), and failed queries increment the
 ``serve.query.errors`` counter (labelled by direction and error type)
 before the exception propagates; outside a scope the cost is one
 attribute check.  Batch entry points additionally open a span, and a
@@ -73,10 +72,6 @@ def _record_query(direction: str, path: str, seconds: float) -> None:
     ).inc(direction=direction, path=path)
     metrics.histogram(
         "serve.query.seconds", SERVE_LATENCY_BUCKETS, "per-query latency"
-    ).observe(seconds, direction=direction, path=path)
-    metrics.summary(
-        "serve.query.latency",
-        description="live per-query latency quantiles (seconds)",
     ).observe(seconds, direction=direction, path=path)
 
 

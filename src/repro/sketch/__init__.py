@@ -14,10 +14,9 @@ network:
   lazy greedy max-coverage over the pool, near-linear in the flattened
   pool size.
 
-The application-facing entry points
-(:func:`repro.apps.influence_max.ris_influence_maximization` and its
-embedding-pruned variant) wrap these into a
-:class:`~repro.apps.influence_max.SeedSelection` result.
+The application-facing entry point,
+:func:`repro.apps.influence_max.ris_influence_maximization`, wraps
+these into a :class:`~repro.apps.influence_max.SeedSelection` result.
 """
 
 from repro.sketch.rrsets import (

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
 from repro.obs.run import active_run
 from repro.sketch.rrsets import DEFAULT_BATCH_SIZE, RRGenerator, RRSketchPool
-from repro.sketch.select import _candidate_nodes, max_coverage_seeds
+from repro.sketch.select import max_coverage_seeds
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
 
@@ -113,7 +112,6 @@ def adaptive_rr_pool(
     epsilon: float = DEFAULT_EPSILON,
     ell: float = DEFAULT_ELL,
     seed: SeedLike = None,
-    candidates: Sequence[int] | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_sketches: int = DEFAULT_MAX_SKETCHES,
 ) -> tuple[RRSketchPool, SketchSchedule]:
@@ -132,10 +130,6 @@ def adaptive_rr_pool(
         ``1 - n^-ell``.
     seed:
         Seed or Generator driving root sampling and coin flips.
-    candidates:
-        Optional candidate restriction, checked before any sampling
-        and threaded through the phase-1 greedy runs so the certified
-        bound matches the pool the final selection will use.
     batch_size:
         Lockstep reverse-cascade batch size.
     max_sketches:
@@ -155,9 +149,6 @@ def adaptive_rr_pool(
         raise SketchError(f"epsilon must lie in (0, 1), got {epsilon}")
     if ell <= 0:
         raise SketchError(f"ell must be positive, got {ell}")
-    # Reject a bad candidate pool before any sampling is paid for.
-    _candidate_nodes(candidates, n, num_seeds)
-
     generator = RRGenerator(probabilities, seed=seed, batch_size=batch_size)
     pool = RRSketchPool.empty(n)
     if n == 1:
@@ -201,10 +192,7 @@ def adaptive_rr_pool(
                 theta_i = max_sketches
                 capped = True
             pool = _extend_pool(generator, pool, theta_i)
-            estimate = (
-                n
-                * max_coverage_seeds(pool, num_seeds, candidates).coverage_fraction
-            )
+            estimate = n * max_coverage_seeds(pool, num_seeds).coverage_fraction
             stopped = estimate >= (1.0 + eps_prime) * x
             phases.append(
                 {

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,37 +49,9 @@ class MaxCoverageResult:
     coverage_fraction: float
 
 
-def _candidate_nodes(
-    candidates: Sequence[int] | None, num_nodes: int, num_seeds: int
-) -> np.ndarray:
-    """The sorted distinct candidate ids, checked against the universe.
-
-    Raises :class:`SketchError` when a candidate lies outside
-    ``[0, num_nodes)`` or fewer than ``num_seeds`` distinct ones remain.
-    """
-    if candidates is None:
-        pool_nodes = np.arange(num_nodes, dtype=np.int64)
-    else:
-        pool_nodes = np.unique(np.asarray(candidates, dtype=np.int64))
-        if pool_nodes.size and (
-            pool_nodes.min() < 0 or pool_nodes.max() >= num_nodes
-        ):
-            raise SketchError(
-                f"candidates must lie in [0, {num_nodes}), found range "
-                f"[{pool_nodes.min()}, {pool_nodes.max()}]"
-            )
-    if pool_nodes.shape[0] < num_seeds:
-        raise SketchError(
-            f"candidate pool of {pool_nodes.shape[0]} nodes is smaller "
-            f"than num_seeds={num_seeds}"
-        )
-    return pool_nodes
-
-
 def max_coverage_seeds(
     pool: RRSketchPool,
     num_seeds: int,
-    candidates: Sequence[int] | None = None,
 ) -> MaxCoverageResult:
     """CELF-style lazy greedy max-coverage over ``pool``.
 
@@ -89,10 +60,8 @@ def max_coverage_seeds(
     pool:
         The RR-sketch pool to cover.
     num_seeds:
-        Size ``k`` of the seed set.
-    candidates:
-        Optional candidate node pool (defaults to every node) — the
-        hook the embedding-pruned variant uses.
+        Size ``k`` of the seed set; every node of the pool's universe
+        is a candidate, so ``k`` may not exceed ``pool.num_nodes``.
 
     Notes
     -----
@@ -101,7 +70,10 @@ def max_coverage_seeds(
     node id regardless of pool construction order.
     """
     num_seeds = check_positive_int("num_seeds", num_seeds)
-    pool_nodes = _candidate_nodes(candidates, pool.num_nodes, num_seeds)
+    if num_seeds > pool.num_nodes:
+        raise SketchError(
+            f"num_seeds={num_seeds} exceeds {pool.num_nodes} nodes"
+        )
 
     with active_run().span(
         "sketch.select", num_seeds=num_seeds, num_sketches=pool.num_sketches
@@ -110,7 +82,7 @@ def max_coverage_seeds(
         # Max-heap of (-marginal, node, round_evaluated); node id breaks
         # ties deterministically.
         heap: list[tuple[int, int, int]] = [
-            (-int(counts[node]), int(node), 0) for node in pool_nodes
+            (-int(counts[node]), node, 0) for node in range(pool.num_nodes)
         ]
         heapq.heapify(heap)
 

@@ -38,9 +38,6 @@ class TestRenderPrometheus:
         registry.histogram("app.seconds", (0.1, 1.0), "latency").observe_many(
             [0.05, 0.5, 2.0]
         )
-        registry.summary("app.latency", quantiles=(0.5,)).observe_many(
-            [1.0, 2.0, 3.0]
-        )
         return registry
 
     def test_all_instrument_kinds_render(self, registry):
@@ -49,7 +46,6 @@ class TestRenderPrometheus:
         assert 'app_requests{route="a"} 3.0' in text
         assert '# TYPE app_depth gauge' in text
         assert '# TYPE app_seconds histogram' in text
-        assert '# TYPE app_latency summary' in text
 
     def test_histogram_buckets_are_cumulative(self, registry):
         lines = render_prometheus(registry.snapshot()).splitlines()
@@ -61,12 +57,6 @@ class TestRenderPrometheus:
         ]
         assert "app_seconds_count 3" in lines
         assert "app_seconds_sum 2.55" in lines
-
-    def test_summary_quantiles_and_count(self, registry):
-        lines = render_prometheus(registry.snapshot()).splitlines()
-        assert 'app_latency{quantile="0.5"} 2.0' in lines
-        assert "app_latency_count 3" in lines
-        assert "app_latency_sum 6.0" in lines
 
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus({}) == ""

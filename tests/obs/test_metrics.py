@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_SUMMARY_QUANTILES,
     MetricsRegistry,
     NULL_REGISTRY,
     TelemetryError,
@@ -141,18 +140,8 @@ class TestRegistry:
         registry.counter("c", "desc")
         registry.gauge("g", "desc")
         registry.histogram("h", (1.0,), "desc")
-        summary = registry.summary("s", description="desc")
-        assert summary.quantile_targets == DEFAULT_SUMMARY_QUANTILES
-        assert all(0.0 < q < 1.0 for q in DEFAULT_SUMMARY_QUANTILES)
-        summary.observe(1.0)
-        assert summary.quantile(DEFAULT_SUMMARY_QUANTILES[0]) == 1.0
         kinds = {name: s["type"] for name, s in registry.snapshot().items()}
-        assert kinds == {
-            "c": "counter",
-            "g": "gauge",
-            "h": "histogram",
-            "s": "summary",
-        }
+        assert kinds == {"c": "counter", "g": "gauge", "h": "histogram"}
 
     def test_reset_drops_instruments(self):
         registry = MetricsRegistry()
@@ -175,72 +164,6 @@ class TestNullRegistry:
         assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.gauge("b")
 
 
-class TestSummary:
-    def test_quantiles_exact_under_reservoir_capacity(self):
-        rng = np.random.default_rng(2)
-        data = rng.lognormal(mean=-7.0, sigma=0.8, size=500)
-        summary = MetricsRegistry().summary("s", quantiles=(0.5, 0.99))
-        summary.observe_many(data)
-        for q in (0.5, 0.99):
-            assert summary.quantile(q) == pytest.approx(
-                float(np.quantile(data, q))
-            )
-
-    def test_labelled_series_are_independent(self):
-        summary = MetricsRegistry().summary("s", quantiles=(0.5,))
-        summary.observe_many([1.0, 2.0, 3.0], path="a")
-        summary.observe(100.0, path="b")
-        assert summary.quantile(0.5, path="a") == pytest.approx(2.0)
-        assert summary.quantile(0.5, path="b") == pytest.approx(100.0)
-        assert summary.quantile(0.5, path="never") is None
-
-    def test_snapshot_carries_quantiles_and_moments(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.summary("s", quantiles=(0.5,)).observe_many([1.0, 3.0])
-        sample = registry.snapshot()["s"]["samples"][""]
-        assert sample["count"] == 2
-        assert sample["sum"] == pytest.approx(4.0)
-        assert sample["min"] == 1.0 and sample["max"] == 3.0
-        assert sample["quantiles"]["0.5"] == pytest.approx(2.0)
-        json.dumps(registry.snapshot())  # must not raise
-
-    def test_quantile_target_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.summary("s", quantiles=(0.5,))
-        with pytest.raises(TelemetryError):
-            registry.summary("s", quantiles=(0.9,))
-
-    def test_type_mismatch_with_histogram_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("m", buckets=(1.0,))
-        with pytest.raises(TelemetryError):
-            registry.summary("m")
-
-    def test_null_summary_is_silent(self):
-        summary = NULL_REGISTRY.summary("s")
-        summary.observe(1.0)
-        assert summary.quantile(0.5) is None
-
-
-class TestHistogramQuantile:
-    def test_interpolates_within_buckets(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))
-        hist.observe_many([0.5, 1.5, 1.5, 3.0])
-        # p50 falls in the (1, 2] bucket; interpolation stays inside it.
-        assert 1.0 <= hist.quantile(0.5) <= 2.0
-
-    def test_overflow_quantile_clamps_to_last_edge(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
-        hist.observe_many([5.0, 6.0])
-        assert hist.quantile(0.99) == 1.0
-
-    def test_empty_reads_none(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
-        assert hist.quantile(0.5) is None
-
-
 class TestConcurrencyHammer:
     def test_parallel_writes_snapshots_and_renders(self):
         """N writer threads vs a snapshotting reader vs an exporter."""
@@ -258,9 +181,6 @@ class TestConcurrencyHammer:
                     registry.histogram(
                         "hammer.seconds", buckets=(0.5, 1.0)
                     ).observe(i % 2, thread=tid)
-                    registry.summary(
-                        "hammer.latency", quantiles=(0.5,)
-                    ).observe(float(i), thread=tid)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -290,11 +210,11 @@ class TestConcurrencyHammer:
                 thread=tid
             ) == pytest.approx(per_thread)
             assert (
-                registry.summary("hammer.latency", quantiles=(0.5,)).count(
+                registry.histogram("hammer.seconds", buckets=(0.5, 1.0)).count(
                     thread=tid
                 )
                 == per_thread
             )
         # The final render must parse as complete exposition text.
         text = render_prometheus(registry.snapshot())
-        assert "hammer_count" in text and "hammer_latency_count" in text
+        assert "hammer_count" in text and "hammer_seconds_count" in text

@@ -100,7 +100,7 @@ def report_dirs(tmp_path):
             "digg_like": {
                 "methods": {
                     "ris": {"selection_seconds": 0.4, "spread": 22.0},
-                    "ris_pruned": {"selection_seconds": 0.1, "spread": 21.0},
+                    "greedy": {"selection_seconds": 0.1, "spread": 21.0},
                 },
             }
         }

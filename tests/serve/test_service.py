@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.embeddings import InfluenceEmbedding
 from repro.errors import ServingError
-from repro.obs import RunRecorder, recording
+from repro.obs import RunRecorder, recording, render_prometheus
 from repro.serve import (
     EmbeddingStore,
     InfluenceService,
@@ -172,10 +172,18 @@ class TestInfluenceService:
         with recording(run):
             for user in range(5):
                 service.top_influenced(user, 3)
-        summary = run.metrics.summary("serve.query.latency")
-        assert summary.count(direction="influenced", path="scan") == 5
-        p50 = summary.quantile(0.5, direction="influenced", path="scan")
-        assert p50 is not None and p50 > 0.0
+        snapshot = run.metrics.snapshot()
+        queries = snapshot["serve.queries"]["samples"]
+        assert queries == {"direction=influenced,path=scan": 5.0}
+        (key, sample), = snapshot["serve.query.seconds"]["samples"].items()
+        assert key == "direction=influenced,path=scan"
+        assert sample["count"] == 5 and sample["sum"] > 0.0
+        text = render_prometheus(snapshot)
+        assert "serve_query_seconds_bucket" in text
+        assert not any(
+            line.startswith("# TYPE") and line.endswith(" summary")
+            for line in text.splitlines()
+        )
 
     def test_user_out_of_range_raises_and_counts(self, store_dir):
         service = InfluenceService.open(store_dir)

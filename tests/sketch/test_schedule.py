@@ -90,20 +90,14 @@ class TestAdaptiveRRPool:
         counter = run.metrics.snapshot().get("sketch.rr_sets", {})
         return sum(counter.get("samples", {}).values())
 
-    @pytest.mark.parametrize(
-        "candidates,match",
-        [([0, 1, 2, 500], "must lie in"), ([-1, 3, 4], "must lie in"),
-         ([4, 4, 4], "smaller than num_seeds")],
-    )
-    def test_bad_candidates_rejected_before_sampling(
-        self, planted_probs, candidates, match
-    ):
+    def test_oversized_seed_set_rejected_before_sampling(self, planted_probs):
         run = RunRecorder(name="test.sketch")
+        n = planted_probs.graph.num_nodes
         with recording(run):
-            with pytest.raises(SketchError, match=match):
-                adaptive_rr_pool(planted_probs, 3, seed=1, candidates=candidates)
+            with pytest.raises(SketchError, match="exceeds"):
+                adaptive_rr_pool(planted_probs, n + 1, seed=1)
         assert self._rr_sets_sampled(run) == 0
         # The same recorder does see the sets a valid pool samples.
         with recording(run):
-            adaptive_rr_pool(planted_probs, 3, seed=1, candidates=[0, 1, 2, 50])
+            adaptive_rr_pool(planted_probs, 3, seed=1)
         assert self._rr_sets_sampled(run) > 0

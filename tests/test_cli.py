@@ -198,7 +198,6 @@ class TestInfluenceMaxCommand:
 
     def test_args_parse_with_defaults(self):
         args = build_parser().parse_args(["influence-max"])
-        assert args.method == "ris"
         assert args.preset == "digg"
         assert args.num_seeds == 10
 
@@ -207,15 +206,6 @@ class TestInfluenceMaxCommand:
         out = capsys.readouterr().out
         assert "ris selected 3 seeds" in out
         assert "MC-evaluated spread" in out
-
-    def test_ris_pruned_end_to_end(self, capsys):
-        assert main(
-            self.TINY
-            + ["--method", "ris-pruned", "--epochs", "1", "--dim", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "trained pruning embedding" in out
-        assert "ris-pruned selected 3 seeds" in out
 
     def test_flickr_preset_and_no_eval(self, capsys):
         assert main(
