@@ -4,8 +4,8 @@
 loop calls :meth:`CheckpointManager.maybe_save` at every epoch end; the
 manager decides whether the cadence fires, writes the state atomically
 (``ckpt-<epoch>.npz``), prunes beyond the retention budget, and records
-checkpoint telemetry (count, bytes, write latency) into the metrics
-registry it is handed.
+checkpoint telemetry (count, bytes, write latency) into the ambient
+:func:`repro.obs.run.active_metrics` registry.
 
 Discovery is defensive: :meth:`CheckpointManager.latest_state` walks the
 directory newest-first and *skips* truncated or corrupt files (each with
@@ -23,7 +23,7 @@ from typing import Union
 
 from repro.ckpt.state import TrainingState
 from repro.errors import CheckpointError
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.run import active_metrics
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive_int
 
@@ -75,7 +75,6 @@ class CheckpointManager:
         model: object,
         epoch: int,
         entry_rng_state: dict | None = None,
-        metrics: MetricsRegistry = NULL_REGISTRY,
         force: bool = False,
         worker_topology: dict | None = None,
     ) -> Path | None:
@@ -92,7 +91,6 @@ class CheckpointManager:
             model,
             epoch,
             entry_rng_state=entry_rng_state,
-            metrics=metrics,
             worker_topology=worker_topology,
         )
 
@@ -101,10 +99,10 @@ class CheckpointManager:
         model: object,
         epoch: int,
         entry_rng_state: dict | None = None,
-        metrics: MetricsRegistry = NULL_REGISTRY,
         worker_topology: dict | None = None,
     ) -> Path:
         """Capture, atomically write, prune, and record one checkpoint."""
+        metrics = active_metrics()
         state = TrainingState.capture(
             model,
             epoch,
@@ -130,11 +128,12 @@ class CheckpointManager:
             "checkpoint epoch %d -> %s (%d bytes, %.3fs)",
             epoch, path, size, elapsed,
         )
-        self._prune(metrics)
+        self._prune()
         return path
 
-    def _prune(self, metrics: MetricsRegistry = NULL_REGISTRY) -> None:
+    def _prune(self) -> None:
         """Delete all but the ``keep`` newest checkpoints."""
+        metrics = active_metrics()
         paths = self.checkpoint_paths()
         for path in paths[: -self.keep]:
             path.unlink(missing_ok=True)

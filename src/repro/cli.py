@@ -8,14 +8,13 @@ corresponding table/figure, e.g.::
     python -m repro.cli all --scale small
 
 ``all`` runs every experiment in paper order — the one-command full
-reproduction.  ``--metrics-out`` / ``--trace-out`` turn on the
-``repro.obs`` telemetry for the whole invocation and write the run
-manifest / span trace afterwards — including on SIGTERM, via the
-flush-on-exit hooks in :mod:`repro.obs.export`.  ``--telemetry-dir``
-additionally starts a :class:`~repro.obs.export.PeriodicExporter`
-that atomically rewrites a Prometheus-text exposition snapshot plus
-manifest/trace into the directory every ``--export-every`` seconds
-while the command runs.
+reproduction.  ``--telemetry-dir DIR`` turns on the ``repro.obs``
+telemetry for the whole invocation: a
+:class:`~repro.obs.export.PeriodicExporter` atomically writes
+``manifest.json``, ``trace.jsonl`` and a Prometheus-text
+``metrics.prom`` into ``DIR`` at start, every ``--export-every``
+seconds, at the end, and on SIGTERM (the exporter's flush-on-exit
+hook).
 
 The ``train`` command runs one crash-safe Inf2vec training job with
 checkpointing::
@@ -55,8 +54,7 @@ from contextlib import nullcontext
 from typing import Callable, Mapping
 
 from repro.ckpt import CheckpointManager
-from repro.obs import RunRecorder, recording
-from repro.obs.export import PeriodicExporter, on_process_exit
+from repro.obs import PeriodicExporter, RunRecorder, active_run, recording
 from repro.experiments import (
     fig1_2_powerlaw,
     fig3_cdf,
@@ -119,16 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="record telemetry and write the run manifest JSON here",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="record telemetry and write the span trace JSONL here",
     )
     parser.add_argument(
         "--telemetry-dir",
@@ -297,14 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help="rows scanned per block on the live-scan path",
     )
-    serving.add_argument(
-        "--trace-sample",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="fraction of single queries emitted as serve.query spans "
-        "(head-based, seeded; default: 0)",
-    )
     return parser
 
 
@@ -370,11 +350,7 @@ def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
     if not args.store_dir:
         parser.error("serve requires --store-dir")
-    options = dict(
-        block_size=args.block_size or DEFAULT_BLOCK_SIZE,
-        trace_sample_rate=args.trace_sample,
-        trace_seed=args.seed,
-    )
+    block_size = args.block_size or DEFAULT_BLOCK_SIZE
     if args.embedding:
         store = EmbeddingStore.save(
             InfluenceEmbedding.load(args.embedding), args.store_dir
@@ -385,9 +361,9 @@ def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         )
         # Indices persisted beside an earlier store describe that store;
         # serve this one by scan until --precompute-k rebuilds them.
-        service = InfluenceService(store, **options)
+        service = InfluenceService(store, block_size=block_size)
     else:
-        service = InfluenceService.open(args.store_dir, **options)
+        service = InfluenceService.open(args.store_dir, block_size=block_size)
     if args.precompute_k:
         service.precompute(args.precompute_k, directions=(args.direction,))
         print(
@@ -486,33 +462,19 @@ def main(argv: list[str] | None = None) -> int:
     else:
         names = [args.experiment]
 
-    telemetry = (
-        args.metrics_out is not None
-        or args.trace_out is not None
-        or args.telemetry_dir is not None
-    )
-    run = RunRecorder(name=args.experiment) if telemetry else None
-    if run is not None:
+    run = None
+    if args.telemetry_dir is not None:
+        run = RunRecorder(name=args.experiment)
         run.annotate(scale=args.scale, seed=args.seed)
 
     exporter: PeriodicExporter | None = None
-    unregister = None
     try:
         with recording(run) if run is not None else nullcontext():
             if run is not None:
-                if args.metrics_out or args.trace_out:
-                    # A killed run (SIGTERM) still flushes its files.
-                    # Registered before the exporter starts so that once
-                    # any telemetry file is observable on disk, every
-                    # flush hook is in place.
-                    unregister = on_process_exit(
-                        lambda: _write_telemetry(run, args, announce=False)
-                    )
-                if args.telemetry_dir:
-                    exporter = PeriodicExporter(
-                        run, args.telemetry_dir, every=args.export_every
-                    )
-                    exporter.start()
+                exporter = PeriodicExporter(
+                    run, args.telemetry_dir, every=args.export_every
+                )
+                exporter.start()
             if args.experiment == "train":
                 exit_code = _run_training(args)
             elif args.experiment == "serve":
@@ -527,36 +489,15 @@ def main(argv: list[str] | None = None) -> int:
                         f"=== {description} "
                         f"(scale={args.scale}, seed={args.seed}) ==="
                     )
-                    if run is not None:
-                        with run.span(f"experiment.{name}", scale=args.scale):
-                            runner(args.scale, args.seed)
-                    else:
+                    with active_run().span(
+                        f"experiment.{name}", scale=args.scale
+                    ):
                         runner(args.scale, args.seed)
                     print()
     finally:
         if exporter is not None:
             exporter.stop()
-        if unregister is not None:
-            unregister()
-
-    _write_telemetry(run, args)
     return exit_code
-
-
-def _write_telemetry(
-    run: RunRecorder | None, args: argparse.Namespace, announce: bool = True
-) -> None:
-    """Write the manifest/trace files when telemetry was requested."""
-    if run is None:
-        return
-    if args.metrics_out:
-        run.write(args.metrics_out)
-        if announce:
-            print(f"run manifest written to {args.metrics_out}")
-    if args.trace_out:
-        run.write_trace(args.trace_out)
-        if announce:
-            print(f"span trace written to {args.trace_out}")
 
 
 if __name__ == "__main__":

@@ -351,14 +351,12 @@ class ContextGenerator:
     seed:
         RNG seed/generator; drawing contexts twice from generators
         constructed with the same seed yields identical corpora.
-    metrics:
-        Telemetry sink for walk/context statistics (restart counts,
-        walk-length and context-length histograms, episode cache
-        hits).  ``None`` (the default) resolves the ambient
-        :func:`repro.obs.run.active_metrics` registry at generation
-        time — the null registry unless a ``recording`` scope is
-        active, in which case generation records at no extra cost to
-        un-instrumented runs.
+
+    Each :meth:`generate` call records walk/context statistics
+    (restart counts, walk-length and context-length histograms,
+    episode cache hits) into the ambient
+    :func:`repro.obs.run.active_metrics` registry, looked up once per
+    call — the null registry unless a ``recording`` scope is active.
     """
 
     def __init__(
@@ -366,12 +364,10 @@ class ContextGenerator:
         graph: SocialGraph,
         config: ContextConfig | None = None,
         seed: SeedLike = None,
-        metrics: MetricsRegistry | None = None,
     ):
         self._graph = graph
         self._config = config if config is not None else ContextConfig()
         self._rng = ensure_rng(seed)
-        self._metrics = metrics
 
     @property
     def config(self) -> ContextConfig:
@@ -387,8 +383,8 @@ class ContextGenerator:
                 f"graph only has {self._graph.num_nodes} nodes (user IDs "
                 f"must be < num_nodes)"
             )
-        metrics = self._metrics if self._metrics is not None else active_metrics()
-        networks = cached_propagation_networks(self._graph, log, metrics=metrics)
+        metrics = active_metrics()
+        networks = cached_propagation_networks(self._graph, log)
         parts = []
         for episode in log:
             part = generate_episode_contexts_batched(

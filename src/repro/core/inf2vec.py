@@ -39,7 +39,7 @@ from __future__ import annotations
 import copy
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
@@ -52,8 +52,14 @@ from repro.core.negative import NegativeSampler
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import CheckpointError, NotFittedError, TrainingError
-from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.run import NULL_RUN, RunRecorder, active_run, config_fingerprint
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.run import (
+    NULL_RUN,
+    active_metrics,
+    active_run,
+    config_fingerprint,
+    recording,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (avoids an import cycle)
     from multiprocessing.connection import Connection
@@ -185,14 +191,11 @@ class Inf2vecConfig:
         standard word2vec-in-numpy compromise.  The effective batch is
         additionally capped at ``num_users / 8`` contexts so tiny
         universes keep one-context-at-a-time dynamics.
-    telemetry:
-        Opt into :mod:`repro.obs` run recording: ``fit()`` creates a
-        :class:`~repro.obs.run.RunRecorder` (exposed as
-        ``model.run_recorder``) capturing per-epoch metrics and the
-        fit → epoch → sgd span tree.  Off by default — training then
-        records nothing and pays only a cheap enabled-check.  An
-        ambient ``with recording(run):`` scope takes precedence over
-        this flag either way.
+
+    Telemetry is not a hyper-parameter: a fit inside a ``with
+    recording(run):`` scope (:mod:`repro.obs.run`) records per-epoch
+    metrics and the fit → contexts, epoch → sgd span tree into ``run``;
+    outside one it records nothing.
     """
 
     dim: int = 50
@@ -206,7 +209,6 @@ class Inf2vecConfig:
     lr_decay: bool = True
     max_norm: float | None = 10.0
     batch_size: int = 64
-    telemetry: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int("dim", self.dim)
@@ -272,40 +274,15 @@ class Inf2vecModel:
         self._embedding: InfluenceEmbedding | None = None
         self._loss_history: list[float] = []
         self._seed_text = None if seed is None else str(seed)
-        self._run_recorder: RunRecorder | None = None
         self._metrics = NULL_REGISTRY
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
 
-    @property
-    def run_recorder(self) -> RunRecorder | None:
-        """The model-owned recorder (``config.telemetry`` runs only).
-
-        ``None`` unless ``telemetry=True`` and no ambient
-        ``recording`` scope supplied a recorder instead.
-        """
-        return self._run_recorder
-
-    def _resolve_obs(self, fresh: bool = False) -> RunRecorder:
-        """The recorder instrumented methods should write to.
-
-        Resolution order: ambient ``recording`` scope, then a
-        model-owned recorder when ``config.telemetry`` is set
-        (``fresh`` starts a new one — each ``fit`` is one run),
-        otherwise the shared null recorder.
-        """
+    def _record_run_header(self, **dataset: object) -> None:
+        """Stamp config, dataset and seed into the ambient run."""
         run = active_run()
-        if run.enabled:
-            return run
-        if not self.config.telemetry:
-            return NULL_RUN
-        if fresh or self._run_recorder is None:
-            self._run_recorder = RunRecorder(name="inf2vec.fit")
-        return self._run_recorder
-
-    def _record_run_header(self, run: RunRecorder, **dataset: object) -> None:
         if not run.enabled:
             return
         run.set_config(self.config)
@@ -358,8 +335,8 @@ class Inf2vecModel:
     ) -> list[float]:
         """:meth:`fit`; returns per-epoch seconds."""
 
-        def prepare(run: RunRecorder) -> ContextCorpus:
-            corpus = self._generate_contexts(graph, log, run)
+        def prepare() -> ContextCorpus:
+            corpus = self._generate_contexts(graph, log)
             if not len(corpus) and len(log) > 0:
                 logger.warning(
                     "context generation produced an empty corpus "
@@ -404,7 +381,7 @@ class Inf2vecModel:
             pre-generated corpus.
         """
         self._fit_shard(
-            lambda run: corpus,
+            lambda: corpus,
             num_users,
             checkpoint,
             resume,
@@ -414,7 +391,7 @@ class Inf2vecModel:
 
     def _fit_shard(
         self,
-        prepare: "Callable[[RunRecorder], ContextCorpus]",
+        prepare: "Callable[[], ContextCorpus]",
         num_users: int,
         checkpoint: "CheckpointManager | None",
         resume: bool,
@@ -428,9 +405,8 @@ class Inf2vecModel:
         """
         num_users = check_positive_int("num_users", num_users)
         state = self._resume_state(checkpoint, resume, workers=1)
-        run = self._resolve_obs(fresh=True)
-        with run.span("fit"):
-            self._record_run_header(run, **dataset)
+        with active_run().span("fit"):
+            self._record_run_header(**dataset)
             if state is not None:
                 # Rewind to the original fit's entry state so context
                 # generation reproduces the exact corpus the
@@ -439,22 +415,22 @@ class Inf2vecModel:
                     state.entry_rng_state
                 )
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-            corpus = prepare(run)
-            start_epoch = self._begin(state, num_users, run)
+            corpus = prepare()
+            start_epoch = self._begin(state, num_users)
             return self._run_epochs(
-                self._in_process(corpus, run),
+                self._in_process(corpus),
                 [entry_rng_state],
                 self.config.epochs,
                 start_epoch,
-                run,
                 checkpoint,
                 entry_rng_state,
             )
 
     def _in_process(
-        self, corpus: ContextCorpus, run: RunRecorder
+        self, corpus: ContextCorpus
     ) -> "Callable[[int, float], list[EpochReport]]":
         """The epoch step of a one-shard fit: ``corpus``, on this thread."""
+        run = active_run()
         sampler = self._build_sampler(corpus, self.embedding.num_users)
         positives = int(corpus.members.shape[0])
 
@@ -516,9 +492,7 @@ class Inf2vecModel:
         )
         return state
 
-    def _begin(
-        self, state: "TrainingState | None", num_users: int, run: RunRecorder
-    ) -> int:
+    def _begin(self, state: "TrainingState | None", num_users: int) -> int:
         """Initialise the parameters, or restore them from ``state``.
 
         A restore installs the checkpoint's parameters, loss history
@@ -545,8 +519,9 @@ class Inf2vecModel:
                 f"checkpoint RNG state is incompatible with this model's "
                 f"bit generator: {exc}"
             ) from exc
-        if run.metrics.enabled:
-            run.metrics.counter(
+        metrics = active_metrics()
+        if metrics.enabled:
+            metrics.counter(
                 "ckpt.resumes", "training runs resumed from a checkpoint"
             ).inc()
         return state.epoch + 1
@@ -557,7 +532,6 @@ class Inf2vecModel:
         entry_states: list[dict],
         budget: int,
         start_epoch: int,
-        run: RunRecorder,
         checkpoint: "CheckpointManager | None",
         entry_rng_state: dict,
     ) -> list[float]:
@@ -572,6 +546,7 @@ class Inf2vecModel:
         worker topology), epoch telemetry and progress logging.
         Returns each epoch's wall-clock seconds.
         """
+        run = active_run()
         workers = len(entry_states)
         previous_loss = (
             self._loss_history[-1]
@@ -589,8 +564,8 @@ class Inf2vecModel:
                     (report.loss, report.positives) for report in reports
                 )
                 self._record_epoch(
-                    run, epoch_span, epoch, learning_rate, loss, positives,
-                    reports, elapsed,
+                    run.metrics, epoch_span, epoch, learning_rate, loss,
+                    positives, reports, elapsed,
                 )
             seconds.append(elapsed)
             self._loss_history.append(loss)
@@ -602,7 +577,6 @@ class Inf2vecModel:
                     self,
                     len(self._loss_history) - 1,
                     entry_rng_state=entry_rng_state,
-                    metrics=run.metrics,
                     force=converged or epoch == budget - 1,
                     worker_topology={
                         "workers": workers,
@@ -627,7 +601,7 @@ class Inf2vecModel:
 
     def _record_epoch(
         self,
-        run: RunRecorder,
+        metrics: MetricsRegistry,
         epoch_span,
         epoch: int,
         learning_rate: float,
@@ -637,7 +611,6 @@ class Inf2vecModel:
         elapsed: float,
     ) -> None:
         """Per-epoch telemetry, global and per shard (enabled runs only)."""
-        metrics = run.metrics
         if not metrics.enabled:
             return
         examples_per_sec = positives / elapsed if elapsed > 0 else 0.0
@@ -735,18 +708,16 @@ class Inf2vecModel:
             )
         if budget == 0:
             return self
-        run = self._resolve_obs()
-        with run.span("partial_fit"):
+        with active_run().span("partial_fit"):
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-            corpus = self._generate_contexts(graph, new_log, run)
+            corpus = self._generate_contexts(graph, new_log)
             if not len(corpus):
                 return self
             self._run_epochs(
-                self._in_process(corpus, run),
+                self._in_process(corpus),
                 [entry_rng_state],
                 budget,
                 0,
-                run,
                 checkpoint,
                 entry_rng_state,
             )
@@ -792,7 +763,7 @@ class Inf2vecModel:
             learning_rate = self.config.learning_rate
         # One ambient-recorder lookup per epoch; the per-batch hooks
         # below are no-ops against the null registry.
-        self._metrics = self._resolve_obs().metrics
+        self._metrics = active_metrics()
         if batch_size is None:
             batch_size = self.config.batch_size
         batch_size = check_positive_int("batch_size", batch_size)
@@ -960,12 +931,12 @@ class Inf2vecModel:
         )
 
     def _generate_contexts(
-        self, graph: SocialGraph, log: ActionLog, run: RunRecorder = NULL_RUN
+        self, graph: SocialGraph, log: ActionLog
     ) -> ContextCorpus:
         """Run Algorithm 1 over ``log`` on this model's RNG stream, once."""
-        with run.span("contexts") as span:
+        with active_run().span("contexts") as span:
             corpus = ContextGenerator(
-                graph, self.config.context, self._rng, metrics=run.metrics
+                graph, self.config.context, self._rng
             ).generate(log)
             span.set_attribute("num_contexts", len(corpus))
         return corpus
@@ -1042,53 +1013,56 @@ def hogwild_worker_main(
     from repro.parallel.shared import SharedEmbedding  # import cycle guard
 
     shared = None
-    try:
-        shared = SharedEmbedding.attach(spec)
-        rng = generator_from_state(copy.deepcopy(entry_rng_state))
-        # Workers never own a recorder — the parent aggregates; fall
-        # back to the zero-overhead null registry in this process.
-        model = Inf2vecModel(replace(config, telemetry=False), seed=rng)
-        model._embedding = shared.embedding
-        corpus = model._generate_contexts(graph, shard_log)
-        sampler = model._build_sampler(corpus, graph.num_nodes)
-        if resume_rng_state is not None:
-            rng.bit_generator.state = copy.deepcopy(resume_rng_state)
-        conn.send(("ready", worker_id, len(corpus)))
-        parent_pid = os.getppid()
-        while True:
-            # Poll instead of a blocking recv: under the fork start
-            # method every worker inherits copies of its siblings'
-            # (and its own) parent-side pipe ends, so a SIGKILL'd
-            # parent never EOFs the pipe.  A reparented worker
-            # (getppid changed) is an orphan and must exit on its own.
-            try:
-                while not conn.poll(0.2):
-                    if os.getppid() != parent_pid:
-                        return
-                message = conn.recv()
-            except (EOFError, OSError):  # parent is gone; stop training
-                return
-            if message[0] == "stop":
-                return
-            _, _, learning_rate = message
-            started = time.perf_counter()
-            loss = model.train_epoch(corpus, sampler, learning_rate)
-            conn.send(
-                (
-                    "epoch_done",
-                    worker_id,
-                    float(loss),
-                    int(corpus.members.shape[0]),
-                    time.perf_counter() - started,
-                    copy.deepcopy(rng.bit_generator.state),
-                )
-            )
-    except Exception as exc:  # surfaced to the parent, which raises
+    # Under ``fork`` the worker inherits the parent's ambient recorder.
+    # Recording into that copy would be lost with the process, and its
+    # registry lock may have been held by an exporter thread at fork
+    # time, so the worker records nothing; the parent aggregates.
+    with recording(NULL_RUN):  # type: ignore[arg-type]
         try:
-            conn.send(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        if shared is not None:
-            shared.close()
-        conn.close()
+            shared = SharedEmbedding.attach(spec)
+            rng = generator_from_state(copy.deepcopy(entry_rng_state))
+            model = Inf2vecModel(config, seed=rng)
+            model._embedding = shared.embedding
+            corpus = model._generate_contexts(graph, shard_log)
+            sampler = model._build_sampler(corpus, graph.num_nodes)
+            if resume_rng_state is not None:
+                rng.bit_generator.state = copy.deepcopy(resume_rng_state)
+            conn.send(("ready", worker_id, len(corpus)))
+            parent_pid = os.getppid()
+            while True:
+                # Poll instead of a blocking recv: under the fork start
+                # method every worker inherits copies of its siblings'
+                # (and its own) parent-side pipe ends, so a SIGKILL'd
+                # parent never EOFs the pipe.  A reparented worker
+                # (getppid changed) is an orphan and must exit on its own.
+                try:
+                    while not conn.poll(0.2):
+                        if os.getppid() != parent_pid:
+                            return
+                    message = conn.recv()
+                except (EOFError, OSError):  # parent is gone; stop training
+                    return
+                if message[0] == "stop":
+                    return
+                _, _, learning_rate = message
+                started = time.perf_counter()
+                loss = model.train_epoch(corpus, sampler, learning_rate)
+                conn.send(
+                    (
+                        "epoch_done",
+                        worker_id,
+                        float(loss),
+                        int(corpus.members.shape[0]),
+                        time.perf_counter() - started,
+                        copy.deepcopy(rng.bit_generator.state),
+                    )
+                )
+        except Exception as exc:  # surfaced to the parent, which raises
+            try:
+                conn.send(("error", worker_id, f"{type(exc).__name__}: {exc}"))
+            except OSError:
+                pass
+        finally:
+            if shared is not None:
+                shared.close()
+            conn.close()

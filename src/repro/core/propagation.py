@@ -39,6 +39,7 @@ from repro.core.pairs import extract_episode_pairs
 from repro.data.actionlog import DiffusionEpisode
 from repro.data.graph import SocialGraph
 from repro.errors import GraphError
+from repro.obs.run import active_metrics
 
 if TYPE_CHECKING:
     from repro.data.actionlog import ActionLog
@@ -287,7 +288,7 @@ _NETWORK_CACHE: "weakref.WeakKeyDictionary[ActionLog, tuple[SocialGraph, dict[in
 
 
 def cached_propagation_networks(
-    graph: SocialGraph, log: "ActionLog", metrics=None
+    graph: SocialGraph, log: "ActionLog"
 ) -> Mapping[int, PropagationNetwork]:
     """Propagation networks of ``log``, memoised on log identity.
 
@@ -297,18 +298,18 @@ def cached_propagation_networks(
     different graph object for a cached log rebuilds the entry; logs
     that cannot be weak-referenced are computed without caching.
 
-    An enabled :class:`repro.obs.metrics.MetricsRegistry` passed as
-    ``metrics`` counts ``contexts.cache.hits`` / ``.misses``.
+    Inside a ``recording`` scope the ambient registry counts
+    ``contexts.cache.hits`` / ``.misses``.
     """
-    track = metrics is not None and metrics.enabled
+    metrics = active_metrics()
     entry = _NETWORK_CACHE.get(log)
     if entry is not None and entry[0] is graph:
-        if track:
+        if metrics.enabled:
             metrics.counter(
                 "contexts.cache.hits", "episode-network cache hits"
             ).inc()
         return entry[1]
-    if track:
+    if metrics.enabled:
         metrics.counter(
             "contexts.cache.misses", "episode-network cache rebuilds"
         ).inc()

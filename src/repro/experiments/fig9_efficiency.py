@@ -67,9 +67,9 @@ class EfficiencyResult:
 def _stage_run() -> RunRecorder:
     """The ambient run if telemetry is recording, else a private one.
 
-    Stage durations are read from the spans either way — the CLI's
-    ``--trace-out`` flag then sees Fig 9's stage tree for free instead
-    of a parallel bespoke-timer universe.
+    Stage durations are read from the spans either way, so Fig 9 needs
+    no private timers, and a recorded run (the CLI's ``--telemetry-dir``)
+    shows its stage tree in ``trace.jsonl``.
     """
     run = active_run()
     return run if run.enabled else RunRecorder(name="fig9")

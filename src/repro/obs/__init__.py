@@ -7,13 +7,13 @@ All opt-in and zero-overhead when off:
   :data:`NULL_REGISTRY` is the disabled default); latency percentiles
   are read from histogram buckets;
 * :mod:`repro.obs.tracing` — nestable ``span()`` context managers
-  producing an exportable span tree (:data:`NULL_TRACER` when off),
-  plus :class:`HeadSampler` for seeded head-based span sampling;
+  producing an exportable span tree (:data:`NULL_TRACER` when off);
 * :mod:`repro.obs.export` — Prometheus-text exposition rendering, the
   :class:`PeriodicExporter` snapshot thread, and flush-on-exit hooks;
 * :mod:`repro.obs.run` — :class:`RunRecorder` combining metrics and
   tracing with a config fingerprint into a run-manifest JSON, plus the
-  ambient ``with recording(run):`` opt-in scope;
+  ambient ``with recording(run):`` scope, the one way to turn
+  telemetry on;
 * :mod:`repro.obs.regress` — the perf-regression gate over persisted
   ``BENCH_*.json`` reports (``python -m repro.obs.regress``).
 
@@ -41,9 +41,8 @@ from repro.obs.run import (
     active_run,
     config_fingerprint,
     recording,
-    resolve_run,
 )
-from repro.obs.tracing import NULL_TRACER, HeadSampler, Tracer
+from repro.obs.tracing import NULL_TRACER, Tracer
 
 __all__ = [
     "MetricsRegistry",
@@ -51,7 +50,6 @@ __all__ = [
     "TelemetryError",
     "Tracer",
     "NULL_TRACER",
-    "HeadSampler",
     "PeriodicExporter",
     "on_process_exit",
     "render_prometheus",
@@ -60,6 +58,5 @@ __all__ = [
     "recording",
     "active_run",
     "active_metrics",
-    "resolve_run",
     "config_fingerprint",
 ]

@@ -102,7 +102,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("partial_fit", "span", (), "incremental training run"),
     MetricSpec("serve.batch.*", "span", ("num_queries", "k", "path"), "batched top-k query, per direction"),
     MetricSpec("serve.precompute.*", "span", ("k",), "top-k index precompute, per direction"),
-    MetricSpec("serve.query", "span", ("direction", "user", "k", "path", "latency_s"), "sampled single top-k query trace"),
     MetricSpec("sgd", "span", (), "SGD pass over the context corpus"),
     MetricSpec("sketch.generate", "span", ("count",), "batched RR-set generation"),
     MetricSpec("sketch.schedule", "span", ("num_seeds", "epsilon", "lower_bound", "num_sketches", "capped"), "IMM two-phase sampling schedule"),

@@ -15,11 +15,10 @@ telemetry entirely.  This module is the live half:
   :func:`repro.ckpt.atomic.atomic_output`, so readers never observe a
   torn file and a crash leaves the last complete snapshot behind;
 * :func:`on_process_exit` registers flush callbacks with ``atexit``
-  *and* a chaining SIGTERM handler, which is what makes
-  ``--metrics-out`` / ``--trace-out`` / ``--telemetry-dir`` survive a
-  polite kill: the handler flushes every registered callback, then
-  re-delivers the signal so the exit status still reports the
-  termination.
+  *and* a chaining SIGTERM handler, which is what makes the CLI's
+  ``--telemetry-dir`` survive a polite kill: the handler flushes every
+  registered callback, then re-delivers the signal so the exit status
+  still reports the termination.
 
 All writes go through the atomic primitive; the exporter thread is a
 daemon so it can never block interpreter shutdown.
@@ -51,11 +50,11 @@ PathLike = Union[str, Path]
 
 logger = get_logger(__name__)
 
-#: Default exposition snapshot filename inside a telemetry directory.
+#: Exposition snapshot filename inside a telemetry directory.
 EXPOSITION_FILENAME = "metrics.prom"
-#: Default run-manifest filename inside a telemetry directory.
+#: Run-manifest filename inside a telemetry directory.
 MANIFEST_FILENAME = "manifest.json"
-#: Default span-trace filename inside a telemetry directory.
+#: Span-trace filename inside a telemetry directory.
 TRACE_FILENAME = "trace.jsonl"
 
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
@@ -264,18 +263,15 @@ class PeriodicExporter:
         run,
         directory: PathLike,
         every: float = 5.0,
-        exposition_filename: str = EXPOSITION_FILENAME,
-        manifest_filename: str = MANIFEST_FILENAME,
-        trace_filename: str = TRACE_FILENAME,
     ):
         if every <= 0:
             raise ValueError(f"export cadence must be positive, got {every}")
         self.run = run
         self.directory = Path(directory)
         self.every = float(every)
-        self.exposition_path = self.directory / exposition_filename
-        self.manifest_path = self.directory / manifest_filename
-        self.trace_path = self.directory / trace_filename
+        self.exposition_path = self.directory / EXPOSITION_FILENAME
+        self.manifest_path = self.directory / MANIFEST_FILENAME
+        self.trace_path = self.directory / TRACE_FILENAME
         self._stop_event = threading.Event()
         # Reentrant: a signal handler flushing on the thread that is
         # already mid-flush must not deadlock against itself.

@@ -12,13 +12,11 @@ of the run that produced it.
 Opting in
 ---------
 Telemetry is off by default (the ambient run is :data:`NULL_RUN`, whose
-sinks are the shared null registry/tracer).  Two ways to turn it on:
-
-* scope-based — wrap any code in ``with recording(run):``; every
-  instrumented library call inside the scope records into ``run``;
-* config-based — set ``Inf2vecConfig(telemetry=True)``; the model
-  creates its own recorder per ``fit()`` (exposed as
-  ``model.run_recorder``) unless an ambient scope is already active.
+sinks are the shared null registry/tracer).  One way turns it on: wrap
+any code in ``with recording(run):``, and every instrumented library
+call inside the scope records into ``run``.  Instrumented entry points
+look the ambient run up once (:func:`active_run` /
+:func:`active_metrics`); nothing takes a recorder or registry argument.
 
 ``recording`` scopes nest (innermost wins) and are process-global, not
 thread-local: one orchestrating scope is visible to worker threads,
@@ -45,7 +43,6 @@ __all__ = [
     "recording",
     "active_run",
     "active_metrics",
-    "resolve_run",
     "config_fingerprint",
     "MANIFEST_VERSION",
 ]
@@ -197,7 +194,10 @@ _ACTIVE: list[RunRecorder] = []
 
 @contextmanager
 def recording(run: RunRecorder) -> Iterator[RunRecorder]:
-    """Make ``run`` the ambient recorder for the duration of the scope."""
+    """Make ``run`` the ambient recorder for the duration of the scope.
+
+    ``recording(NULL_RUN)`` turns recording off inside an outer scope.
+    """
     _ACTIVE.append(run)
     try:
         yield run
@@ -214,17 +214,3 @@ def active_metrics() -> MetricsRegistry:
     """The active recorder's registry (null registry when disabled)."""
     return active_run().metrics
 
-
-def resolve_run(telemetry: bool = False, name: str = "run") -> RunRecorder:
-    """Recorder resolution used by instrumented entry points.
-
-    An ambient ``recording`` scope always wins; otherwise a fresh
-    recorder is created when the caller opted in via ``telemetry``,
-    and :data:`NULL_RUN` is returned when it did not.
-    """
-    run = active_run()
-    if run.enabled:
-        return run
-    if telemetry:
-        return RunRecorder(name=name)
-    return NULL_RUN  # type: ignore[return-value]

@@ -34,11 +34,9 @@ from typing import Iterator
 
 from contextlib import contextmanager
 
-import numpy as np
-
 from repro.ckpt.atomic import atomic_write_text
 
-__all__ = ["HeadSampler", "Tracer", "NULL_TRACER"]
+__all__ = ["Tracer", "NULL_TRACER"]
 
 
 class Span:
@@ -218,43 +216,6 @@ class Tracer:
         """Drop every recorded span (open spans keep nesting correctly)."""
         with self._lock:
             self._roots.clear()
-
-
-class HeadSampler:
-    """Head-based trace sampling decisions from a seeded Generator.
-
-    "Head-based" means the keep/drop decision is made *before* the
-    operation runs, so an unsampled query pays nothing beyond one
-    comparison (and, for fractional rates, one uniform draw).  The
-    draw comes from an explicitly seeded ``numpy`` Generator per the
-    repository's no-global-rng invariant, behind a lock so concurrent
-    serving threads can share one sampler.
-
-    ``rate`` is the expected fraction of operations sampled; 0 never
-    samples (and never draws), 1 always samples (and never draws).
-    """
-
-    __slots__ = ("rate", "_rng", "_lock")
-
-    def __init__(self, rate: float, seed: int = 0):
-        rate = float(rate)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"sample rate must be in [0, 1], got {rate}")
-        self.rate = rate
-        self._rng = np.random.default_rng(seed)
-        self._lock = threading.Lock()
-
-    def sample(self) -> bool:
-        """Decide whether to sample the next operation."""
-        if self.rate <= 0.0:
-            return False
-        if self.rate >= 1.0:
-            return True
-        with self._lock:
-            return float(self._rng.random()) < self.rate
-
-    def __repr__(self) -> str:
-        return f"HeadSampler(rate={self.rate})"
 
 
 class _NullSpan:

@@ -47,7 +47,7 @@ from repro.core.inf2vec import (
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import TrainingError
-from repro.obs.run import RunRecorder
+from repro.obs.run import active_metrics, active_run
 from repro.parallel.shared import SharedEmbedding
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
@@ -188,9 +188,8 @@ class HogwildTrainer:
         config = self.config
         num_users = check_positive_int("num_users", graph.num_nodes)
         state = model._resume_state(checkpoint, resume, self.workers)
-        run = model._resolve_obs(fresh=True)
         entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-        start_epoch = model._begin(state, num_users, run)
+        start_epoch = model._begin(state, num_users)
         resume_states: list[dict | None]
         if state is not None:
             topology = state.worker_topology
@@ -213,9 +212,9 @@ class HogwildTrainer:
         processes: list[multiprocessing.Process] = []
         conns: list["Connection"] = []
         try:
+            run = active_run()
             with run.span("hogwild.fit", workers=self.workers):
                 model._record_run_header(
-                    run,
                     num_users=num_users,
                     num_edges=graph.num_edges,
                     num_episodes=len(log),
@@ -247,7 +246,7 @@ class HogwildTrainer:
                     child_conn.close()
                     processes.append(process)
                     conns.append(parent_conn)
-                self._await_ready(conns, processes, run)
+                self._await_ready(conns, processes)
 
                 def run_epoch(epoch: int, learning_rate: float) -> list[EpochReport]:
                     for conn in conns:
@@ -259,7 +258,6 @@ class HogwildTrainer:
                     entry_states,
                     config.epochs,
                     start_epoch,
-                    run,
                     checkpoint,
                     entry_rng_state,
                 )
@@ -295,10 +293,9 @@ class HogwildTrainer:
         self,
         conns: list["Connection"],
         processes: list[multiprocessing.Process],
-        run: RunRecorder,
     ) -> None:
         """Block until every worker finished setup (corpus generation)."""
-        metrics = run.metrics
+        metrics = active_metrics()
         for worker_id, conn in enumerate(conns):
             reply = self._recv(conn, processes[worker_id], worker_id)
             if reply[0] != "ready":

@@ -15,16 +15,13 @@ latency into the ``serve.query.seconds`` histogram (live percentiles
 come from its buckets), and failed queries increment the
 ``serve.query.errors`` counter (labelled by direction and error type)
 before the exception propagates; outside a scope the cost is one
-attribute check.  Batch entry points additionally open a span, and a
-``trace_sample_rate`` > 0 head-samples single queries into
-``serve.query`` spans (direction, path, k, latency) cheap enough to
-leave on under load.
+attribute check.  Batch entry points and index precomputes
+additionally open a span; single queries open none.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -32,7 +29,6 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.obs.run import active_metrics, active_run
-from repro.obs.tracing import HeadSampler
 from repro.serve.index import INDEX_DIRECTIONS, TopKIndex
 from repro.serve.scoring import DEFAULT_BLOCK_SIZE
 from repro.serve.store import EmbeddingStore
@@ -97,11 +93,6 @@ class InfluenceService:
     indices:
         Pre-opened top-k indices by direction; :meth:`open` discovers
         persisted ones automatically.
-    trace_sample_rate:
-        Fraction of single queries to emit as ``serve.query`` spans
-        (head-based, seeded; 0 disables sampling entirely).
-    trace_seed:
-        Seed for the sampling Generator (no-global-rng invariant).
     """
 
     def __init__(
@@ -109,21 +100,16 @@ class InfluenceService:
         store: EmbeddingStore,
         block_size: int = DEFAULT_BLOCK_SIZE,
         indices: dict[str, TopKIndex] | None = None,
-        trace_sample_rate: float = 0.0,
-        trace_seed: int = 0,
     ):
         self.store = store
         self.engine = TopKEngine(store, block_size=block_size)
         self.indices = dict(indices or {})
-        self.sampler = HeadSampler(trace_sample_rate, seed=trace_seed)
 
     @classmethod
     def open(
         cls,
         directory: PathLike,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        trace_sample_rate: float = 0.0,
-        trace_seed: int = 0,
     ) -> "InfluenceService":
         """Open the store at ``directory`` plus any persisted indices."""
         store = EmbeddingStore.open(directory)
@@ -132,13 +118,7 @@ class InfluenceService:
             for direction in INDEX_DIRECTIONS
             if TopKIndex.exists(directory, direction)
         }
-        return cls(
-            store,
-            block_size=block_size,
-            indices=indices,
-            trace_sample_rate=trace_sample_rate,
-            trace_seed=trace_seed,
-        )
+        return cls(store, block_size=block_size, indices=indices)
 
     @property
     def num_users(self) -> int:
@@ -205,38 +185,26 @@ class InfluenceService:
         return k
 
     def _query(self, direction: str, user: int, k: int) -> TopKResult:
-        run = active_run()
-        sampled = run.enabled and self.sampler.sample()
-        span_cm = (
-            run.span("serve.query", direction=direction, user=int(user), k=int(k))
-            if sampled
-            else nullcontext(None)
-        )
         start = time.perf_counter()
-        with span_cm as span:
-            try:
-                user = self._check_user(user)
-                k = self._check_k(k)
-                index = self.indices.get(direction)
-                if index is not None and k <= index.k:
-                    result = index.query(user, k)
-                    path = "index"
-                else:
-                    scan = (
-                        self.engine.top_influenced
-                        if direction == "influenced"
-                        else self.engine.top_influencers
-                    )
-                    result = scan(user, k)
-                    path = "scan"
-            except BaseException as exc:
-                _record_error(direction, exc)
-                raise
-            seconds = time.perf_counter() - start
-            if span is not None:
-                span.set_attribute("path", path)
-                span.set_attribute("latency_s", seconds)
-        _record_query(direction, path, seconds)
+        try:
+            user = self._check_user(user)
+            k = self._check_k(k)
+            index = self.indices.get(direction)
+            if index is not None and k <= index.k:
+                result = index.query(user, k)
+                path = "index"
+            else:
+                scan = (
+                    self.engine.top_influenced
+                    if direction == "influenced"
+                    else self.engine.top_influencers
+                )
+                result = scan(user, k)
+                path = "scan"
+        except BaseException as exc:
+            _record_error(direction, exc)
+            raise
+        _record_query(direction, path, time.perf_counter() - start)
         return result
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.actionlog import ActionLog, DiffusionEpisode
 from repro.data.graph import SocialGraph
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.run import RunRecorder, recording
 
 
 @pytest.fixture()
@@ -106,10 +107,12 @@ class TestDiscovery:
 
 class TestMetrics:
     def test_save_records_counters_and_latency(self, fitted_model, tmp_path):
-        registry = MetricsRegistry()
+        run = RunRecorder()
+        registry = run.metrics
         manager = CheckpointManager(tmp_path, every=1, keep=1)
-        manager.save(fitted_model, 0, metrics=registry)
-        manager.save(fitted_model, 1, metrics=registry)
+        with recording(run):
+            manager.save(fitted_model, 0)
+            manager.save(fitted_model, 1)
         assert registry.counter("ckpt.saves").value() == 2
         expected_bytes = sum(
             p.stat().st_size for p in manager.checkpoint_paths()

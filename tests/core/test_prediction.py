@@ -84,15 +84,6 @@ class TestEmbeddingPredictor:
         np.testing.assert_array_equal(scores, minimum)
         assert not np.array_equal(scores, builtin)
 
-    def test_diffusion_never_builds_dense_user_matrix(self, embedding):
-        """Blocked scoring is bitwise-stable across block sizes."""
-        from repro.serve.scoring import aggregated_scores
-
-        reference = EmbeddingPredictor(embedding, "ave").diffusion_scores([0, 1])
-        for block_size in (1, 2, 1024):
-            blocked = aggregated_scores(embedding, [0, 1], "ave", block_size)
-            np.testing.assert_array_equal(blocked, reference)
-
 
 class TestICPredictor:
     @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.synthetic import SyntheticSocialDataset
-from repro.obs import RunRecorder, recording
+from repro.obs import NULL_RUN, RunRecorder, active_run, recording
 
 
 @pytest.fixture(scope="module")
@@ -15,17 +15,20 @@ def data():
 
 
 @pytest.fixture(scope="module")
-def fitted(data):
-    model = Inf2vecModel(
-        Inf2vecConfig(dim=8, epochs=2, telemetry=True), seed=3
-    )
-    model.fit(data.graph, data.log)
-    return model
+def recorded(data):
+    """The run a two-epoch fit recorded inside a ``recording`` scope."""
+    run = RunRecorder(name="inf2vec.fit")
+    model = Inf2vecModel(Inf2vecConfig(dim=8, epochs=2), seed=3)
+    with recording(run):
+        model.fit(data.graph, data.log)
+    return run
 
 
 class TestTelemetryFlag:
-    def test_epoch_metrics_recorded(self, fitted):
-        metrics = fitted.run_recorder.metrics
+    """What a fit records when telemetry is on (inside a scope)."""
+
+    def test_epoch_metrics_recorded(self, recorded):
+        metrics = recorded.metrics
         assert metrics.counter("train.epochs").total() == 2.0
         loss = metrics.gauge("train.epoch.loss")
         losses = [loss.value(epoch=e) for e in range(2)]
@@ -33,8 +36,8 @@ class TestTelemetryFlag:
         rate = metrics.gauge("train.epoch.examples_per_sec")
         assert rate.value(epoch=0) > 0
 
-    def test_context_metrics_recorded(self, fitted, data):
-        metrics = fitted.run_recorder.metrics
+    def test_context_metrics_recorded(self, recorded, data):
+        metrics = recorded.metrics
         walk_lengths = metrics.histogram(
             "contexts.walk_length",
             buckets=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
@@ -46,12 +49,12 @@ class TestTelemetryFlag:
             == walk_lengths.count()
         )
 
-    def test_negative_sampling_metrics_recorded(self, fitted):
-        names = fitted.run_recorder.metrics.names()
+    def test_negative_sampling_metrics_recorded(self, recorded):
+        names = recorded.metrics.names()
         assert "negatives.collisions" in names
 
-    def test_span_tree_shape(self, fitted):
-        tracer = fitted.run_recorder.tracer
+    def test_span_tree_shape(self, recorded):
+        tracer = recorded.tracer
         (fit,) = tracer.roots
         assert fit.name == "fit"
         child_names = [c.name for c in fit.children]
@@ -62,8 +65,8 @@ class TestTelemetryFlag:
             assert [c.name for c in epoch_span.children] == ["sgd"]
             assert epoch_span.attributes["loss"] > 0
 
-    def test_manifest_contains_config_and_dataset(self, fitted, data):
-        manifest = fitted.run_recorder.manifest()
+    def test_manifest_contains_config_and_dataset(self, recorded, data):
+        manifest = recorded.manifest()
         assert manifest["config"]["values"]["dim"] == 8
         assert manifest["config"]["fingerprint"]
         assert manifest["dataset"]["num_users"] == data.graph.num_nodes
@@ -78,23 +81,21 @@ class TestAmbientScope:
             model.fit(data.graph, data.log)
         assert run.metrics.counter("train.epochs").total() == 1.0
         assert run.tracer.find("sgd") is not None
-        # The ambient recorder wins: the model did not create its own.
-        assert model.run_recorder is None
 
     def test_telemetry_off_records_nothing(self, data):
+        assert active_run() is NULL_RUN
         model = Inf2vecModel(Inf2vecConfig(dim=8, epochs=1), seed=3)
         model.fit(data.graph, data.log)
-        assert model.run_recorder is None
+        assert active_run() is NULL_RUN
 
 
 class TestDeterminism:
     def test_telemetry_does_not_change_training(self, data):
         plain = Inf2vecModel(Inf2vecConfig(dim=8, epochs=2), seed=3)
         plain.fit(data.graph, data.log)
-        instrumented = Inf2vecModel(
-            Inf2vecConfig(dim=8, epochs=2, telemetry=True), seed=3
-        )
-        instrumented.fit(data.graph, data.log)
+        instrumented = Inf2vecModel(Inf2vecConfig(dim=8, epochs=2), seed=3)
+        with recording(RunRecorder()):
+            instrumented.fit(data.graph, data.log)
         import numpy as np
 
         np.testing.assert_array_equal(

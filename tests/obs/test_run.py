@@ -1,4 +1,4 @@
-"""Unit tests for run recording: manifests, scopes, resolution."""
+"""Unit tests for run recording: manifests and scopes."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.obs.run import (
     active_run,
     config_fingerprint,
     recording,
-    resolve_run,
 )
 
 
@@ -94,20 +93,6 @@ class TestScopes:
             with recording(run):
                 raise ValueError
         assert active_run() is NULL_RUN
-
-
-class TestResolveRun:
-    def test_ambient_scope_wins_over_telemetry_flag(self):
-        ambient = RunRecorder()
-        with recording(ambient):
-            assert resolve_run(telemetry=True) is ambient
-
-    def test_telemetry_flag_creates_fresh_recorder(self):
-        run = resolve_run(telemetry=True, name="fresh")
-        assert run.enabled and run.name == "fresh"
-
-    def test_disabled_resolves_to_null(self):
-        assert resolve_run(telemetry=False) is NULL_RUN
 
 
 class TestNullRun:

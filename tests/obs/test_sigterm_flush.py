@@ -2,12 +2,12 @@
 
 The PR 3 SIGKILL test proves checkpoints survive an un-catchable kill;
 this is its telemetry sibling for the catchable one.  A ``repro.cli
-train`` subprocess running with ``--metrics-out`` and
-``--telemetry-dir`` is sent SIGTERM mid-run.  The flush-on-exit hooks
-in :mod:`repro.obs.export` must write the manifest and a complete
-exposition snapshot before the process re-delivers the signal to
-itself — so the files are valid JSON / exposition text, yet the exit
-status still reports death by SIGTERM.
+train`` subprocess running with ``--telemetry-dir`` is sent SIGTERM
+mid-run.  The flush-on-exit hook the exporter installs
+(:mod:`repro.obs.export`) must write the manifest, the span trace and
+a complete exposition snapshot before the process re-delivers the
+signal to itself — so the files are valid JSON / exposition text, yet
+the exit status still reports death by SIGTERM.
 """
 
 import json
@@ -33,8 +33,6 @@ def _spawn_train(tmp_path: Path) -> subprocess.Popen:
             "--dim", "8",
             "--epochs", "500",  # far longer than the test will allow
             "--seed", "0",
-            "--metrics-out", str(tmp_path / "manifest.json"),
-            "--trace-out", str(tmp_path / "trace.jsonl"),
             "--telemetry-dir", str(tmp_path / "tele"),
             "--export-every", "0.2",
         ],
@@ -82,15 +80,13 @@ def test_sigterm_mid_run_flushes_telemetry(tmp_path):
     # The exit status must still be honest about the termination.
     assert victim.returncode == -signal.SIGTERM
 
-    # --metrics-out / --trace-out flushed by the signal handler.
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # The telemetry directory holds a complete, parseable snapshot set,
+    # flushed by the signal handler.
+    manifest = json.loads((tmp_path / "tele" / "manifest.json").read_text())
     assert manifest["name"] == "train"
-    assert (tmp_path / "trace.jsonl").exists()
-
-    # The telemetry directory holds a complete, parseable snapshot set.
+    assert (tmp_path / "tele" / "trace.jsonl").exists()
     exposition = (tmp_path / "tele" / "metrics.prom").read_text()
     assert exposition == "" or "# TYPE" in exposition
-    json.loads((tmp_path / "tele" / "manifest.json").read_text())
     assert not any(
         p.name.startswith(".") for p in (tmp_path / "tele").iterdir()
     ), "no torn temp files may linger in the telemetry dir"

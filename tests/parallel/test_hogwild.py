@@ -12,6 +12,8 @@ The determinism contract under test (DESIGN.md §14):
 * resume refuses checkpoints from a different worker count.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.embeddings import InfluenceEmbedding
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.synthetic import SyntheticSocialDataset
 from repro.errors import CheckpointError, TrainingError
+from repro.obs import MetricsRegistry, RunRecorder, recording
 from repro.parallel import PARAMETER_FIELDS, HogwildTrainer, shard_episodes
 
 #: Documented tolerance for cross-worker-count loss agreement: the
@@ -182,6 +185,37 @@ class TestHogwildTraining:
         trainer.fit(dataset.graph, dataset.log)
         assert len(trainer.epoch_seconds) == len(trainer.model.loss_history)
         assert all(s > 0 for s in trainer.epoch_seconds)
+
+
+class TestWorkerTelemetry:
+    def test_workers_make_no_registry_calls(
+        self, dataset, monkeypatch, tmp_path
+    ):
+        """Under a parent scope only the parent process touches a registry.
+
+        A forked worker inherits the parent's ambient recorder; anything
+        it recorded there would land in a copy that dies with it.  The
+        patched lookup is inherited through ``fork`` too, so every
+        registry call, in any process, appends its process id.
+        """
+        calls = tmp_path / "registry-calls.txt"
+        original = MetricsRegistry._get_or_create
+
+        def logged(self, name, factory):
+            with open(calls, "a") as handle:
+                handle.write(f"{os.getpid()} {name}\n")
+            return original(self, name, factory)
+
+        monkeypatch.setattr(MetricsRegistry, "_get_or_create", logged)
+        run = RunRecorder()
+        with recording(run):
+            HogwildTrainer(BASE, workers=2, seed=11).fit(
+                dataset.graph, dataset.log
+            )
+        lines = calls.read_text().splitlines()
+        pids = {int(line.split()[0]) for line in lines}
+        assert pids == {os.getpid()}, lines
+        assert run.metrics.counter("train.epochs").total() == BASE.epochs
 
 
 class TestResume:

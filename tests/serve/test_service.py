@@ -216,62 +216,6 @@ class TestInfluenceService:
         assert "serve.query.errors" not in run.metrics.snapshot()
 
 
-class TestTraceSampling:
-    def test_rate_one_emits_span_per_query(self, store_dir):
-        service = InfluenceService.open(store_dir, trace_sample_rate=1.0)
-        run = RunRecorder(name="test.serve")
-        with recording(run):
-            service.top_influenced(0, 3)
-            service.top_influencers(1, 3)
-        spans = [s for s in run.tracer.iter_spans() if s.name == "serve.query"]
-        assert len(spans) == 2
-        first = spans[0].attributes
-        assert first["direction"] == "influenced"
-        assert first["path"] == "scan"
-        assert first["k"] == 3
-        assert first["latency_s"] > 0.0
-
-    def test_rate_zero_never_emits_and_never_draws(self, store_dir):
-        service = InfluenceService.open(store_dir)  # default rate 0
-        run = RunRecorder(name="test.serve")
-        with recording(run):
-            for user in range(10):
-                service.top_influenced(user, 3)
-        assert all(s.name != "serve.query" for s in run.tracer.iter_spans())
-
-    def test_fractional_rate_is_seeded_and_deterministic(self, store_dir):
-        def sampled_count(seed: int) -> int:
-            service = InfluenceService.open(
-                store_dir, trace_sample_rate=0.3, trace_seed=seed
-            )
-            run = RunRecorder(name="test.serve")
-            with recording(run):
-                for user in range(40):
-                    service.top_influenced(user, 3)
-            return sum(
-                1 for s in run.tracer.iter_spans() if s.name == "serve.query"
-            )
-
-        first, second = sampled_count(7), sampled_count(7)
-        assert first == second  # same seed, same decisions
-        assert 0 < first < 40  # head sampling actually thins
-
-    def test_failed_query_span_records_error_status(self, store_dir):
-        service = InfluenceService.open(store_dir, trace_sample_rate=1.0)
-        run = RunRecorder(name="test.serve")
-        with recording(run):
-            with pytest.raises(ServingError):
-                service.top_influenced(400, 3)
-        span = run.tracer.find("serve.query")
-        assert span is not None
-        assert span.status == "error"
-        assert "ServingError" in span.error
-
-    def test_invalid_rate_rejected(self, store_dir):
-        with pytest.raises(ValueError, match="rate"):
-            InfluenceService.open(store_dir, trace_sample_rate=1.5)
-
-
 class TestServeCli:
     def test_build_index_query_pipeline(self, embedding, tmp_path, capsys):
         from repro.cli import main

@@ -63,26 +63,20 @@ class TestMain:
             "table1",
             ("Table I — dataset statistics", lambda scale, seed: None),
         )
-        metrics_out = tmp_path / "run.json"
-        trace_out = tmp_path / "trace.jsonl"
-        exit_code = main(
-            [
-                "table1",
-                "--metrics-out", str(metrics_out),
-                "--trace-out", str(trace_out),
-            ]
-        )
+        telemetry_dir = tmp_path / "tele"
+        exit_code = main(["table1", "--telemetry-dir", str(telemetry_dir)])
         assert exit_code == 0
         capsys.readouterr()
 
         import json
 
-        manifest = json.loads(metrics_out.read_text())
+        manifest = json.loads((telemetry_dir / "manifest.json").read_text())
         assert manifest["name"] == "table1"
         assert manifest["annotations"] == {"scale": "small", "seed": 0}
         assert [s["name"] for s in manifest["spans"]] == ["experiment.table1"]
         rows = [
-            json.loads(line) for line in trace_out.read_text().splitlines()
+            json.loads(line)
+            for line in (telemetry_dir / "trace.jsonl").read_text().splitlines()
         ]
         assert rows[0]["name"] == "experiment.table1"
 
@@ -175,17 +169,18 @@ class TestTrainCommand:
     def test_train_records_checkpoint_telemetry(self, capsys, tmp_path):
         import json
 
-        metrics_out = tmp_path / "run.json"
+        telemetry_dir = tmp_path / "tele"
         exit_code = main(
             self.TINY
             + [
                 "--checkpoint-dir", str(tmp_path / "ckpts"),
-                "--metrics-out", str(metrics_out),
+                "--telemetry-dir", str(telemetry_dir),
             ]
         )
         assert exit_code == 0
         capsys.readouterr()
-        counters = json.loads(metrics_out.read_text())["metrics"]
+        manifest = json.loads((telemetry_dir / "manifest.json").read_text())
+        counters = manifest["metrics"]
         assert "ckpt.saves" in counters
         assert "ckpt.write_seconds" in counters
 
