@@ -72,9 +72,12 @@ class EmbeddingPredictor:
             self._aggregator_name = getattr(aggregator, "__name__", "custom")
             self._builtin_name: str | None = None
         else:
-            self._aggregate = get_aggregator(aggregator)
-            self._aggregator_name = aggregator.lower()
-            self._builtin_name = self._aggregator_name
+            # One key for both paths: activation_score's callable and
+            # diffusion_scores' vectorised builtin.
+            key = aggregator.strip().lower()
+            self._aggregate = get_aggregator(key)
+            self._aggregator_name = key
+            self._builtin_name = key
 
     @property
     def aggregator_name(self) -> str:

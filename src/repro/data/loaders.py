@@ -17,7 +17,7 @@ round-trip through the matching ``write_*`` functions.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from repro.ckpt.atomic import atomic_output
 from repro.data.actionlog import ActionLog
@@ -208,9 +208,3 @@ def load_dataset(
     graph, index = load_edge_list(edges_path)
     log = load_action_log(actions_path, index, num_users=graph.num_nodes)
     return graph, log, index
-
-
-def iter_fake_digg_lines(records: Iterable[tuple[str, str, float]]) -> Iterator[str]:
-    """Format records as digg_votes-style lines (testing helper)."""
-    for user, item, timestamp in records:
-        yield f"{user} {item} {timestamp}"

@@ -1,12 +1,6 @@
-"""Diffusion-model substrate: IC, LT, and Monte-Carlo estimation."""
+"""Diffusion-model substrate: the IC simulator and Monte-Carlo estimation."""
 
-from repro.diffusion.ic import (
-    CascadeResult,
-    activation_probability,
-    simulate_ic,
-    simulate_ic_fast,
-)
-from repro.diffusion.lt import simulate_lt, uniform_lt_weights
+from repro.diffusion.ic import activation_probability, simulate_ic
 from repro.diffusion.montecarlo import (
     activation_frequencies,
     expected_spread,
@@ -15,12 +9,8 @@ from repro.diffusion.montecarlo import (
 from repro.diffusion.probabilities import EdgeProbabilities
 
 __all__ = [
-    "CascadeResult",
     "activation_probability",
     "simulate_ic",
-    "simulate_ic_fast",
-    "simulate_lt",
-    "uniform_lt_weights",
     "activation_frequencies",
     "expected_spread",
     "spread_with_standard_error",

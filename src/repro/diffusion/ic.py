@@ -4,20 +4,19 @@ In the IC model each newly activated node ``u`` gets exactly one chance
 to activate each currently inactive out-neighbour ``v``, succeeding
 independently with probability ``P_uv``.  The process unfolds in
 discrete rounds from a seed set and stops when a round activates
-nobody (Section II of the paper).
+nobody (Section II of the paper).  It always stops within ``num_nodes``
+rounds, because every round that continues activates a new node.
 
-This simulator is the substrate for:
-
-* generating synthetic cascades (``repro.data.synthetic``),
-* the Monte-Carlo diffusion prediction of the IC-based baselines
-  (Table III), and
-* influence-spread estimation inside the influence-maximisation
-  application.
+:func:`simulate_ic` is the one forward simulator: the Monte-Carlo
+estimators of :mod:`repro.diffusion.montecarlo` run it for the
+diffusion prediction of the IC-based baselines (Table III) and to
+referee the seeds of the influence-maximisation application.  The
+exact live-edge oracle of the tests grades it.  Synthetic cascades
+come from :func:`repro.data.synthetic.simulate_episode`, not from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,64 +25,18 @@ from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import GraphError
 from repro.obs.metrics import ROUND_BUCKETS, SPREAD_BUCKETS
 from repro.obs.run import active_metrics
-from repro.utils.rng import RandomState, SeedLike, ensure_rng
-
-
-def record_simulation(model: str, rounds: int, activated: int) -> None:
-    """Record one diffusion simulation into the ambient metrics registry.
-
-    No-op (one attribute check) unless a :func:`repro.obs.run.recording`
-    scope is active; the Monte-Carlo loops run thousands of
-    simulations, so everything heavier stays behind the enabled guard.
-    """
-    metrics = active_metrics()
-    if not metrics.enabled:
-        return
-    metrics.counter(
-        f"diffusion.{model}.simulations", "cascade simulations run"
-    ).inc()
-    metrics.histogram(
-        f"diffusion.{model}.rounds", ROUND_BUCKETS, "rounds until quiescence"
-    ).observe(rounds)
-    metrics.histogram(
-        f"diffusion.{model}.spread", SPREAD_BUCKETS, "activated-set sizes"
-    ).observe(activated)
-
-
-@dataclass(frozen=True)
-class CascadeResult:
-    """Outcome of one IC simulation.
-
-    Attributes
-    ----------
-    activated:
-        All activated nodes in activation order (seeds first, then one
-        block per round).
-    activation_round:
-        ``activation_round[k]`` is the round in which ``activated[k]``
-        switched on; seeds are round 0.
-    """
-
-    activated: np.ndarray
-    activation_round: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Number of activated nodes, seeds included."""
-        return int(self.activated.shape[0])
-
-    def activated_set(self) -> frozenset[int]:
-        """Activated nodes as a frozen set."""
-        return frozenset(int(n) for n in self.activated)
+from repro.utils.rng import SeedLike, ensure_rng
 
 
 def simulate_ic(
     probabilities: EdgeProbabilities,
     seeds: Sequence[int],
     seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> CascadeResult:
-    """Run one Independent-Cascade simulation.
+) -> np.ndarray:
+    """Run one Independent-Cascade simulation to quiescence.
+
+    Each round gathers the whole frontier's out-edges as numpy arrays
+    and flips all their coins with one ``rng.random`` draw.
 
     Parameters
     ----------
@@ -94,71 +47,12 @@ def simulate_ic(
         first occurrence preserved).
     seed:
         RNG seed/generator for the coin flips.
-    max_rounds:
-        Optional hard cap on the number of rounds (safety valve for
-        pathological probability tables; ``None`` runs to quiescence).
 
     Returns
     -------
-    CascadeResult
-        Activation order and rounds.
-    """
-    graph = probabilities.graph
-    rng = ensure_rng(seed)
-    seen: set[int] = set()
-    frontier: list[int] = []
-    for s in seeds:
-        s = int(s)
-        if not 0 <= s < graph.num_nodes:
-            raise GraphError(f"seed {s} out of range [0, {graph.num_nodes})")
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-
-    activated: list[int] = list(frontier)
-    rounds: list[int] = [0] * len(frontier)
-    current_round = 0
-    while frontier:
-        if max_rounds is not None and current_round >= max_rounds:
-            break
-        current_round += 1
-        next_frontier: list[int] = []
-        for u in frontier:
-            targets, probs = probabilities.out_edges(u)
-            if targets.shape[0] == 0:
-                continue
-            coins = rng.random(targets.shape[0])
-            for v, p, coin in zip(targets, probs, coins):
-                v = int(v)
-                if v not in seen and coin < p:
-                    seen.add(v)
-                    next_frontier.append(v)
-                    activated.append(v)
-                    rounds.append(current_round)
-        frontier = next_frontier
-
-    record_simulation("ic", current_round, len(activated))
-    return CascadeResult(
-        activated=np.asarray(activated, dtype=np.int64),
-        activation_round=np.asarray(rounds, dtype=np.int64),
-    )
-
-
-def simulate_ic_fast(
-    probabilities: EdgeProbabilities,
-    seeds: Sequence[int],
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> CascadeResult:
-    """Vectorised Independent-Cascade simulation.
-
-    Semantically equivalent to :func:`simulate_ic` — each newly
-    activated node gets one independent chance per out-neighbour — but
-    processes a whole frontier's out-edges as numpy arrays per round,
-    which is several times faster on the Monte-Carlo heavy paths
-    (Table III, influence maximisation).  Activation *order inside a
-    round* is edge-concatenation order rather than frontier-processing
-    order; rounds and the activated set have identical distribution.
+    np.ndarray
+        The activated node ids (int64): the seeds first, then each
+        round's new nodes in ascending id.
     """
     graph = probabilities.graph
     rng = ensure_rng(seed)
@@ -173,13 +67,10 @@ def simulate_ic_fast(
             frontier.append(s)
 
     activated: list[int] = list(frontier)
-    rounds: list[int] = [0] * len(frontier)
     frontier_array = np.asarray(frontier, dtype=np.int64)
-    current_round = 0
+    rounds = 0
     while frontier_array.size:
-        if max_rounds is not None and current_round >= max_rounds:
-            break
-        current_round += 1
+        rounds += 1
         target_chunks = []
         prob_chunks = []
         for u in frontier_array:
@@ -193,22 +84,25 @@ def simulate_ic_fast(
         all_probs = np.concatenate(prob_chunks)
         hits = rng.random(all_targets.shape[0]) < all_probs
         candidates = all_targets[hits]
-        if candidates.size == 0:
-            break
-        # First occurrence wins; already-active nodes are immune.
+        # Already-active nodes are immune; a node hit twice joins once.
         fresh = np.unique(candidates[~active[candidates]])
         if fresh.size == 0:
             break
         active[fresh] = True
-        activated.extend(int(v) for v in fresh)
-        rounds.extend([current_round] * fresh.size)
+        activated.extend(fresh.tolist())
         frontier_array = fresh
 
-    record_simulation("ic", current_round, len(activated))
-    return CascadeResult(
-        activated=np.asarray(activated, dtype=np.int64),
-        activation_round=np.asarray(rounds, dtype=np.int64),
-    )
+    metrics = active_metrics()
+    if metrics.enabled:
+        # Guarded: the Monte-Carlo loops run thousands of simulations.
+        metrics.counter("diffusion.ic.simulations", "cascade simulations run").inc()
+        metrics.histogram(
+            "diffusion.ic.rounds", ROUND_BUCKETS, "rounds until quiescence"
+        ).observe(rounds)
+        metrics.histogram(
+            "diffusion.ic.spread", SPREAD_BUCKETS, "activated-set sizes"
+        ).observe(len(activated))
+    return np.asarray(activated, dtype=np.int64)
 
 
 def activation_probability(
@@ -225,12 +119,3 @@ def activation_probability(
     if np.any(probs < 0) or np.any(probs > 1):
         raise GraphError("activation probabilities must lie in [0, 1]")
     return float(1.0 - np.prod(1.0 - probs))
-
-
-def expected_spread_single_run(
-    probabilities: EdgeProbabilities,
-    seeds: Sequence[int],
-    rng: RandomState,
-) -> int:
-    """Spread (number of activations) of one simulation — MC inner loop."""
-    return simulate_ic(probabilities, seeds, rng).size

@@ -5,7 +5,8 @@ simulating the cascade from the seed set many times — the paper runs
 5,000 simulations — and scoring each user by the fraction of runs in
 which they activate.  The same machinery estimates the expected spread
 ``sigma(S)`` of a chosen seed set: it is the referee that scores the
-seeds selected by :mod:`repro.apps.influence_max`.
+seeds selected by :mod:`repro.apps.influence_max`.  Every estimate
+draws its cascades from :func:`repro.diffusion.ic.simulate_ic`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.ic import simulate_ic_fast
+from repro.diffusion.ic import simulate_ic
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -37,18 +38,16 @@ def _simulate_sizes(
     and returns the per-run cascade sizes.  When ``counts`` is given,
     each cascade's activated nodes are additionally accumulated into it
     in place — the caller owns the buffer, so repeated estimates can
-    reuse one allocation.  Cascades come from the vectorised
-    :func:`repro.diffusion.ic.simulate_ic_fast` (the same distribution
-    as the reference :func:`repro.diffusion.ic.simulate_ic`).
+    reuse one allocation.
     """
     num_runs = check_positive_int("num_runs", num_runs)
     rng = ensure_rng(seed)
     sizes = np.empty(num_runs, dtype=np.float64)
     for i in range(num_runs):
-        result = simulate_ic_fast(probabilities, seeds, rng)
-        sizes[i] = result.size
+        activated = simulate_ic(probabilities, seeds, rng)
+        sizes[i] = activated.shape[0]
         if counts is not None:
-            counts[result.activated] += 1
+            counts[activated] += 1
     return sizes
 
 

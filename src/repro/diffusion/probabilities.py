@@ -10,6 +10,7 @@ probabilities as two parallel arrays".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
@@ -43,13 +44,8 @@ class EdgeProbabilities:
             raise GraphError("edge probabilities must be finite and in [0, 1]")
         self._graph = graph
         self._values = values
-        # Map (u, v) -> flat edge index for O(1) lookups.
-        edge_array = graph.edge_array()
-        packed = edge_array[:, 0] * graph.num_nodes + edge_array[:, 1]
-        self._index = {int(p): i for i, p in enumerate(packed)}
-        self._out_starts = np.concatenate(
-            [[0], np.cumsum(graph.out_degrees())]
-        ).astype(np.int64)
+        # Each CSR row holds one source's targets in ascending order.
+        self._out_starts, self._out_targets = graph.out_csr()
 
     @classmethod
     def constant(cls, graph: SocialGraph, probability: float) -> "EdgeProbabilities":
@@ -91,23 +87,35 @@ class EdgeProbabilities:
         """All probabilities in canonical edge order (read-only intent)."""
         return self._values
 
+    def _edge_index(self, source: int, target: int) -> int | None:
+        """Flat index of edge ``(source, target)``, ``None`` for non-edges.
+
+        Ids outside ``[0, num_nodes)`` are non-edges, never aliases.
+        """
+        source, target = int(source), int(target)
+        num_nodes = self._graph.num_nodes
+        if not (0 <= source < num_nodes and 0 <= target < num_nodes):
+            return None
+        stop = int(self._out_starts[source + 1])
+        # A scalar binary search: bisect beats np.searchsorted's call cost.
+        idx = bisect_left(
+            self._out_targets, target, int(self._out_starts[source]), stop
+        )
+        if idx < stop and self._out_targets[idx] == target:
+            return idx
+        return None
+
     def get(self, source: int, target: int) -> float:
         """``P_uv``; raises :class:`GraphError` for non-edges."""
-        key = int(source) * self._graph.num_nodes + int(target)
-        try:
-            return float(self._values[self._index[key]])
-        except KeyError:
-            raise GraphError(
-                f"({source}, {target}) is not an edge of the graph"
-            ) from None
+        idx = self._edge_index(source, target)
+        if idx is None:
+            raise GraphError(f"({source}, {target}) is not an edge of the graph")
+        return float(self._values[idx])
 
     def get_or_zero(self, source: int, target: int) -> float:
         """``P_uv`` for edges, 0.0 for non-edges (prediction-time helper)."""
-        key = int(source) * self._graph.num_nodes + int(target)
-        idx = self._index.get(key)
-        if idx is None:
-            return 0.0
-        return float(self._values[idx])
+        idx = self._edge_index(source, target)
+        return 0.0 if idx is None else float(self._values[idx])
 
     def out_edges(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         """``(targets, probabilities)`` of edges leaving ``source``.

@@ -10,7 +10,7 @@ rule checks every site against:
 * :data:`METRIC_CATALOG` — every instrument and span name used in
   ``src/`` or ``benchmarks/``, with its kind and allowed label set.
   Names containing ``*`` are families covering f-string sites whose
-  interpolated segment is open-ended (``diffusion.{model}.rounds``).
+  interpolated segment is open-ended (``serve.batch.{direction}``).
 
 The catalog is a **pure literal** so the static-analysis rule can read
 it without importing the module; the declarations are also validated
@@ -36,7 +36,7 @@ __all__ = [
 class MetricSpec:
     """One declared telemetry name: kind, allowed labels, description."""
 
-    name: str  #: Literal name or ``fnmatch`` family (``diffusion.*.rounds``).
+    name: str  #: Literal name or ``fnmatch`` family (``serve.batch.*``).
     kind: str  #: ``counter`` | ``gauge`` | ``histogram`` | ``span``.
     labels: tuple[str, ...] = ()  #: Allowed label / span-attribute keys.
     description: str = ""
@@ -61,7 +61,7 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("contexts.walk.dead_ends", "counter", (), "forced restarts at successor-less nodes"),
     MetricSpec("contexts.walk.restarts", "counter", (), "probabilistic jumps back to the start"),
     MetricSpec("contexts.walk.steps", "counter", (), "recorded walk steps"),
-    MetricSpec("diffusion.*.simulations", "counter", (), "cascade simulations run, per model"),
+    MetricSpec("diffusion.ic.simulations", "counter", (), "IC cascade simulations run"),
     MetricSpec("negatives.collisions", "counter", (), "negatives initially colliding with excluded users"),
     MetricSpec("negatives.resample_rounds", "counter", (), "rejection-resample iterations"),
     MetricSpec("serve.queries", "counter", ("direction", "path"), "top-k influence queries served"),
@@ -85,8 +85,8 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("ckpt.write_seconds", "histogram", (), "atomic checkpoint write latency"),
     MetricSpec("contexts.length", "histogram", (), "full context sizes (local + global)"),
     MetricSpec("contexts.walk_length", "histogram", (), "local random-walk context sizes"),
-    MetricSpec("diffusion.*.rounds", "histogram", (), "rounds until quiescence, per model"),
-    MetricSpec("diffusion.*.spread", "histogram", (), "activated-set sizes, per model"),
+    MetricSpec("diffusion.ic.rounds", "histogram", (), "IC rounds until quiescence"),
+    MetricSpec("diffusion.ic.spread", "histogram", (), "IC activated-set sizes"),
     MetricSpec("serve.query.seconds", "histogram", ("direction", "path"), "per-query latency"),
     MetricSpec("sketch.rr_size", "histogram", (), "RR-set sizes"),
     # -- spans ---------------------------------------------------------

@@ -208,7 +208,7 @@ def aggregated_scores(
         raise ServingError("aggregated_scores requires at least one source")
     if isinstance(aggregator, str):
         try:
-            reduce = _BUILTIN_AGGREGATES[aggregator.lower()]
+            reduce = _BUILTIN_AGGREGATES[aggregator.strip().lower()]
         except KeyError:
             raise ServingError(
                 f"unknown aggregator {aggregator!r}; expected one of "

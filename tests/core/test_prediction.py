@@ -64,6 +64,17 @@ class TestEmbeddingPredictor:
     def test_aggregator_name_exposed(self, embedding):
         assert EmbeddingPredictor(embedding, "Max").aggregator_name == "max"
 
+    def test_padded_name_resolves_alike_on_both_paths(self, embedding):
+        padded = EmbeddingPredictor(embedding, " Ave ")
+        plain = EmbeddingPredictor(embedding, "ave")
+        assert padded.aggregator_name == "ave"
+        assert padded.activation_score(2, [0, 1]) == plain.activation_score(
+            2, [0, 1]
+        )
+        np.testing.assert_array_equal(
+            padded.diffusion_scores([0, 1]), plain.diffusion_scores([0, 1])
+        )
+
     def test_custom_callable_named_like_builtin_is_honoured(self, embedding):
         """Regression: dispatch keyed on whether a callable was supplied.
 

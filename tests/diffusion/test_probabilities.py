@@ -57,6 +57,29 @@ class TestQueries:
         assert probs.get_or_zero(0, 1) == 0.5
         assert probs.get_or_zero(3, 0) == 0.0
 
+    def test_out_of_range_ids_match_no_edge(self):
+        # Packed as u * num_nodes + v, (0, 6) and (1, -1) would alias the
+        # real edges (1, 2) and (0, 3).
+        graph = SocialGraph(4, [(0, 3), (1, 2)])
+        probs = EdgeProbabilities(graph, np.array([0.7, 0.2]))
+        for source, target in [(0, 6), (1, -1), (-1, 3), (4, 0), (5, 2)]:
+            with pytest.raises(GraphError, match="not an edge"):
+                probs.get(source, target)
+            assert probs.get_or_zero(source, target) == 0.0
+        assert probs.get(0, 3) == 0.7 and probs.get(1, 2) == 0.2
+
+    def test_lookup_matches_edge_order_on_a_random_graph(self):
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, 30, size=(200, 2))
+        graph = SocialGraph(30, [(u, v) for u, v in pairs if u != v])
+        probs = EdgeProbabilities(graph, rng.random(graph.num_edges))
+        for (u, v), value in zip(graph.edge_array(), probs.values):
+            assert probs.get(u, v) == value
+        for u in range(30):
+            for v in range(30):
+                expected = probs.get(u, v) if graph.has_edge(u, v) else 0.0
+                assert probs.get_or_zero(u, v) == expected
+
     def test_out_edges_alignment(self, graph):
         probs = EdgeProbabilities.from_function(graph, lambda u, v: v / 10.0)
         targets, values = probs.out_edges(0)

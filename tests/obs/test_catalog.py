@@ -76,8 +76,8 @@ class TestLookups:
     def test_exact_match_beats_family_pattern(self):
         assert find_spec("serve.batch.size") is not None
         # A concrete name covered only by the family falls through to it.
-        family = find_spec("diffusion.ic.simulations")
-        assert family is not None and family.name == "diffusion.*.simulations"
+        family = find_spec("serve.batch.influenced")
+        assert family is not None and family.name == "serve.batch.*"
 
     def test_unknown_name_returns_none(self):
         assert find_spec("no.such.metric") is None

@@ -180,6 +180,11 @@ class TestScoringHelpers:
             ):
                 got = aggregated_scores(embedding, seeds, name, block_size)
                 np.testing.assert_array_equal(got, reduce(dense))
+                # The spelling get_aggregator accepts is accepted here too.
+                padded = aggregated_scores(
+                    embedding, seeds, f" {name.title()} ", block_size
+                )
+                np.testing.assert_array_equal(padded, got)
 
     def test_aggregated_scores_custom_callable(self):
         embedding = random_embedding(12)
