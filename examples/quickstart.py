@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.core.context import ContextConfig
 from repro.eval import evaluate_activation, evaluate_diffusion
+from repro.serve import EmbeddingStore
 
 SEED = 7
 
@@ -53,9 +54,9 @@ def main() -> None:
     diffusion = evaluate_diffusion(predictor, data.graph.num_nodes, test)
     print(f"diffusion prediction:  {diffusion}")
 
-    # 7. Persist the embedding for downstream use.
-    emb.save("/tmp/inf2vec_quickstart.npz")
-    print("embedding saved to /tmp/inf2vec_quickstart.npz")
+    # 7. Persist the embedding as a memory-mapped store for serving.
+    store = EmbeddingStore.save(emb, "/tmp/inf2vec_quickstart_store")
+    print(f"embedding store saved to {store.directory}")
 
 
 if __name__ == "__main__":

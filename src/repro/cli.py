@@ -17,10 +17,11 @@ seconds, at the end, and on SIGTERM (the exporter's flush-on-exit
 hook).
 
 The ``train`` command runs one crash-safe Inf2vec training job with
-checkpointing::
+checkpointing, and writes the trained embedding as a memory-mapped
+store (:class:`repro.serve.EmbeddingStore`)::
 
     python -m repro.cli train --epochs 20 --checkpoint-dir run/ckpt \
-        --checkpoint-every 5 --out run/embedding.npz
+        --checkpoint-every 5 --store-dir run/store
 
 After an interruption (SIGKILL, OOM, power loss), re-running the same
 command with ``--resume`` continues from the latest valid checkpoint to
@@ -33,16 +34,15 @@ corpus once, as flat int32 arrays.  Checkpoints resume only at the
 worker count that wrote them (see DESIGN.md §14 for the determinism
 contract).
 
-The ``serve`` command builds and queries the read-optimized influence
+The ``serve`` command opens that store in the read-optimized influence
 serving layer (:mod:`repro.serve`)::
 
-    python -m repro serve --embedding run/embedding.npz --store-dir run/store
     python -m repro serve --store-dir run/store --precompute-k 10
     python -m repro serve --store-dir run/store --query 42 --top-k 10
 
-The first call converts a trained ``.npz`` embedding into a
-memory-mapped store; the second persists an exact top-k index next to
-it; the third answers "who does user 42 influence most" from the store
+The first call persists an exact top-k index next to the store,
+replacing any index left over from an earlier training run; the second
+answers "who does user 42 influence most" from the store
 (``--direction influencers`` asks the reverse question).
 """
 
@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=choices,
         help=(
             "which table/figure to regenerate ('all' runs everything; "
-            "'train' runs one checkpointed training job; 'serve' builds "
-            "and queries the influence serving layer; 'influence-max' "
+            "'train' runs one checkpointed training job; 'serve' indexes "
+            "and queries the store it writes; 'influence-max' "
             "selects viral-marketing seeds with RIS sketches)"
         ),
     )
@@ -131,6 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="exposition rewrite cadence for --telemetry-dir (default: 5)",
     )
+    parser.add_argument(
+        "--store-dir",
+        metavar="DIR",
+        help="embedding store directory: train writes the trained "
+        "embedding here, serve opens it",
+    )
 
     training = parser.add_argument_group(
         "training options (train command only)"
@@ -158,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="train on a dataset archive written by save_dataset() "
         "instead of generating a synthetic one",
-    )
-    training.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write the final embedding .npz here",
     )
     training.add_argument(
         "--checkpoint-dir",
@@ -241,17 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     serving = parser.add_argument_group("serving options (serve command only)")
     serving.add_argument(
-        "--store-dir",
-        metavar="DIR",
-        help="embedding store directory to build and/or query",
-    )
-    serving.add_argument(
-        "--embedding",
-        metavar="PATH",
-        help="build the store from this trained embedding .npz "
-        "(as written by train --out)",
-    )
-    serving.add_argument(
         "--precompute-k",
         type=int,
         metavar="K",
@@ -294,6 +284,7 @@ def _run_training(args: argparse.Namespace) -> int:
     from repro.data.serialization import load_dataset
     from repro.data.synthetic import SyntheticSocialDataset
     from repro.parallel import HogwildTrainer
+    from repro.serve import EmbeddingStore
 
     if args.dataset:
         dataset = load_dataset(args.dataset)
@@ -337,39 +328,35 @@ def _run_training(args: argparse.Namespace) -> int:
         )
     else:
         print("trained (no epochs ran)")
-    if args.out:
-        model.embedding.save(args.out)
-        print(f"embedding written to {args.out}")
+    if args.store_dir:
+        store = EmbeddingStore.save(model.embedding, args.store_dir)
+        print(
+            f"embedding store written to {args.store_dir}: "
+            f"{store.num_users} users, dim {store.dim}"
+        )
     return 0
 
 
 def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """The ``serve`` command: build, index, and query a store."""
-    from repro.core.embeddings import InfluenceEmbedding
+    """The ``serve`` command: index and query a trained store."""
     from repro.serve import DEFAULT_BLOCK_SIZE, EmbeddingStore, InfluenceService
 
     if not args.store_dir:
         parser.error("serve requires --store-dir")
     block_size = args.block_size or DEFAULT_BLOCK_SIZE
-    if args.embedding:
-        store = EmbeddingStore.save(
-            InfluenceEmbedding.load(args.embedding), args.store_dir
-        )
-        print(
-            f"store built at {args.store_dir}: "
-            f"{store.num_users} users, dim {store.dim}"
-        )
-        # Indices persisted beside an earlier store describe that store;
-        # serve this one by scan until --precompute-k rebuilds them.
-        service = InfluenceService(store, block_size=block_size)
-    else:
-        service = InfluenceService.open(args.store_dir, block_size=block_size)
     if args.precompute_k:
+        # An index persisted beside an earlier store describes that
+        # store; open the store alone so precompute can replace it.
+        service = InfluenceService(
+            EmbeddingStore.open(args.store_dir), block_size=block_size
+        )
         service.precompute(args.precompute_k, directions=(args.direction,))
         print(
             f"precomputed top-{args.precompute_k} {args.direction} index "
             f"for {service.num_users} users"
         )
+    else:
+        service = InfluenceService.open(args.store_dir, block_size=block_size)
     verb = "influenced by" if args.direction == "influenced" else "influencing"
     for user in args.query or []:
         result = (
@@ -382,7 +369,7 @@ def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             zip(result.indices, result.scores), start=1
         ):
             print(f"  {rank:>3}. user {int(other):<8} x = {float(score):+.6f}")
-    if not args.embedding and not args.precompute_k and not args.query:
+    if not args.precompute_k and not args.query:
         print(
             f"opened store at {args.store_dir}: {service.num_users} users, "
             f"dim {service.store.dim}, indices {sorted(service.indices) or 'none'}"

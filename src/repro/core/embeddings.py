@@ -12,20 +12,19 @@ The influence score of ``u`` over ``v`` is
 ``x(u, v) = S_u · T_v + b_u + b̃_v`` (Section IV-C); the training
 probability ``Pr(v | u)`` is its softmax (Eq. 3).
 
-:class:`InfluenceEmbedding` is a plain container with vectorised score
-helpers and ``.npz`` persistence.  It is shared by Inf2vec and by the
+:class:`InfluenceEmbedding` is a plain in-memory container with
+vectorised score helpers; its one on-disk form is the memory-mapped
+:class:`repro.serve.store.EmbeddingStore`.  It is shared by Inf2vec and by the
 representation baselines (MF, node2vec) so that every latent model is
 evaluated through exactly the same scoring path.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from repro.ckpt.atomic import atomic_output, ensure_suffix
 from repro.errors import TrainingError
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -153,45 +152,6 @@ class InfluenceEmbedding:
     def combined_vectors(self) -> np.ndarray:
         """Concatenated ``[S_u ; T_u]`` per user, the paper's Fig 6 input."""
         return np.hstack([self.source, self.target])
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Atomically persist all four parameter arrays to an ``.npz`` file.
-
-        A missing ``.npz`` suffix is appended explicitly (numpy would
-        append it silently, which used to break ``load`` on the same
-        bare path); the final path is returned.  The write goes through
-        :func:`repro.ckpt.atomic.atomic_output`, so an interrupted save
-        never leaves a truncated archive at the destination.
-        """
-        final = ensure_suffix(path, ".npz")
-        with atomic_output(final) as tmp:
-            np.savez_compressed(
-                tmp,
-                source=self.source,
-                target=self.target,
-                source_bias=self.source_bias,
-                target_bias=self.target_bias,
-            )
-        return final
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "InfluenceEmbedding":
-        """Load parameters previously written by :meth:`save`.
-
-        Accepts the same path spelling as :meth:`save` — with or
-        without the ``.npz`` suffix.
-        """
-        with np.load(ensure_suffix(path, ".npz")) as data:
-            return cls(
-                source=data["source"],
-                target=data["target"],
-                source_bias=data["source_bias"],
-                target_bias=data["target_bias"],
-            )
 
     def copy(self) -> "InfluenceEmbedding":
         """Deep copy (training checkpoints, ablation branches)."""

@@ -123,11 +123,8 @@ def annealed_learning_rate(
 ) -> float:
     """Word2vec-style linear annealing to 1% of ``base`` over the budget.
 
-    ``total_epochs`` is the *effective* budget of the current loop —
-    ``config.epochs`` for a full fit, the ``epochs`` override for
-    ``partial_fit(epochs=N)`` — so the schedule always reaches its
-    floor on the loop's final epoch regardless of which entry point
-    drives it.
+    ``total_epochs`` is the fit's epoch budget (``config.epochs``), so
+    the schedule reaches its floor on the final epoch.
     """
     if not decay or total_epochs <= 1:
         return base
@@ -420,7 +417,6 @@ class Inf2vecModel:
             return self._run_epochs(
                 self._in_process(corpus),
                 [entry_rng_state],
-                self.config.epochs,
                 start_epoch,
                 checkpoint,
                 entry_rng_state,
@@ -530,7 +526,6 @@ class Inf2vecModel:
         self,
         run_epoch: "Callable[[int, float], list[EpochReport]]",
         entry_states: list[dict],
-        budget: int,
         start_epoch: int,
         checkpoint: "CheckpointManager | None",
         entry_rng_state: dict,
@@ -541,9 +536,9 @@ class Inf2vecModel:
         epoch and returns one :class:`EpochReport` per shard;
         ``entry_states`` holds each shard's RNG state at its start.
         This loop owns the rest: the learning-rate anneal over
-        ``budget``, the loss over all positives, the convergence test,
-        checkpoints (numbered by the cumulative epoch count, with the
-        worker topology), epoch telemetry and progress logging.
+        ``config.epochs``, the loss over all positives, the convergence
+        test, checkpoints (numbered by epoch, with the worker
+        topology), epoch telemetry and progress logging.
         Returns each epoch's wall-clock seconds.
         """
         run = active_run()
@@ -554,8 +549,9 @@ class Inf2vecModel:
             else np.inf
         )
         seconds: list[float] = []
+        budget = self.config.epochs
         for epoch in range(start_epoch, budget):
-            learning_rate = self._epoch_learning_rate(epoch, budget)
+            learning_rate = self._epoch_learning_rate(epoch)
             started = time.perf_counter()
             with run.span("epoch", epoch=epoch) as epoch_span:
                 reports = run_epoch(epoch, learning_rate)
@@ -575,7 +571,7 @@ class Inf2vecModel:
                 # returns is always recoverable.
                 checkpoint.maybe_save(
                     self,
-                    len(self._loss_history) - 1,
+                    epoch,
                     entry_rng_state=entry_rng_state,
                     force=converged or epoch == budget - 1,
                     worker_topology={
@@ -642,86 +638,14 @@ class Inf2vecModel:
         epoch_span.set_attribute("examples_per_sec", examples_per_sec)
         epoch_span.set_attribute("workers", len(reports))
 
-    def _epoch_learning_rate(
-        self, epoch: int, total_epochs: int | None = None
-    ) -> float:
-        """Annealed step size for ``epoch`` of a ``total_epochs`` loop.
-
-        ``total_epochs`` defaults to the configured budget; loops with
-        an epoch override (``partial_fit(epochs=N)``) pass their
-        effective budget so the anneal uses the right denominator.
-        """
-        if total_epochs is None:
-            total_epochs = self.config.epochs
+    def _epoch_learning_rate(self, epoch: int) -> float:
+        """Annealed step size for ``epoch`` of the configured budget."""
         return annealed_learning_rate(
-            self.config.learning_rate, epoch, total_epochs, self.config.lr_decay
+            self.config.learning_rate,
+            epoch,
+            self.config.epochs,
+            self.config.lr_decay,
         )
-
-    def partial_fit(
-        self,
-        graph: SocialGraph,
-        new_log: ActionLog,
-        epochs: int | None = None,
-        checkpoint: "CheckpointManager | None" = None,
-    ) -> "Inf2vecModel":
-        """Incrementally update a fitted model with new episodes.
-
-        Supports streaming logs: Algorithm 1 runs on the new episodes
-        only and the existing parameters take ``epochs`` additional SGD
-        passes over the new contexts, with the learning rate annealed
-        over that effective budget — ``partial_fit(epochs=N)`` follows
-        the same schedule and convergence test a fresh
-        fit configured with ``epochs=N`` would.  Users must already be
-        inside the fitted universe; growing the universe requires a
-        fresh :meth:`fit`.
-
-        Parameters
-        ----------
-        graph:
-            The social network (same universe as the original fit).
-        new_log:
-            Episodes not seen by the original fit.
-        epochs:
-            Passes over the new contexts (defaults to the configured
-            epoch budget), and the denominator of the learning-rate
-            anneal for this call.  ``0`` is an explicit no-op — the
-            fitted parameters are left untouched; negative values
-            raise.
-        checkpoint:
-            Optional :class:`repro.ckpt.CheckpointManager`; the
-            incremental epochs checkpoint at its cadence under the
-            cumulative epoch counter (``len(loss_history) - 1``), so
-            streaming updates extend the same checkpoint series the
-            original :meth:`fit` produced.
-        """
-        if self._embedding is None:
-            raise NotFittedError(
-                "partial_fit extends a fitted model; call fit() first"
-            )
-        budget = epochs if epochs is not None else self.config.epochs
-        if budget < 0:
-            raise TrainingError(f"epochs must be >= 0, got {budget}")
-        if graph.num_nodes != self._embedding.num_users:
-            raise TrainingError(
-                f"graph has {graph.num_nodes} nodes but the model was fitted "
-                f"for {self._embedding.num_users} users"
-            )
-        if budget == 0:
-            return self
-        with active_run().span("partial_fit"):
-            entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
-            corpus = self._generate_contexts(graph, new_log)
-            if not len(corpus):
-                return self
-            self._run_epochs(
-                self._in_process(corpus),
-                [entry_rng_state],
-                budget,
-                0,
-                checkpoint,
-                entry_rng_state,
-            )
-        return self
 
     def train_epoch(
         self,

@@ -22,7 +22,7 @@ temporal-context extension walks with, answer in original
 social-network IDs.
 
 Because every fit over one log (parameter sweeps, repeated runs of an
-experiment, incremental passes) extracts the same networks, they are
+experiment) extracts the same networks, they are
 memoised per action log — :func:`cached_propagation_networks` keys the
 cache on action-log identity and drops entries automatically when the
 log is garbage collected.
@@ -293,7 +293,7 @@ def cached_propagation_networks(
     """Propagation networks of ``log``, memoised on log identity.
 
     Repeated calls with the same ``(graph, log)`` objects (several fits
-    over one log, incremental passes) reuse the
+    over one log) reuse the
     extracted networks instead of re-running pair extraction.  A
     different graph object for a cached log rebuilds the entry; logs
     that cannot be weak-referenced are computed without caching.

@@ -285,40 +285,6 @@ class ActionLog:
             start = stop
         return tuple(parts)
 
-    def split_temporal(
-        self, fractions: Sequence[float] = (0.8, 0.1, 0.1)
-    ) -> tuple["ActionLog", ...]:
-        """Partition episodes chronologically by their first adoption.
-
-        A stricter alternative to the paper's random episode split:
-        models train on the past and are tested on the future, which
-        forbids any leakage through item co-occurrence.  Episodes are
-        ordered by their earliest adoption time (empty episodes sort
-        first); fractions behave exactly as in :meth:`split`.
-        """
-        if not fractions:
-            raise ActionLogError("fractions must be non-empty")
-        if any(f <= 0 for f in fractions):
-            raise ActionLogError(f"fractions must be positive, got {fractions}")
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ActionLogError(f"fractions must sum to 1, got {sum(fractions)}")
-
-        def start_time(episode: DiffusionEpisode) -> float:
-            return float(episode.times[0]) if len(episode) else -np.inf
-
-        ordered = sorted(self._episodes, key=start_time)
-        boundaries = np.floor(
-            np.cumsum(np.asarray(fractions)) * len(ordered)
-        ).astype(int)
-        if boundaries.size:
-            boundaries[-1] = len(ordered)
-        parts: list[ActionLog] = []
-        start = 0
-        for stop in boundaries:
-            parts.append(ActionLog(ordered[start:stop], self._num_users))
-            start = stop
-        return tuple(parts)
-
     def statistics(self) -> Mapping[str, int]:
         """Table-I style summary: users, items, actions."""
         return {

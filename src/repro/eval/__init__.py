@@ -6,7 +6,6 @@ from repro.eval.activation import (
     iter_test_candidates,
 )
 from repro.eval.diffusion import evaluate_diffusion, make_query
-from repro.eval.curves import curve_to_text, precision_recall_curve, roc_curve
 from repro.eval.metrics import (
     DEFAULT_PRECISION_CUTOFFS,
     EvaluationResult,
@@ -33,9 +32,6 @@ from repro.eval.stats import (
 )
 
 __all__ = [
-    "curve_to_text",
-    "precision_recall_curve",
-    "roc_curve",
     "episode_candidates",
     "evaluate_activation",
     "iter_test_candidates",

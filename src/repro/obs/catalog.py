@@ -99,7 +99,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("fig9.iteration", "span", ("dim", "seconds"), "fig9: Inf2vec training iteration"),
     MetricSpec("fit", "span", (), "full training run"),
     MetricSpec("hogwild.fit", "span", ("workers",), "hogwild parallel training run"),
-    MetricSpec("partial_fit", "span", (), "incremental training run"),
     MetricSpec("serve.batch.*", "span", ("num_queries", "k", "path"), "batched top-k query, per direction"),
     MetricSpec("serve.precompute.*", "span", ("k",), "top-k index precompute, per direction"),
     MetricSpec("sgd", "span", (), "SGD pass over the context corpus"),

@@ -256,7 +256,6 @@ class HogwildTrainer:
                 return model._run_epochs(
                     run_epoch,
                     entry_states,
-                    config.epochs,
                     start_epoch,
                     checkpoint,
                     entry_rng_state,

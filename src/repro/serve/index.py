@@ -25,7 +25,12 @@ import numpy as np
 
 from repro.ckpt.atomic import atomic_output, atomic_write_text
 from repro.errors import ServingError
-from repro.serve.store import load_shard, store_fingerprint
+from repro.serve.store import (
+    load_shard,
+    manifest_field,
+    read_manifest,
+    store_fingerprint,
+)
 from repro.serve.topk import TopKEngine, TopKResult
 from repro.utils.validation import check_positive_int
 
@@ -190,12 +195,7 @@ class TopKIndex:
         manifest_path = directory / _manifest_name(_check_direction(direction))
         if not manifest_path.is_file():
             raise ServingError(f"no persisted {direction!r} index in {directory}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ServingError(
-                f"corrupt index manifest {manifest_path}: {exc}"
-            ) from exc
+        manifest = read_manifest(manifest_path)
         if manifest.get("format_version") != INDEX_FORMAT_VERSION:
             raise ServingError(
                 f"unsupported index format_version "
@@ -206,19 +206,23 @@ class TopKIndex:
                 f"stale {direction!r} index in {directory}: it was built for "
                 "another store; rebuild it with precompute"
             )
-        shards = manifest.get("shards", {})
+        shards = manifest_field(manifest, "shards", dict, manifest_path)
         arrays = {}
         for part in ("ids", "scores"):
             filename = shards.get(part)
-            if filename is None or not (directory / filename).is_file():
+            if not isinstance(filename, str) or not (
+                directory / filename
+            ).is_file():
                 raise ServingError(
                     f"missing index shard {part!r} for direction {direction!r}"
                 )
             arrays[part] = load_shard(directory / filename)
         index = cls(direction, arrays["ids"], arrays["scores"])
-        if index.num_users != int(manifest.get("num_users", -1)) or index.k != int(
-            manifest.get("k", -1)
-        ):
+        declared = (
+            manifest_field(manifest, "num_users", int, manifest_path),
+            manifest_field(manifest, "k", int, manifest_path),
+        )
+        if (index.num_users, index.k) != declared:
             raise ServingError(
                 f"index shards disagree with manifest {manifest_path}"
             )

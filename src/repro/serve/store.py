@@ -1,13 +1,11 @@
 """Memory-mapped embedding store: raw ``.npy`` shards + a JSON manifest.
 
-Training persists an :class:`~repro.core.embeddings.InfluenceEmbedding`
-as one compressed ``.npz`` archive — great for archival, useless for
-serving: every worker process that opens it decompresses a private copy
-of all four arrays.  :class:`EmbeddingStore` is the read-optimized
-layout instead: each parameter array is written as an *uncompressed*
-raw ``.npy`` shard (via :func:`repro.ckpt.atomic.atomic_output`, so a
-crash mid-save never corrupts a live store) and opened with
-``np.load(mmap_mode="r")``.  Opening is O(1) — no bytes are read until
+:class:`EmbeddingStore` is the one on-disk form of a trained
+:class:`~repro.core.embeddings.InfluenceEmbedding`: ``train --store-dir``
+writes it and ``serve --store-dir`` opens it.  Each parameter array is
+written as an *uncompressed* raw ``.npy`` shard (via
+:func:`repro.ckpt.atomic.atomic_output`, so a crash mid-save never
+corrupts a live store) and opened with ``np.load(mmap_mode="r")``.  Opening is O(1) — no bytes are read until
 a block is scanned — and because the mapping is shared and read-only,
 every worker process on the host serves from the *same* physical pages.
 
@@ -25,7 +23,9 @@ Top-k indices persisted by :class:`repro.serve.index.TopKIndex` live in
 the same directory, next to the shards they were computed from.  Each
 records the store's fingerprint (a sha256 of the shard contents,
 computed once at save time), so an index left over from an earlier
-store in the same directory is refused instead of served.
+store in the same directory is refused instead of served.  Both
+manifests go through :func:`read_manifest`: a damaged one raises
+:class:`ServingError` naming the file.
 """
 
 from __future__ import annotations
@@ -71,11 +71,37 @@ def load_shard(path: Path) -> np.ndarray:
         raise ServingError(f"unreadable shard {path}: {exc}") from exc
 
 
-def _read_manifest(path: Path) -> dict:
+def read_manifest(path: Path) -> dict:
+    """Read the JSON object in a store or index manifest.
+
+    Undecodable bytes, malformed JSON and any JSON value that is not an
+    object raise :class:`ServingError` naming the file.
+    """
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ServingError(f"corrupt store manifest {path}: {exc}") from exc
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ServingError(f"corrupt manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ServingError(
+            f"corrupt manifest {path}: expected a JSON object, "
+            f"got {type(manifest).__name__}"
+        )
+    return manifest
+
+
+def manifest_field(manifest: dict, key: str, kind: type, path: Path):
+    """``manifest[key]`` if it is a ``kind``, else :class:`ServingError`.
+
+    ``bool`` is refused where ``int`` is asked for (JSON ``true`` is
+    not a count).
+    """
+    value = manifest.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ServingError(
+            f"corrupt manifest {path}: {key!r} is {value!r}, "
+            f"not a {kind.__name__}"
+        )
+    return value
 
 
 def store_fingerprint(directory: PathLike) -> str | None:
@@ -86,7 +112,7 @@ def store_fingerprint(directory: PathLike) -> str | None:
     are never re-hashed.
     """
     path = Path(directory) / STORE_MANIFEST_FILENAME
-    return _read_manifest(path).get("fingerprint") if path.is_file() else None
+    return read_manifest(path).get("fingerprint") if path.is_file() else None
 
 
 class EmbeddingStore:
@@ -167,33 +193,35 @@ class EmbeddingStore:
             raise ServingError(
                 f"not an embedding store: missing {manifest_path}"
             )
-        manifest = _read_manifest(manifest_path)
+        manifest = read_manifest(manifest_path)
         version = manifest.get("format_version")
         if version != STORE_FORMAT_VERSION:
             raise ServingError(
                 f"unsupported store format_version {version!r} "
                 f"(expected {STORE_FORMAT_VERSION})"
             )
-        shards = manifest.get("shards", {})
+        shards = manifest_field(manifest, "shards", dict, manifest_path)
         arrays: dict[str, np.ndarray] = {}
         for name in _SHARDS:
             filename = shards.get(name)
-            if filename is None:
+            if not isinstance(filename, str):
                 raise ServingError(f"store manifest lists no {name!r} shard")
             path = directory / filename
             if not path.is_file():
                 raise ServingError(f"missing store shard {path}")
             arrays[name] = load_shard(path)
-        cls._validate_shapes(manifest, arrays)
+        cls._validate_shapes(
+            manifest_field(manifest, "num_users", int, manifest_path),
+            manifest_field(manifest, "dim", int, manifest_path),
+            arrays,
+        )
         return cls(directory, **arrays)
 
     @staticmethod
     def _validate_shapes(
-        manifest: dict[str, object], arrays: dict[str, np.ndarray]
+        num_users: int, dim: int, arrays: dict[str, np.ndarray]
     ) -> None:
         """Cross-check shard shapes against the manifest."""
-        num_users = int(manifest.get("num_users", -1))
-        dim = int(manifest.get("dim", -1))
         expected = {
             "source": (num_users, dim),
             "target": (num_users, dim),

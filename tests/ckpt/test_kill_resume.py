@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.ckpt.manager import _CKPT_PATTERN
+from repro.serve import EmbeddingStore
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -74,7 +75,7 @@ def _wait_for_first_checkpoint(ckpt_dir: Path, proc, timeout=60.0):
 
 
 def test_sigkill_mid_run_resumes_to_identical_embedding(tmp_path):
-    reference = _run_cli(["--out", str(tmp_path / "ref.npz")], tmp_path)
+    reference = _run_cli(["--store-dir", str(tmp_path / "ref")], tmp_path)
     assert reference.returncode == 0, reference.stderr
 
     ckpt_dir = tmp_path / "ckpts"
@@ -104,14 +105,15 @@ def test_sigkill_mid_run_resumes_to_identical_embedding(tmp_path):
             "--checkpoint-dir", str(ckpt_dir),
             "--checkpoint-every", "1",
             "--resume",
-            "--out", str(tmp_path / "resumed.npz"),
+            "--store-dir", str(tmp_path / "resumed"),
         ],
         tmp_path,
     )
     assert resumed.returncode == 0, resumed.stderr
 
-    with np.load(tmp_path / "ref.npz") as ref, np.load(
-        tmp_path / "resumed.npz"
-    ) as got:
-        for key in ref.files:
-            np.testing.assert_array_equal(got[key], ref[key], err_msg=key)
+    ref = EmbeddingStore.open(tmp_path / "ref")
+    got = EmbeddingStore.open(tmp_path / "resumed")
+    for key in ("source", "target", "source_bias", "target_bias"):
+        np.testing.assert_array_equal(
+            getattr(got, key), getattr(ref, key), err_msg=key
+        )

@@ -130,23 +130,3 @@ class TestResumeGuards:
         other = dataclasses.replace(BASE, epochs=9)
         with pytest.raises(CheckpointError, match="fingerprint"):
             _train(other, dataset, checkpoint=manager, resume=True)
-
-
-class TestPartialFitCheckpointing:
-    def test_partial_fit_extends_checkpoint_series(self, dataset, tmp_path):
-        train, extra = dataset.log.split((0.7, 0.3), seed=5)
-        manager = CheckpointManager(tmp_path, keep=20)
-        model = Inf2vecModel(BASE, seed=13)
-        model.fit(dataset.graph, train, checkpoint=manager)
-        fit_epochs = {p.name for p in manager.checkpoint_paths()}
-
-        model.partial_fit(dataset.graph, extra, epochs=2, checkpoint=manager)
-        all_epochs = {p.name for p in manager.checkpoint_paths()}
-        new = sorted(all_epochs - fit_epochs)
-        # partial_fit uses the cumulative epoch counter, so its
-        # checkpoints continue the series past fit()'s final epoch.
-        assert new == ["ckpt-00000006.npz", "ckpt-00000007.npz"]
-
-        state = manager.latest_state()
-        assert state.epoch == len(model.loss_history) - 1
-        np.testing.assert_array_equal(state.source, model.embedding.source)

@@ -86,34 +86,6 @@ class TestScoring:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, embedding, tmp_path):
-        path = tmp_path / "model.npz"
-        embedding.save(path)
-        loaded = InfluenceEmbedding.load(path)
-        assert np.array_equal(loaded.source, embedding.source)
-        assert np.array_equal(loaded.target, embedding.target)
-        assert np.array_equal(loaded.source_bias, embedding.source_bias)
-        assert np.array_equal(loaded.target_bias, embedding.target_bias)
-
-    def test_bare_path_roundtrip(self, embedding, tmp_path):
-        """save() appends .npz (numpy would anyway); load() must match."""
-        returned = embedding.save(tmp_path / "model")
-        assert returned == tmp_path / "model.npz"
-        loaded = InfluenceEmbedding.load(tmp_path / "model")  # bare too
-        assert np.array_equal(loaded.source, embedding.source)
-
-    def test_save_is_atomic_under_failure(self, embedding, tmp_path, monkeypatch):
-        path = tmp_path / "model.npz"
-        embedding.save(path)
-        before = path.read_bytes()
-        monkeypatch.setattr(
-            np, "savez_compressed", lambda *a, **k: (_ for _ in ()).throw(OSError("disk full"))
-        )
-        with pytest.raises(OSError):
-            embedding.save(path)
-        assert path.read_bytes() == before  # previous version intact
-        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
-
     def test_copy_is_deep(self, embedding):
         clone = embedding.copy()
         clone.source[0, 0] = 99.0

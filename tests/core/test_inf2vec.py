@@ -333,7 +333,7 @@ class TestConvergenceCriterion:
 
 
 class TestAnnealedScheduleBudget:
-    """The anneal denominator follows the *effective* epoch budget."""
+    """The anneal denominator is the epoch budget."""
 
     def test_floor_depends_on_budget_not_config(self):
         from repro.core.inf2vec import annealed_learning_rate
@@ -352,11 +352,3 @@ class TestAnnealedScheduleBudget:
         from repro.core.inf2vec import annealed_learning_rate
 
         assert annealed_learning_rate(0.1, 7, 8, decay=False) == pytest.approx(0.1)
-
-    def test_model_method_accepts_budget_override(self):
-        model = Inf2vecModel(Inf2vecConfig(learning_rate=0.1, epochs=20))
-        assert model._epoch_learning_rate(2, total_epochs=3) == pytest.approx(
-            0.001
-        )
-        # Without the override the denominator is the configured budget.
-        assert model._epoch_learning_rate(2) > 0.01

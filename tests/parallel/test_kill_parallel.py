@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.ckpt.manager import _CKPT_PATTERN
+from repro.serve import EmbeddingStore
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -116,7 +117,7 @@ def _assert_exits(pids: list[int], timeout=30.0):
     not Path("/proc").is_dir(), reason="needs /proc to track worker pids"
 )
 def test_sigkill_with_workers_alive_resumes_cleanly(tmp_path):
-    reference = _run_cli(["--out", str(tmp_path / "ref.npz")], tmp_path)
+    reference = _run_cli(["--store-dir", str(tmp_path / "ref")], tmp_path)
     assert reference.returncode == 0, reference.stderr
 
     ckpt_dir = tmp_path / "ckpts"
@@ -153,11 +154,11 @@ def test_sigkill_with_workers_alive_resumes_cleanly(tmp_path):
             "--checkpoint-dir", str(ckpt_dir),
             "--checkpoint-every", "1",
             "--resume",
-            "--out", str(tmp_path / "resumed.npz"),
+            "--store-dir", str(tmp_path / "resumed"),
         ],
         tmp_path,
     )
     assert resumed.returncode == 0, resumed.stderr
-    with np.load(tmp_path / "resumed.npz") as final:
-        for key in final.files:
-            assert np.isfinite(final[key]).all(), key
+    final = EmbeddingStore.open(tmp_path / "resumed")
+    for key in ("source", "target", "source_bias", "target_bias"):
+        assert np.isfinite(getattr(final, key)).all(), key

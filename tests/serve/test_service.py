@@ -1,6 +1,7 @@
 """InfluenceService routing, index persistence, telemetry, and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -216,19 +217,21 @@ class TestInfluenceService:
         assert "serve.query.errors" not in run.metrics.snapshot()
 
 
+def _printed_users(out: str) -> list[int]:
+    """The ranked user ids a ``serve --query`` invocation printed."""
+    return [int(user) for user in re.findall(r"\d+\. user (\d+)", out)]
+
+
 class TestServeCli:
     def test_build_index_query_pipeline(self, embedding, tmp_path, capsys):
         from repro.cli import main
 
-        emb_path = tmp_path / "emb.npz"
-        embedding.save(emb_path)
         store = tmp_path / "store"
+        EmbeddingStore.save(embedding, store)
         assert (
             main(
                 [
                     "serve",
-                    "--embedding",
-                    str(emb_path),
                     "--store-dir",
                     str(store),
                     "--precompute-k",
@@ -242,9 +245,11 @@ class TestServeCli:
             == 0
         )
         out = capsys.readouterr().out
-        assert "store built" in out
         assert "precomputed top-5" in out
         assert "top 5 users influenced by user 3" in out
+        assert _printed_users(out) == list(
+            TopKEngine(embedding).top_influenced(3, 5).indices
+        )
         # Second invocation: query only, from the persisted artifacts.
         assert (
             main(
@@ -261,6 +266,53 @@ class TestServeCli:
             == 0
         )
         assert "influencing user 3" in capsys.readouterr().out
+
+    def test_precompute_replaces_index_of_a_resaved_store(
+        self, tmp_path, capsys
+    ):
+        """``--precompute-k`` rebuilds the stale index its error names."""
+        from repro.cli import main
+
+        first = InfluenceEmbedding.initialize(50, 4, seed=1)
+        second = InfluenceEmbedding.initialize(50, 4, seed=2)
+        EmbeddingStore.save(first, tmp_path)
+        InfluenceService.open(tmp_path).precompute(5)
+        EmbeddingStore.save(second, tmp_path)
+        serve = ["serve", "--store-dir", str(tmp_path), "--top-k", "5"]
+        assert main(serve + ["--precompute-k", "5", "--query", "3"]) == 0
+        expected = list(TopKEngine(second).top_influenced(3, 5).indices)
+        assert _printed_users(capsys.readouterr().out) == expected
+        # The rebuilt index is current: a plain open serves from it.
+        assert main(serve + ["--query", "3"]) == 0
+        assert _printed_users(capsys.readouterr().out) == expected
+        assert "influenced" in InfluenceService.open(tmp_path).indices
+
+    def test_train_serve_retrain_serve(self, tmp_path, capsys):
+        """Training into a served store twice keeps ``serve`` working."""
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        train = [
+            "train",
+            "--num-users", "40",
+            "--num-items", "8",
+            "--dim", "4",
+            "--epochs", "2",
+            "--store-dir", str(store),
+        ]
+        serve = ["serve", "--store-dir", str(store)]
+        assert main(train + ["--seed", "1"]) == 0
+        assert main(serve + ["--precompute-k", "5", "--query", "3"]) == 0
+        capsys.readouterr()
+        assert main(train + ["--seed", "2"]) == 0
+        assert main(serve + ["--precompute-k", "5"]) == 0
+        capsys.readouterr()
+        assert main(serve + ["--query", "3", "--top-k", "5"]) == 0
+        expected = TopKEngine(EmbeddingStore.open(store)).top_influenced(3, 5)
+        assert _printed_users(capsys.readouterr().out) == list(
+            expected.indices
+        )
+        assert InfluenceService.open(store).indices["influenced"].k == 5
 
     def test_serve_requires_store_dir(self):
         from repro.cli import main

@@ -11,6 +11,7 @@ from repro.serve import (
     STORE_FORMAT_VERSION,
     STORE_MANIFEST_FILENAME,
     EmbeddingStore,
+    InfluenceService,
     TopKEngine,
     TopKIndex,
 )
@@ -21,6 +22,30 @@ DAMAGES = {
     "zeroed": lambda raw: bytes(len(raw)),
     "emptied": lambda raw: b"",
 }
+
+
+#: Ways a persisted JSON manifest gets damaged on disk.
+MANIFEST_DAMAGES = {
+    "non-utf8": lambda raw: b"\xff\xfe" + raw,
+    "not-an-object": lambda raw: b"[]",
+}
+
+#: Each manifest, the integer fields it declares, and the entry points
+#: that read it.
+MANIFESTS = {
+    STORE_MANIFEST_FILENAME: ("num_users", "dim"),
+    "topk_influenced.json": ("num_users", "k"),
+}
+MANIFEST_READERS = [
+    (STORE_MANIFEST_FILENAME, EmbeddingStore.open),
+    (STORE_MANIFEST_FILENAME, InfluenceService.open),
+    ("topk_influenced.json", TopKIndex.open),
+    ("topk_influenced.json", InfluenceService.open),
+]
+
+
+def _reader_id(value):
+    return getattr(value, "__qualname__", value)
 
 
 def _damage(path, how):
@@ -116,7 +141,37 @@ class TestValidation:
 
 
 class TestDamagedShards:
-    """A damaged shard raises ServingError naming it, never numpy's error."""
+    """A damaged shard or manifest raises ServingError naming it, never
+    numpy's, json's or a builtin error."""
+
+    @pytest.fixture
+    def indexed(self, embedding, tmp_path):
+        """A store with a persisted ``influenced`` index beside it."""
+        EmbeddingStore.save(embedding, tmp_path)
+        InfluenceService.open(tmp_path).precompute(5)
+        return tmp_path
+
+    @pytest.mark.parametrize("how", sorted(MANIFEST_DAMAGES))
+    @pytest.mark.parametrize(
+        "manifest, reader", MANIFEST_READERS, ids=_reader_id
+    )
+    def test_damaged_manifest(self, indexed, manifest, reader, how):
+        path = indexed / manifest
+        path.write_bytes(MANIFEST_DAMAGES[how](path.read_bytes()))
+        with pytest.raises(ServingError, match=manifest):
+            reader(indexed)
+
+    @pytest.mark.parametrize(
+        "manifest, reader", MANIFEST_READERS, ids=_reader_id
+    )
+    def test_non_integer_manifest_field(self, indexed, manifest, reader):
+        path = indexed / manifest
+        original = json.loads(path.read_text())
+        for field in MANIFESTS[manifest]:
+            damaged = dict(original, **{field: "eight"})
+            path.write_text(json.dumps(damaged))
+            with pytest.raises(ServingError, match=f"{manifest}.*{field}"):
+                reader(indexed)
 
     @pytest.mark.parametrize("how", sorted(DAMAGES))
     @pytest.mark.parametrize(

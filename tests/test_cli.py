@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.serve import EmbeddingStore
 
 
 class TestParser:
@@ -147,14 +148,18 @@ class TestTrainCommand:
         self, capsys, tmp_path
     ):
         ckpt_dir = tmp_path / "ckpts"
-        out = tmp_path / "emb.npz"
+        store_dir = tmp_path / "store"
         exit_code = main(
             self.TINY
-            + ["--checkpoint-dir", str(ckpt_dir), "--out", str(out)]
+            + [
+                "--checkpoint-dir", str(ckpt_dir),
+                "--store-dir", str(store_dir),
+            ]
         )
         assert exit_code == 0
         assert "final loss" in capsys.readouterr().out
-        assert out.exists()
+        store = EmbeddingStore.open(store_dir)
+        assert (store.num_users, store.dim) == (40, 4)
         assert any(p.name.startswith("ckpt-") for p in ckpt_dir.iterdir())
 
     def test_train_then_resume_reports_checkpoint(self, capsys, tmp_path):

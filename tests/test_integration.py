@@ -139,12 +139,9 @@ class TestDiskRoundtrip:
             Inf2vecConfig(dim=8, epochs=2, context=ContextConfig(length=8)),
             seed=0,
         ).fit(dataset.graph, train)
-        path = tmp_path / "emb.npz"
-        model.embedding.save(path)
+        from repro.serve import EmbeddingStore
 
-        from repro.core.embeddings import InfluenceEmbedding
-
-        loaded = InfluenceEmbedding.load(path)
+        loaded = EmbeddingStore.save(model.embedding, tmp_path).embedding()
         a = evaluate_activation(
             EmbeddingPredictor(model.embedding), dataset.graph, test
         )

@@ -289,15 +289,15 @@ class TestEmbeddingProperties:
     @given(st.integers(1, 20), st.integers(0, 2**31 - 1))
     def test_save_load_roundtrip(self, num_users, seed):
         import tempfile
-        from pathlib import Path
+
+        from repro.serve import EmbeddingStore
 
         emb = InfluenceEmbedding.initialize(num_users, 3, seed)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "e.npz"
-            emb.save(path)
-            loaded = InfluenceEmbedding.load(path)
-        assert np.array_equal(loaded.source, emb.source)
-        assert np.array_equal(loaded.target_bias, emb.target_bias)
+            EmbeddingStore.save(emb, tmp)
+            loaded = EmbeddingStore.open(tmp)
+            assert np.array_equal(loaded.source, emb.source)
+            assert np.array_equal(loaded.target_bias, emb.target_bias)
 
     @given(st.integers(1, 100), st.floats(0.0, 1.0))
     def test_context_budgets_sum_to_length(self, length, alpha):
