@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--precompute-k",
         type=int,
         metavar="K",
-        help="precompute and persist an exact top-K index for --direction",
+        help="precompute and persist an exact top-K index for --direction, "
+        "and rebuild every other index persisted in --store-dir",
     )
     serving.add_argument(
         "--query",
@@ -339,22 +340,37 @@ def _run_training(args: argparse.Namespace) -> int:
 
 def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """The ``serve`` command: index and query a trained store."""
-    from repro.serve import DEFAULT_BLOCK_SIZE, EmbeddingStore, InfluenceService
+    from repro.serve import (
+        DEFAULT_BLOCK_SIZE,
+        INDEX_DIRECTIONS,
+        EmbeddingStore,
+        InfluenceService,
+        TopKIndex,
+    )
 
     if not args.store_dir:
         parser.error("serve requires --store-dir")
     block_size = args.block_size or DEFAULT_BLOCK_SIZE
     if args.precompute_k:
         # An index persisted beside an earlier store describes that
-        # store; open the store alone so precompute can replace it.
+        # store; open the store alone so precompute can replace it, and
+        # rebuild every other persisted direction too, so the directory
+        # never keeps a stale index.
         service = InfluenceService(
             EmbeddingStore.open(args.store_dir), block_size=block_size
         )
-        service.precompute(args.precompute_k, directions=(args.direction,))
-        print(
-            f"precomputed top-{args.precompute_k} {args.direction} index "
-            f"for {service.num_users} users"
-        )
+        directions = [args.direction] + [
+            direction
+            for direction in INDEX_DIRECTIONS
+            if direction != args.direction
+            and TopKIndex.exists(args.store_dir, direction)
+        ]
+        service.precompute(args.precompute_k, directions=directions)
+        for direction in directions:
+            print(
+                f"precomputed top-{args.precompute_k} {direction} index "
+                f"for {service.num_users} users"
+            )
     else:
         service = InfluenceService.open(args.store_dir, block_size=block_size)
     verb = "influenced by" if args.direction == "influenced" else "influencing"

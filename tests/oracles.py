@@ -5,15 +5,21 @@
   probabilities and RR-set inclusion probabilities exactly.
 * A per-context Python view of a :class:`~repro.core.context.ContextCorpus`,
   the loop its flat arrays replace.
+* The dense top-k oracle: one full score row and one ``lexsort``, the
+  ranking every serving fast path (blocked scan, batch, index) must
+  reproduce bitwise.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.core.context import ContextCorpus
 from repro.data.graph import SocialGraph
 from repro.diffusion.probabilities import EdgeProbabilities
+from repro.serve import augment_sources, augment_targets, score_block
 
 #: Cycles and converging paths, so multi-exposure matters.
 IC_EDGES = {
@@ -74,3 +80,21 @@ def context_rows(corpus: ContextCorpus) -> list[tuple[int, tuple, tuple]]:
         rows.append((centre, tuple(members[lo:split]), tuple(members[split:hi])))
     return rows
 
+
+def brute_force_topk(
+    embedding, user: int, k: int, direction: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense top-k ``(ids, scores)``: full score row, then ``lexsort``.
+
+    Orders by descending score, then ascending id on exact ties, with
+    NaN last — the total order the serving layer documents.
+    """
+    if direction == "influenced":
+        queries = augment_sources(embedding, [user])
+        database = augment_targets(embedding)
+    else:
+        queries = augment_targets(embedding, [user])
+        database = augment_sources(embedding)
+    scores = score_block(queries, database)[0]
+    order = np.lexsort((np.arange(scores.shape[0]), -scores))[:k]
+    return order, scores[order]

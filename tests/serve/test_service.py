@@ -16,6 +16,7 @@ from repro.serve import (
     TopKIndex,
 )
 from repro.serve.index import INDEX_FORMAT_VERSION
+from tests.oracles import brute_force_topk
 
 
 @pytest.fixture
@@ -36,14 +37,15 @@ def store_dir(embedding, tmp_path):
 
 
 class TestTopKIndex:
-    def test_build_matches_engine(self, embedding):
+    @pytest.mark.parametrize("direction", ["influenced", "influencers"])
+    def test_build_matches_brute_force(self, embedding, direction):
         engine = TopKEngine(embedding, block_size=8)
-        index = TopKIndex.build(engine, k=7, batch_size=9)
-        for user in (0, 13, 39):
+        index = TopKIndex.build(engine, k=7, direction=direction, batch_size=9)
+        for user in range(embedding.num_users):
             from_index = index.query(user)
-            from_engine = engine.top_influenced(user, 7)
-            np.testing.assert_array_equal(from_index.indices, from_engine.indices)
-            np.testing.assert_array_equal(from_index.scores, from_engine.scores)
+            ref_idx, ref_scores = brute_force_topk(embedding, user, 7, direction)
+            np.testing.assert_array_equal(from_index.indices, ref_idx)
+            np.testing.assert_array_equal(from_index.scores, ref_scores)
 
     def test_round_trip_is_mmapped_and_identical(self, embedding, store_dir):
         engine = TopKEngine(embedding, block_size=8)
@@ -106,13 +108,19 @@ class TestTopKIndex:
 
 
 class TestInfluenceService:
-    def test_scan_path_matches_engine(self, embedding, store_dir):
+    def test_scan_path_matches_brute_force(self, embedding, store_dir):
         service = InfluenceService.open(store_dir, block_size=8)
-        engine = TopKEngine(embedding, block_size=8)
-        got = service.top_influenced(4, 6)
-        ref = engine.top_influenced(4, 6)
-        np.testing.assert_array_equal(got.indices, ref.indices)
-        np.testing.assert_array_equal(got.scores, ref.scores)
+        for direction, query in (
+            ("influenced", service.top_influenced),
+            ("influencers", service.top_influencers),
+        ):
+            for user in (0, 4, 39):
+                got = query(user, 6)
+                ref_idx, ref_scores = brute_force_topk(
+                    embedding, user, 6, direction
+                )
+                np.testing.assert_array_equal(got.indices, ref_idx)
+                np.testing.assert_array_equal(got.scores, ref_scores)
 
     def test_index_and_scan_paths_bitwise_identical(self, store_dir):
         service = InfluenceService.open(store_dir, block_size=8)
@@ -286,6 +294,47 @@ class TestServeCli:
         assert main(serve + ["--query", "3"]) == 0
         assert _printed_users(capsys.readouterr().out) == expected
         assert "influenced" in InfluenceService.open(tmp_path).indices
+
+    def test_precompute_rebuilds_every_persisted_direction(
+        self, tmp_path, capsys
+    ):
+        """After ``--precompute-k`` the directory holds no stale index."""
+        from repro.cli import main
+
+        first = InfluenceEmbedding.initialize(50, 4, seed=1)
+        second = InfluenceEmbedding.initialize(50, 4, seed=2)
+        EmbeddingStore.save(first, tmp_path)
+        InfluenceService(EmbeddingStore.open(tmp_path)).precompute(
+            5, directions=("influenced", "influencers")
+        )
+        EmbeddingStore.save(second, tmp_path)
+        serve = ["serve", "--store-dir", str(tmp_path), "--query", "0"]
+        assert main(serve + ["--precompute-k", "5"]) == 0
+        precompute_out = capsys.readouterr().out
+        # A plain open finds both indices current and serves from them.
+        assert main(serve) == 0
+        expected = list(TopKEngine(second).top_influenced(0, 10).indices)
+        assert _printed_users(capsys.readouterr().out) == expected
+        assert "precomputed top-5 influenced index" in precompute_out
+        assert "precomputed top-5 influencers index" in precompute_out
+        service = InfluenceService.open(tmp_path)
+        assert sorted(service.indices) == ["influenced", "influencers"]
+        for direction, index in service.indices.items():
+            ref_idx, ref_scores = brute_force_topk(second, 3, 5, direction)
+            np.testing.assert_array_equal(index.query(3).indices, ref_idx)
+            np.testing.assert_array_equal(index.query(3).scores, ref_scores)
+
+    def test_precompute_builds_no_index_that_was_not_persisted(
+        self, embedding, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        EmbeddingStore.save(embedding, tmp_path)
+        serve = ["serve", "--store-dir", str(tmp_path), "--precompute-k", "3"]
+        assert main(serve + ["--direction", "influencers"]) == 0
+        assert "influenced index" not in capsys.readouterr().out
+        assert TopKIndex.exists(tmp_path, "influencers")
+        assert not TopKIndex.exists(tmp_path, "influenced")
 
     def test_train_serve_retrain_serve(self, tmp_path, capsys):
         """Training into a served store twice keeps ``serve`` working."""

@@ -7,6 +7,10 @@ query directions, across ``k ∈ {1, 10, num_users}``, including
 embeddings where the bias terms dominate the dot products.
 """
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,7 @@ from repro.serve import (
     iter_source_rows,
     score_block,
 )
+from tests.oracles import brute_force_topk
 
 NUM_USERS = 97
 
@@ -32,19 +37,6 @@ def random_embedding(seed: int, bias_scale: float = 1.0) -> InfluenceEmbedding:
         bias_scale * rng.normal(size=NUM_USERS),
         bias_scale * rng.normal(size=NUM_USERS),
     )
-
-
-def brute_force_topk(embedding, user, k, direction):
-    """Naive reference: full scan + stable argsort, ties to low id."""
-    if direction == "influenced":
-        queries = augment_sources(embedding, [user])
-        database = augment_targets(embedding)
-    else:
-        queries = augment_targets(embedding, [user])
-        database = augment_sources(embedding)
-    scores = score_block(queries, database)[0]
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))[:k]
-    return order, scores[order]
 
 
 class TestBlockedTopKProperty:
@@ -93,6 +85,156 @@ class TestBlockedTopKProperty:
                 3, 6
             )
             np.testing.assert_array_equal(result.indices, np.arange(6))
+
+
+#: Users whose source rows and whose target rows are identical, so every
+#: query scores them equally; spread across the boundaries of blocks of
+#: 7 and 13 rows.
+TIED_USERS = [2, 6, 7, 13, 26, 40, 77, 96]
+
+
+def straddling_ties_embedding() -> InfluenceEmbedding:
+    """Ties at the top of some query rows and at the bottom of others.
+
+    Coordinate 0 of ``S`` is +5 or −5 per user and coordinate 0 of ``T``
+    is 3 on the tied users only, so a top-influenced query scores all
+    tied users at ``±15 + b_u`` — above or below every other user.
+    Coordinate 1 does the same for top-influencers queries.
+    """
+    rng = np.random.default_rng(17)
+    sign = np.where(np.arange(NUM_USERS) % 2 == 0, 5.0, -5.0)
+    source = np.column_stack(
+        [sign, np.zeros(NUM_USERS), rng.normal(size=(NUM_USERS, 3))]
+    )
+    target = np.column_stack(
+        [np.zeros(NUM_USERS), sign, rng.normal(size=(NUM_USERS, 3))]
+    )
+    source_bias = rng.normal(size=NUM_USERS)
+    target_bias = rng.normal(size=NUM_USERS)
+    source[TIED_USERS] = [5.0, 3.0, 0.0, 0.0, 0.0]
+    target[TIED_USERS] = [3.0, 5.0, 0.0, 0.0, 0.0]
+    source_bias[TIED_USERS] = 0.0
+    target_bias[TIED_USERS] = 0.0
+    return InfluenceEmbedding(source, target, source_bias, target_bias)
+
+
+def batch_query(engine, direction, users, k):
+    query = (
+        engine.top_influenced_batch
+        if direction == "influenced"
+        else engine.top_influencers_batch
+    )
+    return query(users, k)
+
+
+class TestSelection:
+    """The partition-then-sort cut where it can go wrong: ties and NaN."""
+
+    @pytest.mark.parametrize("block_size", [1, 7, 13, NUM_USERS])
+    @pytest.mark.parametrize("k", [4, NUM_USERS - 4])
+    @pytest.mark.parametrize("direction", ["influenced", "influencers"])
+    def test_ties_straddling_kth_place_in_some_rows(
+        self, block_size, k, direction
+    ):
+        embedding = straddling_ties_embedding()
+        users = [0, 1, 10, 11, 50, 51]  # untied users of both signs
+        result = batch_query(
+            TopKEngine(embedding, block_size=block_size), direction, users, k
+        )
+        straddling = 0
+        for row, user in enumerate(users):
+            ref_idx, ref_scores = brute_force_topk(
+                embedding, user, k + 1, direction
+            )
+            straddling += ref_scores[k - 1] == ref_scores[k]
+            np.testing.assert_array_equal(result.indices[row], ref_idx[:k])
+            np.testing.assert_array_equal(result.scores[row], ref_scores[:k])
+        # Half the rows tie across the k-th place, half do not.
+        assert straddling == len(users) // 2
+
+    @pytest.mark.parametrize("block_size", [1, 13, NUM_USERS])
+    @pytest.mark.parametrize("k", [1, 10, NUM_USERS - 1, NUM_USERS])
+    def test_nan_target_row_ranks_last(self, block_size, k):
+        embedding = random_embedding(4)
+        nan_user = 50
+        embedding.target[nan_user] = np.nan
+        engine = TopKEngine(embedding, block_size=block_size)
+        users = [0, nan_user, NUM_USERS - 1]
+        for direction in ("influenced", "influencers"):
+            # Influencers of the NaN user is a row of NaN scores only.
+            result = batch_query(engine, direction, users, k)
+            for row, user in enumerate(users):
+                ref_idx, ref_scores = brute_force_topk(
+                    embedding, user, k, direction
+                )
+                np.testing.assert_array_equal(result.indices[row], ref_idx)
+                np.testing.assert_array_equal(result.scores[row], ref_scores)
+        influenced = engine.top_influenced(0, NUM_USERS)
+        assert influenced.indices[-1] == nan_user
+        assert np.isnan(influenced.scores[-1])
+        assert not np.isnan(influenced.scores[:-1]).any()
+
+    @staticmethod
+    def count_database_builds(monkeypatch, delay: float = 0.0) -> list:
+        """Record each full-database ``augment_*`` call the engine makes.
+
+        ``delay`` stretches each build, so concurrent first scans overlap.
+        """
+        from repro.serve import topk
+
+        built = []
+        for name in ("augment_sources", "augment_targets"):
+            real = getattr(topk, name)
+
+            def counting(embedding, users=None, _real=real, _name=name):
+                if users is None:
+                    built.append(_name)
+                    time.sleep(delay)
+                return _real(embedding, users)
+
+            monkeypatch.setattr(topk, name, counting)
+        return built
+
+    def test_database_built_once_per_direction(self, monkeypatch):
+        built = self.count_database_builds(monkeypatch)
+        embedding = random_embedding(6)
+        engine = TopKEngine(embedding, block_size=13)
+        for _ in range(2):
+            for direction in ("influenced", "influencers"):
+                for user in (0, 48, NUM_USERS - 1):
+                    result = batch_query(engine, direction, [user], 10)
+                    ref_idx, ref_scores = brute_force_topk(
+                        embedding, user, 10, direction
+                    )
+                    np.testing.assert_array_equal(result.indices[0], ref_idx)
+                    np.testing.assert_array_equal(result.scores[0], ref_scores)
+        assert built == ["augment_targets", "augment_sources"]
+
+    def test_concurrent_first_scans_build_database_once(self, monkeypatch):
+        built = self.count_database_builds(monkeypatch, delay=0.05)
+        embedding = random_embedding(7)
+        engine = TopKEngine(embedding, block_size=13)
+        jobs = [
+            (direction, user)
+            for user in range(16)
+            for direction in ("influenced", "influencers")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(batch_query, engine, direction, [user], 5)
+                    for direction, user in jobs
+                ]
+                results = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == ["augment_sources", "augment_targets"]
+        for (direction, user), result in zip(jobs, results):
+            ref_idx, ref_scores = brute_force_topk(embedding, user, 5, direction)
+            np.testing.assert_array_equal(result.indices[0], ref_idx)
+            np.testing.assert_array_equal(result.scores[0], ref_scores)
 
 
 class TestBatchedVariants:
