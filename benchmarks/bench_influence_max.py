@@ -13,8 +13,11 @@ estimate — the RIS coverage estimate of its own selection is
 upward-biased by the selection step.  Prefix spreads (``k = 1..10`` of
 the selection order) give the spread-vs-wall-clock curve; selection wall time and MC-evaluated spread land in
 ``BENCH_influence_max.json`` for the :mod:`repro.obs.regress` gate.
-Sketch telemetry (RR-set counters, schedule spans) is persisted to
-``BENCH_influence_max_manifest.json``.
+Every time comes from the spans the run records: ``selection_seconds``
+is the ``bench.ris`` span, split into ``rr_generate_seconds`` (its
+``sketch.generate`` spans) and ``celf_seconds`` (its ``sketch.select``
+spans).  Sketch telemetry (RR-set counters, schedule spans) is
+persisted to ``BENCH_influence_max_manifest.json``.
 
 Run standalone with ``python benchmarks/bench_influence_max.py`` (add
 ``--smoke`` for the fast CI working point) or under pytest-benchmark
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 from repro.apps.influence_max import ris_influence_maximization
@@ -54,6 +56,19 @@ def _counter_value(run: RunRecorder, name: str) -> float:
     """Total of one unlabelled counter in the run's registry, or 0."""
     samples = run.metrics.snapshot().get(name, {}).get("samples", {})
     return float(sum(samples.values()))
+
+
+def _span_seconds(root, name: str) -> float:
+    """Summed duration of the spans called ``name`` below ``root``."""
+    total = 0.0
+    pending = list(root.children)
+    while pending:
+        span = pending.pop()
+        if span.name == name:
+            total += span.duration
+        else:
+            pending.extend(span.children)
+    return total
 
 
 def _evaluate(probabilities, seeds, eval_runs, curve_runs, seed) -> dict:
@@ -103,12 +118,11 @@ def run_influence_max(
             methods: dict[str, dict] = {}
 
             rr_before = _counter_value(run, "sketch.rr_sets")
-            with run.span("bench.ris", preset=name):
-                began = time.perf_counter()
+            with run.span("bench.ris", preset=name) as ris_span:
                 ris_sel = ris_influence_maximization(
                     probabilities, num_seeds, epsilon=epsilon, seed=seed
                 )
-                ris_seconds = time.perf_counter() - began
+            rr_sets = _counter_value(run, "sketch.rr_sets") - rr_before
             repeat = ris_influence_maximization(
                 probabilities, num_seeds, epsilon=epsilon, seed=seed
             )
@@ -118,9 +132,11 @@ def run_influence_max(
                     f"{ris_sel.seeds} vs {repeat.seeds}"
                 )
             methods["ris"] = {
-                "selection_seconds": ris_seconds,
+                "selection_seconds": ris_span.duration,
+                "rr_generate_seconds": _span_seconds(ris_span, "sketch.generate"),
+                "celf_seconds": _span_seconds(ris_span, "sketch.select"),
                 "internal_estimate": ris_sel.expected_spread,
-                "rr_sets": _counter_value(run, "sketch.rr_sets") - rr_before,
+                "rr_sets": rr_sets,
                 "seeds": [int(s) for s in ris_sel.seeds],
                 **_evaluate(
                     probabilities, ris_sel.seeds, eval_runs, curve_runs, eval_seed
@@ -158,10 +174,15 @@ def print_report(results: dict) -> None:
             f"({preset['num_users']} users, {preset['num_edges']} edges),"
             f" k={results['num_seeds']}"
         )
-        print(f"{'method':<12}{'select':>10}{'spread':>16}{'estimate':>10}")
+        print(
+            f"{'method':<12}{'select':>10}{'rr-gen':>10}{'celf':>10}"
+            f"{'spread':>16}{'estimate':>10}"
+        )
         for method, row in preset["methods"].items():
             print(
                 f"{method:<12}{row['selection_seconds']:>9.3f}s"
+                f"{row['rr_generate_seconds']:>9.3f}s"
+                f"{row['celf_seconds']:>9.3f}s"
                 f"{row['spread']:>10.2f} ± {row['spread_se']:4.2f}"
                 f"{row['internal_estimate']:>10.2f}"
             )

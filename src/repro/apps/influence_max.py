@@ -156,9 +156,9 @@ def ris_influence_maximization(
         approximation with probability ``1 - n^-ell`` (pool-cap
         permitting).
     seed:
-        RNG seed/Generator for root sampling and reverse-cascade coins
-        (seeded Generators only; the same seed reproduces the same
-        seed set bit-for-bit).
+        RNG seed/Generator for root sampling and the reverse-cascade
+        live-edge draws (seeded Generators only; the same seed
+        reproduces the same seed set bit-for-bit).
     batch_size:
         Roots per lockstep reverse-cascade batch.
     max_sketches:

@@ -393,6 +393,26 @@ def _run_serving(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
+def _check_influence_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """Reject ``influence-max`` numbers the selector or evaluator would."""
+    if args.num_seeds < 1:
+        parser.error(f"--num-seeds must be at least 1, got {args.num_seeds}")
+    if args.num_seeds > args.num_users:
+        parser.error(
+            f"--num-seeds {args.num_seeds} exceeds --num-users {args.num_users}"
+        )
+    if args.epsilon is not None and not 0.0 < args.epsilon < 1.0:
+        parser.error(f"--epsilon must lie in (0, 1), got {args.epsilon}")
+    if args.max_sketches is not None and args.max_sketches < 1:
+        parser.error(
+            f"--max-sketches must be at least 1, got {args.max_sketches}"
+        )
+    if args.eval_runs < 0:
+        parser.error(f"--eval-runs must be 0 or more, got {args.eval_runs}")
+
+
 def _run_influence_max(args: argparse.Namespace) -> int:
     """The ``influence-max`` command: select and evaluate viral seeds."""
     import time
@@ -459,6 +479,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
+    if args.experiment == "influence-max":
+        _check_influence_args(args, parser)
 
     if args.experiment == "all":
         names = list(EXPERIMENTS)

@@ -10,10 +10,21 @@ RR set equals ``sigma(S) / n``, so a pool of RR sets turns influence
 maximisation into max-coverage over the pool — no forward Monte-Carlo
 per candidate ever runs.
 
-:class:`RRGenerator` samples RR sets in vectorised batches: every
-frontier node's in-edges across the whole batch are gathered from the
-transposed CSR adjacency with one fancy-indexing pass, all coin flips
-come from one seeded :class:`numpy.random.Generator` draw, and the
+:class:`RRGenerator` samples RR sets in vectorised batches, one BFS
+level across the whole batch at a time, with variates proportional to
+the *live* in-edges of a level rather than to every in-edge it
+examines.  Light edges (``P <= 1/2``) are drawn by Poisson thinning:
+each frontier node ``v`` throws ``Poisson(deg_v · lambda_v)`` points
+uniformly over its in-edges, where ``lambda_v`` is its largest light
+hazard ``-log(1 - P)``, and keeps a point on edge ``e`` with
+probability ``h_e / lambda_v``.  Edge ``e`` then holds
+``Poisson(h_e)`` kept points, independently of every other edge, so it
+is live — holds at least one — with probability exactly
+``1 - e^{-h_e} = P_e``.  Heavy edges (``P > 1/2``) keep one coin
+each: thinning them would throw more points than the row has edges,
+and ``P = 1`` has no finite hazard.  Sampling in time proportional to
+the live edges follows SUBSIM (Guo et al., SIGMOD 2020).  All variates
+come from one seeded :class:`numpy.random.Generator`, and the
 per-batch visited matrix is a reusable buffer.  :class:`RRSketchPool`
 stores the resulting sets in flattened CSR form plus the inverted
 node→sketch index that max-coverage selection consumes.
@@ -35,6 +46,12 @@ __all__ = ["RRGenerator", "RRSketchPool", "reverse_edge_probabilities"]
 
 #: Roots processed per lockstep reverse-cascade batch.
 DEFAULT_BATCH_SIZE = 256
+
+#: Edges above this probability take one coin each instead of
+#: thinning.  At or below it a row's thinning rate is at most
+#: ``-log(1/2) = ln 2`` per in-edge, so no row throws more points in
+#: expectation than ``ln 2`` times its in-degree.
+HEAVY_PROBABILITY = 0.5
 
 
 def reverse_edge_probabilities(
@@ -226,13 +243,19 @@ class RRGenerator:
     exactly what the adaptive schedule needs when it grows the pool in
     phases.
 
+    A reverse-cascade level draws variates in proportion to its live
+    in-edges, not to every in-edge it examines: Poisson thinning for
+    light edges and one coin per heavy edge (module docstring).  The
+    thinning rates, keep probabilities and heavy-edge CSR are built
+    once, here.
+
     Parameters
     ----------
     probabilities:
         Forward IC edge probabilities over the social graph.
     seed:
         Seed or :class:`~numpy.random.Generator` for root sampling and
-        edge coin flips.
+        the live-edge draws.
     batch_size:
         Roots simulated per lockstep reverse-cascade batch; bounds the
         reusable visited buffer at ``batch_size × num_nodes`` bools.
@@ -249,11 +272,37 @@ class RRGenerator:
             raise SketchError("cannot sample RR sets over an empty graph")
         self.batch_size = check_positive_int("batch_size", batch_size)
         self.rng = ensure_rng(seed)
-        (
-            self._in_indptr,
-            self._in_indices,
-            self._in_values,
-        ) = reverse_edge_probabilities(probabilities)
+        in_indptr, in_indices, in_values = reverse_edge_probabilities(
+            probabilities
+        )
+        self._in_indptr, self._in_indices = in_indptr, in_indices
+        self._in_degrees = degrees = np.diff(in_indptr)
+        targets = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
+        heavy = in_values > HEAVY_PROBABILITY
+        # Light edges: hazard -log(1 - P) and each row's largest hazard
+        # as its thinning rate.  Heavy edges keep hazard 0, so a point
+        # thrown on one is never kept.
+        hazard = np.zeros(in_values.shape[0], dtype=np.float64)
+        hazard[~heavy] = -np.log1p(-in_values[~heavy])
+        rate = np.zeros(self.num_nodes, dtype=np.float64)
+        np.maximum.at(rate, targets, hazard)
+        # Expected thinning points per row, deg_v · lambda_v.
+        self._row_points = rate * degrees
+        # Keep probability h_e / lambda_v of a point on each in-edge.
+        self._keep = np.divide(
+            hazard,
+            rate[targets],
+            out=np.zeros_like(hazard),
+            where=hazard > 0,
+        )
+        # Heavy edges as their own target-major CSR.
+        self._heavy_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(targets[heavy], minlength=self.num_nodes),
+            out=self._heavy_indptr[1:],
+        )
+        self._heavy_sources = in_indices[heavy]
+        self._heavy_values = in_values[heavy]
         # Reusable per-batch visited buffer (allocated on first use).
         self._visited: np.ndarray | None = None
 
@@ -284,16 +333,58 @@ class RRGenerator:
             _record_generation(count, all_sizes)
             return indptr, np.concatenate(nodes_parts)
 
+    def _light_hits(
+        self, sketches: np.ndarray, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Live light in-edges of one frontier, by Poisson thinning.
+
+        Frontier entry ``f`` throws ``Poisson(deg · lambda)`` points.
+        One uniform per point does two jobs: ``x = u · deg`` puts the
+        point on in-edge ``floor(x)``, and the fraction ``x - floor(x)``,
+        uniform and independent of that edge, keeps it with probability
+        ``h_e / lambda``.  Returns ``(sketch, source)`` per kept point;
+        an edge that keeps several points appears several times.
+        """
+        counts = self.rng.poisson(self._row_points[nodes])
+        owner_nodes = np.repeat(nodes, counts)
+        x = self.rng.random(owner_nodes.shape[0])
+        x *= self._in_degrees[owner_nodes]
+        offsets = x.astype(np.int64)
+        edges = self._in_indptr[owner_nodes] + offsets
+        kept = (x - offsets) < self._keep[edges]
+        return (
+            np.repeat(sketches, counts)[kept],
+            self._in_indices[edges[kept]],
+        )
+
+    def _heavy_hits(
+        self, sketches: np.ndarray, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Live heavy in-edges of one frontier: one coin per edge."""
+        starts = self._heavy_indptr[nodes]
+        degrees = self._heavy_indptr[nodes + 1] - starts
+        ends = np.cumsum(degrees)
+        total = int(ends[-1])
+        if total == 0:
+            return sketches[:0], self._heavy_sources[:0]
+        # Flat index of every frontier heavy in-edge across the batch:
+        # edge j of frontier entry f sits at starts[f] + j.
+        flat = np.arange(total, dtype=np.int64)
+        flat += np.repeat(starts - (ends - degrees), degrees)
+        live = np.flatnonzero(self.rng.random(total) < self._heavy_values[flat])
+        owners = np.searchsorted(ends, live, side="right")
+        return sketches[owners], self._heavy_sources[flat[live]]
+
     def _reverse_cascade_batch(
         self, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Lockstep reverse IC cascades for one batch of roots.
 
-        All sketches advance one round per iteration: the in-edges of
-        every frontier node across the batch are gathered with one
-        fancy-indexing pass, one RNG draw covers every coin, and
-        newly reached ``(sketch, node)`` pairs are deduplicated through
-        the packed-id trick before becoming the next frontier.
+        All sketches advance one round per iteration: the live light
+        in-edges of every frontier node across the batch come from one
+        thinning draw, the heavy ones from one coin draw, and newly
+        reached ``(sketch, node)`` pairs are deduplicated through the
+        packed-id trick before becoming the next frontier.
         """
         batch = roots.shape[0]
         n = self.num_nodes
@@ -308,24 +399,17 @@ class RRGenerator:
         member_nodes = [roots]
         frontier_sketches, frontier_nodes = rows, roots
         while frontier_nodes.size:
-            starts = self._in_indptr[frontier_nodes]
-            degrees = self._in_indptr[frontier_nodes + 1] - starts
-            ends = np.cumsum(degrees)
-            total = int(ends[-1])
-            if total == 0:
+            hit_sketches, hit_sources = self._light_hits(
+                frontier_sketches, frontier_nodes
+            )
+            if self._heavy_sources.size:
+                heavy_sketches, heavy_sources = self._heavy_hits(
+                    frontier_sketches, frontier_nodes
+                )
+                hit_sketches = np.concatenate((hit_sketches, heavy_sketches))
+                hit_sources = np.concatenate((hit_sources, heavy_sources))
+            if not hit_sources.size:
                 break
-            # Flat index of every frontier in-edge across the batch:
-            # edge j of frontier entry f sits at starts[f] + j.
-            flat = np.arange(total, dtype=np.int64)
-            flat += np.repeat(starts - (ends - degrees), degrees)
-            coins = self.rng.random(total)
-            live = np.flatnonzero(coins < self._in_values[flat])
-            if not live.size:
-                break
-            # Only the live edges look up their frontier entry's sketch.
-            owners = np.searchsorted(ends, live, side="right")
-            hit_sketches = frontier_sketches[owners]
-            hit_sources = self._in_indices[flat[live]]
             fresh = ~visited[hit_sketches, hit_sources]
             if not fresh.any():
                 break

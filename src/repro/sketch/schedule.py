@@ -129,7 +129,8 @@ def adaptive_rr_pool(
         Failure exponent; guarantees hold with probability
         ``1 - n^-ell``.
     seed:
-        Seed or Generator driving root sampling and coin flips.
+        Seed or Generator driving root sampling and the live-edge
+        draws (thinning points and heavy-edge coins).
     batch_size:
         Lockstep reverse-cascade batch size.
     max_sketches:

@@ -1,8 +1,10 @@
 """Small, obviously correct oracles shared by several test modules.
 
-* The exact IC oracle: a 12-edge graph small enough that all 4,096
+* The exact IC oracle: 12-edge graphs small enough that all 4,096
   live-edge worlds can be enumerated, which gives spreads, activation
-  probabilities and RR-set inclusion probabilities exactly.
+  probabilities and RR-set inclusion probabilities exactly.  The main
+  table has cycles and converging paths; the edge-case table has
+  certain, impossible and heavy edges.
 * A per-context Python view of a :class:`~repro.core.context.ContextCorpus`,
   the loop its flat arrays replace.
 * The dense top-k oracle: one full score row and one ``lexsort``, the
@@ -29,25 +31,42 @@ IC_EDGES = {
 }
 IC_NUM_NODES = 8
 
+#: The values an edge-probability sampler must get exactly right: a
+#: certain edge (0 -> 1), an impossible one (1 -> 2), node 2 whose
+#: in-edges are all 0, node 3 whose in-row mixes a heavy edge
+#: (p > 1/2) with light ones (p = 1/2 among them), and a lone heavy
+#: in-edge (2 -> 4).
+EDGE_CASE_EDGES = {
+    (0, 1): 1.0, (1, 2): 0.0, (3, 2): 0.0, (0, 3): 0.75,
+    (1, 3): 0.2, (4, 3): 0.5, (2, 4): 0.9, (3, 5): 0.35,
+    (5, 0): 0.45, (6, 5): 0.05, (5, 6): 0.6, (2, 6): 0.3,
+}
+EDGE_CASE_NUM_NODES = 7
 
-def ic_probabilities() -> EdgeProbabilities:
-    """The oracle graph with its edge probabilities."""
-    graph = SocialGraph(IC_NUM_NODES, list(IC_EDGES))
-    return EdgeProbabilities.from_dict(graph, IC_EDGES)
+
+def ic_probabilities(
+    edges: dict[tuple[int, int], float] = IC_EDGES,
+    num_nodes: int = IC_NUM_NODES,
+) -> EdgeProbabilities:
+    """An oracle graph with its edge probabilities."""
+    graph = SocialGraph(num_nodes, list(edges))
+    return EdgeProbabilities.from_dict(graph, edges)
 
 
-def live_edge_worlds() -> Iterator[tuple[float, list[tuple[int, int]]]]:
-    """Every live-edge world of the oracle graph: ``(weight, live edges)``.
+def live_edge_worlds(
+    edges: dict[tuple[int, int], float] = IC_EDGES,
+) -> Iterator[tuple[float, list[tuple[int, int]]]]:
+    """Every live-edge world of an oracle graph: ``(weight, live edges)``.
 
     Under IC each edge is live independently with its probability, so
     a world's weight is the product of ``p`` over its live edges and
     ``1 - p`` over the rest; the weights of all worlds sum to 1.
     """
-    edges = list(IC_EDGES.items())
-    for mask in range(2 ** len(edges)):
+    items = list(edges.items())
+    for mask in range(2 ** len(items)):
         weight = 1.0
         live = []
-        for bit, (edge, p) in enumerate(edges):
+        for bit, (edge, p) in enumerate(items):
             if mask >> bit & 1:
                 weight *= p
                 live.append(edge)

@@ -13,11 +13,20 @@ from repro.sketch.rrsets import (
     reverse_edge_probabilities,
 )
 from tests.oracles import (
+    EDGE_CASE_EDGES,
+    EDGE_CASE_NUM_NODES,
+    IC_EDGES,
     IC_NUM_NODES,
     ic_probabilities,
     live_edge_worlds,
     reached,
 )
+
+#: The two exactly enumerable oracle tables: ``(edges, num_nodes)``.
+ORACLE_TABLES = {
+    "ic": (IC_EDGES, IC_NUM_NODES),
+    "edge-cases": (EDGE_CASE_EDGES, EDGE_CASE_NUM_NODES),
+}
 
 
 @pytest.fixture
@@ -111,6 +120,23 @@ class TestRRGenerator:
             members = pool.sketch(i)
             assert np.unique(members).shape[0] == members.shape[0]
 
+    def test_thinning_rate_and_heavy_table(self):
+        """No row throws more than ln 2 points per in-edge in expectation,
+        and every edge above 1/2 is in the heavy table, one coin each."""
+        probs = ic_probabilities(EDGE_CASE_EDGES, EDGE_CASE_NUM_NODES)
+        generator = RRGenerator(probs, seed=0)
+        in_indptr, in_indices, in_values = reverse_edge_probabilities(probs)
+        degrees = np.diff(in_indptr)
+        assert np.all(generator._row_points <= np.log(2.0) * degrees + 1e-12)
+        heavy = in_values > 0.5
+        assert generator._heavy_sources.tolist() == in_indices[heavy].tolist()
+        assert np.diff(generator._heavy_indptr).tolist() == np.bincount(
+            np.repeat(np.arange(EDGE_CASE_NUM_NODES), degrees)[heavy],
+            minlength=EDGE_CASE_NUM_NODES,
+        ).tolist()
+        # A point on a heavy or a p = 0 edge is never kept.
+        assert np.all(generator._keep[heavy | (in_values == 0.0)] == 0.0)
+
     def test_empty_graph_rejected(self):
         graph = SocialGraph(0, [])
         probs = EdgeProbabilities(graph, np.empty(0))
@@ -127,9 +153,10 @@ class TestExactInclusionOracle:
 
     ``u`` lands in an RR set rooted at ``v`` exactly when ``u`` reaches
     ``v`` in the random live-edge graph, so enumerating all 4,096 worlds
-    of the 12-edge oracle graph gives every ``P(u in RR(v))`` exactly.
+    of a 12-edge oracle graph gives every ``P(u in RR(v))`` exactly.
     Conditioned on its root, each empirical inclusion frequency must
-    land within 4 of its own standard errors.
+    land within 4 of its own standard errors; an inclusion probability
+    of exactly 0 or 1 has no standard error and must be met exactly.
     """
 
     NUM_NODES = IC_NUM_NODES
@@ -139,14 +166,17 @@ class TestExactInclusionOracle:
         return ic_probabilities()
 
     @staticmethod
-    def _exact_inclusion() -> np.ndarray:
+    def _exact_inclusion(
+        edges: dict[tuple[int, int], float] = IC_EDGES,
+        num_nodes: int = IC_NUM_NODES,
+    ) -> np.ndarray:
         """``inclusion[v, u] = P(u in RR(v))``."""
-        inclusion = np.zeros((IC_NUM_NODES, IC_NUM_NODES))
-        for weight, live_edges in live_edge_worlds():
+        inclusion = np.zeros((num_nodes, num_nodes))
+        for weight, live_edges in live_edge_worlds(edges):
             sources: dict[int, list[int]] = {}
             for u, v in live_edges:
                 sources.setdefault(v, []).append(u)
-            for root in range(IC_NUM_NODES):
+            for root in range(num_nodes):
                 inclusion[root, list(reached(sources, [root]))] += weight
         return inclusion
 
@@ -154,6 +184,16 @@ class TestExactInclusionOracle:
         inclusion = self._exact_inclusion()
         np.testing.assert_allclose(np.diag(inclusion), 1.0)
         assert np.all((inclusion >= 0.0) & (inclusion <= 1.0 + 1e-12))
+
+    def test_edge_case_enumeration_pins_certain_and_impossible_edges(self):
+        exact = self._exact_inclusion(EDGE_CASE_EDGES, EDGE_CASE_NUM_NODES)
+        np.testing.assert_allclose(np.diag(exact), 1.0)
+        assert exact[1, 0] == pytest.approx(1.0)  # 0 -> 1 is certain
+        # Node 2's in-edges are all 0: its RR set is itself, and node 4,
+        # whose one in-edge leaves 2, sees nothing beyond 2.
+        assert np.flatnonzero(exact[2]).tolist() == [2]
+        assert np.flatnonzero(exact[4]).tolist() == [2, 4]
+        assert exact[4, 2] == pytest.approx(0.9)
 
     def test_root_is_first_member(self, probs):
         """One batch draws every root up front, before any coin."""
@@ -168,20 +208,32 @@ class TestExactInclusionOracle:
         first = [int(pool.sketch(i)[0]) for i in range(count)]
         assert first == roots.tolist()
 
-    @pytest.mark.parametrize("batch_size", [7, 256])
-    def test_inclusion_matches_enumeration(self, probs, batch_size):
-        exact = self._exact_inclusion()
+    @pytest.mark.parametrize(
+        "table, batch_size",
+        [
+            pytest.param("ic", 7, id="7"),
+            pytest.param("ic", 256, id="256"),
+            pytest.param("edge-cases", 7, id="edge-cases-7"),
+            pytest.param("edge-cases", 256, id="edge-cases-256"),
+        ],
+    )
+    def test_inclusion_matches_enumeration(self, table, batch_size):
+        edges, num_nodes = ORACLE_TABLES[table]
+        exact = self._exact_inclusion(edges, num_nodes)
         count = 40_000
+        probs = ic_probabilities(edges, num_nodes)
         pool = RRSketchPool(
-            self.NUM_NODES,
+            num_nodes,
             *RRGenerator(probs, seed=22, batch_size=batch_size).generate(count),
         )
         roots = pool.nodes[pool.indptr[:-1]]
-        hits = np.zeros((self.NUM_NODES, self.NUM_NODES))
+        hits = np.zeros((num_nodes, num_nodes))
         np.add.at(hits, (np.repeat(roots, pool.sizes()), pool.nodes), 1.0)
-        per_root = np.bincount(roots, minlength=self.NUM_NODES)
+        per_root = np.bincount(roots, minlength=num_nodes)
         assert np.all(per_root > 0)
         freqs = hits / per_root[:, None]
+        # Rounding can leave a certain inclusion a few ulps above 1.
+        exact = np.clip(exact, 0.0, 1.0)
         standard_error = np.sqrt(exact * (1.0 - exact) / per_root[:, None])
         assert np.all(np.abs(freqs - exact) <= 4.0 * standard_error + 1e-12)
 

@@ -215,6 +215,25 @@ class TestInfluenceMaxCommand:
         assert "flickr preset" in out
         assert "MC-evaluated" not in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epsilon", "1.5"),
+            ("--epsilon", "0"),
+            ("--max-sketches", "0"),
+            ("--num-seeds", "0"),
+            ("--num-seeds", "5000"),
+            ("--eval-runs", "-1"),
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.TINY + [flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
     def test_same_seed_same_seeds_printed(self, capsys):
         main(self.TINY)
         first = capsys.readouterr().out
