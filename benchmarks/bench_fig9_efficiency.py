@@ -35,8 +35,8 @@ def test_fig9_efficiency(benchmark):
     for result in results:
         # Emb-IC's cost grows visibly with K.  (Inf2vec's K-dependence
         # is real but shallow at bench scale: a K-independent
-        # per-micro-batch intercept — negative sampling, scatter index
-        # setup — dominates below K=32, so its curve is not asserted.)
+        # per-micro-batch intercept — negative sampling, the batch-local
+        # id remap — dominates below K=32, so its curve is not asserted.)
         series_emb = result.series("emb_ic")
         assert series_emb[DIMENSIONS[-1]] > series_emb[DIMENSIONS[0]], series_emb
         # Inf2vec's iteration is several times cheaper at every K —

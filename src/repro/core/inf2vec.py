@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit, log_expit
 
 from repro.core.context import ContextConfig, ContextCorpus, ContextGenerator
@@ -67,34 +66,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only (avoids an import cycle)
     from repro.ckpt.manager import CheckpointManager
     from repro.ckpt.state import TrainingState
     from repro.parallel.shared import SharedEmbeddingSpec
+from repro.utils.blas import limit_blas_threads
 from repro.utils.logging import get_logger, log_epoch_progress
 from repro.utils.rng import SeedLike, ensure_rng, generator_from_state
 from repro.utils.validation import check_positive, check_positive_int
 
 logger = get_logger("core.inf2vec")
 
-
-def _scatter_add_outer(
-    dest: np.ndarray,
-    rows: np.ndarray,
-    weights: np.ndarray,
-    vectors_index: np.ndarray,
-    vectors: np.ndarray,
-) -> None:
-    """Accumulate ``weights[j] * vectors[vectors_index[j]]`` into ``dest[rows[j]]``.
-
-    Semantically this is ``np.add.at(dest, rows, weights[:, None] *
-    vectors[vectors_index])`` — the Eq. 6 rank-1 updates with duplicate
-    rows summed — but phrased as one sparse-times-dense product
-    ``dest += M @ vectors`` with ``M[rows[j], vectors_index[j]] +=
-    weights[j]``, which never materialises the per-observation update
-    buffer and runs an order of magnitude faster than ``ufunc.at``.
-    """
-    matrix = sparse.coo_matrix(
-        (weights, (rows, vectors_index)),
-        shape=(dest.shape[0], vectors.shape[0]),
-    )
-    dest += matrix @ vectors
 
 def loss_converged(previous_loss: float, loss: float, tol: float) -> bool:
     """Early-stopping test: has the loss *improved* by less than ``tol``?
@@ -181,13 +159,17 @@ class Inf2vecConfig:
         Micro-batch size: contexts per fused update.  All negatives of
         a batch come from one
         :meth:`~repro.core.negative.NegativeSampler.sample_matrix`
-        call and its Eq. 6 updates are scatter-accumulated in one step.
-        ``1`` is plain one-context-at-a-time SGD, as in the paper;
-        larger batches trade SGD staleness (gradients of a batch are
-        evaluated at its entry parameters) for vectorisation, the
-        standard word2vec-in-numpy compromise.  The effective batch is
-        additionally capped at ``num_users / 8`` contexts so tiny
-        universes keep one-context-at-a-time dynamics.
+        call and its Eq. 6 updates are one dense block over the batch's
+        distinct centres and targets, so a batch costs what its rows
+        cost, whatever ``num_users`` is.  The workspace that holds the
+        block is sized from this value, the corpus's longest context,
+        ``num_negatives`` and ``dim`` on a fit's first epoch, and reused
+        by its later epochs.  ``1`` is plain one-context-at-a-time SGD,
+        as in the paper; larger batches trade SGD staleness (gradients
+        of a batch are evaluated at its entry parameters) for
+        vectorisation, the standard word2vec-in-numpy compromise.  The
+        effective batch is additionally capped at ``num_users / 8``
+        contexts so tiny universes keep one-context-at-a-time dynamics.
 
     Telemetry is not a hyper-parameter: a fit inside a ``with
     recording(run):`` scope (:mod:`repro.obs.run`) records per-epoch
@@ -252,6 +234,103 @@ def _mean_over_positives(parts: Iterable[tuple[float, int]]) -> tuple[float, int
     return sum(mean * (count / total) for mean, count in parts), total
 
 
+def _apply_bias(
+    bias: np.ndarray, rows: np.ndarray, step: np.ndarray, current: np.ndarray
+) -> None:
+    """Add ``step`` to ``bias[rows]`` as it is now (``rows`` distinct)."""
+    np.take(bias, rows, out=current, mode="clip")
+    current += step
+    bias[rows] = current
+
+
+class _BatchWorkspace:
+    """Every batch-sized buffer of :meth:`Inf2vecModel._update_batch`.
+
+    Sized for micro-batches of up to ``observations`` positive
+    observations over at most ``centres`` distinct centre users, and
+    reused by every batch and epoch after it, so the SGD kernel
+    allocates nothing that scales with the batch or with
+    ``num_users``.  A *cell* is one scored (centre, target) pair: each
+    observation has one positive cell and ``num_negatives`` negative
+    cells, positives first.  Gathers write into the buffers with
+    ``np.take(..., out=, mode="clip")``: numpy buffers the output of the
+    default ``mode="raise"``, which would allocate, and every index is
+    in range by construction.
+    """
+
+    def __init__(
+        self,
+        num_users: int,
+        observations: int,
+        centres: int,
+        num_negatives: int,
+        dim: int,
+    ):
+        cells = observations * (num_negatives + 1)
+        targets = min(cells, num_users)
+        self.key = (num_users, num_negatives, dim)
+        self.observations = observations
+        self.targets = targets
+        #: Scratch slot per user for :meth:`remap`.
+        self.mark = np.zeros(num_users, dtype=np.int64)
+        self.ramp = np.arange(cells, dtype=np.int64)
+        self.exclude = np.empty((observations, 2), dtype=np.int64)
+        self.users = np.empty(observations, dtype=np.int64)
+        self.user_local = np.empty(observations, dtype=np.int64)
+        self.centre_rows = np.empty(observations, dtype=np.int64)
+        self.user_bias = np.empty(observations)
+        self.ids = np.empty(cells, dtype=np.int64)
+        self.cell = np.empty(cells, dtype=np.int64)
+        self.hit = np.empty(cells, dtype=bool)
+        self.z = np.empty(cells)
+        self.g = np.empty(cells)
+        self.target_rows = np.empty(targets, dtype=np.int64)
+        self.t = np.empty((targets, dim))
+        self.dt = np.empty((targets, dim))
+        self.target_vec = np.empty(targets)
+        self.target_step = np.empty(targets)
+        self.centres = 0
+        self.reserve_centres(centres)
+
+    def fits(self, key: tuple[int, int, int], observations: int) -> bool:
+        """Can this workspace serve ``key``'s model at this batch size?"""
+        return self.key == key and observations <= self.observations
+
+    def reserve_centres(self, centres: int) -> None:
+        """Grow the centre-sized buffers and the block to ``centres`` rows."""
+        if centres <= self.centres:
+            return
+        dim = self.key[2]
+        self.centres = centres
+        self.s = np.empty((centres, dim))
+        self.ds = np.empty((centres, dim))
+        self.centre_vec = np.empty(centres)
+        self.centre_step = np.empty(centres)
+        self.block = np.empty(centres * self.targets)
+
+    def remap(
+        self, ids: np.ndarray, rows: np.ndarray, local: np.ndarray
+    ) -> np.ndarray:
+        """Write ``ids``' distinct values to ``rows`` and their indices to ``local``.
+
+        ``rows[local[j]] == ids[j]`` afterwards; returns the filled
+        prefix of ``rows``.  One scatter of positions into the mark
+        buffer keeps one position per distinct id.  The mark buffer is
+        only read at ``ids`` after they were written in the same call,
+        so it never needs a reset: the cost follows ``ids``, not
+        ``num_users``.
+        """
+        count = ids.shape[0]
+        hit = self.hit[:count]
+        self.mark[ids] = self.ramp[:count]
+        np.take(self.mark, ids, out=local, mode="clip")
+        np.equal(local, self.ramp[:count], out=hit)
+        rows = np.compress(hit, ids, out=rows[: np.count_nonzero(hit)])
+        self.mark[rows] = self.ramp[: rows.shape[0]]
+        np.take(self.mark, ids, out=local, mode="clip")
+        return rows
+
+
 class Inf2vecModel:
     """Social influence embedding learned by Inf2vec.
 
@@ -272,6 +351,7 @@ class Inf2vecModel:
         self._loss_history: list[float] = []
         self._seed_text = None if seed is None else str(seed)
         self._metrics = NULL_REGISTRY
+        self._workspace: _BatchWorkspace | None = None
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -414,13 +494,18 @@ class Inf2vecModel:
             entry_rng_state = copy.deepcopy(self._rng.bit_generator.state)
             corpus = prepare()
             start_epoch = self._begin(state, num_users)
-            return self._run_epochs(
-                self._in_process(corpus),
-                [entry_rng_state],
-                start_epoch,
-                checkpoint,
-                entry_rng_state,
-            )
+            try:
+                return self._run_epochs(
+                    self._in_process(corpus),
+                    [entry_rng_state],
+                    start_epoch,
+                    checkpoint,
+                    entry_rng_state,
+                )
+            finally:
+                # The kernel's workspace serves this fit's epochs; a
+                # fitted model does not keep it.
+                self._workspace = None
 
     def _in_process(
         self, corpus: ContextCorpus
@@ -702,6 +787,11 @@ class Inf2vecModel:
         total_positives = int(corpus.members.shape[0])
         if total_positives == 0:
             return 0.0
+        # Size the kernel's workspace once for the epoch's largest
+        # possible batch; later epochs reuse it.
+        self._reserve_workspace(
+            min(batch_size * int(corpus.sizes.max()), total_positives), batch_size
+        )
         total_loss = 0.0
         for start in range(0, order.shape[0], batch_size):
             batch = corpus[order[start : start + batch_size]]
@@ -719,6 +809,23 @@ class Inf2vecModel:
     # SGD update (Eq. 5 / Eq. 6)
     # ------------------------------------------------------------------
 
+    def _reserve_workspace(
+        self, observations: int, centres: int
+    ) -> _BatchWorkspace:
+        """The kernel's workspace, rebuilt only when it cannot hold a batch."""
+        emb = self.embedding
+        key = (emb.num_users, self.config.num_negatives, emb.dim)
+        workspace = self._workspace
+        if workspace is None or not workspace.fits(key, observations):
+            workspace = self._workspace = _BatchWorkspace(
+                emb.num_users,
+                observations,
+                centres,
+                self.config.num_negatives,
+                emb.dim,
+            )
+        return workspace
+
     def _update_batch(
         self,
         users: np.ndarray,
@@ -731,115 +838,145 @@ class Inf2vecModel:
         ``users`` and ``positives`` are aligned flat arrays — one entry
         per positive observation, with each context's center user
         repeated over its context members.  All negatives for the
-        batch come from a single ``sample_matrix`` call, every z-score
-        is computed with one gather + einsum per parameter family, and
-        the scatter-accumulated writes (``np.add.at`` semantics,
-        implemented via :func:`_scatter_add_outer`) sum the updates of
-        repeated rows (the same user appearing in several contexts of
-        the batch, or a negative drawn twice).
+        batch come from a single ``sample_matrix`` call.  The batch is
+        then one dense block in batch-local ids: its ``c`` distinct
+        centres and ``m`` distinct targets (positives and negatives)
+        are gathered into ``S_b`` and ``T_b``, one ``S_b @ T_bᵀ`` scores
+        every pair, and the z-scores are read off at the observed
+        cells.  The step-sized Eq. 6 coefficients are accumulated into
+        the same ``c × m`` block, summing repeated cells (the same pair
+        in two contexts, or a negative drawn twice), so the updates are
+        ``ΔS = C @ T_b``, ``ΔT = Cᵀ @ S_b`` and the block's row and
+        column sums for the biases.  They and the ``max_norm`` clip
+        touch only the batch's rows, and every batch-sized temporary
+        lives in the model's reused :class:`_BatchWorkspace`.
         All gradients are evaluated at the batch's entry parameters —
-        micro-batched SGD, the standard word2vec-in-numpy semantics.
+        micro-batched SGD, the standard word2vec-in-numpy semantics —
+        and each step is added to its row's value at write time.
         """
         emb = self._embedding
         assert emb is not None  # guarded by callers
         num_neg = self.config.num_negatives
         num_pos = positives.shape[0]
+        cells = num_pos * (num_neg + 1)
+        ws = self._reserve_workspace(
+            num_pos, min(self.config.batch_size, num_pos)
+        )
 
-        exclude = np.stack([users, positives], axis=1)
+        exclude = ws.exclude[:num_pos]
+        exclude[:, 0] = users
+        exclude[:, 1] = positives
         negatives = sampler.sample_matrix(
             num_pos, num_neg, self._rng, exclude=exclude,
             metrics=self._metrics,
         )
-        flat_negatives = negatives.ravel()
+        # Cell ids: each observation's positive, then all negatives.
+        ids = ws.ids[:cells]
+        ids[:num_pos] = positives
+        ids[num_pos:].reshape(num_pos, num_neg)[...] = negatives
+        # A contiguous int64 copy of the centres indexes fastest.
+        users = ws.users[:num_pos]
+        users[...] = exclude[:, 0]
 
-        s = emb.source[users]  # (p, K)
-        t_pos = emb.target[positives]  # (p, K)
-        t_neg = emb.target[flat_negatives].reshape(num_pos, num_neg, -1)
-
-        source_bias = emb.source_bias[users]
-        z_pos = (
-            np.einsum("pk,pk->p", s, t_pos)
-            + source_bias
-            + emb.target_bias[positives]
+        user_local = ws.user_local[:num_pos]
+        centre_rows = ws.remap(users, ws.centre_rows, user_local)
+        cell = ws.cell[:cells]
+        target_rows = ws.remap(ids, ws.target_rows, cell)
+        num_centres, num_targets = centre_rows.shape[0], target_rows.shape[0]
+        ws.reserve_centres(num_centres)
+        s = np.take(
+            emb.source, centre_rows, axis=0, out=ws.s[:num_centres], mode="clip"
         )
-        z_neg = (
-            np.einsum("pk,pnk->pn", s, t_neg)
-            + source_bias[:, None]
-            + emb.target_bias[negatives]
+        t = np.take(
+            emb.target, target_rows, axis=0, out=ws.t[:num_targets], mode="clip"
         )
+        block = ws.block[: num_centres * num_targets]
+        grid = block.reshape(num_centres, num_targets)
+        # The block also scores the pairs no observation asks for; at a
+        # diverging step size those may overflow where the observed ones
+        # do not.  They are never read, so their overflow is not an error.
+        with np.errstate(over="ignore"):
+            np.matmul(s, t.T, out=grid)
+        # Flat block index of every cell: centre row * m + target column.
+        np.multiply(user_local, num_targets, out=user_local)
+        cell[:num_pos] += user_local
+        cell[num_pos:].reshape(num_pos, num_neg)[...] += user_local[:, None]
 
-        g_pos = 1.0 - expit(z_pos)  # d/dz log sigma(z)
-        g_neg = -expit(z_neg)  # d/dz log sigma(-z)
-
-        loss = -(log_expit(z_pos).sum() + log_expit(-z_neg).sum())
-
-        # Fold the step size into the (small) gradient coefficients once
-        # so every scatter below is already step-sized.
-        g_pos *= lr
-        g_neg *= lr
-        grad_s = g_pos[:, None] * t_pos + np.einsum("pn,pnk->pk", g_neg, t_neg)
-        # One fused scatter over all touched target rows (positives and
-        # negatives together): every target update is a weighted copy of
-        # its observation's source row, so the whole batch is a single
-        # sparse-times-dense product against ``s``.
-        target_rows = np.concatenate([positives, flat_negatives])
-        g_all = np.concatenate([g_pos, g_neg.ravel()])
-        observation = np.arange(num_pos)
-        target_observation = np.concatenate(
-            [observation, np.repeat(observation, num_neg)]
-        )
-        _scatter_add_outer(emb.target, target_rows, g_all, target_observation, s)
-        _scatter_add_outer(
-            emb.source, users, np.ones(num_pos), observation, grad_s
-        )
+        z = np.take(block, cell, out=ws.z[:cells], mode="clip")
+        g = ws.g[:cells]
         if self.config.use_biases:
-            num_users = emb.source_bias.shape[0]
-            emb.source_bias += np.bincount(
-                users, weights=g_pos + g_neg.sum(axis=1), minlength=num_users
+            user_bias = np.take(
+                emb.source_bias, users, out=ws.user_bias[:num_pos], mode="clip"
             )
-            emb.target_bias += np.bincount(
-                target_rows, weights=g_all, minlength=num_users
-            )
-        self._clip_norm_rows(emb, users, positives, flat_negatives)
-        return float(loss)
+            z[:num_pos] += user_bias
+            z[num_pos:].reshape(num_pos, num_neg)[...] += user_bias[:, None]
+            z += np.take(emb.target_bias, ids, out=g, mode="clip")
+        # With w = [-z_pos, z_neg], expit(w) is the magnitude of
+        # d/dz log sigma(z) at the positives and of d/dz log sigma(-z)
+        # at the negatives, and the loss is -sum(log_expit(-w)).
+        np.negative(z[:num_pos], out=z[:num_pos])
+        expit(z, out=g)
+        np.negative(z, out=z)
+        loss = -float(log_expit(z, out=z).sum())
+        # Fold the step size (and the negatives' sign) into the
+        # coefficients once, then accumulate them into the block.
+        g *= lr
+        np.negative(g[num_pos:], out=g[num_pos:])
+        block.fill(0.0)
+        np.add.at(block, cell, g)
 
-    def _clip_norm_rows(
-        self,
-        emb: InfluenceEmbedding,
-        users: np.ndarray,
-        positives: np.ndarray,
-        negatives: np.ndarray,
-    ) -> None:
-        """Rescale rows touched by the last update that exceed ``max_norm``."""
-        cap = self.config.max_norm
-        if cap is None:
-            return
-        clipped = 0
-        # Deduplicate touched rows with a membership mask — O(|V| + rows)
-        # beats np.unique's sort at batch sizes in the thousands.
-        mask = np.zeros(emb.source.shape[0], dtype=bool)
-        mask[users] = True
-        source_rows = np.nonzero(mask)[0]
-        source_norms = np.linalg.norm(emb.source[source_rows], axis=1)
-        over = source_norms > cap
-        if np.any(over):
-            rows = source_rows[over]
-            emb.source[rows] *= (cap / source_norms[over])[:, None]
-            clipped += int(rows.shape[0])
-        mask = np.zeros(emb.target.shape[0], dtype=bool)
-        mask[positives] = True
-        mask[negatives] = True
-        touched = np.nonzero(mask)[0]
-        target_norms = np.linalg.norm(emb.target[touched], axis=1)
-        over = target_norms > cap
-        if np.any(over):
-            rows = touched[over]
-            emb.target[rows] *= (cap / target_norms[over])[:, None]
-            clipped += int(rows.shape[0])
+        ds = np.matmul(grid, t, out=ws.ds[:num_centres])
+        dt = np.matmul(grid.T, s, out=ws.dt[:num_targets])
+        # The entry copies s and t are spent: they now hold each row's
+        # value at write time.
+        centre_vec = ws.centre_vec[:num_centres]
+        target_vec = ws.target_vec[:num_targets]
+        clipped = self._apply_rows(emb.source, centre_rows, ds, s, centre_vec)
+        clipped += self._apply_rows(emb.target, target_rows, dt, t, target_vec)
+        if self.config.use_biases:
+            _apply_bias(
+                emb.source_bias, centre_rows,
+                np.sum(grid, axis=1, out=ws.centre_step[:num_centres]),
+                centre_vec,
+            )
+            _apply_bias(
+                emb.target_bias, target_rows,
+                np.sum(grid, axis=0, out=ws.target_step[:num_targets]),
+                target_vec,
+            )
         if clipped and self._metrics.enabled:
             self._metrics.counter(
                 "train.clip.rows", "embedding rows rescaled by max_norm"
             ).inc(clipped)
+        return loss
+
+    def _apply_rows(
+        self,
+        param: np.ndarray,
+        rows: np.ndarray,
+        step: np.ndarray,
+        current: np.ndarray,
+        norms: np.ndarray,
+    ) -> int:
+        """Add ``step`` to ``param[rows]`` as it is now, clip, store back.
+
+        ``rows`` are distinct.  ``current`` and ``norms`` are workspace
+        buffers; rows whose new norm exceeds ``max_norm`` are rescaled
+        onto it before the store.  Returns how many rows were rescaled.
+        """
+        np.take(param, rows, axis=0, out=current, mode="clip")
+        current += step
+        cap = self.config.max_norm
+        clipped = 0
+        if cap is not None:
+            np.einsum("ij,ij->i", current, current, out=norms)
+            np.sqrt(norms, out=norms)
+            over = np.flatnonzero(norms > cap)
+            if over.shape[0]:
+                current[over] *= (cap / norms[over])[:, None]
+                clipped = int(over.shape[0])
+        param[rows] = current
+        return clipped
 
     # ------------------------------------------------------------------
     # Helpers
@@ -943,6 +1080,9 @@ def hogwild_worker_main(
     # time, so the worker records nothing; the parent aggregates.
     with recording(NULL_RUN):  # type: ignore[arg-type]
         try:
+            # The workers are the parallelism: each runs its kernel's
+            # block products on one BLAS thread (see repro.utils.blas).
+            limit_blas_threads(1)
             shared = SharedEmbedding.attach(spec)
             rng = generator_from_state(copy.deepcopy(entry_rng_state))
             model = Inf2vecModel(config, seed=rng)

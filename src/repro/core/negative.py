@@ -32,6 +32,20 @@ from repro.utils.validation import check_positive_int
 UNIGRAM_DISTORTION = 0.75
 
 
+def _collides(values: np.ndarray, exclude: np.ndarray) -> np.ndarray:
+    """Mask of ``values`` equal to any excluded user of their row.
+
+    ``values`` is ``(rows,)`` or ``(rows, cols)`` and ``exclude`` is
+    ``(rows, E)`` with ``E >= 1``.  One ``==`` mask per exclude column,
+    OR-ed together, never builds the ``(rows, cols, E)`` broadcast.
+    """
+    columns = exclude.T if values.ndim == 1 else exclude.T[:, :, None]
+    mask = values == columns[0]
+    for column in columns[1:]:
+        mask |= values == column
+    return mask
+
+
 class NegativeSampler:
     """Draws negative users from a fixed categorical distribution.
 
@@ -171,8 +185,7 @@ class NegativeSampler:
         if exclude.shape[1] == 0:
             return matrix
         track = metrics is not None and metrics.enabled
-        collisions = (matrix[:, :, None] == exclude[:, None, :]).any(axis=2)
-        row_idx, col_idx = np.nonzero(collisions)
+        row_idx, col_idx = np.nonzero(_collides(matrix, exclude))
         if track and row_idx.shape[0]:
             metrics.counter(
                 "negatives.collisions",
@@ -190,9 +203,7 @@ class NegativeSampler:
             matrix[row_idx, col_idx] = self.sample(row_idx.shape[0], rng)
             rounds += 1
             # Only the redrawn entries can still collide.
-            still = (
-                matrix[row_idx, col_idx][:, None] == exclude[row_idx]
-            ).any(axis=1)
+            still = _collides(matrix[row_idx, col_idx], exclude[row_idx])
             row_idx = row_idx[still]
             col_idx = col_idx[still]
         raise TrainingError(

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG plumbing, logging, validation."""
+"""Shared utilities: deterministic RNG plumbing, logging, validation, BLAS threads."""
 
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 from repro.utils.validation import (

@@ -1,5 +1,7 @@
 """Unit tests for the Inf2vec trainer, including a gradient check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,91 @@ class TestGradients:
             applied["target_bias"], numeric(tb, params), atol=1e-4
         )
 
+    @pytest.mark.parametrize("use_biases", [True, False])
+    def test_update_matches_per_observation_loop(self, use_biases):
+        """One batch equals Eq. 6 applied observation by observation.
+
+        The oracle scores every (centre, target) pair at the entry
+        parameters, accumulates the rank-1 updates with ``np.add.at``
+        and then rescales the touched rows over ``max_norm``.  The batch
+        repeats centre 0 over three contexts, draws negative 3 twice in
+        one row and again in another, and pushes a row over the cap.
+        ``batch_size=2`` is smaller than the batch's three distinct
+        centres, so the workspace has to grow.
+        """
+        rng = ensure_rng(0)
+        num_users, dim, lr, cap = 8, 3, 0.5, 1.0
+        users = np.array([0, 0, 3, 0, 5])
+        positives = np.array([1, 2, 4, 5, 1])
+        negatives = np.array([[3, 3], [3, 6], [1, 7], [6, 2], [7, 0]])
+        source = rng.normal(scale=0.4, size=(num_users, dim))
+        target = rng.normal(scale=0.4, size=(num_users, dim))
+        # Centre 0 starts just under the cap and its three positives
+        # pull it along their targets; at this seed the update pushes
+        # two rows over the cap, with biases and without.
+        source[0] *= 0.99 * cap / np.linalg.norm(source[0])
+        target[[1, 2, 5]] = 0.6 * source[0]
+        if use_biases:
+            source_bias = rng.normal(scale=0.1, size=num_users)
+            target_bias = rng.normal(scale=0.1, size=num_users)
+        else:
+            source_bias = np.zeros(num_users)
+            target_bias = np.zeros(num_users)
+
+        def sigmoid(x):
+            return 1.0 / (1.0 + np.exp(-x))
+
+        s, t, sb, tb = (
+            a.copy() for a in (source, target, source_bias, target_bias)
+        )
+        rows_s, rows_t, step_s, step_t, coef = [], [], [], [], []
+        loss = 0.0
+        for u, v, row in zip(users, positives, negatives):
+            for w, label in [(v, 1.0)] + [(w, 0.0) for w in row]:
+                z = source[u] @ target[w] + source_bias[u] + target_bias[w]
+                loss -= np.log(sigmoid(z) if label else sigmoid(-z))
+                g = lr * (label - sigmoid(z))
+                rows_s.append(u)
+                rows_t.append(w)
+                step_s.append(g * target[w])
+                step_t.append(g * source[u])
+                coef.append(g)
+        np.add.at(s, rows_s, np.array(step_s))
+        np.add.at(t, rows_t, np.array(step_t))
+        if use_biases:
+            np.add.at(sb, rows_s, coef)
+            np.add.at(tb, rows_t, coef)
+        pushed = 0
+        for array, entry, rows in ((s, source, rows_s), (t, target, rows_t)):
+            for r in sorted(set(rows)):
+                norm = np.linalg.norm(array[r])
+                if norm > cap:
+                    array[r] *= cap / norm
+                    pushed += np.linalg.norm(entry[r]) <= cap
+        assert pushed >= 1
+
+        config = Inf2vecConfig(
+            dim=dim, num_negatives=2, epochs=1, max_norm=cap,
+            use_biases=use_biases, batch_size=2,
+        )
+        model = Inf2vecModel(config, seed=0)
+        model.fit_contexts(
+            ContextCorpus.from_contexts([(0, (1,), ())]), num_users=num_users
+        )
+        emb = model.embedding
+        emb.source[:] = source
+        emb.target[:] = target
+        emb.source_bias[:] = source_bias
+        emb.target_bias[:] = target_bias
+        got = model._update_batch(users, positives, _FixedSampler(negatives), lr)
+        assert got == pytest.approx(loss, rel=1e-12)
+        for name, expected in (
+            ("source", s), ("target", t), ("source_bias", sb), ("target_bias", tb)
+        ):
+            np.testing.assert_allclose(
+                getattr(emb, name), expected, rtol=1e-12, err_msg=name
+            )
+
     def test_biases_frozen_when_disabled(self):
         config = Inf2vecConfig(dim=2, use_biases=False, epochs=2)
         model = Inf2vecModel(config, seed=0)
@@ -239,6 +326,44 @@ class TestEngines:
         config = Inf2vecConfig(dim=8, epochs=10, learning_rate=0.05)
         model = Inf2vecModel(config, seed=0).fit_contexts(corpus, num_users=12)
         assert model.loss_history[-1] < model.loss_history[0]
+
+
+class TestWorkspace:
+    def test_second_epoch_allocates_no_batch_sized_temporaries(self):
+        """Steady-state epochs run in the reused workspace.
+
+        Under ``tracemalloc`` a second epoch may raise the traced peak
+        by less than one ``(p, n, K)`` float64 block of its largest
+        batch: the size of the per-batch negative gather the kernel
+        must never materialise, and far more than its allocations that
+        do not scale with the batch (the permutation, the batch's
+        member gather, the negative draws).
+        """
+        from repro.data.synthetic import SyntheticSocialDataset
+
+        dataset = SyntheticSocialDataset.digg_like(2000, 60, seed=0)
+        config = Inf2vecConfig(dim=32, epochs=1)
+        model = Inf2vecModel(config, seed=0)
+        corpus = model._generate_contexts(dataset.graph, dataset.log)
+        model.fit_contexts(corpus, num_users=dataset.graph.num_nodes)
+        sampler = model._build_sampler(corpus, dataset.graph.num_nodes)
+        model.train_epoch(corpus, sampler)  # builds the workspace
+
+        replay = np.random.default_rng(0)
+        replay.bit_generator.state = model.rng.bit_generator.state
+        sizes = corpus.sizes[replay.permutation(len(corpus))]
+        batch = min(config.batch_size, dataset.graph.num_nodes // 8)
+        largest = int(np.add.reduceat(sizes, np.arange(0, sizes.shape[0], batch)).max())
+        bound = largest * config.num_negatives * config.dim * 8
+
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            model.train_epoch(corpus, sampler)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < bound, (peak - start, bound)
 
 
 class TestLifecycle:

@@ -133,3 +133,46 @@ class TestExclude:
             3, 2, ensure_rng(0), exclude=np.empty((3, 0), dtype=np.int64)
         )
         assert matrix.shape == (3, 2)
+
+    @pytest.mark.parametrize(
+        "weights", [np.ones(6), np.array([4.0, 1.0, 3.0, 1.0, 0.5, 2.0])]
+    )
+    @pytest.mark.parametrize("kind", ["1-D", "2-D", "zero-column"])
+    def test_matrix_matches_round_by_round_reference(self, weights, kind):
+        """Each round redraws every still-colliding cell, in row-major order.
+
+        The reference replays the same draws cell by cell in Python: the
+        matrix and the RNG stream afterwards must both match.
+        """
+        rows, cols = 40, 5
+        sampler = NegativeSampler(weights)
+        exclude = {
+            "1-D": np.array([0, 2, 5]),
+            "2-D": ensure_rng(7).integers(6, size=(rows, 2)),
+            "zero-column": np.empty((rows, 0), dtype=np.int64),
+        }[kind]
+        rng = ensure_rng(3)
+        got = sampler.sample_matrix(rows, cols, rng, exclude=exclude)
+
+        ref_rng = ensure_rng(3)
+
+        def banned(i):
+            return set((exclude if exclude.ndim == 1 else exclude[i]).tolist())
+
+        matrix = sampler.sample(rows * cols, ref_rng).reshape(rows, cols).tolist()
+        pending = [
+            (i, j)
+            for i in range(rows)
+            for j in range(cols)
+            if matrix[i][j] in banned(i)
+        ]
+        redraws = 0
+        while pending:
+            for (i, j), user in zip(pending, sampler.sample(len(pending), ref_rng)):
+                matrix[i][j] = int(user)
+            redraws += len(pending)
+            pending = [(i, j) for i, j in pending if matrix[i][j] in banned(i)]
+        assert got.tolist() == matrix
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if kind != "zero-column":
+            assert redraws > 0  # the case exercises the resample loop
