@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from repro.baselines.base import EdgeProbabilityModel, EmbeddingModel, InfluenceModel
-from repro.baselines.credit import CreditDistributionModel
 from repro.baselines.degree import DegreeModel
 from repro.baselines.em_ic import EMModel
 from repro.baselines.emb_ic import EmbICModel
@@ -22,7 +21,6 @@ from repro.baselines.static import StaticModel
 from repro.errors import TrainingError
 
 _REGISTRY: Mapping[str, Callable[..., InfluenceModel]] = {
-    "cd": CreditDistributionModel,
     "de": DegreeModel,
     "st": StaticModel,
     "em": EMModel,
@@ -53,7 +51,6 @@ __all__ = [
     "EdgeProbabilityModel",
     "EmbeddingModel",
     "InfluenceModel",
-    "CreditDistributionModel",
     "DegreeModel",
     "StaticModel",
     "EMModel",

@@ -16,10 +16,7 @@ Adjacency is stored in CSR form (offset/indices arrays) over *compact*
 node positions ``0 .. |V_i|-1`` (chronological adopter order), which is
 what lets Algorithm 1's random walk advance every walker of an episode
 simultaneously with fancy indexing — see
-:func:`repro.core.context.batched_random_walk_with_restart`.  Per-node
-accessors (:meth:`PropagationNetwork.successors` etc.), which the
-temporal-context extension walks with, answer in original
-social-network IDs.
+:func:`repro.core.context.batched_random_walk_with_restart`.
 
 Because every fit over one log (parameter sweeps, repeated runs of an
 experiment) extracts the same networks, they are
@@ -48,10 +45,10 @@ if TYPE_CHECKING:
 class PropagationNetwork:
     """A directed acyclic influence-propagation graph for one episode.
 
-    Nodes keep their *original* social-network IDs in the public
-    accessors; internally adjacency is CSR over compact positions into
-    :attr:`nodes` so vectorised consumers can gather whole frontiers at
-    once (:meth:`successor_csr`).
+    :attr:`nodes` and :meth:`edge_array` hold *original* social-network
+    IDs; adjacency is CSR over compact positions into :attr:`nodes`, so
+    the batched walk gathers whole frontiers at once
+    (:meth:`successor_csr`).
 
     Parameters
     ----------
@@ -78,54 +75,17 @@ class PropagationNetwork:
         self._sort_order = np.argsort(self._adopters, kind="stable")
         self._sorted_adopters = self._adopters[self._sort_order]
 
-        if edges.shape[0]:
-            compact_flat = self._to_compact(edges.ravel(), validate=True)
-            compact = compact_flat.reshape(-1, 2)
-        else:
-            compact = edges
+        compact = self.compact_indices(edges.ravel()).reshape(-1, 2)
 
-        # CSR in both directions.  Neighbour lists are sorted by
-        # original ID inside each slice, so a seeded walk's successor
-        # choices do not depend on the order the edges arrived in.
-        self._out_indptr, self._out_compact, self._out_original = self._build_csr(
-            compact[:, 0], compact[:, 1], edges[:, 1], num_nodes
+        # Successor CSR.  Each slice is sorted by the successors'
+        # original IDs, so a seeded walk's choices do not depend on the
+        # order the edges arrived in.
+        sources = compact[:, 0]
+        self._out_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(sources, minlength=num_nodes), out=self._out_indptr[1:]
         )
-        self._in_indptr, _, self._in_original = self._build_csr(
-            compact[:, 1], compact[:, 0], edges[:, 0], num_nodes
-        )
-
-    def _to_compact(self, values: np.ndarray, validate: bool = False) -> np.ndarray:
-        """Map original user IDs to compact positions into ``nodes``."""
-        num_nodes = self._sorted_adopters.shape[0]
-        if num_nodes == 0:
-            raise GraphError(
-                f"edge endpoint {int(values[0])} is not an adopter of "
-                f"item {self._item}"
-            )
-        pos = np.searchsorted(self._sorted_adopters, values)
-        if validate:
-            clipped = np.minimum(pos, num_nodes - 1)
-            bad = (pos >= num_nodes) | (self._sorted_adopters[clipped] != values)
-            if np.any(bad):
-                raise GraphError(
-                    f"edge endpoint {int(values[bad.argmax()])} is not an "
-                    f"adopter of item {self._item}"
-                )
-        return self._sort_order[pos]
-
-    def _build_csr(
-        self,
-        group_by: np.ndarray,
-        compact_values: np.ndarray,
-        original_values: np.ndarray,
-        num_nodes: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts = np.bincount(group_by, minlength=num_nodes).astype(np.int64)
-        indptr = np.empty(num_nodes + 1, dtype=np.int64)
-        indptr[0] = 0
-        np.cumsum(counts, out=indptr[1:])
-        order = np.lexsort((original_values, group_by))
-        return indptr, compact_values[order], original_values[order]
+        self._out_compact = compact[np.lexsort((edges[:, 1], sources)), 1]
 
     @classmethod
     def from_episode(
@@ -175,18 +135,17 @@ class PropagationNetwork:
     def compact_indices(self, users: np.ndarray) -> np.ndarray:
         """Compact positions of ``users`` inside :attr:`nodes`.
 
-        All entries must be adopters of the item; used to seed batched
-        walks with original IDs.
+        Maps edge endpoints and walk starts from original IDs; a user
+        who did not adopt the item raises :class:`GraphError`.
         """
         users = np.asarray(users, dtype=np.int64)
-        num_nodes = self._sorted_adopters.shape[0]
         pos = np.searchsorted(self._sorted_adopters, users)
-        clipped = np.minimum(pos, max(num_nodes - 1, 0))
-        if num_nodes == 0 or np.any(
-            (pos >= num_nodes) | (self._sorted_adopters[clipped] != users)
-        ):
+        found = pos < self.num_nodes
+        found[found] = self._sorted_adopters[pos[found]] == users[found]
+        if not found.all():
             raise GraphError(
-                f"users are not all adopters of item {self._item}"
+                f"user {int(users[~found][0])} is not an adopter of "
+                f"item {self._item}"
             )
         return self._sort_order[pos]
 
@@ -194,79 +153,11 @@ class PropagationNetwork:
         """Out-degree per compact position (aligned with :attr:`nodes`)."""
         return np.diff(self._out_indptr)
 
-    # ------------------------------------------------------------------
-    # Scalar access (original IDs)
-    # ------------------------------------------------------------------
-
-    def _compact_of(self, node: int) -> int | None:
-        num_nodes = self._sorted_adopters.shape[0]
-        if num_nodes == 0:
-            return None
-        pos = int(np.searchsorted(self._sorted_adopters, node))
-        if pos >= num_nodes or int(self._sorted_adopters[pos]) != int(node):
-            return None
-        return int(self._sort_order[pos])
-
-    def successors(self, node: int) -> np.ndarray:
-        """Users directly influenced by ``node`` in this episode."""
-        compact = self._compact_of(int(node))
-        if compact is None:
-            return _EMPTY
-        return self._out_original[
-            self._out_indptr[compact] : self._out_indptr[compact + 1]
-        ]
-
-    def predecessors(self, node: int) -> list[int]:
-        """Users that directly influenced ``node`` in this episode."""
-        compact = self._compact_of(int(node))
-        if compact is None:
-            return []
-        return self._in_original[
-            self._in_indptr[compact] : self._in_indptr[compact + 1]
-        ].tolist()
-
-    def out_degree(self, node: int) -> int:
-        """Number of users directly influenced by ``node``."""
-        compact = self._compact_of(int(node))
-        if compact is None:
-            return 0
-        return int(self._out_indptr[compact + 1] - self._out_indptr[compact])
-
-    def roots(self) -> list[int]:
-        """Adopters with no influencing predecessor (cascade sources)."""
-        in_degrees = np.diff(self._in_indptr)
-        return self._adopters[in_degrees == 0].tolist()
-
-    def is_acyclic(self) -> bool:
-        """Verify the DAG property (always true for valid episode data).
-
-        Runs Kahn's algorithm over the compact CSR arrays; exposed for
-        tests and for loaders that ingest third-party cascade files
-        where timestamps may have been corrupted.
-        """
-        in_degree = np.diff(self._in_indptr).copy()
-        frontier = list(np.nonzero(in_degree == 0)[0])
-        visited = 0
-        while frontier:
-            node = int(frontier.pop())
-            visited += 1
-            for child in self._out_compact[
-                self._out_indptr[node] : self._out_indptr[node + 1]
-            ]:
-                child = int(child)
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    frontier.append(child)
-        return visited == self.num_nodes
-
     def __repr__(self) -> str:
         return (
             f"PropagationNetwork(item={self._item}, "
             f"nodes={self.num_nodes}, edges={self.num_edges})"
         )
-
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def build_propagation_networks(

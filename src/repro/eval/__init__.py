@@ -1,10 +1,6 @@
 """Evaluation harness: metrics, task protocols, dataset statistics."""
 
-from repro.eval.activation import (
-    episode_candidates,
-    evaluate_activation,
-    iter_test_candidates,
-)
+from repro.eval.activation import episode_candidates, evaluate_activation
 from repro.eval.diffusion import evaluate_diffusion, make_query
 from repro.eval.metrics import (
     DEFAULT_PRECISION_CUTOFFS,
@@ -21,7 +17,6 @@ from repro.eval.protocol import (
     paired_significance,
     repeat_evaluation,
 )
-from repro.eval.tuning import grid_search
 from repro.eval.stats import (
     PowerLawFit,
     active_friend_cdf,
@@ -34,7 +29,6 @@ from repro.eval.stats import (
 __all__ = [
     "episode_candidates",
     "evaluate_activation",
-    "iter_test_candidates",
     "evaluate_diffusion",
     "make_query",
     "DEFAULT_PRECISION_CUTOFFS",
@@ -48,7 +42,6 @@ __all__ = [
     "format_table",
     "paired_significance",
     "repeat_evaluation",
-    "grid_search",
     "PowerLawFit",
     "active_friend_cdf",
     "active_friend_counts",

@@ -21,7 +21,7 @@ AUC / MAP / P@N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,16 +102,6 @@ def episode_candidates(
     return candidates
 
 
-def iter_test_candidates(
-    graph: SocialGraph, test_log: ActionLog
-) -> Iterator[tuple[DiffusionEpisode, list[ActivationCandidate]]]:
-    """Candidates per test episode, skipping episodes with none."""
-    for episode in test_log:
-        candidates = episode_candidates(graph, episode)
-        if candidates:
-            yield episode, candidates
-
-
 def evaluate_activation(
     predictor: InfluencePredictor,
     graph: SocialGraph,
@@ -126,7 +116,10 @@ def evaluate_activation(
     if len(test_log) == 0:
         raise EvaluationError("test log contains no episodes")
     evaluator = RankingEvaluator(precision_cutoffs=precision_cutoffs)
-    for _, candidates in iter_test_candidates(graph, test_log):
+    for episode in test_log:
+        candidates = episode_candidates(graph, episode)
+        if not candidates:
+            continue
         scores = np.asarray(
             [
                 predictor.activation_score(c.user, c.active_friends)

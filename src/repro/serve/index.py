@@ -8,7 +8,10 @@ TopKEngine`, so the build itself never allocates a dense score matrix)
 and persists it as two raw ``.npy`` shards — ``(num_users, k)`` ids and
 scores — plus a JSON manifest, all written atomically.  Opened with
 ``np.load(mmap_mode="r")``, a lookup is two row slices of shared
-read-only pages: O(k), independent of ``num_users``.
+read-only pages: O(k), independent of ``num_users``.  The manifest
+records a :func:`~repro.serve.store.content_digest` of both parts, which
+:meth:`TopKIndex.open` checks, so a damaged part raises
+:class:`ServingError` instead of answering wrongly.
 
 Because the index is built by the same engine the scan path uses, an
 index lookup with ``k' ≤ k`` returns bitwise-identical results to a
@@ -26,6 +29,7 @@ import numpy as np
 from repro.ckpt.atomic import atomic_output, atomic_write_text
 from repro.errors import ServingError
 from repro.serve.store import (
+    content_digest,
     load_shard,
     manifest_field,
     read_manifest,
@@ -161,17 +165,19 @@ class TopKIndex:
         ``directory``, the store the index was computed from.
         """
         directory = Path(directory)
-        with atomic_output(directory / _shard_name(self.direction, "ids")) as tmp:
-            np.save(tmp, np.ascontiguousarray(self.indices, dtype=np.int64))
-        with atomic_output(
-            directory / _shard_name(self.direction, "scores")
-        ) as tmp:
-            np.save(tmp, np.ascontiguousarray(self.scores, dtype=np.float64))
+        parts = {
+            "ids": np.ascontiguousarray(self.indices, dtype=np.int64),
+            "scores": np.ascontiguousarray(self.scores, dtype=np.float64),
+        }
+        for part, array in parts.items():
+            with atomic_output(directory / _shard_name(self.direction, part)) as tmp:
+                np.save(tmp, array)
         manifest = {
             "format_version": INDEX_FORMAT_VERSION,
             "direction": self.direction,
             "num_users": self.num_users,
             "k": self.k,
+            "digest": content_digest(parts.values()),
             "store_fingerprint": store_fingerprint(directory),
             "shards": {
                 "ids": _shard_name(self.direction, "ids"),
@@ -189,7 +195,8 @@ class TopKIndex:
 
         An index whose recorded store fingerprint differs from the
         store now in ``directory`` (the store was re-saved after the
-        index was built) raises :class:`ServingError`.
+        index was built), or whose parts do not match the manifest's
+        digest, raises :class:`ServingError`.
         """
         directory = Path(directory)
         manifest_path = directory / _manifest_name(_check_direction(direction))
@@ -208,7 +215,7 @@ class TopKIndex:
             )
         shards = manifest_field(manifest, "shards", dict, manifest_path)
         arrays = {}
-        for part in ("ids", "scores"):
+        for part, dtype in (("ids", np.int64), ("scores", np.float64)):
             filename = shards.get(part)
             if not isinstance(filename, str) or not (
                 directory / filename
@@ -216,7 +223,7 @@ class TopKIndex:
                 raise ServingError(
                     f"missing index shard {part!r} for direction {direction!r}"
                 )
-            arrays[part] = load_shard(directory / filename)
+            arrays[part] = load_shard(directory / filename, dtype)
         index = cls(direction, arrays["ids"], arrays["scores"])
         declared = (
             manifest_field(manifest, "num_users", int, manifest_path),
@@ -225,6 +232,12 @@ class TopKIndex:
         if (index.num_users, index.k) != declared:
             raise ServingError(
                 f"index shards disagree with manifest {manifest_path}"
+            )
+        digest = manifest_field(manifest, "digest", str, manifest_path)
+        if content_digest(arrays.values()) != digest:
+            raise ServingError(
+                f"corrupt {direction!r} index in {directory}: its parts do "
+                f"not match the digest in {manifest_path}"
             )
         return index
 

@@ -5,9 +5,10 @@
 writes it and ``serve --store-dir`` opens it.  Each parameter array is
 written as an *uncompressed* raw ``.npy`` shard (via
 :func:`repro.ckpt.atomic.atomic_output`, so a crash mid-save never
-corrupts a live store) and opened with ``np.load(mmap_mode="r")``.  Opening is O(1) — no bytes are read until
-a block is scanned — and because the mapping is shared and read-only,
-every worker process on the host serves from the *same* physical pages.
+corrupts a live store) and opened with ``np.load(mmap_mode="r")``.
+Opening reads each shard once, to check it against the manifest's
+content fingerprint; because the mapping is shared and read-only, every
+worker process on the host then serves from the *same* physical pages.
 
 Layout of a store directory::
 
@@ -21,19 +22,22 @@ Layout of a store directory::
 
 Top-k indices persisted by :class:`repro.serve.index.TopKIndex` live in
 the same directory, next to the shards they were computed from.  Each
-records the store's fingerprint (a sha256 of the shard contents,
-computed once at save time), so an index left over from an earlier
-store in the same directory is refused instead of served.  Both
-manifests go through :func:`read_manifest`: a damaged one raises
-:class:`ServingError` naming the file.
+records the store's fingerprint (the :func:`content_digest` of the
+shards), so an index left over from an earlier store in the same
+directory is refused instead of served, and a digest of its own parts.
+Both manifests go through :func:`read_manifest`: a damaged one raises
+:class:`ServingError` naming the file.  A shard whose bytes no longer
+match its manifest's digest raises :class:`ServingError` on open, so a
+flipped bit is an error, never a silent wrong answer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from tokenize import TokenError
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -59,16 +63,34 @@ STORE_MANIFEST_FILENAME = "store.json"
 _SHARDS = ("source", "target", "source_bias", "target_bias")
 
 
-def load_shard(path: Path) -> np.ndarray:
-    """Memory-map one ``.npy`` shard read-only.
+def load_shard(path: Path, dtype: type) -> np.ndarray:
+    """Memory-map one ``.npy`` shard of ``dtype`` read-only.
 
-    A truncated, zeroed or emptied file raises :class:`ServingError`
-    naming the shard instead of numpy's ``ValueError``/``EOFError``.
+    A truncated, zeroed or emptied file, a header numpy cannot parse, or
+    one naming another dtype or byte order raises :class:`ServingError`
+    naming the shard instead of numpy's ``ValueError``/``EOFError``, the
+    header parser's ``SyntaxError``/``TokenError``, or a reinterpreted
+    array.
     """
     try:
-        return np.load(path, mmap_mode="r")
-    except (ValueError, OSError, EOFError) as exc:
+        array = np.load(path, mmap_mode="r")
+    except (ValueError, OSError, EOFError, SyntaxError, TokenError) as exc:
         raise ServingError(f"unreadable shard {path}: {exc}") from exc
+    if array.dtype != dtype:
+        raise ServingError(
+            f"unreadable shard {path}: dtype {array.dtype.str}, "
+            f"expected {np.dtype(dtype).str}"
+        )
+    return array
+
+
+def content_digest(arrays: Iterable[np.ndarray]) -> str:
+    """sha256 over the shape and the bytes of each array, in order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr(array.shape).encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()
 
 
 def read_manifest(path: Path) -> dict:
@@ -168,16 +190,13 @@ class EmbeddingStore:
             "dtype": "float64",
             "shards": {},
         }
-        digest = hashlib.sha256()
         for name in _SHARDS:
             filename = f"{name}.npy"
-            array = np.ascontiguousarray(arrays[name], dtype=np.float64)
+            arrays[name] = np.ascontiguousarray(arrays[name], dtype=np.float64)
             with atomic_output(directory / filename) as tmp:
-                np.save(tmp, array)
-            digest.update(repr(array.shape).encode())
-            digest.update(array)
+                np.save(tmp, arrays[name])
             manifest["shards"][name] = filename  # type: ignore[index]
-        manifest["fingerprint"] = digest.hexdigest()
+        manifest["fingerprint"] = content_digest(arrays[name] for name in _SHARDS)
         atomic_write_text(
             directory / STORE_MANIFEST_FILENAME,
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -186,7 +205,11 @@ class EmbeddingStore:
 
     @classmethod
     def open(cls, directory: PathLike) -> "EmbeddingStore":
-        """Open a store with every shard memory-mapped read-only."""
+        """Open a store with every shard memory-mapped read-only.
+
+        Shards whose contents do not match the manifest's fingerprint
+        raise :class:`ServingError` naming the store.
+        """
         directory = Path(directory)
         manifest_path = directory / STORE_MANIFEST_FILENAME
         if not manifest_path.is_file():
@@ -209,12 +232,18 @@ class EmbeddingStore:
             path = directory / filename
             if not path.is_file():
                 raise ServingError(f"missing store shard {path}")
-            arrays[name] = load_shard(path)
+            arrays[name] = load_shard(path, np.float64)
         cls._validate_shapes(
             manifest_field(manifest, "num_users", int, manifest_path),
             manifest_field(manifest, "dim", int, manifest_path),
             arrays,
         )
+        fingerprint = manifest_field(manifest, "fingerprint", str, manifest_path)
+        if content_digest(arrays.values()) != fingerprint:
+            raise ServingError(
+                f"corrupt store {directory}: its shards do not match the "
+                f"fingerprint in {manifest_path}"
+            )
         return cls(directory, **arrays)
 
     @staticmethod

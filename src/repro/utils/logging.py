@@ -57,8 +57,8 @@ def log_epoch_progress(
 ) -> None:
     """Emit one uniform per-epoch DEBUG progress line.
 
-    All iterative trainers (core model, EM baselines, BPR, per-topic
-    extensions) report through this helper so the epoch cadence reads
+    All iterative trainers (core model, EM baselines, BPR) report
+    through this helper so the epoch cadence reads
     identically across the library::
 
         epoch 3/10: loss=0.412310 elapsed=1.02s lr=0.0225

@@ -251,8 +251,10 @@ class TestContextGenerator:
         expected = []
         for episode in tiny_log:
             network = PropagationNetwork.from_episode(tiny_graph, episode)
-            for user in network.nodes.tolist():
-                local = config.local_budget if network.out_degree(user) else 0
+            for user, degree in zip(
+                network.nodes.tolist(), network.out_degrees().tolist()
+            ):
+                local = config.local_budget if degree else 0
                 global_ = config.global_budget if network.num_nodes > 1 else 0
                 if local or global_:
                     expected.append((user, local, global_))

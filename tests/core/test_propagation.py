@@ -9,6 +9,16 @@ from repro.data.graph import SocialGraph
 from repro.errors import GraphError
 
 
+def successor_lists(net):
+    """Original-ID successors of every node, read from the CSR arrays."""
+    indptr, indices = net.successor_csr()
+    nodes = net.nodes
+    return {
+        int(nodes[k]): nodes[indices[indptr[k] : indptr[k + 1]]].tolist()
+        for k in range(net.num_nodes)
+    }
+
+
 class TestFromEpisode:
     def test_fig5_network(self, tiny_graph, fig5_episode):
         net = PropagationNetwork.from_episode(tiny_graph, fig5_episode)
@@ -23,27 +33,30 @@ class TestFromEpisode:
 
     def test_successors_and_predecessors(self, tiny_graph, fig5_episode):
         net = PropagationNetwork.from_episode(tiny_graph, fig5_episode)
-        assert sorted(net.successors(3).tolist()) == [0, 4]
-        assert net.predecessors(0) == [3, 2] or sorted(net.predecessors(0)) == [2, 3]
-        assert net.successors(4).tolist() == []
-        assert net.out_degree(3) == 2
-        assert net.out_degree(4) == 0
-
-    def test_roots(self, tiny_graph, fig5_episode):
-        net = PropagationNetwork.from_episode(tiny_graph, fig5_episode)
-        # u4 (3) and u2 (1) have no influencing predecessor.
-        assert sorted(net.roots()) == [1, 3]
+        # Each slice is ordered by original ID, not by edge arrival
+        # ((3, 4) is extracted before (3, 0)); u5 (4) and u1 (0) are
+        # sinks.
+        successors = successor_lists(net)
+        assert successors == {3: [0, 4], 1: [2], 2: [0], 4: [], 0: []}
+        assert net.out_degrees().tolist() == [2, 1, 1, 0, 0]
+        # u1 (0) was influenced by u4 (3) and u3 (2).
+        assert sorted(u for u, vs in successors.items() if 0 in vs) == [2, 3]
 
     def test_isolated_adopters_kept_in_nodes(self):
         graph = SocialGraph(3, [(0, 1)])
         episode = DiffusionEpisode(0, [(2, 1.0), (0, 2.0), (1, 3.0)])
         net = PropagationNetwork.from_episode(graph, episode)
-        assert 2 in net.nodes.tolist()
-        assert net.out_degree(2) == 0
+        assert net.nodes.tolist() == [2, 0, 1]
+        assert successor_lists(net) == {2: [], 0: [1], 1: []}
 
-    def test_is_acyclic(self, tiny_graph, fig5_episode):
+    def test_successor_edges_point_forward(self, tiny_graph, fig5_episode):
+        # Compact position is adoption order, so every edge of the DAG
+        # goes from a lower to a higher position.
         net = PropagationNetwork.from_episode(tiny_graph, fig5_episode)
-        assert net.is_acyclic()
+        indptr, indices = net.successor_csr()
+        sources = np.repeat(np.arange(net.num_nodes), np.diff(indptr))
+        assert indices.shape == (net.num_edges,)
+        assert np.all(sources < indices)
 
     def test_item_preserved(self, tiny_graph, fig5_episode):
         net = PropagationNetwork.from_episode(tiny_graph, fig5_episode)
@@ -56,13 +69,6 @@ class TestValidation:
             PropagationNetwork(
                 0, np.array([0, 1]), np.array([[0, 2]])
             )
-
-    def test_manual_cycle_detected(self):
-        # is_acyclic() exists to catch corrupted third-party inputs.
-        net = PropagationNetwork(
-            0, np.array([0, 1]), np.array([[0, 1], [1, 0]])
-        )
-        assert not net.is_acyclic()
 
 
 class TestBuildAll:

@@ -190,3 +190,77 @@ class TestDamagedShards:
         _damage(tmp_path / f"topk_influenced_{part}.npy", how)
         with pytest.raises(ServingError, match=f"topk_influenced_{part}.npy"):
             TopKIndex.open(tmp_path)
+
+
+#: Every persisted file of a store with an ``influenced`` index, and the
+#: reader that opens it.
+PERSISTED_FILES = {
+    "source.npy": EmbeddingStore.open,
+    "target.npy": EmbeddingStore.open,
+    "source_bias.npy": EmbeddingStore.open,
+    "target_bias.npy": EmbeddingStore.open,
+    STORE_MANIFEST_FILENAME: EmbeddingStore.open,
+    "topk_influenced_ids.npy": TopKIndex.open,
+    "topk_influenced_scores.npy": TopKIndex.open,
+    "topk_influenced.json": TopKIndex.open,
+}
+
+
+def _flip_offsets(size: int) -> list[int]:
+    """Every byte of the first 128 (a whole ``.npy`` header, or the head
+    of a manifest) and 64 spread over the whole file."""
+    spread = np.linspace(0, size - 1, 64).astype(int).tolist()
+    return sorted(set(range(min(size, 128))) | set(spread))
+
+
+class TestByteFlips:
+    """One flipped bit in any persisted file raises ServingError or
+    leaves the opened data equal to what was saved."""
+
+    @pytest.mark.parametrize("filename", sorted(PERSISTED_FILES))
+    def test_flip_raises_or_loads_equal_data(self, embedding, tmp_path, filename):
+        EmbeddingStore.save(embedding, tmp_path)
+        index = TopKIndex.build(TopKEngine(embedding), k=5)
+        index.save(tmp_path)
+        reader = PERSISTED_FILES[filename]
+        if reader == TopKIndex.open:
+            expected = {"indices": index.indices, "scores": index.scores}
+        else:
+            expected = {
+                name: getattr(embedding, name)
+                for name in ("source", "target", "source_bias", "target_bias")
+            }
+        path = tmp_path / filename
+        original = path.read_bytes()
+        silent = []
+        for offset in _flip_offsets(len(original)):
+            damaged = bytearray(original)
+            damaged[offset] ^= 1 << (offset % 8)
+            path.write_bytes(bytes(damaged))
+            try:
+                opened = reader(tmp_path)
+            except ServingError:
+                continue
+            for name, array in expected.items():
+                loaded = getattr(opened, name)
+                if loaded.dtype != array.dtype or not np.array_equal(loaded, array):
+                    silent.append(offset)
+            del opened
+        path.write_bytes(original)
+        assert silent == [], f"{filename}: flips at {silent} load changed data"
+        reader(tmp_path)  # the restored file opens again
+
+    @pytest.mark.parametrize(
+        "filename", sorted(f for f in PERSISTED_FILES if f.endswith(".npy"))
+    )
+    def test_byte_order_flip_is_refused(self, embedding, tmp_path, filename):
+        # '<' and '>' differ in one bit; the bytes would hash the same
+        # but read as other numbers.
+        EmbeddingStore.save(embedding, tmp_path)
+        TopKIndex.build(TopKEngine(embedding), k=5).save(tmp_path)
+        path = tmp_path / filename
+        raw = path.read_bytes()
+        assert raw.count(b"'<") == 1
+        path.write_bytes(raw.replace(b"'<", b"'>"))
+        with pytest.raises(ServingError, match=filename):
+            PERSISTED_FILES[filename](tmp_path)

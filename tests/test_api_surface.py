@@ -15,7 +15,6 @@ PUBLIC_MODULES = [
     "repro.data",
     "repro.diffusion",
     "repro.eval",
-    "repro.extensions",
     "repro.experiments",
     "repro.obs",
     "repro.parallel",
