@@ -53,6 +53,55 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=np.float64)))
 
 
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)``, bit for bit, from one selection.
+
+    ``np.median`` partitions a copy at three positions (both middles,
+    and the last one for its NaN check).  This partitions ``rows`` *in
+    place* at the upper middle ``h = width // 2`` only: the lower middle
+    of an even row is then the largest entry left of ``h``, and a row
+    holds a NaN exactly when the entries from ``h`` on do, since
+    selection orders NaN last.  The middles are averaged the way
+    ``np.mean`` sums them, from ``+0.0``, so a ``-0.0`` middle gives
+    ``0.0`` as ``np.median`` does.  Rows holding a NaN are handed to
+    ``np.median`` itself, which returns one of their NaNs.
+    """
+    half = rows.shape[1] // 2
+    rows.partition(half, axis=1)
+    if rows.shape[1] % 2:
+        medians = rows[:, half] + 0.0
+    else:
+        medians = (rows[:, :half].max(axis=1) + rows[:, half] + 0.0) / 2.0
+    nan_rows = np.flatnonzero(np.isnan(rows[:, half:].max(axis=1)))
+    if nan_rows.size:
+        medians[nan_rows] = np.median(rows[nan_rows], axis=1)
+    return medians
+
+
+def _calibration_shift(scores: np.ndarray, mean_probability: float) -> float:
+    """The ``shift`` with ``mean(sigmoid(scores - shift)) = mean_probability``.
+
+    Bisection on ``[min - 30, max + 30]`` for at most 100 steps.  It
+    stops once the midpoint equals an end of the bracket: no float lies
+    strictly between the ends any more, so every later step would leave
+    the returned midpoint's bits as they are.
+    """
+
+    def mean_sigmoid(shift: float) -> float:
+        return float(np.mean(_stable_sigmoid(scores - shift)))
+
+    low, high = scores.min() - 30.0, scores.max() + 30.0
+    for _ in range(100):
+        mid = (low + high) / 2.0
+        if mid == low or mid == high:
+            break
+        if mean_sigmoid(mid) > mean_probability:
+            low = mid
+        else:
+            high = mid
+    return (low + high) / 2.0
+
+
 @dataclass(frozen=True)
 class SeedSelection:
     """Result of a seed-selection run.
@@ -110,21 +159,10 @@ def embedding_edge_probabilities(
     median_by_source = np.empty(sources.shape[0], dtype=np.float64)
     offset = 0
     for users, rows in iter_source_rows(embedding, sources, block_size):
-        median_by_source[offset : offset + users.shape[0]] = np.median(rows, axis=1)
+        median_by_source[offset : offset + users.shape[0]] = _row_medians(rows)
         offset += users.shape[0]
     scores = raw - median_by_source[np.searchsorted(sources, edge_array[:, 0])]
-
-    def mean_sigmoid(shift: float) -> float:
-        return float(np.mean(_stable_sigmoid(scores - shift)))
-
-    low, high = scores.min() - 30.0, scores.max() + 30.0
-    for _ in range(100):
-        mid = (low + high) / 2.0
-        if mean_sigmoid(mid) > mean_probability:
-            low = mid
-        else:
-            high = mid
-    shift = (low + high) / 2.0
+    shift = _calibration_shift(scores, mean_probability)
     values = _stable_sigmoid(scores - shift)
     return EdgeProbabilities(graph, np.clip(values, 0.0, 1.0))
 
@@ -242,9 +280,7 @@ def embedding_seed_selection(
     k = min(top_k, embedding.num_users)
     base_scores = np.empty(embedding.num_users, dtype=np.float64)
     for users, rows in iter_source_rows(embedding, block_size=block_size):
-        centered = np.maximum(
-            rows - np.median(rows, axis=1, keepdims=True), 0.0
-        )
+        centered = np.maximum(rows - _row_medians(rows)[:, None], 0.0)
         base_scores[users] = np.sort(centered, axis=1)[:, -k:].sum(axis=1)
     norms = np.linalg.norm(embedding.source, axis=1)
     norms = np.where(norms > 0, norms, 1.0)

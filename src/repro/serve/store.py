@@ -175,6 +175,9 @@ class EmbeddingStore:
         rename), and the manifest is written *last* — a reader either
         sees a complete, consistent store or, if the saver crashed, the
         previous manifest still describing the previous complete shards.
+        The fingerprint is hashed once, from the arrays being written;
+        the returned store passes :meth:`open`'s manifest, dtype and
+        shape checks but is not hashed again.
         """
         directory = Path(directory)
         arrays = {
@@ -201,7 +204,7 @@ class EmbeddingStore:
             directory / STORE_MANIFEST_FILENAME,
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         )
-        return cls.open(directory)
+        return cls._map(directory)[0]
 
     @classmethod
     def open(cls, directory: PathLike) -> "EmbeddingStore":
@@ -211,6 +214,21 @@ class EmbeddingStore:
         raise :class:`ServingError` naming the store.
         """
         directory = Path(directory)
+        store, fingerprint = cls._map(directory)
+        if content_digest(getattr(store, name) for name in _SHARDS) != fingerprint:
+            raise ServingError(
+                f"corrupt store {directory}: its shards do not match the "
+                f"fingerprint in {directory / STORE_MANIFEST_FILENAME}"
+            )
+        return store
+
+    @classmethod
+    def _map(cls, directory: Path) -> tuple["EmbeddingStore", str]:
+        """Map the shards of the store in ``directory``, unhashed.
+
+        Checks the manifest, each shard's dtype and the shapes, and
+        returns the store with the fingerprint its manifest records.
+        """
         manifest_path = directory / STORE_MANIFEST_FILENAME
         if not manifest_path.is_file():
             raise ServingError(
@@ -239,12 +257,7 @@ class EmbeddingStore:
             arrays,
         )
         fingerprint = manifest_field(manifest, "fingerprint", str, manifest_path)
-        if content_digest(arrays.values()) != fingerprint:
-            raise ServingError(
-                f"corrupt store {directory}: its shards do not match the "
-                f"fingerprint in {manifest_path}"
-            )
-        return cls(directory, **arrays)
+        return cls(directory, **arrays), fingerprint
 
     @staticmethod
     def _validate_shapes(

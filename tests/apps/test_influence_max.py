@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.apps import influence_max
 from repro.apps.influence_max import (
+    _calibration_shift,
+    _row_medians,
     embedding_edge_probabilities,
     embedding_seed_selection,
     ris_influence_maximization,
@@ -290,3 +293,116 @@ class TestBlockedSeedSelection:
                 )
                 assert got.seeds == seeds, (top_k, block_size)
                 assert got.marginal_gains == pytest.approx(gains)
+
+
+def bits(values) -> np.ndarray:
+    """The raw float64 bits, so ``-0.0`` differs from ``0.0``."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestRowMedians:
+    """The one-selection median against ``np.median(axis=1)``, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(rows: np.ndarray) -> np.ndarray:
+        got = _row_medians(rows.copy())
+        np.testing.assert_array_equal(bits(got), bits(np.median(rows, axis=1)))
+        return got
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 9, 10, 101, 200])
+    def test_random_rows(self, width):
+        rows = np.random.default_rng(width).normal(size=(7, width))
+        self.assert_same_bits(rows)
+
+    @pytest.mark.parametrize("width", [5, 6, 40, 41])
+    def test_ties(self, width):
+        rng = np.random.default_rng(1)
+        rows = rng.integers(-2, 3, size=(60, width)).astype(np.float64)
+        self.assert_same_bits(rows)
+
+    @pytest.mark.parametrize("width", [5, 6, 40, 41])
+    def test_infinities_and_signed_zeros(self, width):
+        rng = np.random.default_rng(2)
+        values = np.array([-np.inf, np.inf, -0.0, 0.0, 1.5, -1.5])
+        rows = rng.choice(values, size=(300, width))
+        # Rows whose two middles are -inf and +inf average to NaN in
+        # both, with the same invalid-value flag.
+        with np.errstate(invalid="ignore"):
+            self.assert_same_bits(rows)
+
+    def test_negative_zero_middles_give_positive_zero(self):
+        for rows in (
+            np.array([[-0.0, -0.0, 1.0], [-1.0, -0.0, -0.0]]),
+            np.array([[-0.0, 2.0, -0.0, -1.0], [-0.0, -0.0, -0.0, -0.0]]),
+        ):
+            got = self.assert_same_bits(rows)
+            assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("width", [5, 6, 64, 65])
+    @pytest.mark.parametrize("nan", [np.nan, -np.nan])
+    def test_nan_rows_give_nan(self, width, nan):
+        """Row ``c`` holds ``c`` NaNs, from none up to a row of NaN only."""
+        rng = np.random.default_rng(width)
+        rows = rng.normal(size=(width + 1, width))
+        for count in range(1, width + 1):
+            rows[count, rng.choice(width, count, replace=False)] = nan
+        got = self.assert_same_bits(rows)
+        assert not np.isnan(got[0])
+        assert np.isnan(got[1:]).all()
+
+    def test_partitions_the_rows_it_is_given(self):
+        rows = np.random.default_rng(5).normal(size=(4, 11))
+        before = np.sort(rows, axis=1)
+        medians = _row_medians(rows)
+        np.testing.assert_array_equal(rows[:, 5], medians)
+        np.testing.assert_array_equal(np.sort(rows, axis=1), before)
+
+
+def hundred_step_shift(scores: np.ndarray, mean_probability: float) -> float:
+    """The calibration bisection with no early stop: all 100 steps."""
+
+    def mean_sigmoid(shift: float) -> float:
+        return float(np.mean(influence_max._stable_sigmoid(scores - shift)))
+
+    low, high = scores.min() - 30.0, scores.max() + 30.0
+    for _ in range(100):
+        mid = (low + high) / 2.0
+        if mean_sigmoid(mid) > mean_probability:
+            low = mid
+        else:
+            high = mid
+    return (low + high) / 2.0
+
+
+#: Fixed score vectors: plain, wide, narrow, constant, one edge, offset.
+SHIFT_SCORES = {
+    "normal": np.random.default_rng(0).normal(size=500),
+    "wide": 1e3 * np.random.default_rng(1).normal(size=200),
+    "narrow": 1e-9 * np.random.default_rng(2).normal(size=200),
+    "constant": np.full(50, 0.25),
+    "single": np.array([-3.0]),
+    "offset": 1e6 + np.random.default_rng(3).normal(size=100),
+}
+
+
+class TestCalibrationShift:
+    @pytest.mark.parametrize("name", sorted(SHIFT_SCORES))
+    @pytest.mark.parametrize("mean_probability", [0.001, 0.05, 0.5, 0.95])
+    def test_same_bits_as_hundred_steps(self, name, mean_probability):
+        scores = SHIFT_SCORES[name]
+        expected = hundred_step_shift(scores, mean_probability)
+        assert bits(_calibration_shift(scores, mean_probability)) == bits(
+            expected
+        )
+
+    def test_stops_when_the_bracket_is_exhausted(self, monkeypatch):
+        calls = []
+        real = influence_max._stable_sigmoid
+
+        def counting(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(influence_max, "_stable_sigmoid", counting)
+        _calibration_shift(SHIFT_SCORES["normal"], 0.05)
+        assert 0 < len(calls) < 100

@@ -85,6 +85,26 @@ class TestRoundTrip:
         assert store.num_users == embedding.num_users
         assert store.dim == embedding.dim
 
+    def test_save_hashes_once_and_open_verifies(
+        self, embedding, tmp_path, monkeypatch
+    ):
+        from repro.serve import store as store_module
+
+        hashed = []
+        real = store_module.content_digest
+
+        def counting(arrays):
+            hashed.append(1)
+            return real(arrays)
+
+        monkeypatch.setattr(store_module, "content_digest", counting)
+        saved = EmbeddingStore.save(embedding, tmp_path)
+        assert len(hashed) == 1
+        assert isinstance(saved.source, np.memmap)
+        np.testing.assert_array_equal(saved.target, embedding.target)
+        EmbeddingStore.open(tmp_path)
+        assert len(hashed) == 2
+
     def test_embedding_view_is_zero_copy(self, embedding, tmp_path):
         store = EmbeddingStore.save(embedding, tmp_path)
         view = store.embedding()

@@ -24,31 +24,57 @@ from repro.serve import (
     iter_source_rows,
     score_block,
 )
+from repro.serve.scoring import block_rows
 from tests.oracles import brute_force_topk
 
 NUM_USERS = 97
+DIM = 5
 
 
 def random_embedding(seed: int, bias_scale: float = 1.0) -> InfluenceEmbedding:
     rng = np.random.default_rng(seed)
     return InfluenceEmbedding(
-        rng.normal(size=(NUM_USERS, 5)),
-        rng.normal(size=(NUM_USERS, 5)),
+        rng.normal(size=(NUM_USERS, DIM)),
+        rng.normal(size=(NUM_USERS, DIM)),
         bias_scale * rng.normal(size=NUM_USERS),
         bias_scale * rng.normal(size=NUM_USERS),
     )
+
+
+def record_blocks(monkeypatch) -> list:
+    """Record the rows of every database block a ``TopKEngine`` scores."""
+    from repro.serve import topk
+
+    blocks = []
+    real = topk.score_block
+
+    def recording(queries, block):
+        blocks.append(block.shape[0])
+        return real(queries, block)
+
+    monkeypatch.setattr(topk, "score_block", recording)
+    return blocks
+
+
+def block_of(users, blocks) -> np.ndarray:
+    """Which of the scanned ``blocks`` (row counts, in order) holds each user."""
+    return np.searchsorted(np.cumsum(blocks), users, side="right")
 
 
 class TestBlockedTopKProperty:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("bias_scale", [1.0, 50.0])
     @pytest.mark.parametrize("k", [1, 10, NUM_USERS])
-    @pytest.mark.parametrize("block_size", [1, 13, 64, NUM_USERS, 4096])
-    def test_matches_brute_force_bitwise(self, seed, bias_scale, k, block_size):
+    @pytest.mark.parametrize("block_size", [1, 2, 13, 64, NUM_USERS, 4096])
+    def test_matches_brute_force_bitwise(
+        self, monkeypatch, seed, bias_scale, k, block_size
+    ):
+        blocks = record_blocks(monkeypatch)
         embedding = random_embedding(seed, bias_scale)
         engine = TopKEngine(embedding, block_size=block_size)
         for direction in ("influenced", "influencers"):
             for user in (0, 7, NUM_USERS - 1):
+                blocks.clear()
                 result = (
                     engine.top_influenced(user, k)
                     if direction == "influenced"
@@ -59,6 +85,10 @@ class TestBlockedTopKProperty:
                 )
                 np.testing.assert_array_equal(result.indices, ref_idx)
                 np.testing.assert_array_equal(result.scores, ref_scores)
+                # Block sizes 1, 2 and 13 give a single query 7, 14 and
+                # 91 rows, so its scan merges across block boundaries.
+                crosses = block_size * (DIM + 2) < NUM_USERS
+                assert (len(blocks) > 1) == crosses, blocks
 
     def test_bias_dominated_ranking_follows_target_bias(self):
         """With zero embeddings, top-influenced is ordered purely by b̃."""
@@ -88,8 +118,8 @@ class TestBlockedTopKProperty:
 
 
 #: Users whose source rows and whose target rows are identical, so every
-#: query scores them equally; spread across the boundaries of blocks of
-#: 7 and 13 rows.
+#: query scores them equally; spread across the boundaries of the 1-, 8-
+#: and 15-row blocks a six-query batch scans at block sizes 1, 7 and 13.
 TIED_USERS = [2, 6, 7, 13, 26, 40, 77, 96]
 
 
@@ -134,13 +164,16 @@ class TestSelection:
     @pytest.mark.parametrize("k", [4, NUM_USERS - 4])
     @pytest.mark.parametrize("direction", ["influenced", "influencers"])
     def test_ties_straddling_kth_place_in_some_rows(
-        self, block_size, k, direction
+        self, monkeypatch, block_size, k, direction
     ):
+        blocks = record_blocks(monkeypatch)
         embedding = straddling_ties_embedding()
         users = [0, 1, 10, 11, 50, 51]  # untied users of both signs
         result = batch_query(
             TopKEngine(embedding, block_size=block_size), direction, users, k
         )
+        tied_blocks = np.unique(block_of(TIED_USERS, blocks))
+        assert (tied_blocks.size > 1) == (block_size < NUM_USERS), blocks
         straddling = 0
         for row, user in enumerate(users):
             ref_idx, ref_scores = brute_force_topk(
@@ -154,7 +187,8 @@ class TestSelection:
 
     @pytest.mark.parametrize("block_size", [1, 13, NUM_USERS])
     @pytest.mark.parametrize("k", [1, 10, NUM_USERS - 1, NUM_USERS])
-    def test_nan_target_row_ranks_last(self, block_size, k):
+    def test_nan_target_row_ranks_last(self, monkeypatch, block_size, k):
+        blocks = record_blocks(monkeypatch)
         embedding = random_embedding(4)
         nan_user = 50
         embedding.target[nan_user] = np.nan
@@ -162,7 +196,12 @@ class TestSelection:
         users = [0, nan_user, NUM_USERS - 1]
         for direction in ("influenced", "influencers"):
             # Influencers of the NaN user is a row of NaN scores only.
+            blocks.clear()
             result = batch_query(engine, direction, users, k)
+            # Below the full-scan size, the NaN user's scores are merged
+            # into a running best from an earlier block.
+            merged = block_of([nan_user], blocks)[0] > 0
+            assert merged == (block_size < NUM_USERS), blocks
             for row, user in enumerate(users):
                 ref_idx, ref_scores = brute_force_topk(
                     embedding, user, k, direction
@@ -235,6 +274,64 @@ class TestSelection:
             ref_idx, ref_scores = brute_force_topk(embedding, user, 5, direction)
             np.testing.assert_array_equal(result.indices[0], ref_idx)
             np.testing.assert_array_equal(result.scores[0], ref_scores)
+
+
+class TestBlockRule:
+    """Blocks hold ``block_size × (dim + 2)`` score cells, not fixed rows."""
+
+    def test_block_rows(self):
+        assert block_rows(1024, 32, 1) == 34816
+        assert block_rows(1024, 32, 64) == 544
+        assert block_rows(1024, 32, 6000) == 5
+        assert block_rows(1, 5, 1000) == 1
+
+    @pytest.mark.parametrize("direction", ["influenced", "influencers"])
+    def test_single_query_inside_budget_scores_one_block(
+        self, monkeypatch, direction
+    ):
+        blocks = record_blocks(monkeypatch)
+        embedding = random_embedding(14)
+        engine = TopKEngine(embedding, block_size=14)  # 98 >= 97 rows
+        result = batch_query(engine, direction, [3], 10)
+        assert blocks == [NUM_USERS]
+        ref_idx, ref_scores = brute_force_topk(embedding, 3, 10, direction)
+        np.testing.assert_array_equal(result.indices[0], ref_idx)
+        np.testing.assert_array_equal(result.scores[0], ref_scores)
+
+    @pytest.mark.parametrize(
+        "block_size, num_queries, expected",
+        [
+            (13, 1, [91, 6]),  # 13 × 7 cells, one query
+            (13, 6, [15] * 6 + [7]),  # 91 // 6 = 15 rows
+            (13, 64, [13] * 7 + [6]),  # never fewer than block_size rows
+        ],
+    )
+    def test_block_rows_follow_the_number_of_queries(
+        self, monkeypatch, block_size, num_queries, expected
+    ):
+        blocks = record_blocks(monkeypatch)
+        engine = TopKEngine(random_embedding(15), block_size=block_size)
+        engine.top_influenced_batch(list(range(num_queries)), 5)
+        assert blocks == expected
+
+    def test_iter_source_rows_scores_each_chunk_once(self, monkeypatch):
+        from repro.serve import scoring
+
+        calls = []
+        real = scoring.score_block
+
+        def counting(queries, block):
+            calls.append((queries.shape[0], block.shape[0]))
+            return real(queries, block)
+
+        monkeypatch.setattr(scoring, "score_block", counting)
+        chunks = [
+            users.size
+            for users, _ in iter_source_rows(random_embedding(16), block_size=30)
+        ]
+        # 30 × 7 = 210 cells: two full rows of 97 users per chunk.
+        assert chunks == [2] * 48 + [1]
+        assert calls == [(rows, NUM_USERS) for rows in chunks]
 
 
 class TestBatchedVariants:
