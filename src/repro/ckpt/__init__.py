@@ -8,10 +8,11 @@ Three pieces:
 * :mod:`repro.ckpt.state` — :class:`TrainingState`, the full training
   snapshot (parameter arrays, epoch counter, loss history, config
   fingerprint, and the numpy ``Generator`` bit-states) that makes a
-  resumed run bitwise-identical to an uninterrupted one;
+  resumed run bitwise-identical to an uninterrupted one.  On disk it is
+  a directory: an embedding store plus a digested ``state.json``;
 * :mod:`repro.ckpt.manager` — :class:`CheckpointManager`, the
-  every-N-epochs cadence, last-K retention, and corrupt-file-skipping
-  latest-valid discovery.
+  every-N-epochs cadence, last-K retention, and latest-valid discovery
+  that skips corrupt checkpoints.
 
 Quickstart::
 

@@ -19,13 +19,17 @@ exactly as it was — either the previous complete version or absent.
 Temp names keep the destination's suffix (``.data.<rand>.tmp.npz``)
 because :func:`numpy.savez` silently appends ``.npz`` to paths that
 lack it, which would otherwise break the rename; they start with a dot
-so checkpoint discovery and ``*.npz`` globs never pick up an
-uncommitted file.
+so ``*.npz`` globs never pick up an uncommitted file.
+
+A checkpoint is a directory, so it is built whole under a hidden temp
+name beside its destination and renamed into place the same way: no
+name that checkpoint discovery matches ever holds a partial one.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -110,6 +114,35 @@ def atomic_output(path: PathLike) -> Iterator[Path]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _atomic_directory(path: PathLike) -> Iterator[Path]:
+    """Yield a hidden temp directory that atomically becomes ``path``.
+
+    The temp directory sits beside ``path``; fill it inside the block.
+    On normal exit a directory already at ``path`` is moved aside, the
+    temp directory is renamed over ``path``, and the old one is
+    removed.  On exception the temp directory is removed and ``path``
+    is left as it was.
+    """
+    final = Path(path)
+    directory = final.parent
+    directory.mkdir(parents=True, exist_ok=True)
+    tmp = Path(
+        tempfile.mkdtemp(dir=directory, prefix=f".{final.name}.", suffix=".tmp")
+    )
+    aside = tmp.with_name(tmp.name + ".old")
+    try:
+        yield tmp
+        if final.exists():
+            os.replace(final, aside)
+        os.replace(tmp, final)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    _fsync_dir(directory)
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> Path:

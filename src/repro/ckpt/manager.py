@@ -3,20 +3,22 @@
 :class:`CheckpointManager` owns one checkpoint directory.  The training
 loop calls :meth:`CheckpointManager.maybe_save` at every epoch end; the
 manager decides whether the cadence fires, writes the state atomically
-(``ckpt-<epoch>.npz``), prunes beyond the retention budget, and records
-checkpoint telemetry (count, bytes, write latency) into the ambient
+as a directory (``ckpt-<epoch:08d>/``, see :mod:`repro.ckpt.state`),
+prunes beyond the retention budget, and records checkpoint telemetry
+(count, bytes, write latency) into the ambient
 :func:`repro.obs.run.active_metrics` registry.
 
 Discovery is defensive: :meth:`CheckpointManager.latest_state` walks the
-directory newest-first and *skips* truncated or corrupt files (each with
-a logged warning) instead of dying on the first bad one — exactly the
-behaviour a crash-recovery path needs, since the file being written at
-the moment of the crash is the likeliest casualty.
+directory newest-first and *skips* truncated or corrupt checkpoints
+(each with a logged warning) instead of dying on the first bad one —
+exactly the behaviour a crash-recovery path needs, since the checkpoint
+being written at the moment of the crash is the likeliest casualty.
 """
 
 from __future__ import annotations
 
 import re
+import shutil
 import time
 from pathlib import Path
 from typing import Union
@@ -33,11 +35,12 @@ __all__ = ["CheckpointManager"]
 
 logger = get_logger("ckpt.manager")
 
-#: Write-latency histogram edges (seconds): checkpoints are small npz
-#: archives, so sub-millisecond to a few seconds brackets every scale.
+#: Write-latency histogram edges (seconds): a checkpoint is four raw
+#: ``.npy`` shards and two small JSON files, so sub-millisecond to a few
+#: seconds brackets every scale.
 CKPT_WRITE_LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
-_CKPT_PATTERN = re.compile(r"^ckpt-(\d{8})\.npz$")
+_CKPT_PATTERN = re.compile(r"^ckpt-(\d{8})$")
 
 
 class CheckpointManager:
@@ -67,8 +70,8 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def path_for_epoch(self, epoch: int) -> Path:
-        """The canonical checkpoint path for ``epoch``."""
-        return self.directory / f"ckpt-{epoch:08d}.npz"
+        """The canonical checkpoint directory for ``epoch``."""
+        return self.directory / f"ckpt-{epoch:08d}"
 
     def maybe_save(
         self,
@@ -113,7 +116,7 @@ class CheckpointManager:
         started = time.perf_counter()
         path = state.save(path)
         elapsed = time.perf_counter() - started
-        size = path.stat().st_size
+        size = sum(part.stat().st_size for part in path.iterdir())
         if metrics.enabled:
             metrics.counter("ckpt.saves", "checkpoints written").inc()
             metrics.counter(
@@ -136,7 +139,7 @@ class CheckpointManager:
         metrics = active_metrics()
         paths = self.checkpoint_paths()
         for path in paths[: -self.keep]:
-            path.unlink(missing_ok=True)
+            shutil.rmtree(path, ignore_errors=True)
             logger.debug("pruned checkpoint %s", path)
             if metrics.enabled:
                 metrics.counter(
@@ -148,10 +151,10 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def checkpoint_paths(self) -> list[Path]:
-        """Managed checkpoint files, sorted by epoch ascending.
+        """Managed checkpoint directories, sorted by epoch ascending.
 
-        Only committed files match (``ckpt-NNNNNNNN.npz``); in-flight
-        atomic temp files are hidden dotfiles and never listed.
+        Only committed checkpoints match (``ckpt-NNNNNNNN``); one being
+        written sits under a hidden temp name and is never listed.
         """
         found = []
         for path in self.directory.iterdir():
@@ -161,16 +164,16 @@ class CheckpointManager:
         return [path for _epoch, path in sorted(found)]
 
     def latest_path(self) -> Path | None:
-        """Newest checkpoint file by epoch, without validating it."""
+        """Newest checkpoint by epoch, without validating it."""
         paths = self.checkpoint_paths()
         return paths[-1] if paths else None
 
     def latest_state(self) -> TrainingState | None:
         """Load the newest checkpoint that validates.
 
-        Corrupt or truncated files (e.g. a pre-atomic-era leftover, or
-        bit rot) are skipped with a warning; ``None`` means no usable
-        checkpoint exists.
+        Corrupt or truncated checkpoints (e.g. bit rot, or a file left
+        at a checkpoint's name) are skipped with a warning; ``None``
+        means no usable checkpoint exists.
         """
         for path in reversed(self.checkpoint_paths()):
             try:

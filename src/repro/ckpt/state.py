@@ -12,18 +12,22 @@ epoch loop consumes:
 * the bit-state at ``fit()`` entry, so resume can regenerate the exact
   same context corpus before fast-forwarding the stream.
 
-Checkpoints are single ``.npz`` archives written through
-:func:`repro.ckpt.atomic.atomic_output`; :meth:`TrainingState.load`
-validates structure and version and raises
-:class:`~repro.errors.CheckpointError` for anything it cannot trust —
-a truncated file, an empty file, a foreign format version, mismatched
-array shapes — instead of letting the corruption surface later as a
-cryptic numpy error.
+A checkpoint is a directory: the four arrays as an
+:class:`~repro.serve.store.EmbeddingStore` (so ``serve --store-dir``
+opens it as is) plus a ``state.json`` holding the rest, the store's
+fingerprint, and a sha256 ``digest`` over those fields.  It is built
+under a hidden temp name and renamed into place.
+:meth:`TrainingState.load` raises :class:`~repro.errors.CheckpointError`
+for anything it cannot trust — a damaged shard or manifest, a
+``state.json`` with a foreign version, a missing field or a wrong
+digest, another checkpoint's shards, a retired single-file ``.npz`` —
+instead of letting the corruption surface later as a numpy error.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,8 +35,8 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from repro.ckpt.atomic import atomic_output, ensure_suffix
-from repro.errors import CheckpointError
+from repro.ckpt.atomic import _atomic_directory, atomic_write_text
+from repro.errors import CheckpointError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.embeddings import InfluenceEmbedding
@@ -42,26 +46,33 @@ PathLike = Union[str, Path]
 
 __all__ = ["CHECKPOINT_VERSION", "TrainingState"]
 
-#: Format version stamped into every checkpoint archive.
-CHECKPOINT_VERSION = 1
+#: Format version stamped into every ``state.json``.  Version 1 was the
+#: retired single-file ``.npz`` archive.
+CHECKPOINT_VERSION = 2
 
-#: Keys every checkpoint archive must contain.
-_REQUIRED_KEYS = (
+#: The state file inside a checkpoint directory, beside the store.
+_STATE_FILENAME = "state.json"
+
+#: Fields every ``state.json`` holds.
+_FIELDS = (
     "checkpoint_version",
-    "source",
-    "target",
-    "source_bias",
-    "target_bias",
     "epoch",
     "loss_history",
     "config_fingerprint",
     "rng_state",
     "entry_rng_state",
+    "worker_topology",
+    "fingerprint",
+    "digest",
 )
 
 
 def _json_default(value: object) -> object:
-    """JSON fallback for RNG-state members (ndarrays, numpy ints)."""
+    """JSON fallback for RNG-state members (ndarrays, numpy ints).
+
+    PCG64 state is plain (big) ints; MT19937 carries a uint32 key
+    array, which a ``Generator`` accepts back as a list.
+    """
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.integer):
@@ -69,80 +80,36 @@ def _json_default(value: object) -> object:
     raise TypeError(f"cannot encode RNG state member {type(value).__name__}")
 
 
-def _encode_rng_state(state: dict) -> str:
-    """JSON-encode a ``Generator.bit_generator.state`` dict.
-
-    PCG64 state is plain (big) ints; MT19937 carries a uint32 key array
-    — both serialise through the ndarray-to-list fallback.
-    """
-    return json.dumps(state, default=_json_default)
+def _digest(fields: dict) -> str:
+    """sha256 over the canonical JSON of the ``state.json`` fields."""
+    text = json.dumps(fields, sort_keys=True, default=_json_default)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _rebuild_rng_state(state: object) -> dict:
-    """Validate a decoded RNG state (rebuilding MT19937's key array)."""
-    if not isinstance(state, dict) or "bit_generator" not in state:
-        raise CheckpointError("checkpoint RNG state is not a bit-generator dict")
-    if state.get("bit_generator") == "MT19937":
-        inner = state.get("state", {})
-        if isinstance(inner, dict) and isinstance(inner.get("key"), list):
-            inner["key"] = np.asarray(inner["key"], dtype=np.uint32)
-    return state
-
-
-def _decode_rng_state(text: str) -> dict:
-    """Invert :func:`_encode_rng_state`."""
-    return _rebuild_rng_state(json.loads(text))
-
-
-def _encode_worker_topology(topology: dict | None) -> str:
-    """JSON-encode the optional parallel-trainer worker topology.
-
-    Consistency is enforced here, at write time, so an inconsistent
-    topology (worker count not matching the per-worker state lists)
-    can never reach disk and poison a future resume.
-    """
-    if topology is None:
-        return "null"
-    workers = int(topology.get("workers", 0))
-    if (
-        workers < 1
-        or len(topology.get("entry_rng_states", ())) != workers
-        or len(topology.get("rng_states", ())) != workers
-    ):
-        raise CheckpointError(
-            "worker topology is inconsistent: workers must be >= 1 and "
-            "match the per-worker RNG state lists"
-        )
-    return json.dumps(topology, default=_json_default)
-
-
-def _decode_worker_topology(text: str) -> dict | None:
-    """Invert :func:`_encode_worker_topology`, validating the shape."""
-    data = json.loads(text)
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise CheckpointError("checkpoint worker topology is not a mapping")
+def _read_state(path: Path) -> dict:
+    """The fields of the ``state.json`` in ``path``, version and digest checked."""
+    state_path = path / _STATE_FILENAME
     try:
-        topology = {
-            "workers": int(data["workers"]),
-            "entry_rng_states": [
-                _rebuild_rng_state(state) for state in data["entry_rng_states"]
-            ],
-            "rng_states": [
-                _rebuild_rng_state(state) for state in data["rng_states"]
-            ],
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = json.loads(state_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise CheckpointError(f"checkpoint {state_path} is not a JSON object")
+    version = fields.get("checkpoint_version")
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint worker topology is malformed: {exc}"
-        ) from exc
-    return topology
-
-
-def _as_text(value: np.ndarray) -> str:
-    """Decode a 0-d bytes array stored by :func:`numpy.savez`."""
-    return bytes(value).decode("utf-8")
+            f"unsupported checkpoint version {version} in {path} "
+            f"(this library writes version {CHECKPOINT_VERSION})"
+        )
+    missing = [name for name in _FIELDS if name not in fields]
+    if missing:
+        raise CheckpointError(f"checkpoint {path} is missing fields {missing}")
+    if fields.pop("digest") != _digest(fields):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: {_STATE_FILENAME} does not match "
+            "its digest"
+        )
+    return fields
 
 
 @dataclass(frozen=True)
@@ -246,106 +213,95 @@ class TrainingState:
     # ------------------------------------------------------------------
 
     def save(self, path: PathLike) -> Path:
-        """Atomically write the state as an ``.npz`` archive.
+        """Atomically write the state as a checkpoint directory at ``path``.
 
-        Returns the final path (with the ``.npz`` suffix normalised).
-        A crash mid-write leaves at most a hidden temp file behind,
-        never a truncated checkpoint at the destination.
+        The state is validated first, so only what :meth:`load` accepts
+        reaches disk.  A crash mid-write leaves at most a hidden temp
+        directory behind, never a partial checkpoint at ``path``.
         """
-        final = ensure_suffix(path, ".npz")
-        with atomic_output(final) as tmp:
-            np.savez_compressed(
+        from repro.core.embeddings import InfluenceEmbedding
+        from repro.serve.store import EmbeddingStore, store_fingerprint
+
+        self.validate()
+        final = Path(path)
+        with _atomic_directory(final) as tmp:
+            EmbeddingStore.save(
+                InfluenceEmbedding(
+                    self.source, self.target, self.source_bias, self.target_bias
+                ),
                 tmp,
-                checkpoint_version=np.int64(CHECKPOINT_VERSION),
-                source=self.source,
-                target=self.target,
-                source_bias=self.source_bias,
-                target_bias=self.target_bias,
-                epoch=np.int64(self.epoch),
-                loss_history=np.asarray(self.loss_history, dtype=np.float64),
-                config_fingerprint=np.bytes_(
-                    self.config_fingerprint.encode("utf-8")
-                ),
-                rng_state=np.bytes_(
-                    _encode_rng_state(self.rng_state).encode("utf-8")
-                ),
-                entry_rng_state=np.bytes_(
-                    _encode_rng_state(self.entry_rng_state).encode("utf-8")
-                ),
-                worker_topology=np.bytes_(
-                    _encode_worker_topology(self.worker_topology).encode(
-                        "utf-8"
-                    )
-                ),
+            )
+            fields = {
+                "checkpoint_version": CHECKPOINT_VERSION,
+                "epoch": self.epoch,
+                "loss_history": list(self.loss_history),
+                "config_fingerprint": self.config_fingerprint,
+                "rng_state": self.rng_state,
+                "entry_rng_state": self.entry_rng_state,
+                "worker_topology": self.worker_topology,
+                "fingerprint": store_fingerprint(tmp),
+            }
+            fields["digest"] = _digest(fields)
+            atomic_write_text(
+                tmp / _STATE_FILENAME,
+                json.dumps(fields, indent=2, sort_keys=True, default=_json_default)
+                + "\n",
             )
         return final
 
     @classmethod
     def load(cls, path: PathLike) -> "TrainingState":
-        """Load and validate a checkpoint written by :meth:`save`.
+        """Load and validate a checkpoint directory written by :meth:`save`.
+
+        The arrays are copied out of the store's read-only mappings,
+        because training mutates them.
 
         Raises
         ------
         CheckpointError
-            If the file is missing, truncated, empty, carries a foreign
-            format version, or fails structural validation.
+            If the directory is missing, any file in it is damaged, its
+            state names a foreign format version or other shards, the
+            state fails structural validation, or ``path`` is a retired
+            single-file ``.npz`` checkpoint.
         """
-        final = ensure_suffix(path, ".npz")
-        try:
-            archive = np.load(final)
-        except CheckpointError:
-            raise
-        except Exception as exc:  # zipfile/OSError/pickle zoo — one boundary
+        from repro.serve.store import EmbeddingStore, store_fingerprint
+
+        final = Path(path)
+        if final.is_file():
             raise CheckpointError(
-                f"cannot read checkpoint {final}: {exc}"
-            ) from exc
+                f"{final} is a file: the single-file .npz checkpoint format "
+                "(version 1) is retired; checkpoints are directories "
+                f"(version {CHECKPOINT_VERSION})"
+            )
+        fields = _read_state(final)
         try:
-            with archive as data:
-                missing = [k for k in _REQUIRED_KEYS if k not in data.files]
-                if missing:
-                    raise CheckpointError(
-                        f"checkpoint {final} is missing fields {missing}"
-                    )
-                version = int(data["checkpoint_version"])
-                if version != CHECKPOINT_VERSION:
-                    raise CheckpointError(
-                        f"unsupported checkpoint version {version} in {final} "
-                        f"(this library writes version {CHECKPOINT_VERSION})"
-                    )
-                state = cls(
-                    source=np.asarray(data["source"], dtype=np.float64),
-                    target=np.asarray(data["target"], dtype=np.float64),
-                    source_bias=np.asarray(
-                        data["source_bias"], dtype=np.float64
-                    ),
-                    target_bias=np.asarray(
-                        data["target_bias"], dtype=np.float64
-                    ),
-                    epoch=int(data["epoch"]),
-                    loss_history=tuple(
-                        float(x) for x in data["loss_history"]
-                    ),
-                    config_fingerprint=_as_text(data["config_fingerprint"]),
-                    rng_state=_decode_rng_state(_as_text(data["rng_state"])),
-                    entry_rng_state=_decode_rng_state(
-                        _as_text(data["entry_rng_state"])
-                    ),
-                    # Optional: absent from pre-parallel checkpoints.
-                    worker_topology=(
-                        _decode_worker_topology(
-                            _as_text(data["worker_topology"])
-                        )
-                        if "worker_topology" in data.files
-                        else None
-                    ),
-                )
-        except CheckpointError:
-            raise
-        except Exception as exc:
+            store = EmbeddingStore.open(final)
+            fingerprint = store_fingerprint(final)
+        except ServingError as exc:
+            raise CheckpointError(f"corrupt checkpoint {final}: {exc}") from exc
+        if fields["fingerprint"] != fingerprint:
             raise CheckpointError(
-                f"checkpoint {final} is corrupt: {exc}"
+                f"corrupt checkpoint {final}: its shards are not the ones "
+                f"{_STATE_FILENAME} was written with"
+            )
+        try:
+            state = cls(
+                source=np.array(store.source),
+                target=np.array(store.target),
+                source_bias=np.array(store.source_bias),
+                target_bias=np.array(store.target_bias),
+                epoch=int(fields["epoch"]),
+                loss_history=tuple(float(x) for x in fields["loss_history"]),
+                config_fingerprint=fields["config_fingerprint"],
+                rng_state=fields["rng_state"],
+                entry_rng_state=fields["entry_rng_state"],
+                worker_topology=fields["worker_topology"],
+            )
+            state.validate(source=str(final))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint {final} is malformed: {exc}"
             ) from exc
-        state.validate(source=str(final))
         return state
 
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for checkpoint cadence, retention, and discovery."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ def fitted_model() -> Inf2vecModel:
     return model.fit(graph, log)
 
 
+def _at_epoch(model, epoch):
+    """``model`` with a loss history that matches ``epoch``, so a
+    checkpoint of it at ``epoch`` passes validation."""
+    model._loss_history = [float(i) for i in range(epoch + 1)]
+    return model
+
+
 class TestCadence:
     def test_skips_off_cadence_epochs(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path, every=3)
@@ -35,8 +44,10 @@ class TestCadence:
 
     def test_force_bypasses_cadence(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path, every=100)
-        path = manager.maybe_save(fitted_model, epoch=0, force=True)
+        epoch = len(fitted_model.loss_history) - 1
+        path = manager.maybe_save(fitted_model, epoch=epoch, force=True)
         assert path is not None and path.exists()
+        assert TrainingState.load(path).epoch == epoch
 
     def test_invalid_cadence_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -49,41 +60,29 @@ class TestRetention:
     def test_prunes_to_keep_newest(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path, every=1, keep=2)
         for epoch in range(5):
-            manager.save(fitted_model, epoch)
+            manager.save(_at_epoch(fitted_model, epoch), epoch)
         names = [p.name for p in manager.checkpoint_paths()]
-        assert names == ["ckpt-00000003.npz", "ckpt-00000004.npz"]
+        assert names == ["ckpt-00000003", "ckpt-00000004"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
     def test_foreign_files_untouched(self, fitted_model, tmp_path):
         (tmp_path / "notes.txt").write_text("keep me")
         manager = CheckpointManager(tmp_path, every=1, keep=1)
         for epoch in range(3):
-            manager.save(fitted_model, epoch)
+            manager.save(_at_epoch(fitted_model, epoch), epoch)
         assert (tmp_path / "notes.txt").read_text() == "keep me"
-
-
-def _save_consistent(manager, model, epoch):
-    """Write a checkpoint whose loss history matches ``epoch``."""
-    import dataclasses
-
-    state = TrainingState.capture(model, epoch=len(model.loss_history) - 1)
-    state = dataclasses.replace(
-        state,
-        epoch=epoch,
-        loss_history=tuple(float(i) for i in range(epoch + 1)),
-    )
-    return state.save(manager.path_for_epoch(epoch))
 
 
 class TestDiscovery:
     def test_paths_sorted_by_epoch(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path, keep=10)
         for epoch in (7, 2, 11):
-            manager.save(fitted_model, epoch)
+            manager.save(_at_epoch(fitted_model, epoch), epoch)
         epochs = [p.name for p in manager.checkpoint_paths()]
         assert epochs == [
-            "ckpt-00000002.npz",
-            "ckpt-00000007.npz",
-            "ckpt-00000011.npz",
+            "ckpt-00000002",
+            "ckpt-00000007",
+            "ckpt-00000011",
         ]
 
     def test_latest_path_empty_dir(self, tmp_path):
@@ -92,16 +91,17 @@ class TestDiscovery:
 
     def test_latest_state_skips_corrupt_newest(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path, keep=10)
-        _save_consistent(manager, fitted_model, 0)
-        _save_consistent(manager, fitted_model, 1)
+        manager.save(_at_epoch(fitted_model, 0), 0)
+        manager.save(_at_epoch(fitted_model, 1), 1)
+        shutil.rmtree(manager.path_for_epoch(1))
         manager.path_for_epoch(1).write_bytes(b"torn write from the old days")
         state = manager.latest_state()
         assert state is not None and state.epoch == 0
 
     def test_latest_state_returns_newest_valid(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path, keep=10)
-        _save_consistent(manager, fitted_model, 0)
-        _save_consistent(manager, fitted_model, 4)
+        manager.save(_at_epoch(fitted_model, 0), 0)
+        manager.save(_at_epoch(fitted_model, 4), 4)
         assert manager.latest_state().epoch == 4
 
 
@@ -111,16 +111,31 @@ class TestMetrics:
         registry = run.metrics
         manager = CheckpointManager(tmp_path, every=1, keep=1)
         with recording(run):
-            manager.save(fitted_model, 0)
-            manager.save(fitted_model, 1)
+            manager.save(_at_epoch(fitted_model, 0), 0)
+            manager.save(_at_epoch(fitted_model, 1), 1)
         assert registry.counter("ckpt.saves").value() == 2
         expected_bytes = sum(
-            p.stat().st_size for p in manager.checkpoint_paths()
+            part.stat().st_size
+            for path in manager.checkpoint_paths()
+            for part in path.iterdir()
         )
         assert registry.counter("ckpt.bytes_written").value() >= expected_bytes
         assert registry.counter("ckpt.pruned").value() == 1
         snapshot = registry.snapshot()
         assert "ckpt.write_seconds" in snapshot
+
+    def test_bytes_written_equals_bytes_on_disk(self, fitted_model, tmp_path):
+        run = RunRecorder()
+        manager = CheckpointManager(tmp_path, keep=10)
+        with recording(run):
+            for epoch in range(2):
+                manager.save(_at_epoch(fitted_model, epoch), epoch)
+        on_disk = sum(
+            part.stat().st_size
+            for path in manager.checkpoint_paths()
+            for part in path.iterdir()
+        )
+        assert run.metrics.counter("ckpt.bytes_written").value() == on_disk
 
     def test_write_latency_buckets_are_monotone(self):
         # The declared edges are already sorted and positive, so the

@@ -1,5 +1,8 @@
 """Unit tests for training-state serialization."""
 
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.actionlog import ActionLog, DiffusionEpisode
 from repro.data.graph import SocialGraph
 from repro.errors import CheckpointError
+from repro.serve import EmbeddingStore
 
 
 @pytest.fixture()
@@ -51,7 +55,7 @@ class TestCapture:
 class TestRoundtrip:
     def test_save_load_roundtrip(self, fitted_model, tmp_path):
         state = TrainingState.capture(fitted_model, epoch=2)
-        path = state.save(tmp_path / "ckpt.npz")
+        path = state.save(tmp_path / "ckpt")
         loaded = TrainingState.load(path)
         np.testing.assert_array_equal(loaded.source, state.source)
         np.testing.assert_array_equal(loaded.target, state.target)
@@ -64,10 +68,43 @@ class TestRoundtrip:
         assert loaded.entry_rng_state == state.entry_rng_state
 
     def test_bare_path_roundtrip(self, fitted_model, tmp_path):
+        # A checkpoint is a directory at exactly the path given: a store
+        # plus state.json, and nothing else once the save has committed.
         state = TrainingState.capture(fitted_model, epoch=2)
-        path = state.save(tmp_path / "ckpt")  # no .npz
-        assert path.name == "ckpt.npz"
-        assert TrainingState.load(tmp_path / "ckpt").epoch == 2
+        path = state.save(str(tmp_path / "ckpt"))
+        assert path == tmp_path / "ckpt" and path.is_dir()
+        assert sorted(p.name for p in path.iterdir()) == [
+            "source.npy",
+            "source_bias.npy",
+            "state.json",
+            "store.json",
+            "target.npy",
+            "target_bias.npy",
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert TrainingState.load(str(tmp_path / "ckpt")).epoch == 2
+
+    def test_resave_replaces_existing_checkpoint(self, fitted_model, tmp_path):
+        state = TrainingState.capture(fitted_model, epoch=2)
+        path = state.save(tmp_path / "ckpt")
+        (path / "stale.txt").write_text("from the earlier save")
+        state.save(path)
+        assert not (path / "stale.txt").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert TrainingState.load(path).epoch == 2
+
+    def test_checkpoint_opens_as_embedding_store(self, fitted_model, tmp_path):
+        state = TrainingState.capture(fitted_model, epoch=2)
+        store = EmbeddingStore.open(state.save(tmp_path / "ckpt"))
+        np.testing.assert_array_equal(store.source, state.source)
+        np.testing.assert_array_equal(store.target_bias, state.target_bias)
+
+    def test_loaded_arrays_are_writable_copies(self, fitted_model, tmp_path):
+        state = TrainingState.capture(fitted_model, epoch=2)
+        loaded = TrainingState.load(state.save(tmp_path / "ckpt"))
+        assert not isinstance(loaded.source, np.memmap)
+        loaded.source[0, 0] += 1.0
+        loaded.target_bias[0] += 1.0
 
     def test_to_embedding(self, fitted_model, tmp_path):
         state = TrainingState.capture(fitted_model, epoch=2)
@@ -92,10 +129,36 @@ class TestRoundtrip:
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
-            TrainingState.load(tmp_path / "nope.npz")
+            TrainingState.load(tmp_path / "nope")
 
     def test_version_constant(self):
-        assert CHECKPOINT_VERSION == 1
+        # Version 1 was the single-file .npz archive.
+        assert CHECKPOINT_VERSION == 2
+
+    def test_retired_npz_checkpoint_names_the_format(self, tmp_path):
+        path = tmp_path / "ckpt-00000002.npz"
+        np.savez_compressed(path, checkpoint_version=np.int64(1))
+        with pytest.raises(CheckpointError, match=r"\.npz checkpoint format"):
+            TrainingState.load(path)
+
+    def test_shards_of_another_checkpoint_rejected(self, fitted_model, tmp_path):
+        # Each shard matches its own store.json, but state.json binds the
+        # store it was written with.
+        first = TrainingState.capture(fitted_model, epoch=2).save(tmp_path / "a")
+        fitted_model.embedding.source[0, 0] += 1.0
+        second = TrainingState.capture(fitted_model, epoch=2).save(tmp_path / "b")
+        for name in ("store.json", "source.npy"):
+            shutil.copyfile(second / name, first / name)
+        with pytest.raises(CheckpointError, match="not the ones"):
+            TrainingState.load(first)
+
+    def test_inconsistent_state_not_written(self, fitted_model, tmp_path):
+        state = dataclasses.replace(
+            TrainingState.capture(fitted_model, epoch=2), epoch=0
+        )
+        with pytest.raises(CheckpointError, match="loss history"):
+            state.save(tmp_path / "ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_mismatched_history_rejected(self, fitted_model):
         state = TrainingState.capture(fitted_model, epoch=2)
@@ -151,7 +214,7 @@ class TestWorkerTopology:
         state = TrainingState.capture(
             fitted_model, epoch=2, worker_topology=topology
         )
-        loaded = TrainingState.load(state.save(tmp_path / "ckpt.npz"))
+        loaded = TrainingState.load(state.save(tmp_path / "ckpt"))
         assert loaded.worker_topology is not None
         assert loaded.worker_topology["workers"] == 2
         for restored, original in zip(
@@ -169,7 +232,7 @@ class TestWorkerTopology:
     def test_absent_by_default(self, fitted_model, tmp_path):
         state = TrainingState.capture(fitted_model, epoch=2)
         assert state.worker_topology is None
-        loaded = TrainingState.load(state.save(tmp_path / "ckpt.npz"))
+        loaded = TrainingState.load(state.save(tmp_path / "ckpt"))
         assert loaded.worker_topology is None
 
     def test_capture_deep_copies_topology(self, fitted_model):
@@ -187,4 +250,5 @@ class TestWorkerTopology:
             fitted_model, epoch=2, worker_topology=topology
         )
         with pytest.raises(CheckpointError, match="topology"):
-            state.save(tmp_path / "ckpt.npz")
+            state.save(tmp_path / "ckpt")
+        assert list(tmp_path.iterdir()) == []

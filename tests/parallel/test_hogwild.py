@@ -13,6 +13,7 @@ The determinism contract under test (DESIGN.md §14):
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestResume:
         survivor = manager.path_for_epoch(epoch).name
         for path in manager.checkpoint_paths():
             if path.name != survivor:
-                path.unlink()
+                shutil.rmtree(path)
         return manager
 
     def test_single_worker_resume_is_bitwise_identical(self, dataset, tmp_path):

@@ -1,12 +1,14 @@
 """EmbeddingStore round-trip, mmap semantics, and corruption handling."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.ckpt import TrainingState
 from repro.core.embeddings import InfluenceEmbedding
-from repro.errors import ServingError
+from repro.errors import CheckpointError, ServingError
 from repro.serve import (
     STORE_FORMAT_VERSION,
     STORE_MANIFEST_FILENAME,
@@ -284,3 +286,67 @@ class TestByteFlips:
         path.write_bytes(raw.replace(b"'<", b"'>"))
         with pytest.raises(ServingError, match=filename):
             PERSISTED_FILES[filename](tmp_path)
+
+
+#: Every file in one checkpoint directory: a store plus its state.
+CHECKPOINT_FILES = sorted(
+    [f for f in PERSISTED_FILES if not f.startswith("topk_")] + ["state.json"]
+)
+
+
+def _rng_state(seed: int) -> dict:
+    return np.random.default_rng(seed).bit_generator.state
+
+
+class TestCheckpointByteFlips:
+    """One flipped bit in any file of a checkpoint directory raises
+    CheckpointError or loads a state equal in every field."""
+
+    @pytest.fixture
+    def state(self, embedding) -> TrainingState:
+        return TrainingState(
+            source=embedding.source,
+            target=embedding.target,
+            source_bias=embedding.source_bias,
+            target_bias=embedding.target_bias,
+            epoch=2,
+            loss_history=(0.91, 0.72, 0.6375),
+            config_fingerprint="9f86d081884c7d65",
+            rng_state=_rng_state(1),
+            entry_rng_state=_rng_state(0),
+            worker_topology={
+                "workers": 2,
+                "entry_rng_states": [_rng_state(2), _rng_state(3)],
+                "rng_states": [_rng_state(4), _rng_state(5)],
+            },
+        )
+
+    def test_sweep_covers_every_file(self, state, tmp_path):
+        path = state.save(tmp_path / "ckpt-00000002")
+        assert sorted(p.name for p in path.iterdir()) == CHECKPOINT_FILES
+
+    @pytest.mark.parametrize("filename", CHECKPOINT_FILES)
+    def test_flip_raises_or_loads_equal_state(self, state, tmp_path, filename):
+        path = state.save(tmp_path / "ckpt-00000002")
+        target = path / filename
+        original = target.read_bytes()
+        silent = []
+        for offset in _flip_offsets(len(original)):
+            damaged = bytearray(original)
+            damaged[offset] ^= 1 << (offset % 8)
+            target.write_bytes(bytes(damaged))
+            try:
+                loaded = TrainingState.load(path)
+            except CheckpointError:
+                continue
+            for field in dataclasses.fields(TrainingState):
+                got, want = getattr(loaded, field.name), getattr(state, field.name)
+                if isinstance(want, np.ndarray):
+                    equal = got.dtype == want.dtype and np.array_equal(got, want)
+                else:
+                    equal = got == want
+                if not equal:
+                    silent.append(offset)
+        target.write_bytes(original)
+        assert silent == [], f"{filename}: flips at {silent} load changed data"
+        TrainingState.load(path)  # the restored file loads again

@@ -6,6 +6,9 @@ library-specific error — never a numpy broadcast error or a silent
 wrong answer.
 """
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -132,7 +135,7 @@ class TestDegenerateEvaluation:
 
 
 class TestCorruptCheckpoints:
-    """Every way a checkpoint file can be damaged must surface as a
+    """Every way a checkpoint directory can be damaged must surface as a
     clear :class:`CheckpointError`, and discovery must route around it."""
 
     @pytest.fixture()
@@ -147,68 +150,62 @@ class TestCorruptCheckpoints:
         path = manager.save(model, epoch=1)
         return manager, path
 
+    @staticmethod
+    def _rewrite_state(path, edit):
+        state_file = path / "state.json"
+        fields = json.loads(state_file.read_text())
+        state_file.write_text(json.dumps(edit(fields)))
+
     def test_truncated_checkpoint_rejected(self, saved_checkpoint):
         _manager, path = saved_checkpoint
-        payload = path.read_bytes()
-        path.write_bytes(payload[: len(payload) // 2])
+        shard = path / "source.npy"
+        payload = shard.read_bytes()
+        shard.write_bytes(payload[: len(payload) // 2])
         with pytest.raises(CheckpointError):
             TrainingState.load(path)
 
     def test_empty_checkpoint_rejected(self, saved_checkpoint):
         _manager, path = saved_checkpoint
-        path.write_bytes(b"")
+        (path / "state.json").write_bytes(b"")
         with pytest.raises(CheckpointError):
             TrainingState.load(path)
 
     def test_wrong_version_rejected(self, saved_checkpoint):
         _manager, path = saved_checkpoint
-        state = TrainingState.load(path)
-        import io
-
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            checkpoint_version=np.int64(999),
-            source=state.source,
-            target=state.target,
-            source_bias=state.source_bias,
-            target_bias=state.target_bias,
-            epoch=np.int64(state.epoch),
-            loss_history=np.asarray(state.loss_history),
-            config_fingerprint=np.bytes_(b"x"),
-            rng_state=np.bytes_(b"{}"),
-            entry_rng_state=np.bytes_(b"{}"),
+        self._rewrite_state(
+            path, lambda fields: {**fields, "checkpoint_version": 999}
         )
-        path.write_bytes(buffer.getvalue())
         with pytest.raises(CheckpointError, match="version 999"):
             TrainingState.load(path)
 
     def test_missing_fields_rejected(self, saved_checkpoint):
         _manager, path = saved_checkpoint
-        import io
-
-        buffer = io.BytesIO()
-        np.savez(buffer, checkpoint_version=np.int64(1))
-        path.write_bytes(buffer.getvalue())
+        self._rewrite_state(
+            path,
+            lambda fields: {"checkpoint_version": fields["checkpoint_version"]},
+        )
         with pytest.raises(CheckpointError, match="missing fields"):
             TrainingState.load(path)
 
     def test_discovery_falls_back_to_older_valid(self, saved_checkpoint):
         manager, path = saved_checkpoint
-        older = manager.directory / "ckpt-00000000.npz"
-        older.write_bytes(path.read_bytes())  # valid copy at epoch slot 0
+        older = manager.directory / "ckpt-00000000"
+        shutil.copytree(path, older)  # valid copy at epoch slot 0
         state = TrainingState.load(older)
-        path.write_bytes(b"garbage overwriting the newest checkpoint")
+        (path / "state.json").write_bytes(
+            b"garbage overwriting the newest checkpoint"
+        )
         recovered = manager.latest_state()
-        # Note: the copied archive still records epoch=1 internally; the
-        # point is that discovery skipped the corrupt newest file.
+        # Note: the copied checkpoint still records epoch=1 internally;
+        # the point is that discovery skipped the corrupt newest one.
         assert recovered is not None
         np.testing.assert_array_equal(recovered.source, state.source)
 
     def test_directory_of_only_garbage_yields_none(self, tmp_path):
         manager = CheckpointManager(tmp_path)
-        (tmp_path / "ckpt-00000000.npz").write_bytes(b"junk")
-        (tmp_path / "ckpt-00000001.npz").write_bytes(b"")
+        (tmp_path / "ckpt-00000000").mkdir()
+        (tmp_path / "ckpt-00000000" / "state.json").write_bytes(b"junk")
+        (tmp_path / "ckpt-00000001").write_bytes(b"")
         assert manager.latest_state() is None
 
 
