@@ -36,9 +36,9 @@ import numpy as np
 
 from repro.ckpt.atomic import atomic_write_text
 from repro.core.embeddings import InfluenceEmbedding
-from repro.obs import RunRecorder, active_metrics, recording, render_prometheus
+from repro.obs import RunRecorder, recording, render_prometheus
+from repro.obs.catalog import BENCH_WORKLOAD_SECONDS
 from repro.serve import DEFAULT_BLOCK_SIZE, EmbeddingStore, InfluenceService
-from repro.serve.service import SERVE_LATENCY_BUCKETS
 
 #: Acceptance working point: the digg_like preset at 2000 users.
 PRESET = dict(num_users=2000, dim=32)
@@ -72,11 +72,7 @@ def _summarize(latencies: list[float], wall: float, queries_per_op: int) -> dict
 
 def _record_workload(workload: str, latencies: list[float]) -> None:
     """Feed the per-operation latencies into ``bench.workload.seconds``."""
-    active_metrics().histogram(
-        "bench.workload.seconds",
-        SERVE_LATENCY_BUCKETS,
-        "per-operation benchmark latency",
-    ).observe_many(latencies, workload=workload)
+    BENCH_WORKLOAD_SECONDS.observe_many(latencies, workload=workload)
 
 
 def _time_loop(op, operands) -> tuple[list[float], float]:

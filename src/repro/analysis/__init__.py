@@ -3,9 +3,9 @@
 Bitwise-identical checkpoint/resume requires every RNG draw to flow
 through an explicitly seeded ``numpy`` Generator, persistence must go
 through ``repro.ckpt.atomic.atomic_output``, hogwild workers must
-write the shared parameter buffers in place, and every metric name
-must be declared in the telemetry catalog.  This package makes those
-contracts machine-enforced in one pass:
+write the shared parameter buffers in place, and every metric handle
+and span name must agree with the telemetry catalog.  This package
+makes those contracts machine-enforced in one pass:
 :func:`~repro.analysis.project.build_project_graph` parses every file
 once into a whole-project symbol table and import graph, and
 :func:`~repro.analysis.project.run_rules` applies every rule in

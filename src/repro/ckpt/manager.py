@@ -5,8 +5,7 @@ loop calls :meth:`CheckpointManager.maybe_save` at every epoch end; the
 manager decides whether the cadence fires, writes the state atomically
 as a directory (``ckpt-<epoch:08d>/``, see :mod:`repro.ckpt.state`),
 prunes beyond the retention budget, and records checkpoint telemetry
-(count, bytes, write latency) into the ambient
-:func:`repro.obs.run.active_metrics` registry.
+(count, bytes, write latency) into the active ``recording`` scope.
 
 Discovery is defensive: :meth:`CheckpointManager.latest_state` walks the
 directory newest-first and *skips* truncated or corrupt checkpoints
@@ -25,7 +24,12 @@ from typing import Union
 
 from repro.ckpt.state import TrainingState
 from repro.errors import CheckpointError
-from repro.obs.run import active_metrics
+from repro.obs.catalog import (
+    CKPT_BYTES_WRITTEN,
+    CKPT_PRUNED,
+    CKPT_SAVES,
+    CKPT_WRITE_SECONDS,
+)
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive_int
 
@@ -35,12 +39,9 @@ __all__ = ["CheckpointManager"]
 
 logger = get_logger("ckpt.manager")
 
-#: Write-latency histogram edges (seconds): a checkpoint is four raw
-#: ``.npy`` shards and two small JSON files, so sub-millisecond to a few
-#: seconds brackets every scale.
-CKPT_WRITE_LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
-
 _CKPT_PATTERN = re.compile(r"^ckpt-(\d{8})$")
+#: The retired single-file format, named on resume but never loaded.
+_RETIRED_PATTERN = re.compile(r"^ckpt-\d{8}\.npz$")
 
 
 class CheckpointManager:
@@ -105,7 +106,6 @@ class CheckpointManager:
         worker_topology: dict | None = None,
     ) -> Path:
         """Capture, atomically write, prune, and record one checkpoint."""
-        metrics = active_metrics()
         state = TrainingState.capture(
             model,
             epoch,
@@ -117,16 +117,9 @@ class CheckpointManager:
         path = state.save(path)
         elapsed = time.perf_counter() - started
         size = sum(part.stat().st_size for part in path.iterdir())
-        if metrics.enabled:
-            metrics.counter("ckpt.saves", "checkpoints written").inc()
-            metrics.counter(
-                "ckpt.bytes_written", "total checkpoint bytes written"
-            ).inc(size)
-            metrics.histogram(
-                "ckpt.write_seconds",
-                CKPT_WRITE_LATENCY_BUCKETS,
-                "atomic checkpoint write latency",
-            ).observe(elapsed)
+        CKPT_SAVES.inc()
+        CKPT_BYTES_WRITTEN.inc(size)
+        CKPT_WRITE_SECONDS.observe(elapsed)
         logger.debug(
             "checkpoint epoch %d -> %s (%d bytes, %.3fs)",
             epoch, path, size, elapsed,
@@ -136,15 +129,11 @@ class CheckpointManager:
 
     def _prune(self) -> None:
         """Delete all but the ``keep`` newest checkpoints."""
-        metrics = active_metrics()
         paths = self.checkpoint_paths()
         for path in paths[: -self.keep]:
             shutil.rmtree(path, ignore_errors=True)
             logger.debug("pruned checkpoint %s", path)
-            if metrics.enabled:
-                metrics.counter(
-                    "ckpt.pruned", "checkpoints removed by retention"
-                ).inc()
+            CKPT_PRUNED.inc()
 
     # ------------------------------------------------------------------
     # Discovery
@@ -173,13 +162,27 @@ class CheckpointManager:
 
         Corrupt or truncated checkpoints (e.g. bit rot, or a file left
         at a checkpoint's name) are skipped with a warning; ``None``
-        means no usable checkpoint exists.
+        means no usable checkpoint exists.  Checkpoints in the retired
+        single-file ``.npz`` format are never loaded; when they are all
+        the directory holds, a warning names them.
         """
         for path in reversed(self.checkpoint_paths()):
             try:
                 return TrainingState.load(path)
             except CheckpointError as exc:
                 logger.warning("skipping unusable checkpoint %s: %s", path, exc)
+        retired = sorted(
+            path.name
+            for path in self.directory.iterdir()
+            if _RETIRED_PATTERN.match(path.name)
+        )
+        if retired:
+            logger.warning(
+                "ignoring %d checkpoint(s) in the retired single-file .npz "
+                "format (version 1) in %s: %s; checkpoints are now "
+                "directories and these are not migrated",
+                len(retired), self.directory, ", ".join(retired),
+            )
         return None
 
     def __repr__(self) -> str:

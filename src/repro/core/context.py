@@ -39,10 +39,14 @@ from repro.core.propagation import PropagationNetwork, cached_propagation_networ
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import TrainingError
-from repro.obs.metrics import (
-    CONTEXT_LENGTH_BUCKETS,
-    MetricsRegistry,
-    WALK_LENGTH_BUCKETS,
+from repro.obs.catalog import (
+    CONTEXTS_EPISODES,
+    CONTEXTS_LENGTH,
+    CONTEXTS_TUPLES,
+    CONTEXTS_WALK_DEAD_ENDS,
+    CONTEXTS_WALK_LENGTH,
+    CONTEXTS_WALK_RESTARTS,
+    CONTEXTS_WALK_STEPS,
 )
 from repro.obs.run import active_metrics
 from repro.utils.rng import RandomState, SeedLike, ensure_rng
@@ -170,7 +174,6 @@ def batched_random_walk_with_restart(
     budget: int,
     restart_prob: float,
     rng: RandomState,
-    metrics: MetricsRegistry | None = None,
 ) -> list[np.ndarray]:
     """Run one restarting walk per start node, all advanced in lockstep.
 
@@ -192,7 +195,7 @@ def batched_random_walk_with_restart(
         return [_EMPTY_WALK.copy() for _ in range(num_walkers)]
     start_compact = network.compact_indices(starts)
     visited, filled = _batched_walk_raw(
-        network, start_compact, budget, restart_prob, rng, metrics=metrics
+        network, start_compact, budget, restart_prob, rng
     )
     nodes = network.nodes
     return [nodes[visited[w, : filled[w]]] for w in range(num_walkers)]
@@ -204,7 +207,6 @@ def _batched_walk_raw(
     budget: int,
     restart_prob: float,
     rng: RandomState,
-    metrics: MetricsRegistry | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep walk core over compact positions.
 
@@ -212,15 +214,15 @@ def _batched_walk_raw(
     visited compact positions (rows valid up to ``filled[w]``, zero
     elsewhere) and the per-walker fill count.
 
-    When an enabled ``metrics`` registry is supplied, restart and
-    dead-end counts are accumulated per frontier step and flushed once
-    at the end; with the default ``None`` the loop does no telemetry
-    arithmetic at all (the zero-overhead contract).
+    Inside a ``recording`` scope, restart and dead-end counts are
+    accumulated per frontier step and flushed once at the end; outside
+    one the loop does no telemetry arithmetic at all (the zero-overhead
+    contract).
     """
     num_walkers = int(start_compact.shape[0])
     indptr, indices = network.successor_csr()
     degrees = np.diff(indptr)
-    track = metrics is not None and metrics.enabled
+    track = active_metrics().enabled
     restarts = 0
     dead_ends = 0
     steps = 0
@@ -258,15 +260,9 @@ def _batched_walk_raw(
         current[active] = cur
         active = active[filled[active] < budget]
     if track:
-        metrics.counter(
-            "contexts.walk.restarts", "probabilistic jumps back to the start"
-        ).inc(restarts)
-        metrics.counter(
-            "contexts.walk.dead_ends", "forced restarts at successor-less nodes"
-        ).inc(dead_ends)
-        metrics.counter(
-            "contexts.walk.steps", "recorded walk steps"
-        ).inc(steps)
+        CONTEXTS_WALK_RESTARTS.inc(restarts)
+        CONTEXTS_WALK_DEAD_ENDS.inc(dead_ends)
+        CONTEXTS_WALK_STEPS.inc(steps)
     return visited, filled
 
 
@@ -277,7 +273,6 @@ def generate_episode_contexts_batched(
     network: PropagationNetwork,
     config: ContextConfig,
     rng: RandomState,
-    metrics: MetricsRegistry | None = None,
 ) -> ContextCorpus:
     """One ``(u, C_u^i)`` context per adopter of the episode (``P_{D_i}``).
 
@@ -302,7 +297,6 @@ def generate_episode_contexts_batched(
             config.local_budget,
             config.restart_prob,
             rng,
-            metrics=metrics,
         )
     else:
         visited = np.zeros((num_users, 0), dtype=np.int64)
@@ -354,9 +348,7 @@ class ContextGenerator:
 
     Each :meth:`generate` call records walk/context statistics
     (restart counts, walk-length and context-length histograms,
-    episode cache hits) into the ambient
-    :func:`repro.obs.run.active_metrics` registry, looked up once per
-    call — the null registry unless a ``recording`` scope is active.
+    episode cache hits) into the active ``recording`` scope, if any.
     """
 
     def __init__(
@@ -383,37 +375,24 @@ class ContextGenerator:
                 f"graph only has {self._graph.num_nodes} nodes (user IDs "
                 f"must be < num_nodes)"
             )
-        metrics = active_metrics()
+        enabled = active_metrics().enabled
         networks = cached_propagation_networks(self._graph, log)
         parts = []
         for episode in log:
             part = generate_episode_contexts_batched(
-                networks[episode.item], self._config, self._rng,
-                metrics=metrics,
+                networks[episode.item], self._config, self._rng
             )
-            if metrics.enabled:
-                _observe_episode_contexts(metrics, part)
+            if enabled:
+                _observe_episode_contexts(part)
             parts.append(part)
         return ContextCorpus.concatenate(parts)
 
 
-def _observe_episode_contexts(
-    metrics: MetricsRegistry, contexts: ContextCorpus
-) -> None:
-    """Record one episode's context statistics (enabled registries only)."""
-    metrics.counter("contexts.episodes", "episodes processed").inc()
-    metrics.counter("contexts.tuples", "(u, C_u^i) tuples generated").inc(
-        len(contexts)
-    )
+def _observe_episode_contexts(contexts: ContextCorpus) -> None:
+    """Record one episode's context statistics (recording runs only)."""
+    CONTEXTS_EPISODES.inc()
+    CONTEXTS_TUPLES.inc(len(contexts))
     if not len(contexts):
         return
-    metrics.histogram(
-        "contexts.walk_length",
-        WALK_LENGTH_BUCKETS,
-        "local random-walk context sizes",
-    ).observe_many(contexts.local_len)
-    metrics.histogram(
-        "contexts.length",
-        CONTEXT_LENGTH_BUCKETS,
-        "full context sizes (local + global)",
-    ).observe_many(contexts.sizes)
+    CONTEXTS_WALK_LENGTH.observe_many(contexts.local_len)
+    CONTEXTS_LENGTH.observe_many(contexts.sizes)

@@ -51,14 +51,18 @@ from repro.core.negative import NegativeSampler
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import CheckpointError, NotFittedError, TrainingError
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.run import (
-    NULL_RUN,
-    active_metrics,
-    active_run,
-    config_fingerprint,
-    recording,
+from repro.obs.catalog import (
+    CKPT_RESUMES,
+    TRAIN_CLIP_ROWS,
+    TRAIN_EPOCH_EXAMPLES_PER_SEC,
+    TRAIN_EPOCH_LEARNING_RATE,
+    TRAIN_EPOCH_LOSS,
+    TRAIN_EPOCHS,
+    TRAIN_WORKER_EPOCH_SECONDS,
+    TRAIN_WORKER_EXAMPLES,
+    TRAIN_WORKER_LOSS,
 )
+from repro.obs.run import NULL_RUN, active_run, config_fingerprint, recording
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (avoids an import cycle)
     from multiprocessing.connection import Connection
@@ -350,7 +354,6 @@ class Inf2vecModel:
         self._embedding: InfluenceEmbedding | None = None
         self._loss_history: list[float] = []
         self._seed_text = None if seed is None else str(seed)
-        self._metrics = NULL_REGISTRY
         self._workspace: _BatchWorkspace | None = None
 
     # ------------------------------------------------------------------
@@ -600,11 +603,7 @@ class Inf2vecModel:
                 f"checkpoint RNG state is incompatible with this model's "
                 f"bit generator: {exc}"
             ) from exc
-        metrics = active_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "ckpt.resumes", "training runs resumed from a checkpoint"
-            ).inc()
+        CKPT_RESUMES.inc()
         return state.epoch + 1
 
     def _run_epochs(
@@ -644,10 +643,11 @@ class Inf2vecModel:
                 loss, positives = _mean_over_positives(
                     (report.loss, report.positives) for report in reports
                 )
-                self._record_epoch(
-                    run.metrics, epoch_span, epoch, learning_rate, loss,
-                    positives, reports, elapsed,
-                )
+                if run.enabled:
+                    self._record_epoch(
+                        epoch_span, epoch, learning_rate, loss, positives,
+                        reports, elapsed,
+                    )
             seconds.append(elapsed)
             self._loss_history.append(loss)
             converged = self._converged(previous_loss, loss)
@@ -682,7 +682,6 @@ class Inf2vecModel:
 
     def _record_epoch(
         self,
-        metrics: MetricsRegistry,
         epoch_span,
         epoch: int,
         learning_rate: float,
@@ -691,33 +690,17 @@ class Inf2vecModel:
         reports: list[EpochReport],
         elapsed: float,
     ) -> None:
-        """Per-epoch telemetry, global and per shard (enabled runs only)."""
-        if not metrics.enabled:
-            return
+        """Per-epoch telemetry, global and per shard (recording runs only)."""
         examples_per_sec = positives / elapsed if elapsed > 0 else 0.0
-        metrics.counter("train.epochs", "completed training epochs").inc()
-        metrics.gauge("train.epoch.loss", "mean per-positive loss").set(
-            loss, epoch=epoch
-        )
-        metrics.gauge("train.epoch.learning_rate", "annealed SGD step").set(
-            learning_rate, epoch=epoch
-        )
-        metrics.gauge(
-            "train.epoch.examples_per_sec", "positive observations per second"
-        ).set(examples_per_sec, epoch=epoch)
+        TRAIN_EPOCHS.inc()
+        TRAIN_EPOCH_LOSS.set(loss, epoch=epoch)
+        TRAIN_EPOCH_LEARNING_RATE.set(learning_rate, epoch=epoch)
+        TRAIN_EPOCH_EXAMPLES_PER_SEC.set(examples_per_sec, epoch=epoch)
         for report in reports:
-            metrics.counter(
-                "train.worker.examples",
-                "positive observations trained, per worker",
-            ).inc(report.positives, worker=report.worker)
-            metrics.gauge(
-                "train.worker.epoch_seconds",
-                "in-worker wall-clock per epoch",
-            ).set(report.seconds, worker=report.worker, epoch=epoch)
-            metrics.gauge(
-                "train.worker.loss",
-                "mean per-positive loss of the worker's shard",
-            ).set(report.loss, worker=report.worker, epoch=epoch)
+            worker = report.worker
+            TRAIN_WORKER_EXAMPLES.inc(report.positives, worker=worker)
+            TRAIN_WORKER_EPOCH_SECONDS.set(report.seconds, worker=worker, epoch=epoch)
+            TRAIN_WORKER_LOSS.set(report.loss, worker=worker, epoch=epoch)
         epoch_span.set_attribute("loss", loss)
         epoch_span.set_attribute("examples", positives)
         epoch_span.set_attribute("examples_per_sec", examples_per_sec)
@@ -770,9 +753,6 @@ class Inf2vecModel:
             return 0.0
         if learning_rate is None:
             learning_rate = self.config.learning_rate
-        # One ambient-recorder lookup per epoch; the per-batch hooks
-        # below are no-ops against the null registry.
-        self._metrics = active_metrics()
         if batch_size is None:
             batch_size = self.config.batch_size
         batch_size = check_positive_int("batch_size", batch_size)
@@ -867,8 +847,7 @@ class Inf2vecModel:
         exclude[:, 0] = users
         exclude[:, 1] = positives
         negatives = sampler.sample_matrix(
-            num_pos, num_neg, self._rng, exclude=exclude,
-            metrics=self._metrics,
+            num_pos, num_neg, self._rng, exclude=exclude
         )
         # Cell ids: each observation's positive, then all negatives.
         ids = ws.ids[:cells]
@@ -944,10 +923,8 @@ class Inf2vecModel:
                 np.sum(grid, axis=0, out=ws.target_step[:num_targets]),
                 target_vec,
             )
-        if clipped and self._metrics.enabled:
-            self._metrics.counter(
-                "train.clip.rows", "embedding rows rescaled by max_norm"
-            ).inc(clipped)
+        if clipped:
+            TRAIN_CLIP_ROWS.inc(clipped)
         return loss
 
     def _apply_rows(

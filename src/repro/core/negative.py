@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
+from repro.obs.catalog import NEGATIVES_COLLISIONS, NEGATIVES_RESAMPLE_ROUNDS
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int
 
@@ -141,7 +142,6 @@ class NegativeSampler:
         cols: int,
         rng: RandomState,
         exclude: np.ndarray | None = None,
-        metrics=None,
     ) -> np.ndarray:
         """Draw a ``(rows, cols)`` matrix of negatives in one shot.
 
@@ -158,11 +158,9 @@ class NegativeSampler:
             per-row exclusions (e.g. column 0 the center user, column
             1 the row's positive).  Collisions are masked and redrawn
             from the same distribution, which is exact rejection
-            sampling over the allowed support.
-        metrics:
-            Optional :class:`repro.obs.metrics.MetricsRegistry`; when
-            enabled it counts initial collisions and the
-            rejection-resample rounds spent clearing them
+            sampling over the allowed support.  Inside a ``recording``
+            scope the initial collisions and the rejection-resample
+            rounds spent clearing them are counted
             (``negatives.collisions`` / ``negatives.resample_rounds``).
 
         Raises
@@ -184,21 +182,14 @@ class NegativeSampler:
             )
         if exclude.shape[1] == 0:
             return matrix
-        track = metrics is not None and metrics.enabled
         row_idx, col_idx = np.nonzero(_collides(matrix, exclude))
-        if track and row_idx.shape[0]:
-            metrics.counter(
-                "negatives.collisions",
-                "negatives initially colliding with excluded users",
-            ).inc(row_idx.shape[0])
+        if row_idx.shape[0]:
+            NEGATIVES_COLLISIONS.inc(row_idx.shape[0])
         rounds = 0
         for _ in range(self.MAX_RESAMPLE_ROUNDS):
             if row_idx.shape[0] == 0:
-                if track and rounds:
-                    metrics.counter(
-                        "negatives.resample_rounds",
-                        "rejection-resample iterations",
-                    ).inc(rounds)
+                if rounds:
+                    NEGATIVES_RESAMPLE_ROUNDS.inc(rounds)
                 return matrix
             matrix[row_idx, col_idx] = self.sample(row_idx.shape[0], rng)
             rounds += 1

@@ -36,7 +36,7 @@ from repro.core.pairs import extract_episode_pairs
 from repro.data.actionlog import DiffusionEpisode
 from repro.data.graph import SocialGraph
 from repro.errors import GraphError
-from repro.obs.run import active_metrics
+from repro.obs.catalog import CONTEXTS_CACHE_HITS, CONTEXTS_CACHE_MISSES
 
 if TYPE_CHECKING:
     from repro.data.actionlog import ActionLog
@@ -192,18 +192,11 @@ def cached_propagation_networks(
     Inside a ``recording`` scope the ambient registry counts
     ``contexts.cache.hits`` / ``.misses``.
     """
-    metrics = active_metrics()
     entry = _NETWORK_CACHE.get(log)
     if entry is not None and entry[0] is graph:
-        if metrics.enabled:
-            metrics.counter(
-                "contexts.cache.hits", "episode-network cache hits"
-            ).inc()
+        CONTEXTS_CACHE_HITS.inc()
         return entry[1]
-    if metrics.enabled:
-        metrics.counter(
-            "contexts.cache.misses", "episode-network cache rebuilds"
-        ).inc()
+    CONTEXTS_CACHE_MISSES.inc()
     networks = dict(build_propagation_networks(graph, log))
     try:
         _NETWORK_CACHE[log] = (graph, networks)

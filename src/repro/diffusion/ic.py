@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import GraphError
-from repro.obs.metrics import ROUND_BUCKETS, SPREAD_BUCKETS
+from repro.obs.catalog import (
+    DIFFUSION_IC_ROUNDS,
+    DIFFUSION_IC_SIMULATIONS,
+    DIFFUSION_IC_SPREAD,
+)
 from repro.obs.run import active_metrics
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -92,16 +96,11 @@ def simulate_ic(
         activated.extend(fresh.tolist())
         frontier_array = fresh
 
-    metrics = active_metrics()
-    if metrics.enabled:
+    if active_metrics().enabled:
         # Guarded: the Monte-Carlo loops run thousands of simulations.
-        metrics.counter("diffusion.ic.simulations", "cascade simulations run").inc()
-        metrics.histogram(
-            "diffusion.ic.rounds", ROUND_BUCKETS, "rounds until quiescence"
-        ).observe(rounds)
-        metrics.histogram(
-            "diffusion.ic.spread", SPREAD_BUCKETS, "activated-set sizes"
-        ).observe(len(activated))
+        DIFFUSION_IC_SIMULATIONS.inc()
+        DIFFUSION_IC_ROUNDS.observe(rounds)
+        DIFFUSION_IC_SPREAD.observe(len(activated))
     return np.asarray(activated, dtype=np.int64)
 
 

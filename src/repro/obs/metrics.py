@@ -3,8 +3,11 @@
 The registry is the numeric half of the :mod:`repro.obs` telemetry
 layer (spans being the other half, see :mod:`repro.obs.tracing`).
 Instruments are *labelled*: one ``Counter`` object holds a value per
-label set, so ``registry.gauge("train.epoch.loss").set(l, epoch=3)``
-keeps every epoch's loss addressable in one instrument.
+label set, so ``TRAIN_EPOCH_LOSS.set(l, epoch=3)`` keeps every epoch's
+loss addressable in one instrument.  Library code never names an
+instrument by string: it calls a handle declared in
+:mod:`repro.obs.catalog`, which binds through the registry's
+get-or-create below.
 
 Design contract (see DESIGN.md, "Observability"):
 
@@ -14,8 +17,8 @@ Design contract (see DESIGN.md, "Observability"):
   single no-op instrument, so the hot-path guard is one attribute
   read; per-step bookkeeping (e.g. restart counting inside the
   batched random walk) must additionally sit behind an
-  ``if metrics.enabled:`` check so the disabled path does no extra
-  arithmetic.
+  ``if active_metrics().enabled:`` check so the disabled path does no
+  extra arithmetic.
 * **Thread-safe increments.**  All mutations of one registry go
   through a single registry-wide lock; ``snapshot()`` therefore sees a
   consistent cut even while worker threads increment counters.
@@ -38,29 +41,7 @@ import numpy as np
 
 from repro.errors import TelemetryError
 
-__all__ = [
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "TelemetryError",
-    "WALK_LENGTH_BUCKETS",
-    "CONTEXT_LENGTH_BUCKETS",
-    "ROUND_BUCKETS",
-    "SPREAD_BUCKETS",
-]
-
-
-#: Walk/context-length histogram edges: the paper's budgets are L = 50
-#: with an L·α = 5 local share, so the edges bracket both components.
-WALK_LENGTH_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-
-#: Full-context-length edges (L defaults to 50; larger sweeps go to 200).
-CONTEXT_LENGTH_BUCKETS = (0.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
-
-#: Diffusion-round edges: cascades on the synthetic presets are shallow.
-ROUND_BUCKETS = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
-
-#: Cascade-size edges for IC/LT activated-set histograms.
-SPREAD_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0)
+__all__ = ["MetricsRegistry", "NULL_REGISTRY", "TelemetryError"]
 
 
 def _label_key(labels: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
@@ -319,11 +300,6 @@ class MetricsRegistry:
 
     # ``to_dict`` is the exporter-facing alias of ``snapshot``.
     to_dict = snapshot
-
-    def reset(self) -> None:
-        """Drop every instrument (fresh registry state)."""
-        with self._lock:
-            self._instruments.clear()
 
 
 class _NullInstrument:

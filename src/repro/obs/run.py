@@ -14,9 +14,12 @@ Opting in
 Telemetry is off by default (the ambient run is :data:`NULL_RUN`, whose
 sinks are the shared null registry/tracer).  One way turns it on: wrap
 any code in ``with recording(run):``, and every instrumented library
-call inside the scope records into ``run``.  Instrumented entry points
-look the ambient run up once (:func:`active_run` /
-:func:`active_metrics`); nothing takes a recorder or registry argument.
+call inside the scope records into ``run``.  Span sites look the
+ambient run up (:func:`active_run`); metrics are emitted through the
+handles :mod:`repro.obs.catalog` declares with :class:`counter`,
+:class:`gauge` and :class:`histogram`, each of which resolves the
+ambient registry when its event happens.  Nothing takes a recorder or
+registry argument.
 
 ``recording`` scopes nest (innermost wins) and are process-global, not
 thread-local: one orchestrating scope is visible to worker threads,
@@ -31,19 +34,23 @@ import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.ckpt.atomic import atomic_write_text
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.tracing import Tracer, NULL_TRACER
 
 __all__ = [
+    "METRIC_HANDLES",
     "RunRecorder",
     "NULL_RUN",
     "recording",
     "active_run",
     "active_metrics",
     "config_fingerprint",
+    "counter",
+    "gauge",
+    "histogram",
     "MANIFEST_VERSION",
 ]
 
@@ -214,3 +221,93 @@ def active_metrics() -> MetricsRegistry:
     """The active recorder's registry (null registry when disabled)."""
     return active_run().metrics
 
+
+#: Every declared metric handle, by metric name.
+METRIC_HANDLES: dict[str, "_Handle"] = {}
+
+
+class _Handle:
+    """One declared metric, bound per event to the ambient registry.
+
+    On each event the handle reads :func:`active_metrics`; when that is
+    not the registry it last bound to (compared by identity) it rebinds
+    through the registry's get-or-create.  ``(registry, instrument)``
+    is one tuple attribute, so a thread never sees half of a rebind.  A
+    service built outside ``recording()`` and queried inside it thus
+    records into the active run, and a forked worker under
+    ``recording(NULL_RUN)`` rebinds to the null registry.
+    """
+
+    __slots__ = ("name", "labels", "description", "_bound")
+
+    def __init__(self, name: str, labels: Sequence[str], description: str):
+        if name in METRIC_HANDLES:
+            raise ValueError(f"duplicate metric declaration: {name}")
+        self.name = name
+        self.labels = tuple(labels)
+        self.description = description
+        self._bound: tuple[object, object] = (None, None)
+        METRIC_HANDLES[name] = self
+
+    def _instrument(self):
+        registry = active_metrics()
+        bound = self._bound
+        if bound[0] is not registry:
+            bound = self._bound = (registry, self._create(registry))
+        return bound[1]
+
+
+class counter(_Handle):
+    """A declared counter; its one mutator is :meth:`inc`."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def _create(self, registry: MetricsRegistry):
+        return registry.counter(self.name, self.description)
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        """Add ``amount`` (must be >= 0) to the labelled value."""
+        self._instrument().inc(amount, **labels)
+
+
+class gauge(_Handle):
+    """A declared gauge; its one mutator is :meth:`set`."""
+
+    __slots__ = ()
+    kind = "gauge"
+
+    def _create(self, registry: MetricsRegistry):
+        return registry.gauge(self.name, self.description)
+
+    def set(self, value: float, **labels: object) -> None:
+        """Record ``value`` for the label set."""
+        self._instrument().set(value, **labels)
+
+
+class histogram(_Handle):
+    """A declared fixed-bucket histogram: :meth:`observe`, :meth:`observe_many`."""
+
+    __slots__ = ("buckets",)
+    kind = "histogram"
+
+    def __init__(
+        self,
+        name: str,
+        labels: Sequence[str],
+        description: str,
+        buckets: Sequence[float],
+    ):
+        super().__init__(name, labels, description)
+        self.buckets = tuple(float(edge) for edge in buckets)
+
+    def _create(self, registry: MetricsRegistry):
+        return registry.histogram(self.name, self.buckets, self.description)
+
+    def observe(self, value: float, **labels: object) -> None:
+        """Record one observation."""
+        self._instrument().observe(value, **labels)
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
+        """Record a batch of observations in one vectorised pass."""
+        self._instrument().observe_many(values, **labels)

@@ -47,7 +47,8 @@ from repro.core.inf2vec import (
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
 from repro.errors import TrainingError
-from repro.obs.run import active_metrics, active_run
+from repro.obs.catalog import TRAIN_WORKER_CONTEXTS
+from repro.obs.run import active_run
 from repro.parallel.shared import SharedEmbedding
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
@@ -294,7 +295,6 @@ class HogwildTrainer:
         processes: list[multiprocessing.Process],
     ) -> None:
         """Block until every worker finished setup (corpus generation)."""
-        metrics = active_metrics()
         for worker_id, conn in enumerate(conns):
             reply = self._recv(conn, processes[worker_id], worker_id)
             if reply[0] != "ready":
@@ -302,11 +302,7 @@ class HogwildTrainer:
                     f"worker {worker_id}: unexpected reply {reply[0]!r} "
                     "during setup"
                 )
-            if metrics.enabled:
-                metrics.gauge(
-                    "train.worker.contexts",
-                    "contexts materialised per worker shard",
-                ).set(reply[2], worker=worker_id)
+            TRAIN_WORKER_CONTEXTS.set(reply[2], worker=worker_id)
 
     def _collect_epoch(
         self, conns: list["Connection"], processes: list[multiprocessing.Process]

@@ -40,7 +40,7 @@ from repro.serve.scoring import (
     iter_source_rows,
     score_block,
 )
-from repro.serve.service import SERVE_LATENCY_BUCKETS, InfluenceService
+from repro.serve.service import InfluenceService
 from repro.serve.store import (
     STORE_FORMAT_VERSION,
     STORE_MANIFEST_FILENAME,
@@ -54,7 +54,6 @@ __all__ = [
     "EmbeddingStore",
     "INDEX_DIRECTIONS",
     "InfluenceService",
-    "SERVE_LATENCY_BUCKETS",
     "STORE_FORMAT_VERSION",
     "STORE_MANIFEST_FILENAME",
     "TopKEngine",

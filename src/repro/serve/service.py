@@ -28,57 +28,31 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.errors import ServingError
+from repro.obs.catalog import SERVE_QUERIES, SERVE_QUERY_ERRORS, SERVE_QUERY_SECONDS
 from repro.obs.run import active_metrics, active_run
 from repro.serve.index import INDEX_DIRECTIONS, TopKIndex
 from repro.serve.scoring import DEFAULT_BLOCK_SIZE
 from repro.serve.store import EmbeddingStore
 from repro.serve.topk import TopKEngine, TopKResult
 
-__all__ = ["InfluenceService", "SERVE_LATENCY_BUCKETS"]
+__all__ = ["InfluenceService"]
 
 PathLike = Union[str, Path]
-
-#: Query-latency histogram edges in seconds: sub-millisecond index hits
-#: up to multi-second cold full scans.
-SERVE_LATENCY_BUCKETS = (
-    0.0001,
-    0.00025,
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    5.0,
-)
 
 
 def _record_query(direction: str, path: str, seconds: float) -> None:
     """Record one served query into the ambient metrics registry."""
-    metrics = active_metrics()
-    if not metrics.enabled:
+    if not active_metrics().enabled:
         return
-    metrics.counter(
-        "serve.queries", "top-k influence queries served"
-    ).inc(direction=direction, path=path)
-    metrics.histogram(
-        "serve.query.seconds", SERVE_LATENCY_BUCKETS, "per-query latency"
-    ).observe(seconds, direction=direction, path=path)
+    SERVE_QUERIES.inc(direction=direction, path=path)
+    SERVE_QUERY_SECONDS.observe(seconds, direction=direction, path=path)
 
 
 def _record_error(direction: str, error: BaseException) -> None:
     """Count one failed query (the exception still propagates)."""
-    metrics = active_metrics()
-    if not metrics.enabled:
+    if not active_metrics().enabled:
         return
-    metrics.counter(
-        "serve.query.errors", "failed top-k influence queries"
-    ).inc(direction=direction, error=type(error).__name__)
+    SERVE_QUERY_ERRORS.inc(direction=direction, error=type(error).__name__)
 
 
 class InfluenceService:

@@ -37,7 +37,7 @@ from scipy import sparse
 
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
-from repro.obs.metrics import SPREAD_BUCKETS
+from repro.obs.catalog import SKETCH_RR_NODES, SKETCH_RR_SETS, SKETCH_RR_SIZE
 from repro.obs.run import active_metrics, active_run
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -82,18 +82,11 @@ def _record_generation(num_sets: int, sizes: np.ndarray) -> None:
     scope is active — the adaptive schedule calls this per extension,
     so everything heavier stays behind the enabled guard.
     """
-    metrics = active_metrics()
-    if not metrics.enabled:
+    if not active_metrics().enabled:
         return
-    metrics.counter("sketch.rr_sets", "reverse-reachable sets sampled").inc(
-        num_sets
-    )
-    metrics.counter(
-        "sketch.rr_nodes", "total nodes across sampled RR sets"
-    ).inc(int(sizes.sum()))
-    metrics.histogram(
-        "sketch.rr_size", SPREAD_BUCKETS, "RR-set sizes"
-    ).observe_many(sizes.tolist())
+    SKETCH_RR_SETS.inc(num_sets)
+    SKETCH_RR_NODES.inc(int(sizes.sum()))
+    SKETCH_RR_SIZE.observe_many(sizes.tolist())
 
 
 class RRSketchPool:

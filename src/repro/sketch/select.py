@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SketchError
-from repro.obs.run import active_metrics, active_run
+from repro.obs.catalog import SKETCH_LAZY_EVALUATIONS, SKETCH_SELECTIONS
+from repro.obs.run import active_run
 from repro.sketch.rrsets import RRSketchPool
 from repro.utils.validation import check_positive_int
 
@@ -107,15 +108,8 @@ def max_coverage_seeds(
         fraction = (
             covered_total / pool.num_sketches if pool.num_sketches else 0.0
         )
-        metrics = active_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "sketch.selections", "max-coverage seed selections run"
-            ).inc()
-            metrics.counter(
-                "sketch.lazy_evaluations",
-                "CELF re-evaluations during max-coverage selection",
-            ).inc(lazy_evaluations)
+        SKETCH_SELECTIONS.inc()
+        SKETCH_LAZY_EVALUATIONS.inc(lazy_evaluations)
 
     return MaxCoverageResult(
         seeds=tuple(chosen),

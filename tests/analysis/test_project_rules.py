@@ -173,9 +173,11 @@ class TestSetIterationOrder:
 
 
 CATALOG = (
-    "METRIC_CATALOG = (\n"
-    "    MetricSpec('train.loss', 'gauge', ('epoch',), ''),\n"
-    "    MetricSpec('diffusion.*.rounds', 'histogram', (), ''),\n"
+    "TRAIN_LOSS = gauge('train.loss', ('epoch',), 'mean loss')\n"
+    "IC_ROUNDS = histogram('ic.rounds', (), 'rounds', (1.0, 2.0))\n"
+    "SPAN_CATALOG = (\n"
+    "    SpanSpec('fit', ('epochs',), ''),\n"
+    "    SpanSpec('serve.batch.*', ('k',), ''),\n"
     ")\n"
 )
 
@@ -187,49 +189,68 @@ class TestTelemetryContract:
 
     def test_declared_site_with_declared_labels_clean(self):
         findings = self.run(
-            "def f(metrics, loss):\n"
-            "    metrics.gauge('train.loss', 'desc').set(loss, epoch=3)\n"
+            "from catalog import IC_ROUNDS, TRAIN_LOSS\n"
+            "import catalog\n"
+            "def f(run, loss, rounds):\n"
+            "    TRAIN_LOSS.set(loss, epoch=3)\n"
+            "    catalog.TRAIN_LOSS.set(value=loss, epoch=4)\n"
+            "    IC_ROUNDS.observe_many(rounds)\n"
+            "    with run.span('fit', epochs=2):\n"
+            "        pass\n"
         )
         assert findings == []
 
     def test_undeclared_name_flagged(self):
         findings = self.run(
-            "def f(metrics):\n"
-            "    metrics.counter('train.losss', 'typo').inc()\n"
+            "def f(run):\n"
+            "    with run.span('fitt'):\n"
+            "        pass\n"
         )
         assert _ids(findings) == ["telemetry-contract"]
         assert "not declared" in findings[0].message
 
     def test_kind_mismatch_flagged(self):
         findings = self.run(
-            "def f(metrics):\n"
-            "    metrics.counter('train.loss', 'desc').inc()\n"
+            "from catalog import IC_ROUNDS, TRAIN_LOSS\n"
+            "def f():\n"
+            "    TRAIN_LOSS.inc()\n"
+            "    IC_ROUNDS.set(3.0)\n"
         )
-        assert _ids(findings) == ["telemetry-contract"]
-        assert "declared as a gauge" in findings[0].message
+        assert _ids(findings) == ["telemetry-contract"] * 2
+        messages = sorted(finding.message for finding in findings)
+        assert "'IC_ROUNDS' is a histogram handle; it has no .set()" in messages
+        assert "'TRAIN_LOSS' is a gauge handle; it has no .inc()" in messages
 
     def test_undeclared_label_flagged(self):
         findings = self.run(
-            "def f(metrics, loss):\n"
-            "    metrics.gauge('train.loss', 'desc').set(loss, worker=1)\n"
+            "from catalog import TRAIN_LOSS\n"
+            "def f(run, loss):\n"
+            "    TRAIN_LOSS.set(loss, worker=1)\n"
+            "    with run.span('fit', workers=2):\n"
+            "        pass\n"
         )
-        assert _ids(findings) == ["telemetry-contract"]
-        assert "worker" in findings[0].message
+        assert _ids(findings) == ["telemetry-contract"] * 2
+        assert "worker on 'TRAIN_LOSS'" in findings[0].message
+        assert "workers on span 'fit'" in findings[1].message
 
     def test_fstring_family_matches_declaration(self):
         findings = self.run(
-            "def f(metrics, model, rounds):\n"
-            "    metrics.histogram(f'diffusion.{model}.rounds', (1,), 'd')"
-            ".observe(rounds)\n"
+            "def f(run, direction):\n"
+            "    with run.span(f'serve.batch.{direction}', k=5):\n"
+            "        pass\n"
         )
         assert findings == []
 
     def test_numpy_receiver_and_variable_names_skipped(self):
+        # Only names that resolve to a catalog declaration are handles.
         findings = self.run(
             "import numpy as np\n"
-            "def f(data, edges, metrics, name):\n"
+            "import threading\n"
+            "def f(data, edges, metrics, name, TRAIN_LOSS):\n"
             "    counts, edges = np.histogram(data, bins=edges)\n"
             "    metrics.counter(name, 'pass-through').inc()\n"
+            "    threading.Event().set()\n"
+            "    TRAIN_LOSS.inc(label=1)\n"
             "    return counts\n"
         )
         assert findings == []
@@ -238,14 +259,15 @@ class TestTelemetryContract:
         findings = analyze_project(
             {
                 "app.py": (
-                    "def f(metrics):\n"
-                    "    metrics.counter('x.y', 'd').inc()\n"
+                    "def f(run):\n"
+                    "    with run.span('fit'):\n"
+                    "        pass\n"
                 )
             },
             [TelemetryContractRule()],
         )
         assert _ids(findings) == ["telemetry-contract"]
-        assert "no literal METRIC_CATALOG" in findings[0].message
+        assert "no literal SPAN_CATALOG" in findings[0].message
 
 
 class TestDeadExport:

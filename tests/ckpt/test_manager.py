@@ -1,16 +1,16 @@
 """Unit tests for checkpoint cadence, retention, and discovery."""
 
+import logging
 import shutil
 
 import numpy as np
 import pytest
 
 from repro.ckpt import CheckpointManager, TrainingState
-from repro.ckpt.manager import CKPT_WRITE_LATENCY_BUCKETS
 from repro.core.inf2vec import Inf2vecConfig, Inf2vecModel
 from repro.data.actionlog import ActionLog, DiffusionEpisode
 from repro.data.graph import SocialGraph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.catalog import CKPT_WRITE_SECONDS
 from repro.obs.run import RunRecorder, recording
 
 
@@ -104,6 +104,32 @@ class TestDiscovery:
         manager.save(_at_epoch(fitted_model, 4), 4)
         assert manager.latest_state().epoch == 4
 
+    def test_retired_npz_files_named_on_resume(self, tmp_path, caplog):
+        (tmp_path / "ckpt-00000001.npz").write_bytes(b"version 1 archive")
+        (tmp_path / "ckpt-00000003.npz").write_bytes(b"version 1 archive")
+        manager = CheckpointManager(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.ckpt.manager"):
+            assert manager.latest_state() is None
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert "retired single-file .npz format" in message
+        assert "ckpt-00000001.npz, ckpt-00000003.npz" in message
+
+    def test_valid_checkpoint_beside_retired_file_resumes(
+        self, fitted_model, tmp_path, caplog
+    ):
+        (tmp_path / "ckpt-00000005.npz").write_bytes(b"version 1 archive")
+        manager = CheckpointManager(tmp_path, keep=2)
+        manager.save(_at_epoch(fitted_model, 1), 1)
+        manager.save(_at_epoch(fitted_model, 2), 2)
+        with caplog.at_level(logging.WARNING, logger="repro.ckpt.manager"):
+            state = manager.latest_state()
+        assert state is not None and state.epoch == 2
+        assert caplog.records == []
+        # The retired file is neither pruned nor counted toward ``keep``.
+        assert (tmp_path / "ckpt-00000005.npz").is_file()
+        assert len(manager.checkpoint_paths()) == 2
+
 
 class TestMetrics:
     def test_save_records_counters_and_latency(self, fitted_model, tmp_path):
@@ -137,17 +163,17 @@ class TestMetrics:
         )
         assert run.metrics.counter("ckpt.bytes_written").value() == on_disk
 
-    def test_write_latency_buckets_are_monotone(self):
+    def test_write_latency_buckets_are_monotone(self, fitted_model, tmp_path):
         # The declared edges are already sorted and positive, so the
-        # registry keeps them as given.
-        assert list(CKPT_WRITE_LATENCY_BUCKETS) == sorted(
-            CKPT_WRITE_LATENCY_BUCKETS
-        )
-        assert CKPT_WRITE_LATENCY_BUCKETS[0] > 0.0
-        latency = MetricsRegistry().histogram(
-            "ckpt.write_seconds", CKPT_WRITE_LATENCY_BUCKETS
-        )
-        assert latency.buckets == CKPT_WRITE_LATENCY_BUCKETS
+        # recorded histogram keeps them as given.
+        buckets = CKPT_WRITE_SECONDS.buckets
+        assert list(buckets) == sorted(buckets)
+        assert buckets[0] > 0.0
+        run = RunRecorder()
+        with recording(run):
+            CheckpointManager(tmp_path).save(fitted_model, 1)
+        (sample,) = run.metrics.snapshot()["ckpt.write_seconds"]["samples"].values()
+        assert tuple(sample["buckets"]) == buckets
 
     def test_saved_state_roundtrips(self, fitted_model, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -19,7 +19,7 @@ class _FixedSampler(NegativeSampler):
         super().__init__(np.ones(int(matrix.max()) + 1))
         self._matrix = matrix
 
-    def sample_matrix(self, rows, cols, rng, exclude=None, metrics=None):
+    def sample_matrix(self, rows, cols, rng, exclude=None):
         assert self._matrix.shape == (rows, cols)
         return self._matrix
 

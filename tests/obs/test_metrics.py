@@ -143,12 +143,6 @@ class TestRegistry:
         kinds = {name: s["type"] for name, s in registry.snapshot().items()}
         assert kinds == {"c": "counter", "g": "gauge", "h": "histogram"}
 
-    def test_reset_drops_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.reset()
-        assert registry.names() == []
-
 
 class TestNullRegistry:
     def test_disabled_and_silent(self):

@@ -134,7 +134,6 @@ def test_serve_public_api_is_pinned():
         "EmbeddingStore",
         "INDEX_DIRECTIONS",
         "InfluenceService",
-        "SERVE_LATENCY_BUCKETS",
         "STORE_FORMAT_VERSION",
         "STORE_MANIFEST_FILENAME",
         "TopKEngine",
