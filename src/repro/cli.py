@@ -49,12 +49,14 @@ answers "who does user 42 influence most" from the store
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from contextlib import nullcontext
 from typing import Callable, Mapping
 
 from repro.ckpt import CheckpointManager
 from repro.obs import PeriodicExporter, RunRecorder, active_run, recording
+from repro.utils.logging import log_to_stderr
 from repro.experiments import (
     fig1_2_powerlaw,
     fig3_cdf,
@@ -469,7 +471,16 @@ def _run_influence_max(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    The library's warnings (a skipped or retired checkpoint, a failed
+    telemetry export) print to stderr.
+    """
+    with log_to_stderr(logging.WARNING):
+        return _main(argv)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -23,7 +23,8 @@ Design contract (see DESIGN.md, "Observability"):
   through a single registry-wide lock; ``snapshot()`` therefore sees a
   consistent cut even while worker threads increment counters.
 * **Fixed-bucket histograms.**  Buckets are declared at creation time
-  and observations are binned with ``searchsorted`` — bucket ``i``
+  and observations are binned with ``searchsorted`` (one value with
+  ``bisect``, into the same bucket) — bucket ``i``
   counts values in ``(buckets[i-1], buckets[i]]`` and the final
   overflow bin counts values above the last edge.  Latency is
   recorded into histograms too: their memory is bounded, per-worker
@@ -34,6 +35,8 @@ Design contract (see DESIGN.md, "Observability"):
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 from typing import Iterable, Mapping, Sequence
 
@@ -172,16 +175,41 @@ class Histogram(_Instrument):
                 f"histogram {name!r} has duplicate bucket edges: {buckets}"
             )
         self._buckets = edges
+        self._edges = tuple(edges.tolist())
         self._states: dict[tuple[tuple[str, str], ...], _HistogramState] = {}
 
     @property
     def buckets(self) -> tuple[float, ...]:
         """The (sorted) bucket upper edges."""
-        return tuple(self._buckets.tolist())
+        return self._edges
+
+    def _state(self, key: tuple[tuple[str, str], ...]) -> _HistogramState:
+        """The state of a label key, created on first use; call under the lock."""
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = _HistogramState(self._buckets.size)
+        return state
 
     def observe(self, value: float, **labels: object) -> None:
-        """Record one observation."""
-        self.observe_many((value,), **labels)
+        """Record one observation, in the bucket :meth:`observe_many` picks.
+
+        ``bisect_left`` counts the edges below ``value`` as
+        ``searchsorted(side="left")`` does; NaN, which compares false
+        with every edge, goes to the overflow bin as ``searchsorted``
+        sends it.
+        """
+        value = float(value)
+        index = (
+            len(self._edges)
+            if math.isnan(value)
+            else bisect.bisect_left(self._edges, value)
+        )
+        key = _label_key(labels)
+        with self._lock:
+            state = self._state(key)
+            state.counts[index] += 1
+            state.total += value
+            state.count += 1
 
     def observe_many(self, values: Iterable[float], **labels: object) -> None:
         """Record a batch of observations in one vectorised pass."""
@@ -195,9 +223,7 @@ class Histogram(_Instrument):
         binned = np.bincount(indices, minlength=self._buckets.size + 1)
         key = _label_key(labels)
         with self._lock:
-            state = self._states.get(key)
-            if state is None:
-                state = self._states[key] = _HistogramState(self._buckets.size)
+            state = self._state(key)
             state.counts += binned
             state.total += float(array.sum())
             state.count += int(array.size)

@@ -14,19 +14,28 @@ scratch it bounds.
 
 Determinism contract
 --------------------
-Every kernel in this module computes scores with
-``np.einsum(..., optimize=False)`` rather than BLAS ``@``.  BLAS picks
-different kernels (and therefore different floating-point summation
-orders) depending on operand shapes, so a blocked scan through ``@``
-would *not* be bitwise-identical to a full-matrix scan.  ``einsum``
-reduces each output element independently in a fixed loop order, which
-makes every function here invariant to both the block size and the
-number of queries in a batch — the property the serving tests pin
-bitwise.
+gemm chooses the candidates; einsum produces every score that is
+returned.  Every score this module hands out is computed with
+``np.einsum(..., optimize=False)``.  BLAS ``@`` picks different
+kernels (and therefore different floating-point summation orders)
+depending on operand shapes and thread count, so a blocked scan
+through ``@`` would *not* be bitwise-identical to a full-matrix scan.
+``einsum`` reduces each output element independently in a fixed loop
+order, so a score's bits depend only on its two rows: not on the block
+size, the number of queries in a batch, or which other rows are
+scored with it — the property the serving tests pin bitwise.
+
+:func:`candidate_scores` still uses ``@``, but only to choose which
+entries of a block are worth scoring: every entry whose exact score
+could reach the k-th place is kept, by a margin that bounds how far
+any two summation orders can disagree, and only the survivors are
+scored by ``einsum``.  The choice depends on gemm's bits; the answer
+does not.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -39,6 +48,8 @@ __all__ = [
     "EmbeddingLike",
     "augment_sources",
     "augment_targets",
+    "candidate_scores",
+    "max_row_norm",
     "score_block",
     "iter_blocks",
     "iter_source_rows",
@@ -128,6 +139,138 @@ def score_block(queries: np.ndarray, block: np.ndarray) -> np.ndarray:
     docstring.
     """
     return np.einsum("kj,ij->ki", queries, block, optimize=False)
+
+
+#: Unit roundoff of float64 under round-to-nearest.
+_UNIT_ROUNDOFF = 2.0**-53
+#: Spacing of the float64 subnormals: a product that underflows is off
+#: by at most half of it.
+_SUBNORMAL = 2.0**-1074
+
+
+def max_row_norm(matrix: np.ndarray) -> float:
+    """Largest row 2-norm, ``sqrt(Σ x²)`` as computed in float64.
+
+    The ``database_norm`` :func:`candidate_scores` expects.  NaN or
+    infinite when ``matrix`` holds a non-finite value, or when a square
+    overflows.
+    """
+    squares = np.einsum("ij,ij->i", matrix, matrix, optimize=False)
+    return float(np.sqrt(squares.max()))
+
+
+def _block_threshold(gemm: np.ndarray, k: int, margin: np.ndarray) -> np.ndarray:
+    """Each row's k-th largest gemm score minus twice its margin, ``(m, 1)``."""
+    kth = gemm.shape[1] - k
+    return np.partition(gemm, kth, axis=1)[:, kth, None] - 2.0 * margin[:, None]
+
+
+def candidate_scores(
+    queries: np.ndarray,
+    block: np.ndarray,
+    k: int,
+    database_norm: float,
+    floor: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact scores of the block entries that can still reach the k-th place.
+
+    Returns ``(scores, columns)``, both ``(m, w)``: row ``i`` holds the
+    :func:`score_block` scores of query ``i`` against the chosen rows of
+    ``block`` and their positions in it, in ascending position order.
+    Rows with fewer than ``w`` candidates are padded at the end with
+    score ``-inf`` and position ``len(block)``.  ``database_norm`` is
+    :func:`max_row_norm` of the database ``block`` comes from;
+    ``floor`` is each query's exact k-th best score so far, or ``None``
+    while fewer than ``k`` rows have been scanned.
+
+    **Choice.**  A BLAS pass ``g = queries @ block.T`` scores every
+    entry in gemm's summation order.  With ``M`` the query's margin
+    (below), an entry survives when ``g`` is at least
+
+    * the block's k-th largest ``g`` minus ``2M`` — its exact score
+      could reach the block's exact k-th place, which is at least the
+      k-th largest ``g`` minus ``M``; and
+    * ``floor − M`` — its exact score could reach the exact k-th place
+      so far, which only rises as the scan goes on.
+
+    The first rule is applied only to blocks longer than ``k`` (a
+    shorter block with no floor is scored whole, with no gemm pass),
+    and when a floor is given only to the queries it leaves with more
+    than ``k`` candidates.  Comparisons are written "not below", so a NaN
+    gemm score or threshold keeps its entry.  Survivors are rescored by
+    the einsum reduction of :func:`score_block`, pair by pair; a
+    score's bits depend only on its two rows, so they are the bits the
+    full block would give.
+
+    **Margin.**  For a float64 dot product of length ``d`` in any
+    summation order, with or without fused multiply-adds,
+    ``|fl(q·x) − q·x| ≤ γ_d·Σ|q_i||x_i| + d·2⁻¹⁰⁷⁵``, with
+    ``γ_d = d·u / (1 − d·u)``, ``u = 2⁻⁵³``, and the last term the
+    products that underflow (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, §3.1 and §2.1).  ``Σ|q_i||x_i| ≤ ‖q‖·‖x‖``,
+    so gemm and einsum scores differ by at most
+    ``2·γ_d·‖q‖·max‖x‖ + d·2⁻¹⁰⁷⁴``, here with ``d = dim + 2``.  The
+    norms are themselves computed: a computed norm ``n`` bounds the
+    true one by ``n·(1 + γ_{d+2}) + τ``, where ``τ = √d·2⁻⁵³⁷`` covers
+    squares that underflow to zero.  So, per query, the margin is::
+
+        B = (1 + 2⁻²⁰)·(‖q‖ + τ)·(max‖x‖ + τ)
+        M = 2·γ_d·B + (d + 1)·2⁻¹⁰⁷⁴
+
+    The factor ``1 + 2⁻²⁰`` covers the relative rounding of the norms
+    and of ``M`` itself, about ``(2d + 12)·u``; the extra ``2⁻¹⁰⁷⁴``
+    covers ``M``'s own underflow.  Each threshold is one rounded
+    subtraction, and comparing a float against the rounded threshold
+    keeps every float at or above the exact one.
+
+    **Fallback.**  When ``B`` is not finite for some query — a NaN or
+    ±inf in it or in the database, or a norm that overflows — every
+    entry of the block is a candidate and is scored by
+    :func:`score_block`, with no gemm pass.  Otherwise no score
+    overflows, in either order: every partial sum stays within
+    ``(1 + γ_d)·Σ|q_i||x_i| ≤ B``.
+    """
+    num_queries, num_rows = queries.shape[0], block.shape[0]
+    dim = queries.shape[1]
+    tau = math.sqrt(dim) * 2.0**-537
+    query_norms = np.sqrt(np.einsum("ij,ij->i", queries, queries, optimize=False))
+    with np.errstate(over="ignore"):  # an overflowing B is the fallback's cue
+        bound = (1.0 + 2.0**-20) * (database_norm + tau) * (query_norms + tau)
+    # ``not <`` is also true for NaN.
+    if (floor is None and num_rows <= k) or not bound.max() < math.inf:
+        positions = np.arange(num_rows, dtype=np.int64)
+        return score_block(queries, block), np.broadcast_to(
+            positions, (num_queries, num_rows)
+        )
+    gamma = dim * _UNIT_ROUNDOFF / (1.0 - dim * _UNIT_ROUNDOFF)
+    margin = 2.0 * gamma * bound + (dim + 1) * _SUBNORMAL
+    gemm = queries @ block.T
+    if floor is None:
+        keep = ~(gemm < _block_threshold(gemm, k, margin))
+    else:
+        keep = ~(gemm < (floor - margin)[:, None])
+    kept = np.flatnonzero(keep)
+    if floor is not None:
+        counts = np.bincount(kept // num_rows, minlength=num_queries)
+        crowded = np.flatnonzero(counts > k)
+        if crowded.size:
+            keep[crowded] &= ~(
+                gemm[crowded] < _block_threshold(gemm[crowded], k, margin[crowded])
+            )
+            kept = np.flatnonzero(keep)
+    if num_queries == 1:
+        return score_block(queries, block[kept]), kept[None]
+    rows, columns = np.divmod(kept, num_rows)
+    counts = np.bincount(rows, minlength=num_queries)
+    # kept is in (row, column) order, the order a mask assignment fills.
+    filled = np.arange(counts.max(), dtype=np.int64) < counts[:, None]
+    scores = np.full(filled.shape, -math.inf, dtype=np.float64)
+    scores[filled] = np.einsum(
+        "ij,ij->i", queries[rows], block[columns], optimize=False
+    )
+    positions = np.full(filled.shape, num_rows, dtype=np.int64)
+    positions[filled] = columns
+    return scores, positions
 
 
 def block_rows(block_size: int, dim: int, width: int) -> int:

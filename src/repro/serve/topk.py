@@ -11,19 +11,25 @@ Answers the two serving questions at bounded memory:
 
 The database side is scanned in row blocks sized by score cells
 (:func:`repro.serve.scoring.block_rows`), so a single query over a few
-thousand users is one kernel call and one cut.  After each block the
-running candidates are merged and cut back to ``k``, which bounds a
-scan's scratch whatever the number of users.  Each cut is a selection, not a sort: ``np.partition`` finds
-the k-th best score of every merged row, the ``k`` survivors (every
-score above it, then the lowest ids among those equal to it) are kept,
-and only those are ``lexsort``-ed — O(candidates) per block instead of
-O(candidates · log candidates).  The augmented database of each
-direction is built once per engine, on its first scan.
+thousand users is one block.  Each block goes through
+:func:`repro.serve.scoring.candidate_scores`: one BLAS pass picks the
+entries that can still reach the k-th place — against the block's own
+k-th gemm score and the running best's exact k-th score — and only
+those are scored exactly.  The survivors are merged after the running
+best and cut back to ``k``, which bounds a scan's scratch whatever the
+number of users.  Each cut is a selection, not a sort:
+``np.partition`` finds the k-th best score of every merged row, the
+``k`` survivors (every score above it, then the lowest ids among those
+equal to it) are kept, and only those are ``lexsort``-ed.  The
+augmented database of each direction, and its largest row norm, are
+built once per engine, on its first scan.
 
 Results are *exact* and bitwise-identical to a brute-force full-scan
-argsort: scores come from the deterministic ``einsum`` kernel (see
-:mod:`repro.serve.scoring`) and ties are broken by the smaller user id,
-which makes the ranking a total order independent of blocking.
+argsort: gemm only chooses candidates, every returned score comes from
+the deterministic ``einsum`` kernel (see :mod:`repro.serve.scoring`,
+whose :func:`~repro.serve.scoring.candidate_scores` states the margin
+that makes the choice safe), and ties are broken by the smaller user
+id, which makes the ranking a total order independent of blocking.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from repro.serve.scoring import (
     augment_sources,
     augment_targets,
     block_rows,
+    candidate_scores,
     iter_blocks,
-    score_block,
+    max_row_norm,
 )
 from repro.utils.validation import check_positive_int
 
@@ -112,8 +119,9 @@ def _rank_topk(
     position order.  Position order among equal scores is ascending id
     order because of how :meth:`TopKEngine._scan` builds a row: the
     running best, already sorted by ``(-score, index)``, followed by a
-    block whose ids ascend and all exceed the best's.  Only the
-    ``(m, k)`` survivors are then ``lexsort``-ed.
+    block's candidates, whose ids ascend and all exceed the best's (a
+    row's ``-inf`` padding comes last, with an id past the block).
+    Only the ``(m, k)`` survivors are then ``lexsort``-ed.
     """
     if scores.shape[-1] > k:
         negated = -scores
@@ -148,12 +156,20 @@ class TopKEngine:
         Sets the score-cell budget of a scan block; blocks are sized by
         :func:`repro.serve.scoring.block_rows`.
 
+    Each block is scored in two passes: gemm picks the candidates and
+    einsum scores them, so answers are bitwise those of a full einsum
+    scan whatever the BLAS thread count (see
+    :func:`~repro.serve.scoring.candidate_scores`).  A database or query
+    holding NaN or ±inf, or one whose norms overflow, is scanned by
+    einsum alone.
+
     The engine snapshots the parameters on first scan: the augmented
     database of a direction (``augment_targets`` for
     :meth:`top_influenced`, ``augment_sources`` for
-    :meth:`top_influencers`) is built once, when that direction is first
-    queried, and reused by every later scan.  That costs
-    ``num_users × (dim + 2)`` float64 per direction used, and means
+    :meth:`top_influencers`) and its largest row norm are built once,
+    when that direction is first queried, and reused by every later
+    scan.  That costs ``num_users × (dim + 2)`` float64 per direction
+    used, and means
     parameters changed after the first scan are not seen — build a new
     engine for a new embedding.  A served store is a read-only memmap,
     so :class:`~repro.serve.service.InfluenceService`'s one engine per
@@ -167,7 +183,7 @@ class TopKEngine:
     ):
         self.embedding = embedding
         self.block_size = check_positive_int("block_size", block_size)
-        self._databases: dict[Callable, np.ndarray] = {}
+        self._databases: dict[Callable, tuple[np.ndarray, float]] = {}
         self._database_lock = threading.Lock()
 
     @property
@@ -194,14 +210,14 @@ class TopKEngine:
     ) -> TopKResult:
         """Batched :meth:`top_influenced` — one ranked row per query user."""
         queries = augment_sources(self.embedding, users)
-        return self._scan(queries, self._database(augment_targets), k)
+        return self._scan(queries, augment_targets, k)
 
     def top_influencers_batch(
         self, users: Sequence[int], k: int
     ) -> TopKResult:
         """Batched :meth:`top_influencers` — one ranked row per query user."""
         queries = augment_targets(self.embedding, users)
-        return self._scan(queries, self._database(augment_sources), k)
+        return self._scan(queries, augment_sources, k)
 
     # ------------------------------------------------------------------
     # Core scan
@@ -209,20 +225,25 @@ class TopKEngine:
 
     def _database(
         self, augment: Callable[[EmbeddingLike], np.ndarray]
-    ) -> np.ndarray:
-        """The database ``augment`` builds from the embedding, built once.
+    ) -> tuple[np.ndarray, float]:
+        """The database ``augment`` builds and its largest row norm, built once.
 
-        A built database is read without the lock; the lock only keeps
-        concurrent first scans from building it twice.
+        The norm is :func:`~repro.serve.scoring.max_row_norm`: NaN or
+        infinite when the database is not finite, which sends every
+        scan of it down the all-einsum path of
+        :func:`~repro.serve.scoring.candidate_scores`.  A built database
+        is read without the lock; the lock only keeps concurrent first
+        scans from building it twice.
         """
-        database = self._databases.get(augment)
-        if database is None:
+        entry = self._databases.get(augment)
+        if entry is None:
             with self._database_lock:
-                database = self._databases.get(augment)
-                if database is None:
+                entry = self._databases.get(augment)
+                if entry is None:
                     database = augment(self.embedding)
-                    self._databases[augment] = database
-        return database
+                    entry = (database, max_row_norm(database))
+                    self._databases[augment] = entry
+        return entry
 
     def _check_k(self, k: int) -> int:
         k = check_positive_int("k", k)
@@ -233,16 +254,20 @@ class TopKEngine:
         return k
 
     def _scan(
-        self, queries: np.ndarray, database: np.ndarray, k: int
+        self, queries: np.ndarray, augment: Callable, k: int
     ) -> TopKResult:
         """Blocked exact MIPS: merge running top-k after every block.
 
-        Blocks are sized by :func:`block_rows`; the first block is cut
-        on its own, each later one merged with the running best.
+        Blocks are sized by :func:`block_rows`.  Each block yields only
+        the entries :func:`candidate_scores` keeps, with their exact
+        scores; the first block is cut on its own, each later one
+        merged after the running best, whose k-th score is the floor
+        of the next block's choice.
         """
         k = self._check_k(k)
         if queries.shape[0] == 0:
             raise ServingError("at least one query user is required")
+        database, database_norm = self._database(augment)
         num_queries = queries.shape[0]
         rows = max(
             self.block_size,
@@ -250,11 +275,14 @@ class TopKEngine:
         )
         best_scores = best_indices = None
         for start, block in iter_blocks(database, rows):
-            scores = score_block(queries, block)
-            indices = np.broadcast_to(
-                np.arange(start, start + block.shape[0], dtype=np.int64),
-                scores.shape,
+            full = best_scores is not None and best_scores.shape[1] == k
+            scores, columns = candidate_scores(
+                queries, block, k, database_norm,
+                best_scores[:, -1] if full else None,
             )
+            if scores.shape[1] == 0:
+                continue
+            indices = columns + start
             if best_scores is not None:
                 scores = np.concatenate([best_scores, scores], axis=1)
                 indices = np.concatenate([best_indices, indices], axis=1)

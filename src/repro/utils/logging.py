@@ -2,13 +2,16 @@
 
 The library only ever attaches a :class:`logging.NullHandler` at import
 time (standard library etiquette); applications opt into console output
-via :func:`configure_logging`.
+via :func:`configure_logging`, or for one scope via
+:func:`log_to_stderr`, which the command line uses.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 PACKAGE_LOGGER_NAME = "repro"
 
@@ -45,6 +48,26 @@ def configure_logging(level: int = logging.INFO) -> logging.Logger:
         handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATE_FORMAT))
         root.addHandler(handler)
     return root
+
+
+@contextmanager
+def log_to_stderr(level: int = logging.WARNING) -> Iterator[None]:
+    """Print the package's records at ``level`` and above to stderr, in scope.
+
+    The handler writes to the ``sys.stderr`` of the moment it is
+    attached, and is removed on exit, so an in-process caller (a test
+    calling the CLI's ``main``) is left with the package logger as it
+    found it.
+    """
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(level)
+    handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATE_FORMAT))
+    root = logging.getLogger(PACKAGE_LOGGER_NAME)
+    root.addHandler(handler)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
 
 
 def log_epoch_progress(

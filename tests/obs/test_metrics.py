@@ -94,6 +94,32 @@ class TestHistogram:
             == scalar.to_dict()["samples"][""]["counts"]
         )
 
+    def test_scalar_and_batch_pick_the_same_bucket(self):
+        """On, between, below and above the edges, ±inf and NaN."""
+        edges = (-1.0, 0.0, 2.5, 10.0)
+        values = [
+            -1.0, 0.0, -0.0, 2.5, 10.0,  # on an edge
+            -0.5, 1.0, 7.0,  # between edges
+            -3.0, -np.inf,  # below the first
+            11.0, np.inf,  # above the last
+            np.nan,
+        ]
+        for value in values:
+            registry = MetricsRegistry()
+            scalar = registry.histogram("scalar", buckets=edges)
+            batch = registry.histogram("batch", buckets=edges)
+            scalar.observe(value, path="scan")
+            batch.observe_many([value], path="scan")
+            got = scalar.to_dict()["samples"]["path=scan"]
+            want = batch.to_dict()["samples"]["path=scan"]
+            assert got["counts"] == want["counts"], value
+            assert got["count"] == want["count"] == 1
+            np.testing.assert_array_equal(got["sum"], want["sum"])
+        # NaN lands in the overflow bin, as searchsorted sends it.
+        hist = MetricsRegistry().histogram("h", buckets=edges)
+        hist.observe(float("nan"))
+        assert hist.to_dict()["samples"][""]["counts"] == [0, 0, 0, 0, 1]
+
     def test_empty_batch_is_noop(self):
         hist = MetricsRegistry().histogram("h", buckets=(1.0,))
         hist.observe_many([])

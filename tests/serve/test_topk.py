@@ -24,7 +24,7 @@ from repro.serve import (
     iter_source_rows,
     score_block,
 )
-from repro.serve.scoring import block_rows
+from repro.serve.scoring import block_rows, candidate_scores, max_row_norm
 from tests.oracles import brute_force_topk
 
 NUM_USERS = 97
@@ -42,17 +42,17 @@ def random_embedding(seed: int, bias_scale: float = 1.0) -> InfluenceEmbedding:
 
 
 def record_blocks(monkeypatch) -> list:
-    """Record the rows of every database block a ``TopKEngine`` scores."""
+    """Record the rows of every database block a ``TopKEngine`` scans."""
     from repro.serve import topk
 
     blocks = []
-    real = topk.score_block
+    real = topk.candidate_scores
 
-    def recording(queries, block):
+    def recording(queries, block, *args):
         blocks.append(block.shape[0])
-        return real(queries, block)
+        return real(queries, block, *args)
 
-    monkeypatch.setattr(topk, "score_block", recording)
+    monkeypatch.setattr(topk, "candidate_scores", recording)
     return blocks
 
 
@@ -274,6 +274,206 @@ class TestSelection:
             ref_idx, ref_scores = brute_force_topk(embedding, user, 5, direction)
             np.testing.assert_array_equal(result.indices[0], ref_idx)
             np.testing.assert_array_equal(result.scores[0], ref_scores)
+
+
+def record_candidates(monkeypatch) -> list:
+    """Record ``(rows, candidates per query)`` of every block scanned."""
+    from repro.serve import topk
+
+    widths = []
+    real = topk.candidate_scores
+
+    def recording(queries, block, *args):
+        scores, columns = real(queries, block, *args)
+        widths.append((block.shape[0], scores.shape[1]))
+        return scores, columns
+
+    monkeypatch.setattr(topk, "candidate_scores", recording)
+    return widths
+
+
+def assert_bitwise_brute_force(embedding, engine, direction, users, k):
+    """A batch answer equals the dense oracle's, bit for bit."""
+    result = batch_query(engine, direction, users, k)
+    for row, user in enumerate(users):
+        ref_idx, ref_scores = brute_force_topk(embedding, user, k, direction)
+        np.testing.assert_array_equal(result.indices[row], ref_idx)
+        np.testing.assert_array_equal(
+            result.scores[row].view(np.int64), ref_scores.view(np.int64)
+        )
+
+
+def near_ties(rng, base: np.ndarray, num_rows: int) -> np.ndarray:
+    """Rows equal to ``base`` up to a few ulps in each component."""
+    ulps = rng.integers(-4, 5, size=(num_rows, base.shape[0]))
+    return base + ulps * np.spacing(np.abs(base))
+
+
+def near_tie_embedding(seed: int, num_users: int = 300) -> InfluenceEmbedding:
+    """Every score within a few ulps of every other, in both directions.
+
+    Source rows are one shared row plus a few ulps per component, and
+    so are target rows; the components are large and of mixed sign, so
+    the scores of one query differ by about as much as gemm's summation
+    order moves them.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 30
+    return InfluenceEmbedding(
+        near_ties(rng, rng.normal(size=dim), num_users),
+        near_ties(rng, rng.normal(size=dim) * 1e3, num_users),
+        np.zeros(num_users),
+        np.zeros(num_users),
+    )
+
+
+def assert_candidates_hold_exact_topk(queries, block, k) -> None:
+    """:func:`candidate_scores` keeps each query's exact top-k, exact bits."""
+    exact = score_block(queries, block)
+    ids = np.broadcast_to(np.arange(block.shape[0]), exact.shape)
+    top = np.lexsort((ids, -exact))[:, :k]
+    scores, columns = candidate_scores(queries, block, k, max_row_norm(block))
+    for row in range(queries.shape[0]):
+        real = columns[row] < block.shape[0]
+        assert set(top[row]) <= set(columns[row][real])
+        np.testing.assert_array_equal(
+            scores[row][real].view(np.int64),
+            exact[row, columns[row][real]].view(np.int64),
+        )
+
+
+def fuzz_rows(rng, num_users: int, dim: int) -> np.ndarray:
+    """Rows of four kinds: scaled, cancelling, subnormal, integer."""
+    rows = rng.normal(size=(num_users, dim))
+    kind = rng.integers(0, 4, size=num_users)
+    scales = 10.0 ** rng.integers(-150, 151, size=num_users)
+    rows[kind == 0] *= scales[kind == 0, None]
+    cancelling = np.flatnonzero(kind == 1)
+    rows[cancelling] += rng.choice([-1e8, 1e8], size=(cancelling.size, dim))
+    subnormal = np.flatnonzero(kind == 2)
+    rows[subnormal] = rng.integers(-3, 4, size=(subnormal.size, dim)) * 5e-324
+    integer = np.flatnonzero(kind == 3)
+    rows[integer] = rng.integers(-2, 3, size=(integer.size, dim))
+    return rows
+
+
+def fuzz_embedding(seed: int) -> InfluenceEmbedding:
+    rng = np.random.default_rng(seed)
+    num_users = int(rng.integers(2, 120))
+    dim = int(rng.integers(1, 9))
+    biases = fuzz_rows(rng, num_users, 2)
+    return InfluenceEmbedding(
+        fuzz_rows(rng, num_users, dim),
+        fuzz_rows(rng, num_users, dim),
+        biases[:, 0],
+        biases[:, 1],
+    )
+
+
+class TestGemmCandidates:
+    """gemm picks the candidates; the answer stays the einsum oracle's."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    @pytest.mark.parametrize("block_size", [1, 13, 4096])
+    @pytest.mark.parametrize("direction", ["influenced", "influencers"])
+    def test_scores_within_ulps_of_kth_place(self, seed, k, block_size, direction):
+        embedding = near_tie_embedding(seed)
+        engine = TopKEngine(embedding, block_size=block_size)
+        users = [0, 3, 150, 299]
+        assert_bitwise_brute_force(embedding, engine, direction, users, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_ties_are_ordered_differently_by_gemm(self, seed):
+        """The scenario above is hard: gemm alone would rank wrongly."""
+        embedding = near_tie_embedding(seed)
+        queries = augment_sources(embedding, [0, 3, 150, 299])
+        database = augment_targets(embedding)
+        exact = score_block(queries, database)
+        gemm = queries @ database.T
+        assert np.ptp(exact, axis=1).max() < 64 * np.spacing(np.abs(exact).max())
+        ids = np.broadcast_to(np.arange(database.shape[0]), exact.shape)
+        exact_order = np.lexsort((ids, -exact))
+        gemm_order = np.lexsort((ids, -gemm))
+        assert (exact_order[:, :5] != gemm_order[:, :5]).any()
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_query_norms_that_underflow(self, k):
+        """Squares below the subnormals: τ keeps the margin honest."""
+        rng = np.random.default_rng(20)
+        block = near_ties(rng, rng.normal(size=30), 300) * 1e150
+        queries = rng.normal(size=(4, 30)) * 1e-170
+        assert not np.einsum("ij,ij->i", queries, queries).any()
+        assert_candidates_hold_exact_topk(queries, block, k)
+
+    def test_fuzz_matches_brute_force(self, monkeypatch):
+        widths = record_candidates(monkeypatch)
+        for seed in range(60):
+            embedding = fuzz_embedding(seed)
+            num_users = embedding.source.shape[0]
+            rng = np.random.default_rng(1000 + seed)
+            engine = TopKEngine(
+                embedding, block_size=int(rng.choice([1, 2, 3, 7, 64, 4096]))
+            )
+            users = rng.integers(0, num_users, size=4).tolist()
+            k = int(rng.integers(1, num_users + 1))
+            for direction in ("influenced", "influencers"):
+                assert_bitwise_brute_force(embedding, engine, direction, users, k)
+        # The fuzz reaches the gemm path: some blocks keep fewer entries
+        # than they hold.
+        assert any(width < rows for rows, width in widths)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["database", "query"])
+    @pytest.mark.parametrize("block_size", [1, 13, 4096])
+    def test_non_finite_takes_the_all_einsum_path(
+        self, monkeypatch, value, side, block_size
+    ):
+        widths = record_candidates(monkeypatch)
+        embedding = random_embedding(18)
+        odd_user = 40
+        if side == "database":
+            embedding.target[odd_user, 1] = value
+        else:
+            embedding.source[odd_user, 1] = value
+        engine = TopKEngine(embedding, block_size=block_size)
+        users = [0, odd_user, NUM_USERS - 1]
+        for k in (1, 10, NUM_USERS):
+            widths.clear()
+            assert_bitwise_brute_force(embedding, engine, "influenced", users, k)
+            assert widths and all(width == rows for rows, width in widths)
+
+    def test_overflowing_gemm_row(self, monkeypatch):
+        widths = record_candidates(monkeypatch)
+        embedding = random_embedding(19)
+        embedding.source[5] *= 1e160
+        embedding.target[60] *= 1e160
+        queries = augment_sources(embedding, [5])
+        with np.errstate(all="ignore"):
+            gemm = queries @ augment_targets(embedding).T
+        assert not np.isfinite(gemm).all()
+        engine = TopKEngine(embedding, block_size=13)
+        for k in (1, 10, NUM_USERS):
+            for direction in ("influenced", "influencers"):
+                assert_bitwise_brute_force(embedding, engine, direction, [5, 60, 7], k)
+        # Norms that overflow send every block down the einsum path.
+        assert all(width == rows for rows, width in widths)
+
+    def test_finite_norms_whose_bound_overflows(self, monkeypatch):
+        """Norms just under √max: B overflows, with no warning, and falls back."""
+        widths = record_candidates(monkeypatch)
+        embedding = random_embedding(21)
+        big = np.sqrt(np.finfo(np.float64).max) * (1 - 1e-9)
+        embedding.source[5] = 0.0
+        embedding.source[5, 0] = big
+        embedding.target[60] = 0.0
+        embedding.target[60, 0] = big
+        assert np.isfinite(max_row_norm(augment_targets(embedding)))
+        engine = TopKEngine(embedding, block_size=13)
+        for k in (1, 10):
+            for direction in ("influenced", "influencers"):
+                assert_bitwise_brute_force(embedding, engine, direction, [5, 60], k)
+        assert widths and all(width == rows for rows, width in widths)
 
 
 class TestBlockRule:

@@ -171,6 +171,18 @@ class TestTrainCommand:
         ) == 0
         assert "resuming from checkpoint" in capsys.readouterr().out
 
+    def test_resume_warns_of_retired_checkpoints(self, capsys, tmp_path):
+        ckpt_dir = tmp_path / "ckpts"
+        ckpt_dir.mkdir()
+        (ckpt_dir / "ckpt-00000001.npz").write_bytes(b"old format")
+        assert main(
+            self.TINY + ["--checkpoint-dir", str(ckpt_dir), "--resume"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "starting fresh" in captured.out
+        assert "retired single-file .npz" in captured.err
+        assert "ckpt-00000001.npz" in captured.err
+
     def test_train_records_checkpoint_telemetry(self, capsys, tmp_path):
         import json
 
