@@ -22,7 +22,9 @@ SEED = 7
 
 def main() -> None:
     # 1. Data: a social graph + an action log of diffusion episodes.
-    #    (Swap in repro.data.loaders.load_dataset for a real crawl.)
+    #    For a real crawl, load a 'source target' edge list and a
+    #    'user item timestamp' action log instead:
+    #    graph, log, _ = repro.data.load_dataset(edges_path, actions_path)
     data = SyntheticSocialDataset.digg_like(num_users=400, num_items=150, seed=SEED)
     print(f"dataset: {data}")
 

@@ -32,7 +32,6 @@ from repro.ckpt.atomic import (
     atomic_output,
     atomic_write_bytes,
     atomic_write_text,
-    ensure_suffix,
 )
 from repro.ckpt.state import CHECKPOINT_VERSION, TrainingState
 from repro.ckpt.manager import CheckpointManager
@@ -42,7 +41,6 @@ __all__ = [
     "atomic_output",
     "atomic_write_bytes",
     "atomic_write_text",
-    "ensure_suffix",
     "CHECKPOINT_VERSION",
     "TrainingState",
     "CheckpointManager",

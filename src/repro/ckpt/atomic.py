@@ -1,8 +1,8 @@
 """Atomic file persistence: temp file + fsync + ``os.replace``.
 
-Every persistence path in this library (checkpoints, embedding and
-dataset archives, run manifests, span traces) writes through the
-helpers here so a crash — SIGKILL, power loss, a full disk raising
+Every persistence path in this library (checkpoints, embedding
+stores, edge lists and action logs, run manifests, span traces) writes
+through the helpers here so a crash — SIGKILL, power loss, a full disk raising
 mid-write — can never leave a partially written file at the final
 destination.  The contract:
 
@@ -16,10 +16,10 @@ destination.  The contract:
 On any failure the temp file is unlinked and the destination is left
 exactly as it was — either the previous complete version or absent.
 
-Temp names keep the destination's suffix (``.data.<rand>.tmp.npz``)
-because :func:`numpy.savez` silently appends ``.npz`` to paths that
+Temp names keep the destination's suffix (``.source.npy.<rand>.tmp.npy``)
+because :func:`numpy.save` silently appends ``.npy`` to paths that
 lack it, which would otherwise break the rename; they start with a dot
-so ``*.npz`` globs never pick up an uncommitted file.
+so ``*.npy`` globs never pick up an uncommitted file.
 
 A checkpoint is a directory, so it is built whole under a hidden temp
 name beside its destination and renamed into place the same way: no
@@ -41,22 +41,7 @@ __all__ = [
     "atomic_output",
     "atomic_write_bytes",
     "atomic_write_text",
-    "ensure_suffix",
 ]
-
-
-def ensure_suffix(path: PathLike, suffix: str) -> Path:
-    """Append ``suffix`` unless ``path`` already ends with it.
-
-    Normalises the extension asymmetry around :func:`numpy.savez`,
-    which appends ``.npz`` to bare paths at save time while
-    :func:`numpy.load` does not at load time — both sides of a
-    round trip must agree on the final name.
-    """
-    path = Path(path)
-    if path.name.endswith(suffix):
-        return path
-    return path.with_name(path.name + suffix)
 
 
 def _fsync_path(path: Path) -> None:
@@ -88,9 +73,9 @@ def atomic_output(path: PathLike) -> Iterator[Path]:
 
     Usage::
 
-        with atomic_output("run/model.npz") as tmp:
-            np.savez_compressed(tmp, **arrays)
-        # crash anywhere above: run/model.npz untouched
+        with atomic_output("run/source.npy") as tmp:
+            np.save(tmp, array)
+        # crash anywhere above: run/source.npy untouched
 
     The parent directory is created if missing.  The yielded path lives
     in the destination's directory and carries the destination's suffix;

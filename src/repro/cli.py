@@ -163,9 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     training.add_argument(
         "--dataset",
-        metavar="PATH",
-        help="train on a dataset archive written by save_dataset() "
-        "instead of generating a synthetic one",
+        nargs=2,
+        metavar=("EDGES", "ACTIONS"),
+        help="train on a 'source target' edge list and a 'user item "
+        "timestamp' action log instead of a synthetic dataset",
     )
     training.add_argument(
         "--checkpoint-dir",
@@ -285,17 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_training(args: argparse.Namespace) -> int:
     """The ``train`` command: one checkpointed training job."""
     from repro.core.inf2vec import Inf2vecConfig
-    from repro.data.serialization import load_dataset
+    from repro.data.loaders import load_dataset
     from repro.data.synthetic import SyntheticSocialDataset
     from repro.parallel import HogwildTrainer
     from repro.serve import EmbeddingStore
 
     if args.dataset:
-        dataset = load_dataset(args.dataset)
+        graph, log, _index = load_dataset(*args.dataset)
     else:
         dataset = SyntheticSocialDataset.digg_like(
             num_users=args.num_users, num_items=args.num_items, seed=args.seed
         )
+        graph, log = dataset.graph, dataset.log
     manager = None
     if args.checkpoint_dir:
         manager = CheckpointManager(
@@ -303,23 +305,19 @@ def _run_training(args: argparse.Namespace) -> int:
             every=args.checkpoint_every,
             keep=args.checkpoint_keep,
         )
-        if args.resume:
-            state = manager.latest_state()
-            if state is None:
-                print(
-                    f"no usable checkpoint in {args.checkpoint_dir}; "
-                    "starting fresh"
-                )
-            else:
-                print(f"resuming from checkpoint at epoch {state.epoch}")
     trainer = HogwildTrainer(
         Inf2vecConfig(dim=args.dim, epochs=args.epochs),
         workers=1 if args.workers is None else args.workers,
         seed=args.seed,
     )
-    model = trainer.fit(
-        dataset.graph, dataset.log, checkpoint=manager, resume=args.resume
-    )
+    model = trainer.fit(graph, log, checkpoint=manager, resume=args.resume)
+    if args.resume:
+        if model.resumed_epoch is None:
+            print(
+                f"no usable checkpoint in {args.checkpoint_dir}; starting fresh"
+            )
+        else:
+            print(f"resuming from checkpoint at epoch {model.resumed_epoch}")
     losses = model.loss_history
     if losses:
         workers_note = (
@@ -327,7 +325,7 @@ def _run_training(args: argparse.Namespace) -> int:
         )
         print(
             f"trained dim={args.dim} over {len(losses)} epochs "
-            f"on {dataset.graph.num_nodes} users{workers_note}; "
+            f"on {graph.num_nodes} users{workers_note}; "
             f"final loss {losses[-1]:.6f}"
         )
     else:

@@ -353,6 +353,7 @@ class Inf2vecModel:
         self._rng = ensure_rng(seed)
         self._embedding: InfluenceEmbedding | None = None
         self._loss_history: list[float] = []
+        self._resumed_epoch: int | None = None
         self._seed_text = None if seed is None else str(seed)
         self._workspace: _BatchWorkspace | None = None
 
@@ -582,6 +583,7 @@ class Inf2vecModel:
         A restore installs the checkpoint's parameters, loss history
         and RNG stream.  Returns the first epoch left to train.
         """
+        self._resumed_epoch = None
         if state is None:
             self._embedding = InfluenceEmbedding.initialize(
                 num_users, self.config.dim, self._rng
@@ -604,6 +606,7 @@ class Inf2vecModel:
                 f"bit generator: {exc}"
             ) from exc
         CKPT_RESUMES.inc()
+        self._resumed_epoch = state.epoch
         return state.epoch + 1
 
     def _run_epochs(
@@ -1007,6 +1010,11 @@ class Inf2vecModel:
     def loss_history(self) -> list[float]:
         """Mean per-positive loss after each completed epoch."""
         return list(self._loss_history)
+
+    @property
+    def resumed_epoch(self) -> int | None:
+        """Epoch of the checkpoint the last fit resumed from (``None``: fresh)."""
+        return self._resumed_epoch
 
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"

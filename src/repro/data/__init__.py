@@ -2,20 +2,18 @@
 
 from repro.data.actionlog import ActionLog, Adoption, DiffusionEpisode
 from repro.data.citation import CitationConfig, CitationDataset, CitationPair
-from repro.data.digg import load_digg, load_digg_friends, load_digg_votes
 from repro.data.graph import SocialGraph
 from repro.data.loaders import (
     UserIndex,
     load_action_log,
+    load_dataset,
     load_edge_list,
     write_action_log,
     write_edge_list,
 )
-from repro.data.serialization import load_dataset, save_dataset
 from repro.data.synthetic import (
     CascadeConfig,
     GraphConfig,
-    PlantedInfluence,
     SyntheticSocialDataset,
     generate_power_law_graph,
     simulate_episode,
@@ -29,20 +27,15 @@ __all__ = [
     "CitationConfig",
     "CitationDataset",
     "CitationPair",
-    "load_digg",
-    "load_digg_friends",
-    "load_digg_votes",
     "SocialGraph",
     "UserIndex",
     "load_action_log",
+    "load_dataset",
     "load_edge_list",
     "write_action_log",
     "write_edge_list",
-    "load_dataset",
-    "save_dataset",
     "CascadeConfig",
     "GraphConfig",
-    "PlantedInfluence",
     "SyntheticSocialDataset",
     "generate_power_law_graph",
     "simulate_episode",

@@ -1,28 +1,33 @@
 """On-disk dataset formats.
 
-Parsers and writers for the simple text formats the public Digg and
-Flickr dumps ship in, so the real crawls drop into the pipeline when
-available:
+Parsers and writers for the two text formats that are the library's
+one file route into training (``train --dataset EDGES ACTIONS``); a
+real Digg or Flickr crawl drops in once its columns are reordered
+(README shows the Digg-2009 mapping):
 
-* **edge lists** — one ``source<sep>target`` pair per line (arbitrary
-  string user names allowed; a :class:`UserIndex` maps them to dense
-  IDs),
+* **edge lists** — one ``source<sep>target`` pair per line, influence
+  flowing source → target (arbitrary string user names allowed; a
+  :class:`UserIndex` maps them to dense IDs),
 * **action logs** — one ``user<sep>item<sep>timestamp`` triple per
-  line (Digg's ``digg_votes`` layout).
+  line.
 
 Lines starting with ``#`` and blank lines are skipped.  Both formats
-round-trip through the matching ``write_*`` functions.
+round-trip through the matching ``write_*`` functions.  A file that
+cannot be read as either format raises :class:`~repro.errors.GraphError`
+(edge list) or :class:`~repro.errors.ActionLogError` (action log),
+naming ``path:line``.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterator, Union
 
 from repro.ckpt.atomic import atomic_output
 from repro.data.actionlog import ActionLog
 from repro.data.graph import SocialGraph
-from repro.errors import ActionLogError, GraphError
+from repro.errors import ActionLogError, GraphError, ReproError
 
 PathLike = Union[str, Path]
 
@@ -64,10 +69,18 @@ class UserIndex:
         return name in self._to_id
 
 
-def _data_lines(path: PathLike) -> Iterator[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8") as handle:
+def _data_lines(
+    path: PathLike, error: type[ReproError]
+) -> Iterator[tuple[int, list[str]]]:
+    """Number and split the data lines; a non-UTF-8 line raises ``error``."""
+    with open(path, "rb") as handle:
         for line_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise error(
+                    f"{path}:{line_number}: not UTF-8 text ({exc.reason})"
+                ) from None
             if not line or line.startswith("#"):
                 continue
             yield line_number, line.replace(",", " ").split()
@@ -93,7 +106,7 @@ def load_edge_list(
     """
     index = index if index is not None else UserIndex()
     edges: list[tuple[int, int]] = []
-    for line_number, fields in _data_lines(path):
+    for line_number, fields in _data_lines(path, GraphError):
         if len(fields) != 2:
             raise GraphError(
                 f"{path}:{line_number}: expected 2 fields, got {len(fields)}"
@@ -107,6 +120,8 @@ def load_edge_list(
         raise GraphError(
             f"num_users={total} but the file references {len(index)} users"
         )
+    if total < 1:
+        raise GraphError(f"{path}: the edge list names no users")
     return SocialGraph(total, edges), index
 
 
@@ -134,7 +149,7 @@ def load_action_log(
     """
     records: list[tuple[int, int, float]] = []
     item_ids: dict[str, int] = {}
-    for line_number, fields in _data_lines(path):
+    for line_number, fields in _data_lines(path, ActionLogError):
         if len(fields) != 3:
             raise ActionLogError(
                 f"{path}:{line_number}: expected 3 fields, got {len(fields)}"
@@ -149,9 +164,11 @@ def load_action_log(
         try:
             timestamp = float(time_text)
         except ValueError:
+            timestamp = math.nan
+        if not math.isfinite(timestamp):
             raise ActionLogError(
                 f"{path}:{line_number}: bad timestamp {time_text!r}"
-            ) from None
+            )
         item_id = item_ids.setdefault(item_name, len(item_ids))
         records.append((index.id_of(user_name), item_id, timestamp))
     total = num_users if num_users is not None else len(index)

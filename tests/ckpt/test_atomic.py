@@ -7,23 +7,7 @@ from repro.ckpt.atomic import (
     atomic_output,
     atomic_write_bytes,
     atomic_write_text,
-    ensure_suffix,
 )
-
-
-class TestEnsureSuffix:
-    def test_appends_missing_suffix(self):
-        assert ensure_suffix("model", ".npz").name == "model.npz"
-
-    def test_keeps_existing_suffix(self):
-        assert ensure_suffix("model.npz", ".npz").name == "model.npz"
-
-    def test_appends_after_foreign_suffix(self):
-        assert ensure_suffix("model.v2", ".npz").name == "model.v2.npz"
-
-    def test_preserves_directory(self, tmp_path):
-        result = ensure_suffix(tmp_path / "a" / "model", ".npz")
-        assert result == tmp_path / "a" / "model.npz"
 
 
 class TestAtomicOutput:

@@ -77,8 +77,7 @@ def test_ckpt_public_api_is_pinned():
         "atomic_output",
         "atomic_write_bytes",
         "atomic_write_text",
-        "ensure_suffix",
-        "CHECKPOINT_VERSION",
+            "CHECKPOINT_VERSION",
         "TrainingState",
         "CheckpointManager",
         "CheckpointError",

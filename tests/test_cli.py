@@ -180,8 +180,29 @@ class TestTrainCommand:
         ) == 0
         captured = capsys.readouterr()
         assert "starting fresh" in captured.out
-        assert "retired single-file .npz" in captured.err
+        assert captured.err.count("retired single-file .npz") == 1
         assert "ckpt-00000001.npz" in captured.err
+
+    def test_train_on_text_dataset_writes_store(self, capsys, tmp_path):
+        from repro.data import write_action_log, write_edge_list
+        from repro.data.synthetic import SyntheticSocialDataset
+
+        dataset = SyntheticSocialDataset.digg_like(
+            num_users=40, num_items=8, seed=1
+        )
+        edges, actions = tmp_path / "edges.txt", tmp_path / "votes.txt"
+        write_edge_list(dataset.graph, edges)
+        write_action_log(dataset.log, actions)
+        store_dir = tmp_path / "store"
+        assert main(
+            [
+                "train", "--dataset", str(edges), str(actions),
+                "--epochs", "1", "--dim", "4", "--store-dir", str(store_dir),
+            ]
+        ) == 0
+        assert "over 1 epochs on 40 users" in capsys.readouterr().out
+        store = EmbeddingStore.open(store_dir)
+        assert (store.num_users, store.dim) == (40, 4)
 
     def test_train_records_checkpoint_telemetry(self, capsys, tmp_path):
         import json
