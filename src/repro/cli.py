@@ -55,6 +55,7 @@ from contextlib import nullcontext
 from typing import Callable, Mapping
 
 from repro.ckpt import CheckpointManager
+from repro.errors import ReproError
 from repro.obs import PeriodicExporter, RunRecorder, active_run, recording
 from repro.utils.logging import log_to_stderr
 from repro.experiments import (
@@ -472,10 +473,17 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     The library's warnings (a skipped or retired checkpoint, a failed
-    telemetry export) print to stderr.
+    telemetry export) print to stderr.  A :class:`~repro.errors.ReproError`
+    (an out-of-range query user, a missing store) prints as one line,
+    ``repro: error: <message>``, and exits with status 2, the status of
+    a usage error.
     """
     with log_to_stderr(logging.WARNING):
-        return _main(argv)
+        try:
+            return _main(argv)
+        except ReproError as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
 
 
 def _main(argv: list[str] | None) -> int:

@@ -18,6 +18,14 @@ dense ``(num_users, num_users)`` score matrix:
 * :mod:`repro.serve.service` — :class:`InfluenceService`: the facade a
   request handler holds, with ``repro.obs`` metrics/span telemetry.
 
+Single and batch queries take one route through the service: the users
+and ``k`` are checked once, by :func:`repro.serve.scoring.check_users`
+and :func:`repro.serve.scoring.check_k`, and the query then goes to the
+index when it is deep enough and to a scan otherwise.  The engine and
+the index call the same two checks, so a bad request raises
+:class:`~repro.errors.ServingError` with one text from every entry
+point.
+
 Quickstart::
 
     from repro.serve import EmbeddingStore, InfluenceService
@@ -36,7 +44,6 @@ from repro.serve.scoring import (
     aggregated_scores,
     augment_sources,
     augment_targets,
-    iter_blocks,
     iter_source_rows,
     score_block,
 )
@@ -62,7 +69,6 @@ __all__ = [
     "aggregated_scores",
     "augment_sources",
     "augment_targets",
-    "iter_blocks",
     "iter_source_rows",
     "score_block",
 ]

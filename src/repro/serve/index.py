@@ -35,8 +35,8 @@ from repro.serve.store import (
     read_manifest,
     store_fingerprint,
 )
+from repro.serve.scoring import check_k, check_users
 from repro.serve.topk import TopKEngine, TopKResult
-from repro.utils.validation import check_positive_int
 
 __all__ = ["TopKIndex", "INDEX_DIRECTIONS"]
 
@@ -47,6 +47,11 @@ INDEX_FORMAT_VERSION = 1
 
 #: The two query directions an index can be built for.
 INDEX_DIRECTIONS = ("influenced", "influencers")
+
+#: Users per engine batch of :meth:`TopKIndex.build`.  A batch this
+#: size keeps the scan's 1,024-row blocks (DESIGN.md §12), and batch
+#: boundaries leave every bit of the index unchanged.
+BUILD_BATCH = 64
 
 
 def _manifest_name(direction: str) -> str:
@@ -105,47 +110,40 @@ class TopKIndex:
 
     @classmethod
     def build(
-        cls,
-        engine: TopKEngine,
-        k: int,
-        direction: str = "influenced",
-        batch_size: int = 64,
+        cls, engine: TopKEngine, k: int, direction: str = "influenced"
     ) -> "TopKIndex":
         """Precompute the exact top-k for every user via ``engine``.
 
-        Queries run in batches of ``batch_size`` users; each batch is a
+        ``k`` beyond the number of users is cut to it.  Queries run in
+        engine batches of :data:`BUILD_BATCH` users; each batch is a
         blocked scan (blocks sized by
         :func:`repro.serve.scoring.block_rows`), so its scratch does not
         grow with ``num_users``.
         """
         _check_direction(direction)
-        k = check_positive_int("k", k)
-        batch_size = check_positive_int("batch_size", batch_size)
         query = (
             engine.top_influenced_batch
             if direction == "influenced"
             else engine.top_influencers_batch
         )
         num_users = engine.num_users
-        indices = np.empty((num_users, min(k, num_users)), dtype=np.int64)
+        depth = check_k(min(k, num_users), num_users)
+        indices = np.empty((num_users, depth), dtype=np.int64)
         scores = np.empty_like(indices, dtype=np.float64)
-        for start in range(0, num_users, batch_size):
-            users = np.arange(
-                start, min(start + batch_size, num_users), dtype=np.int64
-            )
-            result = query(users, min(k, num_users))
-            indices[start : start + users.shape[0]] = result.indices
-            scores[start : start + users.shape[0]] = result.scores
+        for start in range(0, num_users, BUILD_BATCH):
+            stop = min(start + BUILD_BATCH, num_users)
+            result = query(np.arange(start, stop, dtype=np.int64), depth)
+            indices[start:stop] = result.indices
+            scores[start:stop] = result.scores
         return cls(direction, indices, scores)
 
     def query(self, user: int, k: int | None = None) -> TopKResult:
-        """The precomputed ranking for ``user``, cut to ``k`` entries."""
-        user = int(user)
-        if not 0 <= user < self.num_users:
-            raise ServingError(
-                f"user {user} outside [0, {self.num_users})"
-            )
-        depth = self.k if k is None else check_positive_int("k", k)
+        """The precomputed ranking for ``user``, cut to ``k`` entries.
+
+        A 1-D batch of users gets one ranked row each.
+        """
+        user = check_users(user, self.num_users)
+        depth = self.k if k is None else check_k(k, self.num_users)
         if depth > self.k:
             raise ServingError(
                 f"k={depth} exceeds the precomputed index depth {self.k}"

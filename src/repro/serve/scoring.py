@@ -49,9 +49,10 @@ __all__ = [
     "augment_sources",
     "augment_targets",
     "candidate_scores",
+    "check_k",
+    "check_users",
     "max_row_norm",
     "score_block",
-    "iter_blocks",
     "iter_source_rows",
     "aggregated_scores",
 ]
@@ -77,17 +78,44 @@ class EmbeddingLike:
     target_bias: np.ndarray
 
 
-def _validate_users(users: Sequence[int], num_users: int) -> np.ndarray:
-    """Normalise user ids to an int64 array and bounds-check them."""
-    ids = np.atleast_1d(np.asarray(users, dtype=np.int64))
-    if ids.ndim != 1:
-        raise ServingError(f"user ids must be scalar or 1-D, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_users):
+def check_users(users: int | Sequence[int], num_users: int) -> int | np.ndarray:
+    """The one check of query user ids, shared by every serving entry point.
+
+    ``users`` is one id or a non-empty 1-D sequence of ids, each in
+    ``[0, num_users)``.  One id comes back as an ``int``, a batch as an
+    int64 array, so a single query slices one row where a batch takes a
+    block.  Negative ids are refused rather than wrapped by numpy
+    indexing to another user's row.
+    """
+    try:
+        ids = np.asarray(users, dtype=np.int64)
+    except OverflowError:  # an id beyond int64 is outside any universe
         raise ServingError(
-            f"user ids must lie in [0, {num_users}), got range "
-            f"[{ids.min()}, {ids.max()}]"
+            f"user ids outside served universe [0, {num_users})"
+        ) from None
+    if ids.ndim > 1 or ids.size == 0:
+        raise ServingError(
+            "query users must be one id or a non-empty 1-D array of ids"
         )
-    return ids
+    if ids.ndim == 0:
+        low = high = int(ids)
+    else:
+        low, high = int(ids.min()), int(ids.max())
+    if low < 0 or high >= num_users:
+        raise ServingError(
+            f"user {low if low < 0 else high} outside served universe "
+            f"[0, {num_users})"
+        )
+    return low if ids.ndim == 0 else ids
+
+
+def check_k(k: int, num_users: int) -> int:
+    """The one check of a top-k depth: an integer in ``[1, num_users]``."""
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= num_users:
+        raise ServingError(
+            f"k must be an integer in [1, {num_users}], got {k!r}"
+        )
+    return int(k)
 
 
 def augment_sources(
@@ -102,7 +130,7 @@ def augment_sources(
     source = embedding.source
     bias = embedding.source_bias
     if users is not None:
-        ids = _validate_users(users, source.shape[0])
+        ids = np.atleast_1d(check_users(users, source.shape[0]))
         source = source[ids]
         bias = bias[ids]
     out = np.empty((source.shape[0], source.shape[1] + 2), dtype=np.float64)
@@ -119,7 +147,7 @@ def augment_targets(
     target = embedding.target
     bias = embedding.target_bias
     if users is not None:
-        ids = _validate_users(users, target.shape[0])
+        ids = np.atleast_1d(check_users(users, target.shape[0]))
         target = target[ids]
         bias = bias[ids]
     out = np.empty((target.shape[0], target.shape[1] + 2), dtype=np.float64)
@@ -297,15 +325,6 @@ def block_rows(block_size: int, dim: int, width: int) -> int:
     return max(1, block_size * (dim + 2) // max(width, 1))
 
 
-def iter_blocks(
-    matrix: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start_row, matrix[start:start + block_size])`` slices."""
-    block_size = check_positive_int("block_size", block_size)
-    for start in range(0, matrix.shape[0], block_size):
-        yield start, matrix[start : start + block_size]
-
-
 def iter_source_rows(
     embedding: EmbeddingLike,
     sources: Sequence[int] | None = None,
@@ -326,7 +345,7 @@ def iter_source_rows(
     ids = (
         np.arange(num_users, dtype=np.int64)
         if sources is None
-        else _validate_users(sources, num_users)
+        else np.atleast_1d(check_users(sources, num_users))
     )
     rows_per_chunk = block_rows(block_size, embedding.source.shape[1], num_users)
     targets = augment_targets(embedding)
@@ -365,9 +384,6 @@ def aggregated_scores(
     """
     block_size = check_positive_int("block_size", block_size)
     num_users = embedding.source.shape[0]
-    ids = _validate_users(sources, num_users)
-    if ids.shape[0] == 0:
-        raise ServingError("aggregated_scores requires at least one source")
     if isinstance(aggregator, str):
         try:
             reduce = _BUILTIN_AGGREGATES[aggregator.strip().lower()]
@@ -381,10 +397,10 @@ def aggregated_scores(
 
         def reduce(block: np.ndarray) -> np.ndarray:
             return np.apply_along_axis(custom, 0, block)
-    queries = augment_sources(embedding, ids)
+    queries = augment_sources(embedding, sources)
     targets = augment_targets(embedding)
     out = np.empty(num_users, dtype=np.float64)
-    for col_start, block in iter_blocks(targets, block_size):
-        pairwise = score_block(queries, block)  # (num_sources, b)
-        out[col_start : col_start + block.shape[0]] = reduce(pairwise)
+    for start in range(0, num_users, block_size):
+        pairwise = score_block(queries, targets[start : start + block_size])
+        out[start : start + pairwise.shape[1]] = reduce(pairwise)
     return out

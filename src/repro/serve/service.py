@@ -8,15 +8,25 @@ covers the request, a blocked scan otherwise.  Both paths return
 bitwise-identical rankings (the index is built by the same engine), so
 routing is purely a latency decision.
 
+Single and batch queries take one route, ``InfluenceService._query``.
+It checks the users and ``k`` with
+:func:`~repro.serve.scoring.check_users` and
+:func:`~repro.serve.scoring.check_k` before it routes.  The engine and
+the index call the same two checks, so a bad request raises
+:class:`~repro.errors.ServingError` with one text whichever entry point
+takes it.
+
 Telemetry follows the repo's null-default contract: inside a
 ``with recording(run):`` scope every query increments
 ``serve.queries`` (labelled by direction and path) and observes its
 latency into the ``serve.query.seconds`` histogram (live percentiles
 come from its buckets), and failed queries increment the
 ``serve.query.errors`` counter (labelled by direction and error type)
-before the exception propagates; outside a scope the cost is one
-attribute check.  Batch entry points and index precomputes
-additionally open a span; single queries open none.
+before the exception propagates, once per failed query; outside a
+scope the cost is one attribute check.  Batches
+(``serve.batch.<direction>``) and index precomputes
+(``serve.precompute.<direction>``) also open a span; single queries
+open none.
 """
 
 from __future__ import annotations
@@ -27,11 +37,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.errors import ServingError
 from repro.obs.catalog import SERVE_QUERIES, SERVE_QUERY_ERRORS, SERVE_QUERY_SECONDS
 from repro.obs.run import active_metrics, active_run
 from repro.serve.index import INDEX_DIRECTIONS, TopKIndex
-from repro.serve.scoring import DEFAULT_BLOCK_SIZE
+from repro.serve.scoring import DEFAULT_BLOCK_SIZE, check_k, check_users
 from repro.serve.store import EmbeddingStore
 from repro.serve.topk import TopKEngine, TopKResult
 
@@ -101,7 +110,7 @@ class InfluenceService:
         return self.store.num_users
 
     # ------------------------------------------------------------------
-    # Single-user queries
+    # Queries
     # ------------------------------------------------------------------
 
     def top_influenced(self, user: int, k: int) -> TopKResult:
@@ -112,171 +121,84 @@ class InfluenceService:
         """The ``k`` users most influencing ``user``, best first."""
         return self._query("influencers", user, k)
 
-    def _check_user(self, user: int) -> int:
-        """Validate a user id against the served universe."""
-        user = int(user)
-        if not 0 <= user < self.num_users:
-            raise ServingError(
-                f"user {user} outside served universe "
-                f"[0, {self.num_users})"
-            )
-        return user
+    def top_influenced_batch(self, users: Sequence[int], k: int) -> TopKResult:
+        """Batched :meth:`top_influenced`, one ranked row per user."""
+        return self._query("influenced", users, k)
 
-    def _check_users(self, users: np.ndarray) -> np.ndarray:
-        """Validate a batch of user ids against the served universe.
+    def top_influencers_batch(self, users: Sequence[int], k: int) -> TopKResult:
+        """Batched :meth:`top_influencers`, one ranked row per user."""
+        return self._query("influencers", users, k)
 
-        Negative ids would otherwise wrap silently through numpy fancy
-        indexing on the index path and return the wrong users' rows.
+    def _query(
+        self, direction: str, users: int | Sequence[int], k: int
+    ) -> TopKResult:
+        """The one query route: check, route, record.
+
+        ``users`` is one id or a 1-D batch.  Both are checked before
+        routing, so the index and the scan refuse the same request with
+        the same text, and a failure is counted once.  Only a batch
+        opens a span.
         """
-        if users.ndim != 1 or users.shape[0] == 0:
-            raise ServingError(
-                "at least one query user is required (1-D id array)"
-            )
-        bad = (users < 0) | (users >= self.num_users)
-        if bad.any():
-            raise ServingError(
-                f"user {int(users[bad][0])} outside served universe "
-                f"[0, {self.num_users})"
-            )
-        return users
-
-    def _check_k(self, k: int) -> int:
-        """Validate ``k`` once, before path routing.
-
-        Both backends reject bad depths (the scan via
-        ``TopKEngine._check_k``, the index via its depth check), but
-        routing happens first — an unchecked ``k`` picks the path, and
-        the index path's numpy slicing would quietly truncate
-        ``k > num_users`` instead of failing like the scan does.
-        Validating here makes the two paths raise identically.
-        """
-        k = int(k)
-        if k < 1:
-            raise ServingError(f"k must be a positive integer, got {k}")
-        if k > self.num_users:
-            raise ServingError(
-                f"k={k} exceeds num_users={self.num_users}"
-            )
-        return k
-
-    def _query(self, direction: str, user: int, k: int) -> TopKResult:
         start = time.perf_counter()
         try:
-            user = self._check_user(user)
-            k = self._check_k(k)
-            index = self.indices.get(direction)
-            if index is not None and k <= index.k:
-                result = index.query(user, k)
-                path = "index"
+            users = check_users(users, self.num_users)
+            k = check_k(k, self.num_users)
+            if isinstance(users, np.ndarray):
+                with active_run().span(
+                    f"serve.batch.{direction}", num_queries=users.shape[0], k=k
+                ) as span:
+                    result, path = self._route(direction, users, k)
+                    span.set_attribute("path", path)
             else:
-                scan = (
-                    self.engine.top_influenced
-                    if direction == "influenced"
-                    else self.engine.top_influencers
-                )
-                result = scan(user, k)
-                path = "scan"
+                result, path = self._route(direction, users, k)
         except BaseException as exc:
             _record_error(direction, exc)
             raise
         _record_query(direction, path, time.perf_counter() - start)
         return result
 
-    # ------------------------------------------------------------------
-    # Batched queries
-    # ------------------------------------------------------------------
+    def _route(
+        self, direction: str, users: int | np.ndarray, k: int
+    ) -> tuple[TopKResult, str]:
+        """Answer checked ``users`` from the index if it is deep enough.
 
-    def top_influenced_batch(self, users: Sequence[int], k: int) -> TopKResult:
-        """Batched :meth:`top_influenced`, one ranked row per user."""
-        return self._query_batch("influenced", users, k)
-
-    def top_influencers_batch(self, users: Sequence[int], k: int) -> TopKResult:
-        """Batched :meth:`top_influencers`, one ranked row per user."""
-        return self._query_batch("influencers", users, k)
-
-    def _query_batch(
-        self, direction: str, users: Sequence[int], k: int
-    ) -> TopKResult:
-        users = np.asarray(users, dtype=np.int64)
-        start = time.perf_counter()
+        Slicing the index with one id takes a row, with a batch a block.
+        """
         index = self.indices.get(direction)
-        with active_run().span(
-            f"serve.batch.{direction}", num_queries=int(users.shape[0]), k=k
-        ) as span:
-            try:
-                users = self._check_users(users)
-                k = self._check_k(k)
-                if index is not None and k <= index.k:
-                    result = TopKResult(
-                        indices=np.asarray(index.indices[users, :k]),
-                        scores=np.asarray(index.scores[users, :k]),
-                    )
-                    path = "index"
-                else:
-                    scan = (
-                        self.engine.top_influenced_batch
-                        if direction == "influenced"
-                        else self.engine.top_influencers_batch
-                    )
-                    result = scan(users, k)
-                    path = "scan"
-            except BaseException as exc:
-                _record_error(direction, exc)
-                raise
-            span.set_attribute("path", path)
-        _record_query(direction, path, time.perf_counter() - start)
-        return result
+        if index is not None and k <= index.k:
+            result = TopKResult(
+                indices=np.asarray(index.indices[users, :k]),
+                scores=np.asarray(index.scores[users, :k]),
+            )
+            return result, "index"
+        batch = isinstance(users, np.ndarray)
+        engine = self.engine
+        if direction == "influenced":
+            scan = engine.top_influenced_batch if batch else engine.top_influenced
+        else:
+            scan = engine.top_influencers_batch if batch else engine.top_influencers
+        return scan(users, k), "scan"
 
     # ------------------------------------------------------------------
     # Index management
     # ------------------------------------------------------------------
 
     def precompute(
-        self,
-        k: int,
-        directions: Sequence[str] = ("influenced",),
-        batch_size: int = 64,
-        persist: bool = True,
-    ) -> dict[str, TopKIndex]:
-        """Build (and by default persist) top-k indices for ``directions``.
+        self, k: int, directions: Sequence[str] = ("influenced",)
+    ) -> None:
+        """Build top-k indices for ``directions`` and persist them.
 
-        Built indices immediately serve subsequent queries; with
-        ``persist=True`` they are also written next to the store so
-        future :meth:`open` calls pick them up.
+        Each index is written next to the store, so later :meth:`open`
+        calls pick it up, and reopened mapped, so it serves this
+        service's queries from shared pages like an opened one.
         """
-        built: dict[str, TopKIndex] = {}
         for direction in directions:
-            with active_run().span(
-                f"serve.precompute.{direction}", k=k
-            ):
-                index = TopKIndex.build(
-                    self.engine, k, direction=direction, batch_size=batch_size
-                )
-            if persist:
-                index.save(self.store.directory)
-                # Reopen mapped so served pages are shared, like open().
-                index = TopKIndex.open(self.store.directory, direction)
-            self.indices[direction] = index
-            built[direction] = index
-        return built
-
-    def index_batch_query(self, direction: str, users: Sequence[int]) -> TopKResult:
-        """Full-depth index rows for ``users`` (index must exist)."""
-        index = self.indices.get(direction)
-        if index is None:
-            error = ServingError(f"no {direction!r} index is loaded")
-            _record_error(direction, error)
-            raise error
-        users = np.asarray(users, dtype=np.int64)
-        try:
-            users = self._check_users(users)
-        except ServingError as exc:
-            _record_error(direction, exc)
-            raise
-        return TopKResult(
-            indices=np.asarray(index.indices[users]),
-            scores=np.asarray(index.scores[users]),
-        )
+            with active_run().span(f"serve.precompute.{direction}", k=k):
+                index = TopKIndex.build(self.engine, k, direction=direction)
+            index.save(self.store.directory)
+            self.indices[direction] = TopKIndex.open(
+                self.store.directory, direction
+            )
 
     def __repr__(self) -> str:
         loaded = sorted(self.indices)

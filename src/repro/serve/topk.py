@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import ServingError
 from repro.serve.scoring import (
     DEFAULT_BLOCK_SIZE,
     EmbeddingLike,
@@ -48,7 +47,7 @@ from repro.serve.scoring import (
     augment_targets,
     block_rows,
     candidate_scores,
-    iter_blocks,
+    check_k,
     max_row_norm,
 )
 from repro.utils.validation import check_positive_int
@@ -174,6 +173,12 @@ class TopKEngine:
     engine for a new embedding.  A served store is a read-only memmap,
     so :class:`~repro.serve.service.InfluenceService`'s one engine per
     store augments it once.
+
+    Query users and ``k`` go through
+    :func:`~repro.serve.scoring.check_users` and
+    :func:`~repro.serve.scoring.check_k`, the checks the index and the
+    service also call, so a bad request gets the same
+    :class:`~repro.errors.ServingError` text from each.
     """
 
     def __init__(
@@ -245,14 +250,6 @@ class TopKEngine:
                     self._databases[augment] = entry
         return entry
 
-    def _check_k(self, k: int) -> int:
-        k = check_positive_int("k", k)
-        if k > self.num_users:
-            raise ServingError(
-                f"k={k} exceeds num_users={self.num_users}"
-            )
-        return k
-
     def _scan(
         self, queries: np.ndarray, augment: Callable, k: int
     ) -> TopKResult:
@@ -264,9 +261,7 @@ class TopKEngine:
         merged after the running best, whose k-th score is the floor
         of the next block's choice.
         """
-        k = self._check_k(k)
-        if queries.shape[0] == 0:
-            raise ServingError("at least one query user is required")
+        k = check_k(k, self.num_users)
         database, database_norm = self._database(augment)
         num_queries = queries.shape[0]
         rows = max(
@@ -274,7 +269,8 @@ class TopKEngine:
             block_rows(self.block_size, database.shape[1] - 2, num_queries),
         )
         best_scores = best_indices = None
-        for start, block in iter_blocks(database, rows):
+        for start in range(0, database.shape[0], rows):
+            block = database[start : start + rows]
             full = best_scores is not None and best_scores.shape[1] == k
             scores, columns = candidate_scores(
                 queries, block, k, database_norm,

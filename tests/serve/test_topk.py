@@ -559,7 +559,7 @@ class TestBatchedVariants:
         engine = TopKEngine(random_embedding(0))
         with pytest.raises(ServingError):
             engine.top_influenced(0, NUM_USERS + 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServingError):
             engine.top_influenced(0, 0)
         with pytest.raises(ServingError):
             engine.top_influenced(NUM_USERS, 3)

@@ -141,7 +141,6 @@ def test_serve_public_api_is_pinned():
         "aggregated_scores",
         "augment_sources",
         "augment_targets",
-        "iter_blocks",
         "iter_source_rows",
         "score_block",
     }

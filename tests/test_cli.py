@@ -276,3 +276,31 @@ class TestInfluenceMaxCommand:
         assert seeds == [
             l for l in second.splitlines() if l.startswith("  seeds:")
         ]
+
+
+class TestServeErrors:
+    """A bad ``serve`` request is one line on stderr and status 2."""
+
+    @pytest.mark.parametrize(
+        "store, flags, message",
+        [
+            ("store", ["--query", "999"], "user 999 outside served universe [0, 40)"),
+            ("store", ["--query", "0", "--top-k", "0"], "k must be an integer in [1, 40]"),
+            ("missing", [], "not an embedding store"),
+        ],
+        ids=["query-outside-universe", "top-k-zero", "missing-store"],
+    )
+    def test_bad_request_is_one_line(
+        self, capsys, tmp_path, store, flags, message
+    ):
+        from repro.core.embeddings import InfluenceEmbedding
+
+        EmbeddingStore.save(
+            InfluenceEmbedding.initialize(40, 4, seed=1), tmp_path / "store"
+        )
+        assert main(["serve", "--store-dir", str(tmp_path / store), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
