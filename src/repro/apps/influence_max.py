@@ -7,7 +7,7 @@ library's learned models:
 
 * :func:`ris_influence_maximization` — the seed selector: an
   adaptively sized pool of reverse-reachable sets (:mod:`repro.sketch`)
-  and CELF lazy max-coverage over it, on an :class:`EdgeProbabilities`
+  and greedy max-coverage over it, on an :class:`EdgeProbabilities`
   table from any IC-based model (DE, ST, EM, Emb-IC, or planted ground
   truth), at selection cost near-linear in the pool size.  Monte-Carlo
   simulation (:mod:`repro.diffusion.montecarlo`) is the referee that
@@ -179,7 +179,7 @@ def ris_influence_maximization(
     """Sketch-based (RIS/IMM) seed selection under the IC model.
 
     Builds an adaptively sized pool of reverse-reachable sets
-    (:func:`repro.sketch.adaptive_rr_pool`) and runs CELF-style lazy
+    (:func:`repro.sketch.adaptive_rr_pool`) and runs greedy
     max-coverage over it (:func:`repro.sketch.max_coverage_seeds`), at
     near-linear selection cost.
 

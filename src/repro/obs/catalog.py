@@ -52,7 +52,6 @@ NEGATIVES_COLLISIONS = counter("negatives.collisions", (), "negatives initially 
 NEGATIVES_RESAMPLE_ROUNDS = counter("negatives.resample_rounds", (), "rejection-resample iterations")
 SERVE_QUERIES = counter("serve.queries", ("direction", "path"), "top-k influence queries served")
 SERVE_QUERY_ERRORS = counter("serve.query.errors", ("direction", "error"), "failed top-k influence queries")
-SKETCH_LAZY_EVALUATIONS = counter("sketch.lazy_evaluations", (), "CELF re-evaluations during max-coverage selection")
 SKETCH_RR_NODES = counter("sketch.rr_nodes", (), "total nodes across sampled RR sets")
 SKETCH_RR_SETS = counter("sketch.rr_sets", (), "reverse-reachable sets sampled")
 SKETCH_SELECTIONS = counter("sketch.selections", (), "max-coverage seed selections run")
@@ -106,6 +105,6 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
     SpanSpec("sgd", (), "SGD pass over the context corpus"),
     SpanSpec("sketch.generate", ("count",), "batched RR-set generation"),
     SpanSpec("sketch.schedule", ("num_seeds", "epsilon", "lower_bound", "num_sketches", "capped"), "IMM two-phase sampling schedule"),
-    SpanSpec("sketch.select", ("num_seeds", "num_sketches"), "CELF max-coverage seed selection"),
+    SpanSpec("sketch.select", ("num_seeds", "num_sketches"), "greedy max-coverage seed selection"),
     SpanSpec("train_epoch", ("repeat",), "benchmark: one timed training epoch"),
 )

@@ -57,6 +57,8 @@ __all__ = [
     "aggregated_scores",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 #: Default block size: database rows per block of a many-query scan, and
 #: the unit of every block's score-cell budget (see :func:`block_rows`).
 DEFAULT_BLOCK_SIZE = 1024
@@ -81,32 +83,42 @@ class EmbeddingLike:
 def check_users(users: int | Sequence[int], num_users: int) -> int | np.ndarray:
     """The one check of query user ids, shared by every serving entry point.
 
-    ``users`` is one id or a non-empty 1-D sequence of ids, each in
-    ``[0, num_users)``.  One id comes back as an ``int``, a batch as an
-    int64 array, so a single query slices one row where a batch takes a
-    block.  Negative ids are refused rather than wrapped by numpy
-    indexing to another user's row.
+    ``users`` is one id or a non-empty 1-D sequence of ids, each an
+    integer in ``[0, num_users)``.  One id comes back as an ``int``, a
+    batch as an int64 array, so a single query slices one row where a
+    batch takes a block.  Negative ids are refused rather than wrapped
+    by numpy indexing to another user's row, and float, bool and object
+    ids are refused rather than truncated or read as a mask.
     """
-    try:
-        ids = np.asarray(users, dtype=np.int64)
-    except OverflowError:  # an id beyond int64 is outside any universe
-        raise ServingError(
-            f"user ids outside served universe [0, {num_users})"
-        ) from None
-    if ids.ndim > 1 or ids.size == 0:
-        raise ServingError(
-            "query users must be one id or a non-empty 1-D array of ids"
-        )
-    if ids.ndim == 0:
-        low = high = int(ids)
+    if _is_integer(users):
+        ids = None
+        low = high = int(users)
     else:
+        ids = np.asarray(users)
+        if ids.ndim > 1 or ids.size == 0:
+            raise ServingError(
+                "query users must be one id or a non-empty 1-D array of ids"
+            )
+        if ids.dtype.kind not in "iu" and not (
+            ids.dtype.kind == "O" and all(map(_is_integer, ids.flat))
+        ):
+            raise ServingError(f"query user ids must be integers, got {ids.dtype}")
         low, high = int(ids.min()), int(ids.max())
+    if high > _INT64_MAX:  # beyond int64 is outside any universe
+        raise ServingError(f"user ids outside served universe [0, {num_users})")
     if low < 0 or high >= num_users:
         raise ServingError(
             f"user {low if low < 0 else high} outside served universe "
             f"[0, {num_users})"
         )
-    return low if ids.ndim == 0 else ids
+    if ids is None or ids.ndim == 0:
+        return low
+    return ids.astype(np.int64, copy=False)
+
+
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is an ``int`` or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_k(k: int, num_users: int) -> int:

@@ -5,14 +5,14 @@ network:
 
 * :mod:`repro.sketch.rrsets` — :class:`RRGenerator` samples RR sets in
   vectorised lockstep batches over the transposed CSR adjacency;
-  :class:`RRSketchPool` stores them flattened with an inverted
-  node→sketch index;
+  :class:`RRSketchPool` stores them flattened, with int32 members, and
+  builds the inverted node→sketch index on demand;
 * :mod:`repro.sketch.schedule` — :func:`adaptive_rr_pool`: the
   IMM-style two-phase schedule (OPT lower bound + martingale stopping)
   that sizes the pool from the data instead of a hard-coded count;
-* :mod:`repro.sketch.select` — :func:`max_coverage_seeds`: CELF-style
-  lazy greedy max-coverage over the pool, near-linear in the flattened
-  pool size.
+* :mod:`repro.sketch.select` — :func:`max_coverage_seeds`: greedy
+  max-coverage over the pool by coverage-count decrement, one pass over
+  the flattened pool.
 
 The application-facing entry point,
 :func:`repro.apps.influence_max.ris_influence_maximization`, wraps

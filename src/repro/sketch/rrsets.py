@@ -26,8 +26,10 @@ and ``P = 1`` has no finite hazard.  Sampling in time proportional to
 the live edges follows SUBSIM (Guo et al., SIGMOD 2020).  All variates
 come from one seeded :class:`numpy.random.Generator`, and the
 per-batch visited matrix is a reusable buffer.  :class:`RRSketchPool`
-stores the resulting sets in flattened CSR form plus the inverted
-node→sketch index that max-coverage selection consumes.
+stores the resulting sets in flattened CSR form and builds, on demand,
+the inverted node→sketch index that max-coverage selection consumes.
+Members and sketch ids are int32 from the generator onward, half the
+bytes of int64, so a universe must hold fewer than ``2**31`` nodes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ __all__ = ["RRGenerator", "RRSketchPool", "reverse_edge_probabilities"]
 
 #: Roots processed per lockstep reverse-cascade batch.
 DEFAULT_BATCH_SIZE = 256
+
+#: Largest node universe: members and sketch ids are stored as int32.
+MAX_NODES = int(np.iinfo(np.int32).max)
 
 #: Edges above this probability take one coin each instead of
 #: thinning.  At or below it a row's thinning rate is at most
@@ -75,6 +80,17 @@ def reverse_edge_probabilities(
     return in_indptr, in_indices, probabilities.values[order]
 
 
+def _check_universe(num_nodes: int) -> int:
+    """``num_nodes`` if its ids fit the int32 member arrays."""
+    num_nodes = int(num_nodes)
+    if num_nodes > MAX_NODES:
+        raise SketchError(
+            f"{num_nodes} nodes exceed the int32 sketch universe "
+            f"of {MAX_NODES} nodes"
+        )
+    return num_nodes
+
+
 def _record_generation(num_sets: int, sizes: np.ndarray) -> None:
     """Record one RR-generation call into the ambient metrics registry.
 
@@ -101,12 +117,15 @@ class RRSketchPool:
         is ``nodes[indptr[i]:indptr[i + 1]]``.
     nodes:
         All sketch members flattened, grouped per sketch in reverse
-        activation order (the sampled root first).
+        activation order (the sampled root first); the members of one
+        sketch are distinct.  Range-checked against ``num_nodes``, then
+        stored as int32 (no copy when they already are).
     """
 
     def __init__(self, num_nodes: int, indptr: np.ndarray, nodes: np.ndarray):
+        num_nodes = _check_universe(num_nodes)
         indptr = np.asarray(indptr, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = np.asarray(nodes)
         if indptr.ndim != 1 or indptr.shape[0] < 1 or indptr[0] != 0:
             raise SketchError(
                 f"indptr must be 1-D starting at 0, got shape {indptr.shape}"
@@ -121,11 +140,9 @@ class RRSketchPool:
                 f"sketch members must lie in [0, {num_nodes}), found range "
                 f"[{nodes.min()}, {nodes.max()}]"
             )
-        self.num_nodes = int(num_nodes)
+        self.num_nodes = num_nodes
         self.indptr = indptr
-        self.nodes = nodes
-        self._node_indptr: np.ndarray | None = None
-        self._node_sketches: np.ndarray | None = None
+        self.nodes = nodes.astype(np.int32, copy=False)
 
     @property
     def num_sketches(self) -> int:
@@ -143,36 +160,42 @@ class RRSketchPool:
             raise SketchError(f"sketch {i} outside [0, {self.num_sketches})")
         return self.nodes[self.indptr[i] : self.indptr[i + 1]]
 
-    def coverage_counts(self) -> np.ndarray:
-        """Per-node count of RR sets containing the node.
-
-        ``coverage_counts()[u] * num_nodes / num_sketches`` is the
-        unbiased RIS estimate of ``sigma({u})``.
-        """
-        return np.bincount(self.nodes, minlength=self.num_nodes)
-
-    def _inverted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node→sketches CSR, built lazily and cached.
+    def inverted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node→sketches CSR ``(node_indptr, node_sketches)``.
 
         The sketch→nodes CSR transposed by one counting sort, linear in
-        the pool size; each node's sketch ids come out ascending.
+        the pool size; each node's sketch ids come out ascending, as
+        int32.  Row ``u`` holds ``np.diff(node_indptr)[u]`` sketches,
+        and that count times ``num_nodes / num_sketches`` is the
+        unbiased RIS estimate of ``sigma({u})``.  scipy keeps int32
+        index arrays when the values fit, so the members are read in
+        place, not copied.  Built anew on every call and never cached:
+        a selection holds the index only while it runs, so a pool the
+        schedule has outgrown keeps no pool-sized index alive through
+        the next generation and merge.
         """
-        if self._node_indptr is None:
-            ones = np.ones(self.nodes.shape[0], dtype=np.int8)
-            membership = sparse.csr_matrix(
-                (ones, self.nodes, self.indptr),
-                shape=(self.num_sketches, self.num_nodes),
-            ).tocsc()
-            self._node_indptr = membership.indptr.astype(np.int64)
-            self._node_sketches = membership.indices.astype(np.int64)
-        return self._node_indptr, self._node_sketches
+        ones = np.ones(self.nodes.shape[0], dtype=np.int8)
+        membership = sparse.csr_matrix(
+            (ones, self.nodes, self.indptr),
+            shape=(self.num_sketches, self.num_nodes),
+        ).tocsc()
+        return membership.indptr, membership.indices.astype(np.int32, copy=False)
 
-    def sketches_containing(self, node: int) -> np.ndarray:
-        """IDs of the RR sets containing ``node`` (read-only view)."""
+    def _check_node(self, node: int) -> int:
+        """``node`` as an ``int`` if it lies in the pool's universe."""
         node = int(node)
         if not 0 <= node < self.num_nodes:
             raise SketchError(f"node {node} outside [0, {self.num_nodes})")
-        node_indptr, node_sketches = self._inverted()
+        return node
+
+    def sketches_containing(self, node: int) -> np.ndarray:
+        """IDs of the RR sets containing ``node``, ascending, as int32.
+
+        Builds the whole inverted index; to look up many nodes, call
+        :meth:`inverted` once.
+        """
+        node = self._check_node(node)
+        node_indptr, node_sketches = self.inverted()
         return node_sketches[node_indptr[node] : node_indptr[node + 1]]
 
     def spread_estimate(self, seeds) -> float:
@@ -186,9 +209,13 @@ class RRSketchPool:
         """
         if self.num_sketches == 0:
             raise SketchError("spread estimate is undefined for an empty pool")
-        covering = [self.sketches_containing(int(s)) for s in seeds]
-        covered = np.unique(np.concatenate(covering)) if covering else []
-        return self.num_nodes * len(covered) / self.num_sketches
+        nodes = [self._check_node(s) for s in seeds]
+        node_indptr, node_sketches = self.inverted()
+        covered = np.zeros(self.num_sketches, dtype=bool)
+        for node in nodes:
+            row = node_sketches[node_indptr[node] : node_indptr[node + 1]]
+            covered[row] = True
+        return self.num_nodes * int(np.count_nonzero(covered)) / self.num_sketches
 
     def spread_scale(self) -> float:
         """Sketches-to-spread conversion factor ``num_nodes / num_sketches``.
@@ -204,8 +231,7 @@ class RRSketchPool:
         """A new pool with additional sketches appended.
 
         ``indptr``/``nodes`` describe the new sketches alone, in the
-        same flattened layout this pool uses; the inverted index is
-        rebuilt lazily on the returned pool.
+        same flattened layout this pool uses.
         """
         merged_indptr = np.concatenate(
             [self.indptr, np.asarray(indptr[1:], dtype=np.int64) + self.indptr[-1]]
@@ -217,7 +243,7 @@ class RRSketchPool:
     def empty(cls, num_nodes: int) -> "RRSketchPool":
         """A pool of zero sketches over ``num_nodes`` nodes."""
         return cls(
-            num_nodes, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+            num_nodes, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32)
         )
 
     def __repr__(self) -> str:
@@ -260,7 +286,7 @@ class RRGenerator:
         seed: SeedLike = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
-        self.num_nodes = probabilities.graph.num_nodes
+        self.num_nodes = _check_universe(probabilities.graph.num_nodes)
         if self.num_nodes == 0:
             raise SketchError("cannot sample RR sets over an empty graph")
         self.batch_size = check_positive_int("batch_size", batch_size)
@@ -303,7 +329,8 @@ class RRGenerator:
         """Sample ``count`` fresh RR sets with uniformly random roots.
 
         Returns ``(indptr, nodes)`` in the flattened
-        :class:`RRSketchPool` layout, covering only the new sketches.
+        :class:`RRSketchPool` layout, covering only the new sketches,
+        with int64 offsets and int32 members.
         """
         count = check_positive_int("count", count)
         with active_run().span("sketch.generate", count=count):
@@ -421,4 +448,4 @@ class RRGenerator:
         all_nodes = np.concatenate(member_nodes)
         order = np.argsort(all_sketches, kind="stable")
         sizes = np.bincount(all_sketches, minlength=batch)
-        return sizes, all_nodes[order]
+        return sizes, all_nodes[order].astype(np.int32)

@@ -86,7 +86,7 @@ class TestCatalogInvariants:
         # Every metric the program records is declared in the catalog
         # module, under the name it was declared with.
         shipped = _catalog_handles()
-        assert len(shipped) == 37
+        assert len(shipped) == 36
         assert all(METRIC_HANDLES[name] is h for name, h in shipped.items())
 
     def test_duplicate_spec_rejected(self):

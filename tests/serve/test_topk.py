@@ -567,6 +567,74 @@ class TestBatchedVariants:
             engine.top_influenced_batch([], 3)
 
 
+class TestCheckUsers:
+    """Query ids are integers: numpy integer kinds pass, nothing else does."""
+
+    @pytest.mark.parametrize(
+        "user",
+        [3.7, np.float32(2.0), True, np.bool_(True), None, "3"],
+        ids=["float", "numpy-float", "bool", "numpy-bool", "none", "string"],
+    )
+    def test_non_integer_id_refused(self, user):
+        engine = TopKEngine(random_embedding(0))
+        with pytest.raises(ServingError, match="user ids must be integers"):
+            engine.top_influenced(user, 3)
+
+    @pytest.mark.parametrize(
+        "users",
+        [
+            np.array([True, False]),
+            [0.0, 1.0],
+            np.array([object()]),
+            [None],
+            ["3"],
+        ],
+        ids=["bool-mask", "float", "object", "none", "string"],
+    )
+    def test_non_integer_batch_refused(self, users):
+        engine = TopKEngine(random_embedding(0))
+        with pytest.raises(ServingError, match="user ids must be integers"):
+            engine.top_influenced_batch(users, 3)
+
+    @pytest.mark.parametrize(
+        "user",
+        [np.int32(3), np.uint8(3), np.int64(3), np.array(3)],
+        ids=["int32", "uint8", "int64", "0-d-array"],
+    )
+    def test_numpy_integer_scalars_served(self, user):
+        engine = TopKEngine(random_embedding(0))
+        expected = engine.top_influenced(3, 4)
+        got = engine.top_influenced(user, 4)
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.scores, expected.scores)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64, object])
+    def test_integer_batches_served(self, dtype):
+        engine = TopKEngine(random_embedding(0))
+        expected = engine.top_influenced_batch([1, 5, 96], 4)
+        got = engine.top_influenced_batch(np.array([1, 5, 96], dtype=dtype), 4)
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.scores, expected.scores)
+
+    @pytest.mark.parametrize(
+        "users",
+        [2**63, np.uint64(2**63), 2**70, [2**63], [2**70], [0, 2**64]],
+        ids=["2**63", "uint64", "2**70", "[2**63]", "[2**70]", "[0,2**64]"],
+    )
+    def test_beyond_int64_outside_universe(self, users):
+        engine = TopKEngine(random_embedding(0))
+        call = (
+            engine.top_influenced_batch
+            if isinstance(users, list)
+            else engine.top_influenced
+        )
+        with pytest.raises(
+            ServingError,
+            match=rf"^user ids outside served universe \[0, {NUM_USERS}\)$",
+        ):
+            call(users, 3)
+
+
 class TestScoringHelpers:
     def test_scores_match_embedding_score(self):
         """The augmented kernel agrees with Eq. 7 scoring to rounding."""

@@ -1,5 +1,7 @@
 """Unit tests for reverse-reachable set generation and pooling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.data.synthetic import SyntheticSocialDataset
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
 from repro.sketch.rrsets import (
+    MAX_NODES,
     RRGenerator,
     RRSketchPool,
     reverse_edge_probabilities,
@@ -250,7 +253,8 @@ class TestRRSketchPool:
         assert pool.num_sketches == 4
         np.testing.assert_array_equal(pool.sizes(), [2, 1, 2, 0])
         np.testing.assert_array_equal(pool.sketch(2), [2, 0])
-        np.testing.assert_array_equal(pool.coverage_counts(), [2, 2, 1])
+        # Index row lengths are the coverage counts greedy starts from.
+        np.testing.assert_array_equal(np.diff(pool.inverted()[0]), [2, 2, 1])
 
     def test_inverted_index_round_trip(self):
         pool = self._pool()
@@ -279,7 +283,7 @@ class TestRRSketchPool:
         assert np.any(pool.sizes() == 0)
         for u in range(pool.num_nodes):
             containing = pool.sketches_containing(u)
-            assert containing.dtype == np.int64
+            assert containing.dtype == np.int32
             assert containing.tolist() == [
                 i for i in range(pool.num_sketches) if u in pool.sketch(i)
             ]
@@ -288,7 +292,7 @@ class TestRRSketchPool:
         pool = RRSketchPool.empty(4)
         for u in range(pool.num_nodes):
             containing = pool.sketches_containing(u)
-            assert containing.dtype == np.int64
+            assert containing.dtype == np.int32
             assert containing.shape == (0,)
 
     def test_spread_estimate_counts_distinct_sketches(self):
@@ -316,6 +320,37 @@ class TestRRSketchPool:
             self._pool().sketches_containing(-1)
         with pytest.raises(SketchError):
             RRSketchPool.empty(3).spread_estimate([0])
+
+    def test_members_stored_as_int32(self):
+        wide = np.array([0, 1, 1, 2, 0], dtype=np.int64)
+        pool = RRSketchPool(3, np.array([0, 2, 3, 5, 5]), wide)
+        assert pool.nodes.dtype == np.int32
+        np.testing.assert_array_equal(pool.nodes, wide)
+        # int32 members, as the generator writes them, are not copied.
+        narrow = wide.astype(np.int32)
+        assert RRSketchPool(3, np.array([0, 2, 3, 5, 5]), narrow).nodes is narrow
+
+    @pytest.mark.parametrize("member", [2**31 + 1, 2**32, -(2**31) - 1])
+    def test_out_of_range_member_refused_before_narrowing(self, member):
+        # Cast first, 2**31 + 1 would wrap to a negative int32 and 2**32
+        # to member 0; the range check sees the wide value.
+        with pytest.raises(SketchError, match="must lie in"):
+            RRSketchPool(MAX_NODES, np.array([0, 2]), np.array([0, member]))
+
+    def test_universe_beyond_int32_refused(self):
+        with pytest.raises(SketchError, match="int32"):
+            RRSketchPool(MAX_NODES + 1, np.zeros(1), np.empty(0))
+        assert RRSketchPool.empty(MAX_NODES).num_nodes == MAX_NODES
+        # A stand-in table: the universe is refused before any array of
+        # that size is built.
+        huge = SimpleNamespace(graph=SimpleNamespace(num_nodes=2**31))
+        with pytest.raises(SketchError, match="int32"):
+            RRGenerator(huge)
+
+    def test_generator_writes_int32_members(self, planted_probs):
+        indptr, nodes = RRGenerator(planted_probs, seed=4).generate(50)
+        assert indptr.dtype == np.int64
+        assert nodes.dtype == np.int32
 
     def test_batch_buffer_reuse_does_not_leak_state(self, planted_probs):
         """Small batches reuse the visited buffer; sketches stay valid."""

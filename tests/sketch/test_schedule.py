@@ -1,6 +1,7 @@
 """Unit tests for the IMM-style adaptive sampling schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,23 @@ from repro.sketch.schedule import adaptive_rr_pool, log_binomial
 def planted_probs() -> EdgeProbabilities:
     data = SyntheticSocialDataset.digg_like(num_users=100, num_items=20, seed=2)
     return data.planted.edge_probabilities
+
+
+def supercritical_probabilities() -> EdgeProbabilities:
+    """800 nodes, in-degree 6 at P = 0.3: mean live in-degree 1.8.
+
+    The live-edge graph has a giant component, so almost every RR set
+    holds hundreds of nodes, the regime where the pool's members and
+    their index outweigh everything else the schedule allocates.
+    """
+    n, degree = 800, 6
+    rng = np.random.default_rng(0)
+    edges = np.stack(
+        [rng.integers(0, n, size=n * degree), np.repeat(np.arange(n), degree)],
+        axis=1,
+    )
+    graph = SocialGraph(n, edges[edges[:, 0] != edges[:, 1]])
+    return EdgeProbabilities(graph, np.full(graph.num_edges, 0.3))
 
 
 class TestLogBinomial:
@@ -101,3 +119,29 @@ class TestAdaptiveRRPool:
         with recording(run):
             adaptive_rr_pool(planted_probs, 3, seed=1)
         assert self._rr_sets_sampled(run) > 0
+
+
+class TestPoolMemory:
+    #: Traced bytes per final pool member.  The int32 pool is 4 B a
+    #: member and its inverted index another 4; int64 members with an
+    #: index cached on every superseded pool traced 21 B here.
+    MAX_BYTES_PER_MEMBER = 12.0
+
+    def test_traced_peak_per_member(self):
+        probs = supercritical_probabilities()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pool, _ = adaptive_rr_pool(probs, 5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        members = pool.nodes.shape[0]
+        assert members / pool.num_sketches > 300, "RR sets must be large"
+        assert peak / members < self.MAX_BYTES_PER_MEMBER, (
+            f"{peak / members:.1f} B per member over {members} members"
+        )

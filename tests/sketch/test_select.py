@@ -1,9 +1,10 @@
-"""Unit tests for lazy-greedy max-coverage selection."""
+"""Unit tests for greedy max-coverage selection by count decrement."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SketchError
+from repro.sketch import select
 from repro.sketch.rrsets import RRSketchPool
 from repro.sketch.select import max_coverage_seeds
 
@@ -27,14 +28,30 @@ def brute_force_greedy(pool, num_seeds):
     return tuple(seeds), tuple(gains), int(np.count_nonzero(covered))
 
 
-def random_pool(num_nodes, num_sketches, seed):
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 5, size=num_sketches)
-    nodes = np.concatenate(
-        [rng.choice(num_nodes, size=s, replace=False) for s in sizes]
-    )
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
+def pool_of(num_nodes, sketches):
+    """A pool holding ``sketches``, a list of distinct-member arrays."""
+    indptr = np.concatenate([[0], np.cumsum([len(m) for m in sketches])])
+    nodes = np.concatenate(sketches) if sketches else np.empty(0, np.int64)
     return RRSketchPool(num_nodes, indptr, nodes)
+
+
+def random_pool(num_nodes, num_sketches, seed, low=1, high=5):
+    """Sketches of ``[low, high)`` distinct random members each."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(low, high, size=num_sketches)
+    return pool_of(
+        num_nodes, [rng.choice(num_nodes, size=s, replace=False) for s in sizes]
+    )
+
+
+def assert_matches_oracle(pool, num_seeds):
+    """Seeds, marginal counts and covered total equal the brute-force run."""
+    result = max_coverage_seeds(pool, num_seeds)
+    seeds, gains, covered = brute_force_greedy(pool, num_seeds)
+    assert result.seeds == seeds
+    assert result.marginal_counts == gains
+    assert result.covered_sketches == covered
+    return result
 
 
 class TestMaxCoverage:
@@ -46,6 +63,60 @@ class TestMaxCoverage:
         assert result.seeds == seeds
         assert result.marginal_counts == gains
         assert result.covered_sketches == covered
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_node_chosen_zero_gain_tail_ascending(self, seed):
+        # Nodes 0, 3, 7 and 11 appear in no sketch.
+        rng = np.random.default_rng(seed)
+        members = np.array([1, 2, 4, 5, 6, 8, 9, 10])
+        pool = pool_of(
+            12,
+            [rng.choice(members, size=int(rng.integers(1, 4)), replace=False)
+             for _ in range(25)],
+        )
+        result = assert_matches_oracle(pool, pool.num_nodes)
+        assert sorted(result.seeds) == list(range(12))
+        gains = np.array(result.marginal_counts)
+        tail = [s for s, g in zip(result.seeds, gains) if g == 0]
+        assert tail == sorted(tail)
+        assert {0, 3, 7, 11} <= set(tail)
+        assert result.covered_sketches == pool.num_sketches
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_duplicated_sketches(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_pool(num_nodes=9, num_sketches=15, seed=seed)
+        sketches = [
+            base.sketch(i)
+            for i in range(base.num_sketches)
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        assert_matches_oracle(pool_of(9, sketches), 5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_node_in_every_sketch(self, seed):
+        rng = np.random.default_rng(seed)
+        others = np.array([0, 1, 2, 3, 4, 5, 6, 8, 9])
+        pool = pool_of(
+            10,
+            [np.append(rng.choice(others, size=int(rng.integers(0, 4)),
+                                  replace=False), 7)
+             for _ in range(30)],
+        )
+        result = assert_matches_oracle(pool, 4)
+        assert result.seeds[0] == 7
+        assert result.marginal_counts == (30, 0, 0, 0)
+        assert result.seeds[1:] == (0, 1, 2)
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 64, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_sketches(self, seed, chunk, monkeypatch):
+        # ~50 members a sketch; a 7-member chunk splits every sketch's
+        # decrement into its own run, 64 groups one or two sketches.
+        monkeypatch.setattr(select, "DECREMENT_CHUNK", chunk)
+        pool = random_pool(num_nodes=80, num_sketches=40, seed=seed,
+                           low=40, high=61)
+        assert_matches_oracle(pool, 12)
 
     def test_tie_breaks_to_smallest_node(self):
         # Nodes 2 and 5 each cover one distinct sketch; 2 must win.
