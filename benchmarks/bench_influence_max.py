@@ -19,6 +19,15 @@ is the ``bench.ris`` span, split into ``rr_generate_seconds`` (its
 spans).  Sketch telemetry (RR-set counters, schedule spans) is
 persisted to ``BENCH_influence_max_manifest.json``.
 
+The planted tables give RR sets of a few dozen nodes, which RR
+generation keeps on the calling thread.  The ``rr_threads`` row covers
+the regime where it runs threaded: ``flickr_like`` under a constant
+edge probability of 0.05 (no training), whose sets average about 500
+nodes at 2000 users.  It selects ``k = 50`` seeds repeatedly, with the
+process pinned to one core and on every core it may use, in
+alternating order, and reports each run's ``rr_generate_seconds``
+plus the pool's set and member counts.  Both must pick the same seeds.
+
 Run standalone with ``python benchmarks/bench_influence_max.py`` (add
 ``--smoke`` for the fast CI working point) or under pytest-benchmark
 with ``pytest benchmarks/bench_influence_max.py --benchmark-only``.
@@ -28,11 +37,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from repro.apps.influence_max import ris_influence_maximization
 from repro.data.synthetic import SyntheticSocialDataset
 from repro.diffusion.montecarlo import expected_spread, spread_with_standard_error
+from repro.diffusion.probabilities import EdgeProbabilities
 from repro.obs import RunRecorder, recording
 
 #: Acceptance working point: both presets at 2000 users.
@@ -45,6 +58,12 @@ PRESET = dict(num_users=2000, num_seeds=10, eval_runs=1000, curve_runs=300,
 SMOKE_PRESET = dict(num_users=300, num_seeds=5, eval_runs=200, curve_runs=100,
                     epsilon=0.3)
 BENCH_SEED = 20180416  # ICDE 2018 week, arbitrary but memorable
+
+#: The ``rr_threads`` row: large RR sets, one core against all cores.
+THREADS_PRESET = dict(num_users=2000, num_seeds=50, epsilon=0.2, repeats=3)
+SMOKE_THREADS_PRESET = dict(num_users=300, num_seeds=5, epsilon=0.3, repeats=1)
+#: Constant edge probability of the ``rr_threads`` row.
+THREADS_PROBABILITY = 0.05
 
 DATASETS = ("digg_like", "flickr_like")
 
@@ -71,6 +90,62 @@ def _span_seconds(root, name: str) -> float:
     return total
 
 
+@contextmanager
+def _one_core():
+    """Pin this thread, and every thread it starts, to one core."""
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cores)
+
+
+def _rr_threads(
+    run: RunRecorder, num_users: int, num_seeds: int, epsilon: float,
+    repeats: int, seed: int,
+) -> dict:
+    """RR generation time on one core and on all, in alternating order."""
+    dataset = SyntheticSocialDataset.flickr_like(num_users=num_users, seed=seed)
+    probabilities = EdgeProbabilities.constant(dataset.graph, THREADS_PROBABILITY)
+    seconds: dict[str, list[float]] = {"one_core": [], "all_cores": []}
+    seed_sets = set()
+    for repeat in range(repeats):
+        order = ("one_core", "all_cores")
+        for cores in order if repeat % 2 == 0 else order[::-1]:
+            sets_before = _counter_value(run, "sketch.rr_sets")
+            members_before = _counter_value(run, "sketch.rr_nodes")
+            pinned = _one_core() if cores == "one_core" else nullcontext()
+            with pinned, run.span("bench.rr_threads", cores=cores) as span:
+                selection = ris_influence_maximization(
+                    probabilities, num_seeds, epsilon=epsilon, seed=seed
+                )
+            seconds[cores].append(_span_seconds(span, "sketch.generate"))
+            seed_sets.add(selection.seeds)
+    if len(seed_sets) != 1:
+        raise AssertionError(f"RIS seeds depend on the core count: {seed_sets}")
+    rr_sets = _counter_value(run, "sketch.rr_sets") - sets_before
+    rr_members = _counter_value(run, "sketch.rr_nodes") - members_before
+    one, every = (statistics.median(seconds[c]) for c in ("one_core", "all_cores"))
+    return {
+        "dataset": "flickr_like",
+        "num_users": dataset.graph.num_nodes,
+        "num_edges": dataset.graph.num_edges,
+        "probability": THREADS_PROBABILITY,
+        "num_seeds": num_seeds,
+        "epsilon": epsilon,
+        "cores": len(os.sched_getaffinity(0)),
+        "rr_sets": rr_sets,
+        "rr_members": rr_members,
+        "mean_set_size": rr_members / rr_sets,
+        "rr_generate_seconds": seconds,
+        "median_one_core_seconds": one,
+        "median_all_cores_seconds": every,
+        "speedup": one / every,
+        "seeds": [int(s) for s in selection.seeds],
+    }
+
+
 def _evaluate(probabilities, seeds, eval_runs, curve_runs, seed) -> dict:
     """Common MC evaluation: final spread ± SE plus the prefix curve."""
     spread, stderr = spread_with_standard_error(
@@ -95,8 +170,10 @@ def run_influence_max(
     curve_runs: int = PRESET["curve_runs"],
     epsilon: float = PRESET["epsilon"],
     seed: int = BENCH_SEED,
+    threads: dict = THREADS_PRESET,
 ) -> dict:
-    """Time and evaluate RIS selection on both presets."""
+    """Time and evaluate RIS selection on both presets, then time RR
+    generation on one core and on all (``threads`` sizes that row)."""
     run = RunRecorder(name="bench.influence_max")
     run.set_config(
         {
@@ -148,6 +225,7 @@ def run_influence_max(
                 "num_edges": graph.num_edges,
                 "methods": methods,
             }
+        rr_threads = _rr_threads(run, seed=seed, **threads)
     run.write(MANIFEST_PATH)
 
     return {
@@ -157,6 +235,7 @@ def run_influence_max(
         "curve_runs": curve_runs,
         "epsilon": epsilon,
         "presets": presets,
+        "rr_threads": rr_threads,
         "telemetry": {"manifest": MANIFEST_PATH.name},
     }
 
@@ -186,12 +265,26 @@ def print_report(results: dict) -> None:
                 f"{row['spread']:>10.2f} ± {row['spread_se']:4.2f}"
                 f"{row['internal_estimate']:>10.2f}"
             )
+    row = results["rr_threads"]
+    print(
+        f"\nRR generation — {row['dataset']} ({row['num_users']} users), "
+        f"p={row['probability']}, k={row['num_seeds']}: {row['rr_sets']:.0f} "
+        f"sets, {row['rr_members']:.0f} members ({row['mean_set_size']:.0f} "
+        f"per set)"
+    )
+    print(
+        f"rr-gen median {row['median_one_core_seconds']:.3f}s on one core, "
+        f"{row['median_all_cores_seconds']:.3f}s on {row['cores']} "
+        f"(speedup {row['speedup']:.2f})"
+    )
 
 
 def test_influence_max(benchmark):
     from conftest import run_once
 
-    results = run_once(benchmark, run_influence_max, **SMOKE_PRESET)
+    results = run_once(
+        benchmark, run_influence_max, threads=SMOKE_THREADS_PRESET, **SMOKE_PRESET
+    )
     print_report(results)
     write_report(results)
     for name, preset in results["presets"].items():
@@ -209,7 +302,10 @@ def main() -> int:
         help="fast CI working point (small graphs, few MC runs)",
     )
     args = parser.parse_args()
-    results = run_influence_max(**(SMOKE_PRESET if args.smoke else PRESET))
+    if args.smoke:
+        results = run_influence_max(threads=SMOKE_THREADS_PRESET, **SMOKE_PRESET)
+    else:
+        results = run_influence_max(**PRESET)
     print_report(results)
     write_report(results)
     return 0

@@ -30,7 +30,6 @@ from repro.data.graph import SocialGraph
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import EvaluationError
 from repro.serve.scoring import DEFAULT_BLOCK_SIZE, iter_source_rows
-from repro.sketch.rrsets import DEFAULT_BATCH_SIZE
 from repro.sketch.schedule import (
     DEFAULT_ELL,
     DEFAULT_EPSILON,
@@ -173,7 +172,6 @@ def ris_influence_maximization(
     epsilon: float = DEFAULT_EPSILON,
     ell: float = DEFAULT_ELL,
     seed: SeedLike = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     max_sketches: int = DEFAULT_MAX_SKETCHES,
 ) -> SeedSelection:
     """Sketch-based (RIS/IMM) seed selection under the IC model.
@@ -197,8 +195,6 @@ def ris_influence_maximization(
         RNG seed/Generator for root sampling and the reverse-cascade
         live-edge draws (seeded Generators only; the same seed
         reproduces the same seed set bit-for-bit).
-    batch_size:
-        Roots per lockstep reverse-cascade batch.
     max_sketches:
         Hard cap on the pool size.
 
@@ -223,7 +219,6 @@ def ris_influence_maximization(
         epsilon=epsilon,
         ell=ell,
         seed=seed,
-        batch_size=batch_size,
         max_sketches=max_sketches,
     )
     result = max_coverage_seeds(pool, num_seeds)

@@ -23,16 +23,22 @@ is live — holds at least one — with probability exactly
 ``1 - e^{-h_e} = P_e``.  Heavy edges (``P > 1/2``) keep one coin
 each: thinning them would throw more points than the row has edges,
 and ``P = 1`` has no finite hazard.  Sampling in time proportional to
-the live edges follows SUBSIM (Guo et al., SIGMOD 2020).  All variates
-come from one seeded :class:`numpy.random.Generator`, and the
-per-batch visited matrix is a reusable buffer.  :class:`RRSketchPool`
-stores the resulting sets in flattened CSR form and builds, on demand,
-the inverted node→sketch index that max-coverage selection consumes.
+the live edges follows SUBSIM (Guo et al., SIGMOD 2020).  Each batch
+draws its variates from its own stream, derived from the seed and the
+batch's index, so large sets can be generated on several threads with
+the pool unchanged; the flat per-batch visited buffers are reused.
+:class:`RRSketchPool` stores the resulting sets in flattened CSR form
+and builds, on demand, the inverted node→sketch index that
+max-coverage selection consumes.
 Members and sketch ids are int32 from the generator onward, half the
 bytes of int64, so a universe must hold fewer than ``2**31`` nodes.
 """
 
 from __future__ import annotations
+
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -51,6 +57,12 @@ DEFAULT_BATCH_SIZE = 256
 
 #: Largest node universe: members and sketch ids are stored as int32.
 MAX_NODES = int(np.iinfo(np.int32).max)
+
+#: Members per root, in a call's first batch, from which the call's
+#: remaining batches run on a thread pool.  On two cores, sets of 220
+#: nodes and more generated faster on two threads than on one, sets of
+#: 184 nodes and fewer slower (DESIGN §15).
+THREADED_MEMBERS_PER_ROOT = 200
 
 #: Edges above this probability take one coin each instead of
 #: thinning.  At or below it a row's thinning rate is at most
@@ -89,6 +101,38 @@ def _check_universe(num_nodes: int) -> int:
             f"of {MAX_NODES} nodes"
         )
     return num_nodes
+
+
+def _stream_entropy(seed: SeedLike) -> int:
+    """Entropy of a generator's per-batch streams, derived from ``seed``.
+
+    An integer seed is the entropy itself.  A Generator gives one draw
+    of its stream, so generators seeded from one caller stream differ;
+    ``None`` draws fresh OS entropy.
+    """
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return int(ensure_rng(seed).integers(2**63))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the
+    platform has one, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_count(members_per_root: float, batches: int) -> int:
+    """Threads to run a call's ``batches`` remaining batches on.
+
+    One unless the call's first batch held at least
+    :data:`THREADED_MEMBERS_PER_ROOT` members per root; then one per
+    usable core, at most one per batch.
+    """
+    if members_per_root < THREADED_MEMBERS_PER_ROOT:
+        return 1
+    return min(_usable_cores(), batches)
 
 
 def _record_generation(num_sets: int, sizes: np.ndarray) -> None:
@@ -173,13 +217,26 @@ class RRSketchPool:
         a selection holds the index only while it runs, so a pool the
         schedule has outgrown keeps no pool-sized index alive through
         the next generation and merge.
+
+        A sketch that repeats a member would be counted twice in that
+        member's coverage, so it raises :class:`SketchError`: the
+        transpose keeps repeats, as equal adjacent ids in one row.
         """
-        ones = np.ones(self.nodes.shape[0], dtype=np.int8)
         membership = sparse.csr_matrix(
-            (ones, self.nodes, self.indptr),
+            (np.ones(self.nodes.shape[0], dtype=np.int8), self.nodes, self.indptr),
             shape=(self.num_sketches, self.num_nodes),
         ).tocsc()
-        return membership.indptr, membership.indices.astype(np.int32, copy=False)
+        node_indptr = membership.indptr
+        node_sketches = membership.indices.astype(np.int32, copy=False)
+        del membership  # its int8 values, before the check's bool temporary
+        repeats = np.flatnonzero(node_sketches[1:] == node_sketches[:-1]) + 1
+        repeats = repeats[~np.isin(repeats, node_indptr)]
+        if repeats.size:
+            node = int(np.searchsorted(node_indptr, repeats[0], side="right")) - 1
+            raise SketchError(
+                f"sketch {int(node_sketches[repeats[0]])} repeats member {node}"
+            )
+        return node_indptr, node_sketches
 
     def _check_node(self, node: int) -> int:
         """``node`` as an ``int`` if it lies in the pool's universe."""
@@ -257,10 +314,21 @@ class RRSketchPool:
 class RRGenerator:
     """Stateful vectorised sampler of RR sets for one probability table.
 
-    One generator owns one seeded RNG stream, so successive
-    :meth:`generate` calls extend the same deterministic sequence —
-    exactly what the adaptive schedule needs when it grows the pool in
-    phases.
+    Roots are sampled in batches of ``batch_size``, and the ``i``-th
+    batch of a generator's life draws its roots and every live-edge
+    variate from its own stream, ``SeedSequence(entropy,
+    spawn_key=(i,))``, with ``entropy`` derived from ``seed``.
+    Successive :meth:`generate` calls therefore extend one
+    deterministic sequence — exactly what the adaptive schedule needs
+    when it grows the pool in phases — and a pool does not depend on
+    which thread ran which batch.
+
+    A call runs its first batch on the calling thread.  If that batch's
+    sets hold at least :data:`THREADED_MEMBERS_PER_ROOT` members per
+    root, the remaining batches run on one thread per usable core (at
+    most one per batch); smaller sets stay on the calling thread, where
+    they run faster.  Spans and counters are recorded on the calling
+    thread only.
 
     A reverse-cascade level draws variates in proportion to its live
     in-edges, not to every in-edge it examines: Poisson thinning for
@@ -273,11 +341,13 @@ class RRGenerator:
     probabilities:
         Forward IC edge probabilities over the social graph.
     seed:
-        Seed or :class:`~numpy.random.Generator` for root sampling and
-        the live-edge draws.
+        Seed or :class:`~numpy.random.Generator` the per-batch streams
+        derive from: an integer seed is their entropy, a Generator
+        gives one draw of its own stream, ``None`` fresh OS entropy.
     batch_size:
-        Roots simulated per lockstep reverse-cascade batch; bounds the
-        reusable visited buffer at ``batch_size × num_nodes`` bools.
+        Roots simulated per lockstep reverse-cascade batch; bounds each
+        thread's reusable visited buffer at ``batch_size × num_nodes``
+        bools.
     """
 
     def __init__(
@@ -290,11 +360,19 @@ class RRGenerator:
         if self.num_nodes == 0:
             raise SketchError("cannot sample RR sets over an empty graph")
         self.batch_size = check_positive_int("batch_size", batch_size)
-        self.rng = ensure_rng(seed)
+        self._entropy = _stream_entropy(seed)
+        # Batches drawn so far: the next batch's stream index.
+        self._batches = 0
+        # Packed ids ``sketch · n + node`` of one batch fit int32 unless
+        # the batch's visited buffer reaches 2**31 entries.
+        self._packed_dtype = (
+            np.int32 if self.batch_size * self.num_nodes <= MAX_NODES else np.int64
+        )
         in_indptr, in_indices, in_values = reverse_edge_probabilities(
             probabilities
         )
-        self._in_indptr, self._in_indices = in_indptr, in_indices
+        self._in_indptr = in_indptr
+        self._in_sources = in_indices.astype(self._packed_dtype)
         self._in_degrees = degrees = np.diff(in_indptr)
         targets = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
         heavy = in_values > HEAVY_PROBABILITY
@@ -320,10 +398,10 @@ class RRGenerator:
             np.bincount(targets[heavy], minlength=self.num_nodes),
             out=self._heavy_indptr[1:],
         )
-        self._heavy_sources = in_indices[heavy]
+        self._heavy_sources = self._in_sources[heavy]
         self._heavy_values = in_values[heavy]
-        # Reusable per-batch visited buffer (allocated on first use).
-        self._visited: np.ndarray | None = None
+        # Cleared flat visited buffers, one taken per running batch.
+        self._buffers: list[np.ndarray] = []
 
     def generate(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample ``count`` fresh RR sets with uniformly random roots.
@@ -334,118 +412,147 @@ class RRGenerator:
         """
         count = check_positive_int("count", count)
         with active_run().span("sketch.generate", count=count):
-            sizes_parts: list[np.ndarray] = []
-            nodes_parts: list[np.ndarray] = []
-            for start in range(0, count, self.batch_size):
-                roots = self.rng.integers(
-                    0,
-                    self.num_nodes,
-                    size=min(self.batch_size, count - start),
-                    dtype=np.int64,
-                )
-                sizes, nodes = self._reverse_cascade_batch(roots)
-                sizes_parts.append(sizes)
-                nodes_parts.append(nodes)
-            all_sizes = np.concatenate(sizes_parts)
+            first = self._batches
+            jobs = [
+                (first + i, min(self.batch_size, count - start))
+                for i, start in enumerate(range(0, count, self.batch_size))
+            ]
+            self._batches += len(jobs)
+            parts = [self._reverse_cascade_batch(*jobs[0])]
+            threads = _thread_count(
+                parts[0][1].shape[0] / jobs[0][1], len(jobs) - 1
+            )
+            if threads > 1:
+                parts += self._run_threaded(jobs[1:], threads)
+            else:
+                parts += [self._reverse_cascade_batch(*job) for job in jobs[1:]]
+            all_sizes = np.concatenate([sizes for sizes, _ in parts])
             indptr = np.empty(count + 1, dtype=np.int64)
             indptr[0] = 0
             np.cumsum(all_sizes, out=indptr[1:])
             _record_generation(count, all_sizes)
-            return indptr, np.concatenate(nodes_parts)
+            return indptr, np.concatenate([nodes for _, nodes in parts])
+
+    def _run_threaded(
+        self, jobs: list[tuple[int, int]], threads: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Results of ``jobs`` in order, computed on ``threads`` threads.
+
+        At most two batches per thread are in flight, and the calling
+        thread copies each result as it arrives.  A worker's arrays are
+        freed into that worker's malloc arena, which the caller's later
+        allocations (the pool merge, the selection index) cannot reuse,
+        so keeping them would hold the pool's bytes resident twice.
+        """
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        pending: deque[Future] = deque()
+
+        def collect() -> None:
+            sizes, nodes = pending.popleft().result()
+            parts.append((sizes.copy(), nodes.copy()))
+
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            for job in jobs:
+                if len(pending) == 2 * threads:
+                    collect()
+                pending.append(executor.submit(self._reverse_cascade_batch, *job))
+            while pending:
+                collect()
+        return parts
 
     def _light_hits(
-        self, sketches: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, rng: np.random.Generator, bases: np.ndarray, nodes: np.ndarray
+    ) -> np.ndarray:
         """Live light in-edges of one frontier, by Poisson thinning.
 
         Frontier entry ``f`` throws ``Poisson(deg · lambda)`` points.
         One uniform per point does two jobs: ``x = u · deg`` puts the
         point on in-edge ``floor(x)``, and the fraction ``x - floor(x)``,
         uniform and independent of that edge, keeps it with probability
-        ``h_e / lambda``.  Returns ``(sketch, source)`` per kept point;
-        an edge that keeps several points appears several times.
+        ``h_e / lambda``.  Returns the packed id ``sketch · n + source``
+        of each kept point; an edge that keeps several points appears
+        several times.
         """
-        counts = self.rng.poisson(self._row_points[nodes])
+        counts = rng.poisson(self._row_points[nodes])
         owner_nodes = np.repeat(nodes, counts)
-        x = self.rng.random(owner_nodes.shape[0])
+        x = rng.random(owner_nodes.shape[0])
         x *= self._in_degrees[owner_nodes]
         offsets = x.astype(np.int64)
         edges = self._in_indptr[owner_nodes] + offsets
         kept = (x - offsets) < self._keep[edges]
-        return (
-            np.repeat(sketches, counts)[kept],
-            self._in_indices[edges[kept]],
-        )
+        return np.repeat(bases, counts)[kept] + self._in_sources[edges[kept]]
 
     def _heavy_hits(
-        self, sketches: np.ndarray, nodes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Live heavy in-edges of one frontier: one coin per edge."""
+        self, rng: np.random.Generator, bases: np.ndarray, nodes: np.ndarray
+    ) -> np.ndarray:
+        """Live heavy in-edges of one frontier, one coin per edge, packed."""
         starts = self._heavy_indptr[nodes]
         degrees = self._heavy_indptr[nodes + 1] - starts
         ends = np.cumsum(degrees)
         total = int(ends[-1])
         if total == 0:
-            return sketches[:0], self._heavy_sources[:0]
+            return bases[:0]
         # Flat index of every frontier heavy in-edge across the batch:
         # edge j of frontier entry f sits at starts[f] + j.
         flat = np.arange(total, dtype=np.int64)
         flat += np.repeat(starts - (ends - degrees), degrees)
-        live = np.flatnonzero(self.rng.random(total) < self._heavy_values[flat])
+        live = np.flatnonzero(rng.random(total) < self._heavy_values[flat])
         owners = np.searchsorted(ends, live, side="right")
-        return sketches[owners], self._heavy_sources[flat[live]]
+        return bases[owners] + self._heavy_sources[flat[live]]
 
     def _reverse_cascade_batch(
-        self, roots: np.ndarray
+        self, index: int, size: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Lockstep reverse IC cascades for one batch of roots.
+        """Lockstep reverse IC cascades for batch ``index`` of ``size`` roots.
 
-        All sketches advance one round per iteration: the live light
-        in-edges of every frontier node across the batch come from one
-        thinning draw, the heavy ones from one coin draw, and newly
-        reached ``(sketch, node)`` pairs are deduplicated through the
-        packed-id trick before becoming the next frontier.
+        The batch draws its roots, then every live-edge variate, from
+        its own stream.  All sketches advance one round per iteration:
+        the live light in-edges of every frontier node across the batch
+        come from one thinning draw, the heavy ones from one coin draw.
+        A reached ``(sketch, node)`` pair is the packed id
+        ``sketch · n + node`` into one flat visited buffer; the fresh
+        ids, sorted and deduplicated, are the next frontier.  Only the
+        entries the batch set are cleared afterwards.
         """
-        batch = roots.shape[0]
         n = self.num_nodes
-        if self._visited is None or self._visited.shape[0] < batch:
-            self._visited = np.zeros((batch, n), dtype=bool)
-        visited = self._visited[:batch]
-        visited[:] = False
-        rows = np.arange(batch, dtype=np.int64)
-        visited[rows, roots] = True
+        dtype = self._packed_dtype
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self._entropy, spawn_key=(index,))
+        )
+        # Drawn as int64 at any packed width: the roots depend on the stream alone.
+        roots = rng.integers(0, n, size=size, dtype=np.int64).astype(dtype)
+        try:
+            visited = self._buffers.pop()
+        except IndexError:
+            visited = np.zeros(self.batch_size * n, dtype=bool)
+        # The frontier: each entry's sketch, its base sketch · n, its node.
+        sketches = np.arange(size, dtype=dtype)
+        bases = sketches * n
+        nodes = roots
+        packed = bases + nodes
+        visited[packed] = True
 
-        member_sketches = [rows]
-        member_nodes = [roots]
-        frontier_sketches, frontier_nodes = rows, roots
-        while frontier_nodes.size:
-            hit_sketches, hit_sources = self._light_hits(
-                frontier_sketches, frontier_nodes
-            )
+        member_ids, member_sketches, member_nodes = [packed], [sketches], [nodes]
+        while True:
+            hits = self._light_hits(rng, bases, nodes)
             if self._heavy_sources.size:
-                heavy_sketches, heavy_sources = self._heavy_hits(
-                    frontier_sketches, frontier_nodes
-                )
-                hit_sketches = np.concatenate((hit_sketches, heavy_sketches))
-                hit_sources = np.concatenate((hit_sources, heavy_sources))
-            if not hit_sources.size:
+                hits = np.concatenate((hits, self._heavy_hits(rng, bases, nodes)))
+            packed = hits[~visited[hits]]
+            if not packed.size:
                 break
-            fresh = ~visited[hit_sketches, hit_sources]
-            if not fresh.any():
-                break
-            # Sorted, deduplicated (sketch, node) ids of the new frontier.
-            packed = hit_sketches[fresh] * n + hit_sources[fresh]
             packed.sort()
             packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
-            new_sketches = packed // n
-            new_nodes = packed % n
-            visited[new_sketches, new_nodes] = True
-            member_sketches.append(new_sketches)
-            member_nodes.append(new_nodes)
-            frontier_sketches, frontier_nodes = new_sketches, new_nodes
+            visited[packed] = True
+            sketches = packed // n
+            bases = sketches * n
+            nodes = packed - bases
+            member_ids.append(packed)
+            member_sketches.append(sketches)
+            member_nodes.append(nodes)
 
+        visited[np.concatenate(member_ids)] = False
+        self._buffers.append(visited)
         all_sketches = np.concatenate(member_sketches)
-        all_nodes = np.concatenate(member_nodes)
         order = np.argsort(all_sketches, kind="stable")
-        sizes = np.bincount(all_sketches, minlength=batch)
-        return sizes, all_nodes[order].astype(np.int32)
+        sizes = np.bincount(all_sketches, minlength=size)
+        return sizes, np.concatenate(member_nodes)[order].astype(np.int32, copy=False)

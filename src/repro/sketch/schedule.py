@@ -19,11 +19,12 @@ approach") chooses the count from the data in two phases:
    ``1 - n^-ell``.
 
 Both phases extend one :class:`~repro.sketch.rrsets.RRGenerator`, so
-the whole schedule consumes a single seeded RNG stream and re-running
-with the same seed reproduces the same pool, the same phase
-transcript, and therefore the same seed set.  ``max_sketches`` caps
-the pool for interactive use; hitting the cap is recorded in the
-returned :class:`SketchSchedule` rather than silently absorbed.
+the whole schedule consumes one seeded sequence of per-batch RNG
+streams and re-running with the same seed reproduces the same pool,
+the same phase transcript, and therefore the same seed set, whatever
+the number of cores.  ``max_sketches`` caps the pool for interactive
+use; hitting the cap is recorded in the returned
+:class:`SketchSchedule` rather than silently absorbed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
 from repro.obs.run import active_run
-from repro.sketch.rrsets import DEFAULT_BATCH_SIZE, RRGenerator, RRSketchPool
+from repro.sketch.rrsets import RRGenerator, RRSketchPool
 from repro.sketch.select import max_coverage_seeds
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
@@ -112,7 +113,6 @@ def adaptive_rr_pool(
     epsilon: float = DEFAULT_EPSILON,
     ell: float = DEFAULT_ELL,
     seed: SeedLike = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     max_sketches: int = DEFAULT_MAX_SKETCHES,
 ) -> tuple[RRSketchPool, SketchSchedule]:
     """Sample an adaptively sized RR pool for ``num_seeds`` selection.
@@ -131,8 +131,6 @@ def adaptive_rr_pool(
     seed:
         Seed or Generator driving root sampling and the live-edge
         draws (thinning points and heavy-edge coins).
-    batch_size:
-        Lockstep reverse-cascade batch size.
     max_sketches:
         Hard pool-size cap (recorded in the schedule when it binds).
 
@@ -150,7 +148,7 @@ def adaptive_rr_pool(
         raise SketchError(f"epsilon must lie in (0, 1), got {epsilon}")
     if ell <= 0:
         raise SketchError(f"ell must be positive, got {ell}")
-    generator = RRGenerator(probabilities, seed=seed, batch_size=batch_size)
+    generator = RRGenerator(probabilities, seed=seed)
     pool = RRSketchPool.empty(n)
     if n == 1:
         # Degenerate universe: one node, one possible seed set.

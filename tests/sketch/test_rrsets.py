@@ -1,5 +1,6 @@
 """Unit tests for reverse-reachable set generation and pooling."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,10 @@ from repro.data.graph import SocialGraph
 from repro.data.synthetic import SyntheticSocialDataset
 from repro.diffusion.probabilities import EdgeProbabilities
 from repro.errors import SketchError
+from repro.sketch import rrsets
 from repro.sketch.rrsets import (
     MAX_NODES,
+    THREADED_MEMBERS_PER_ROOT,
     RRGenerator,
     RRSketchPool,
     reverse_edge_probabilities,
@@ -30,6 +33,22 @@ ORACLE_TABLES = {
     "ic": (IC_EDGES, IC_NUM_NODES),
     "edge-cases": (EDGE_CASE_EDGES, EDGE_CASE_NUM_NODES),
 }
+
+
+def force_threads(monkeypatch, threads: int) -> list[int]:
+    """Run every call's remaining batches on ``threads`` threads.
+
+    Bypasses the members-per-root threshold and the core count; returns
+    the list of thread counts the calls chose, one per call.
+    """
+    chosen: list[int] = []
+
+    def thread_count(members_per_root: float, batches: int) -> int:
+        chosen.append(min(threads, batches))
+        return chosen[-1]
+
+    monkeypatch.setattr(rrsets, "_thread_count", thread_count)
+    return chosen
 
 
 @pytest.fixture
@@ -113,6 +132,69 @@ class TestRRGenerator:
         )
         np.testing.assert_array_equal(pool.indptr, whole.indptr)
         np.testing.assert_array_equal(pool.nodes, whole.nodes)
+
+    @pytest.mark.parametrize("batch_size", [16, 256])
+    def test_pool_independent_of_threads(self, monkeypatch, batch_size):
+        """One seed gives one pool on one thread or several, whichever
+        side of the threshold the sets fall, and however many batches
+        are in flight at once.  Three threads on a short switch
+        interval interleave the workers' use of the shared visited
+        buffers as often as they can."""
+        data = SyntheticSocialDataset.flickr_like(num_users=300, seed=2)
+        probs = EdgeProbabilities.constant(data.graph, 0.1)
+        pools = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                chosen = force_threads(monkeypatch, threads)
+                pools.append(
+                    RRGenerator(probs, seed=9, batch_size=batch_size).generate(2_000)
+                )
+                assert chosen == [min(threads, -(-2_000 // batch_size) - 1)]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        pools.append(RRGenerator(probs, seed=9, batch_size=batch_size).generate(2_000))
+        for indptr, nodes in pools[1:]:
+            np.testing.assert_array_equal(indptr, pools[0][0])
+            np.testing.assert_array_equal(nodes, pools[0][1])
+
+    def test_threaded_calls_extend_one_stream(self, monkeypatch, planted_probs):
+        """Split calls equal one call when the split call runs threaded."""
+        force_threads(monkeypatch, 2)
+        split = RRGenerator(planted_probs, seed=7, batch_size=64)
+        first = split.generate(128)
+        second = split.generate(136)
+        monkeypatch.undo()
+        force_threads(monkeypatch, 1)
+        indptr, nodes = RRGenerator(planted_probs, seed=7, batch_size=64).generate(
+            264
+        )
+        np.testing.assert_array_equal(
+            np.concatenate((first[0], second[0][1:] + first[0][-1])), indptr
+        )
+        np.testing.assert_array_equal(np.concatenate((first[1], second[1])), nodes)
+
+    def test_thread_count_threshold(self):
+        """Small sets stay on the calling thread; large ones take one
+        thread per usable core, at most one per remaining batch."""
+        cores = rrsets._usable_cores()
+        assert rrsets._thread_count(THREADED_MEMBERS_PER_ROOT - 0.5, 40) == 1
+        assert rrsets._thread_count(THREADED_MEMBERS_PER_ROOT, 40) == min(cores, 40)
+        assert rrsets._thread_count(THREADED_MEMBERS_PER_ROOT, 1) == 1
+        assert rrsets._thread_count(10 * THREADED_MEMBERS_PER_ROOT, 0) == 0
+
+    def test_generator_seed_gives_one_entropy(self, planted_probs):
+        """A Generator seed takes one draw of its stream: generators
+        seeded from one caller stream in turn sample different pools,
+        and equal caller streams give equal pools."""
+        caller = np.random.default_rng(3)
+        a = RRGenerator(planted_probs, seed=caller).generate(300)
+        b = RRGenerator(planted_probs, seed=caller).generate(300)
+        c = RRGenerator(planted_probs, seed=np.random.default_rng(3)).generate(300)
+        assert not (a[1].shape == b[1].shape and np.array_equal(a[1], b[1]))
+        np.testing.assert_array_equal(a[1], c[1])
 
     def test_members_are_unique_per_sketch(self, planted_probs):
         generator = RRGenerator(planted_probs, seed=3)
@@ -199,28 +281,39 @@ class TestExactInclusionOracle:
         assert exact[4, 2] == pytest.approx(0.9)
 
     def test_root_is_first_member(self, probs):
-        """One batch draws every root up front, before any coin."""
-        count = 2_000
+        """Batch ``i`` draws its roots up front, before any coin, from
+        its own stream ``SeedSequence(seed, spawn_key=(i,))``."""
+        count, batch_size = 2_000, 500
         pool = RRSketchPool(
             self.NUM_NODES,
-            *RRGenerator(probs, seed=21, batch_size=count).generate(count),
+            *RRGenerator(probs, seed=21, batch_size=batch_size).generate(count),
         )
-        roots = np.random.default_rng(21).integers(
-            0, self.NUM_NODES, size=count, dtype=np.int64
-        )
+        roots = np.concatenate([
+            np.random.default_rng(
+                np.random.SeedSequence(21, spawn_key=(i,))
+            ).integers(0, self.NUM_NODES, size=batch_size, dtype=np.int64)
+            for i in range(count // batch_size)
+        ])
         first = [int(pool.sketch(i)[0]) for i in range(count)]
         assert first == roots.tolist()
 
     @pytest.mark.parametrize(
-        "table, batch_size",
+        "table, batch_size, threads",
         [
-            pytest.param("ic", 7, id="7"),
-            pytest.param("ic", 256, id="256"),
-            pytest.param("edge-cases", 7, id="edge-cases-7"),
-            pytest.param("edge-cases", 256, id="edge-cases-256"),
+            pytest.param("ic", 7, 1, id="7"),
+            pytest.param("ic", 256, 1, id="256"),
+            pytest.param("edge-cases", 7, 1, id="edge-cases-7"),
+            pytest.param("edge-cases", 256, 1, id="edge-cases-256"),
+            pytest.param("ic", 7, 2, id="7-2-threads"),
+            pytest.param("ic", 256, 2, id="256-2-threads"),
+            pytest.param("edge-cases", 7, 2, id="edge-cases-7-2-threads"),
+            pytest.param("edge-cases", 256, 2, id="edge-cases-256-2-threads"),
         ],
     )
-    def test_inclusion_matches_enumeration(self, table, batch_size):
+    def test_inclusion_matches_enumeration(
+        self, monkeypatch, table, batch_size, threads
+    ):
+        force_threads(monkeypatch, threads)
         edges, num_nodes = ORACLE_TABLES[table]
         exact = self._exact_inclusion(edges, num_nodes)
         count = 40_000
@@ -261,6 +354,22 @@ class TestRRSketchPool:
         assert pool.sketches_containing(0).tolist() == [0, 2]
         assert pool.sketches_containing(1).tolist() == [0, 1]
         assert pool.sketches_containing(2).tolist() == [2]
+
+    def test_repeated_member_refused_by_the_index(self):
+        """A sketch listing one member twice would count it twice."""
+        pool = RRSketchPool(3, np.array([0, 2, 3]), np.array([0, 0, 1]))
+        with pytest.raises(SketchError, match="sketch 0 repeats member 0"):
+            pool.inverted()
+        pool = RRSketchPool(4, np.array([0, 1, 4]), np.array([3, 2, 1, 2]))
+        with pytest.raises(SketchError, match="sketch 1 repeats member 2"):
+            pool.spread_estimate([2])
+
+    def test_equal_ids_across_rows_are_not_repeats(self):
+        """Node 0's row ends and node 1's row starts with sketch 1."""
+        pool = RRSketchPool(3, np.array([0, 1, 3, 4]), np.array([1, 0, 1, 2]))
+        node_indptr, node_sketches = pool.inverted()
+        assert node_indptr.tolist() == [0, 1, 3, 4]
+        assert node_sketches.tolist() == [1, 0, 1, 2]
 
     @staticmethod
     def _random_pool(seed: int) -> RRSketchPool:
